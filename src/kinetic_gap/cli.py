@@ -44,12 +44,29 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _block(cfg: dict, key: str) -> dict:
+    """The JSON object under ``key``; an absent key reads as ``{}``."""
+    block = cfg.get(key, {})
+    _require(isinstance(block, dict), f"{key} must be a JSON object")
+    return block
+
+
+def _number(kind, value, what: str):
+    """``kind(value)`` for kind int or float, as a ConfigError on failure."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def parse_mixture(cfg: dict) -> Mixture:
-    species = cfg.get("mixture", {}).get("species")
+    species = _block(cfg, "mixture").get("species")
     _require(isinstance(species, list) and species, "mixture.species must be "
              "a non-empty list of {'rho_inf': positive number}")
     rho = []
     for s in species:
+        _require(isinstance(s, dict),
+                 f"mixture.species entries must be objects, got {s!r}")
         r = s.get("rho_inf")
         _require(isinstance(r, (int, float)) and r > 0,
                  f"rho_inf must be positive, got {r!r}")
@@ -58,21 +75,24 @@ def parse_mixture(cfg: dict) -> Mixture:
 
 
 def _parse_phi(d: dict) -> PowerLaw:
-    _require(d.get("type") == "power", "phi descriptors must have type 'power'")
+    _require(isinstance(d, dict) and d.get("type") == "power",
+             f"phi descriptors must be objects of type 'power', got {d!r}")
     try:
         return PowerLaw(float(d["C"]), float(d["gamma"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kinetic descriptor {d!r}: {exc}") from exc
 
 
 def _parse_b(d: dict) -> AngularPolynomial:
+    _require(isinstance(d, dict), f"b descriptors must be objects, got {d!r}")
     kind = d.get("type")
     if kind == "constant":
-        return AngularPolynomial((float(d.get("c", 1.0)),))
+        return AngularPolynomial((_number(float, d.get("c", 1.0), "b.c"),))
     _require(kind == "poly", "b descriptors must have type 'poly' or 'constant'")
     coeffs = d.get("coeffs")
     _require(isinstance(coeffs, list) and coeffs, "poly descriptor needs coeffs")
-    return AngularPolynomial(tuple(float(c) for c in coeffs))
+    return AngularPolynomial(tuple(_number(float, c, "b.coeffs entry")
+                                   for c in coeffs))
 
 
 def parse_family(cfg: dict, n: int) -> KernelFamily:
@@ -80,10 +100,10 @@ def parse_family(cfg: dict, n: int) -> KernelFamily:
     _require(isinstance(k, dict), "missing 'kernels' block")
     phi_rows = k.get("phi")
     b_rows = k.get("b")
-    _require(isinstance(phi_rows, list) and len(phi_rows) == n,
-             f"kernels.phi must be an {n}x{n} table")
-    _require(isinstance(b_rows, list) and len(b_rows) == n,
-             f"kernels.b must be an {n}x{n} table")
+    for name, rows in (("phi", phi_rows), ("b", b_rows)):
+        _require(isinstance(rows, list) and len(rows) == n
+                 and all(isinstance(r, list) and len(r) == n for r in rows),
+                 f"kernels.{name} must be an {n}x{n} table")
     phi = tuple(tuple(_parse_phi(d) for d in row) for row in phi_rows)
     b = tuple(tuple(_parse_b(d) for d in row) for row in b_rows)
     try:
@@ -92,17 +112,21 @@ def parse_family(cfg: dict, n: int) -> KernelFamily:
             C1=float(k.get("C1", 1.0)), C2=float(k.get("C2", 1.0)),
             delta=float(k.get("delta", 0.5)), C3=float(k.get("C3", 1.0)),
             C4=float(k.get("C4", 1.0)), beta=float(k.get("beta", 1.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def parse_discretization(cfg: dict) -> dict:
-    d = cfg.get("discretization", {})
-    out = {"N": int(d.get("N", 4)), "q": int(d.get("hermite_q", 10)),
+    d = _block(cfg, "discretization")
+    out = {"N": _number(int, d.get("N", 4), "discretization.N"),
+           "q": _number(int, d.get("hermite_q", 10), "discretization.hermite_q"),
            "sphere_level": d.get("sphere_level", "medium"),
-           "m_max": int(d.get("M_max", 2))}
+           "m_max": _number(int, d.get("M_max", 2), "discretization.M_max")}
     _require(out["N"] >= 2, "discretization.N must be >= 2")
-    _require(1 <= out["q"] <= 64, "discretization.hermite_q must be in [1, 64]")
+    # below N + 1 nodes the H-Gram of the degree-N basis is singular
+    _require(out["N"] + 1 <= out["q"] <= 64,
+             f"discretization.hermite_q must be in [N + 1, 64] = "
+             f"[{out['N'] + 1}, 64], got {out['q']}")
     _require(out["sphere_level"] in ("coarse", "medium", "fine"),
              "sphere_level must be coarse|medium|fine")
     _require(out["m_max"] >= 0, "M_max must be >= 0")
@@ -110,11 +134,11 @@ def parse_discretization(cfg: dict) -> dict:
 
 
 def parse_budgets(cfg: dict, seed_override=None) -> dict:
-    b = cfg.get("budgets", {})
-    out = {"mc_samples": int(b.get("mc_samples", 100_000)),
-           "seed": int(b.get("seed", 0)),
-           "audit_samples": int(b.get("audit_samples", 2000)),
-           "lemma_samples": int(b.get("lemma_samples", 1000))}
+    b = _block(cfg, "budgets")
+    defaults = {"mc_samples": 100_000, "seed": 0, "audit_samples": 2000,
+                "lemma_samples": 1000}
+    out = {key: _number(int, b.get(key, v), f"budgets.{key}")
+           for key, v in defaults.items()}
     if seed_override is not None:
         out["seed"] = int(seed_override)
     _require(out["mc_samples"] >= 1, "budgets.mc_samples must be >= 1")
@@ -122,12 +146,31 @@ def parse_budgets(cfg: dict, seed_override=None) -> dict:
     return out
 
 
+def parse_decay(cfg: dict) -> dict:
+    d = _block(cfg, "decay")
+    out = {"dt": _number(float, d.get("dt", 0.05), "decay.dt"),
+           "t_end": _number(float, d.get("t_end", 6.0), "decay.t_end"),
+           "record_every": _number(int, d.get("record_every", 2),
+                                   "decay.record_every"),
+           "scheme": d.get("scheme", "expm"),
+           "amplitude": _number(float, d.get("amplitude", 1e-2),
+                                "decay.amplitude")}
+    _require(out["dt"] > 0 and out["t_end"] > out["dt"],
+             "decay.dt/t_end invalid")
+    _require(out["record_every"] >= 1, "decay.record_every must be >= 1")
+    _require(out["scheme"] in ("expm", "midpoint"),
+             "decay.scheme must be expm|midpoint")
+    return out
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _require(isinstance(cfg, dict), "config must be a JSON object")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +256,7 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
     hyp = sp.verify_H1_H3(ops, report.lambda_numeric,
                           n_samples=budgets["lemma_samples"],
                           seed=budgets["seed"])
-    mu, _ = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+    mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", mu)
     payload = {
         "audit": audit.to_dict(),
@@ -227,6 +270,8 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
     if not report.gate_ok():
         return EXIT_GATE
     if any(not c.passed for c in ledger):
+        return EXIT_GATE
+    if hyp.h12_violations > 0 or hyp.h2_holdout_violations > 0:
         return EXIT_GATE
     return EXIT_OK
 
@@ -265,24 +310,18 @@ def reference_initial_state(ops, rng, m_max: int, amplitude: float = 1e-2):
 
 
 def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
+    integration = parse_decay(cfg)
     mixture, family, disc, budgets, audit, ops = \
         _audited_opset(cfg, seed_override, threads)
     if not audit.passed:
         write_json(out_dir, "decay.json",
                    {"audit": audit.to_dict(), "decay": None})
         return EXIT_AUDIT
-    dcfg = cfg.get("decay", {})
-    dt = float(dcfg.get("dt", 0.05))
-    t_end = float(dcfg.get("t_end", 6.0))
-    record_every = int(dcfg.get("record_every", 2))
-    scheme = dcfg.get("scheme", "expm")
-    amplitude = float(dcfg.get("amplitude", 1e-2))
-    _require(dt > 0 and t_end > dt, "decay.dt/t_end invalid")
-    _require(scheme in ("expm", "midpoint"), "decay.scheme must be expm|midpoint")
+    amplitude = integration["amplitude"]
 
     rng = np.random.default_rng(budgets["seed"])
     m_max = disc["m_max"]
-    state0 = dcfg.get("initial", "random")
+    state0 = cfg.get("decay", {}).get("initial", "random")
     lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
     search = ev.search_coefficients(ops, m_max=m_max,
                                     n_samples=budgets["lemma_samples"],
@@ -296,8 +335,9 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
         f_I = reference_initial_state(ops, rng, m_max, amplitude)
     f_inf = ev.equilibrium_state(f_I, ops.ker_L)
 
-    traj = ev.evolve(f_I, ops.L.matrix, ops.transports, dt, t_end,
-                     scheme=scheme, record_every=record_every)
+    traj = ev.evolve(f_I, ops.L.matrix, ops.transports, integration["dt"],
+                     integration["t_end"], scheme=integration["scheme"],
+                     record_every=integration["record_every"])
     c1, c2, c3, c4 = search.c
     h1_dist, g_vals, mode_norms, drift = [], [], [], 0.0
     kproj0 = ops.ker_L.T @ f_I.modes[(0, 0, 0)]
@@ -340,11 +380,12 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
         "conserved_drift_per_unit_time": drift_rate,
         "discretization": disc,
         "budgets": budgets,
-        "integration": {"dt": dt, "t_end": t_end, "scheme": scheme,
-                        "record_every": record_every, "amplitude": amplitude},
+        "integration": integration,
     }
     write_json(out_dir, "decay.json", payload)
 
+    if kappa_cert <= 0.0 or drift_rate >= 1e-9:
+        return EXIT_GATE
     if report.trivial_decay:
         return EXIT_OK
     ok = (report.tau_fit is not None and report.tau_fit > 0.0

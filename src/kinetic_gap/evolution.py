@@ -23,12 +23,13 @@ import numpy as np
 
 from .galerkin import OperatorSet
 from .mixture import project_onto
+from .spectra import generalized_eigs
 
 __all__ = [
     "expm", "mode_generator", "mode_generator_blocked", "TorusState",
-    "Trajectory", "evolve", "h1_norm", "hypo_functional", "hypo_dG_dt",
-    "fit_decay", "DecayReport", "search_coefficients", "SearchResult",
-    "equilibrium_state", "modes_up_to", "random_physical_state",
+    "Trajectory", "evolve", "h1_norm", "hypo_functional", "fit_decay",
+    "DecayReport", "search_coefficients", "SearchResult", "equilibrium_state",
+    "modes_up_to", "random_physical_state",
 ]
 
 # Pade-13 scaling-and-squaring coefficients (fixed order)
@@ -268,18 +269,6 @@ def _mode_rates(c: np.ndarray, A: np.ndarray, m, grads):
     return a0, a3, a4, k2, n0, nv
 
 
-def hypo_dG_dt(state: TorusState, c1, c2, c3, c4, L, transports, grad_ops) -> float:
-    """Exact d/dt G[f(t)] along the generator (no time stepping)."""
-    _check_coeffs(c1, c2, c3, c4)
-    grads = _grad_mats(grad_ops)
-    total = 0.0
-    for m, c in state.modes.items():
-        A = mode_generator(L, transports, m)
-        a0, a3, a4, k2, _, _ = _mode_rates(c, A, m, grads)
-        total += 2.0 * (c1 * a0 + c2 * k2 * a0 + c3 * a3) + c4 * a4
-    return total
-
-
 # ---------------------------------------------------------------------------
 # decay fitting
 # ---------------------------------------------------------------------------
@@ -306,8 +295,12 @@ class DecayReport:
 def fit_decay(times, values, transient_frac: float = 0.2,
               floor: float = 1e-13, min_points: int = 20,
               tau_reference: float | None = None) -> DecayReport:
-    """Log-linear least-squares fit of an exponentially decaying observable.
+    """Exponential envelope C e^{-tau t} of a decaying observable.
 
+    ``tau_fit`` is the log-linear least-squares rate.  ``C_fit`` is the
+    smallest constant that makes C e^{-tau t} an upper envelope of every
+    sample in the fit window, max(values * e^{tau t}); the least-squares
+    intercept would cut through the samples instead of bounding them.
     The transient (first ``transient_frac`` of the horizon) is discarded;
     if the observable reaches the numerical floor the fit is restricted to
     the pre-floor window.  A series entirely at the floor is reported as
@@ -338,12 +331,13 @@ def fit_decay(times, values, transient_frac: float = 0.2,
     y = np.log(values[sel])
     A = np.stack([t, np.ones_like(t)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = coef
+    slope = coef[0]
     resid = y - A @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayReport(tau_fit=float(-slope), C_fit=float(np.exp(intercept)),
+    return DecayReport(tau_fit=float(-slope),
+                       C_fit=float(np.exp(np.max(y - slope * t))),
                        r_squared=r2, window=(float(t[0]), float(t[-1])),
                        n_points=int(np.sum(sel)), tau_reference=tau_reference)
 
@@ -445,24 +439,6 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
                         n_states=len(states), worst_state={"mode": list(worst)})
 
 
-def _hermitian_gen_min_eig(Hc: np.ndarray, Nc: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian pencil (Hc, Nc), Nc HPD, via the
-    real symmetric embedding [[Re, -Im], [Im, Re]]."""
-    from .spectra import generalized_eigs
-
-    def embed(X):
-        n = X.shape[0]
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = X.real
-        out[n:, n:] = X.real
-        out[:n, n:] = -X.imag
-        out[n:, :n] = X.imag
-        return out
-
-    w, _ = generalized_eigs(embed(Hc), embed(Nc))
-    return float(w[0])
-
-
 def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
     """Eigenvalue-certified kappa for a fixed coefficient tuple.
 
@@ -500,5 +476,5 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
             Wc = W.astype(complex)
             H = Wc.conj().T @ H @ Wc
             N = Wc.conj().T @ N @ Wc
-        kappa = min(kappa, _hermitian_gen_min_eig(H, N))
+        kappa = min(kappa, float(generalized_eigs(H, N)[0]))
     return kappa

@@ -59,12 +59,6 @@ class DiscreteOperator:
         scale = np.max(np.abs(m)) or 1.0
         return float(np.max(np.abs(m - m.T)) / scale)
 
-    def to_csv(self, path) -> None:
-        header = f"role={self.role};" + ";".join(
-            f"{k}={v}" for k, v in sorted(self.meta.items())
-            if isinstance(v, (int, float, str)))
-        np.savetxt(path, self.matrix, delimiter=",", header=header)
-
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)

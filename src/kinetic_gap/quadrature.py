@@ -2,9 +2,8 @@
 
 The Hermite rules integrate against the probabilists' weight
 (2*pi)^{-1/2} exp(-x^2/2) so that Maxwellian-weighted integrals carry no
-rescaling factors anywhere downstream.  Nodes and weights come from a
-Golub-Welsch tridiagonal eigendecomposition run through the package's own
-Jacobi eigensolver.
+rescaling factors anywhere downstream.  The Gauss-Hermite and
+Gauss-Legendre nodes and weights come from ``numpy.polynomial``.
 """
 from __future__ import annotations
 
@@ -13,8 +12,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-
-from .eigen import jacobi_eigh
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureRule", "CollisionPair", "post_collision", "collision_pair",
@@ -84,52 +83,22 @@ def collision_pair(v, v_star, sigma) -> CollisionPair:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rules via Golub-Welsch
+# Gaussian rules
 # ---------------------------------------------------------------------------
-
-def _golub_welsch(offdiag: np.ndarray, mu0: float):
-    """Nodes/weights from the symmetric Jacobi matrix with given off-diagonal."""
-    q = offdiag.shape[0] + 1
-    J = np.zeros((q, q))
-    rng = np.arange(q - 1)
-    J[rng, rng + 1] = offdiag
-    J[rng + 1, rng] = offdiag
-    w, V = jacobi_eigh(J)
-    weights = mu0 * V[0, :] ** 2
-    # enforce the exact x -> -x symmetry of the weight
-    nodes = 0.5 * (w - w[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    if q % 2 == 1:
-        nodes[q // 2] = 0.0
-    return nodes, weights
-
 
 @lru_cache(maxsize=None)
 def hermite_rule_1d(q: int) -> QuadratureRule:
     """q-point Gauss rule for the weight (2*pi)^{-1/2} exp(-x^2/2).
 
-    Exact for polynomials of degree <= 2q-1; weights sum to 1.  The Jacobi
-    matrix of the (monic) probabilists' Hermite family has zero diagonal
-    and off-diagonal sqrt(k); nodes are Newton-polished on h_q(x) = 0 and
-    the weights are the Christoffel numbers 1 / sum_k h_k(x)^2.
+    Exact for polynomials of degree <= 2q-1; weights sum to 1.  Nodes and
+    weights are ``numpy.polynomial.hermite_e.hermegauss`` with the weights
+    divided by sqrt(2*pi).
     """
-    from .hermite import hermite_table_1d
     if not 1 <= q <= 64:
         raise ValueError(f"hermite_rule_1d: q must be in [1, 64], got {q}")
-    if q == 1:
-        return QuadratureRule(np.zeros(1), np.ones(1), "hermite_1d", {"q": 1})
-    offdiag = np.sqrt(np.arange(1, q, dtype=float))
-    nodes, _ = _golub_welsch(offdiag, 1.0)
-    for _ in range(2):
-        tab = hermite_table_1d(nodes, q)
-        nodes = nodes - tab[:, q] / (np.sqrt(q) * tab[:, q - 1])
-    nodes = 0.5 * (nodes - nodes[::-1])
-    if q % 2 == 1:
-        nodes[q // 2] = 0.0
-    tab = hermite_table_1d(nodes, q - 1)
-    weights = 1.0 / np.sum(tab * tab, axis=1)
-    weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(nodes, weights, "hermite_1d", {"q": q})
+    nodes, weights = hermegauss(q)
+    return QuadratureRule(nodes, weights / math.sqrt(2.0 * math.pi),
+                          "hermite_1d", {"q": q})
 
 
 @lru_cache(maxsize=None)
@@ -143,35 +112,13 @@ def hermite_rule_3d(q: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "hermite_3d_tensor", {"q": q})
 
 
-def _legendre_value_deriv(x: np.ndarray, n: int):
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1] (weights sum to 2); nodes are
-    Newton-polished on P_n(x) = 0."""
+    """n-point Gauss-Legendre rule on [-1, 1] (weights sum to 2), from
+    ``numpy.polynomial.legendre.leggauss``."""
     if n < 1:
         raise ValueError("gauss_legendre: n must be >= 1")
-    if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0), "legendre_1d", {"n": 1})
-    k = np.arange(1, n, dtype=float)
-    offdiag = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, _ = _golub_welsch(offdiag, 2.0)
-    for _ in range(2):
-        p, dp = _legendre_value_deriv(nodes, n)
-        nodes = nodes - p / dp
-    nodes = 0.5 * (nodes - nodes[::-1])
-    if n % 2 == 1:
-        nodes[n // 2] = 0.0
-    _, dp = _legendre_value_deriv(nodes, n)
-    weights = 2.0 / ((1.0 - nodes * nodes) * dp * dp)
-    weights = 0.5 * (weights + weights[::-1])
+    nodes, weights = leggauss(n)
     return QuadratureRule(nodes, weights, "legendre_1d", {"n": n})
 
 

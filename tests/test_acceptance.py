@@ -14,7 +14,7 @@ import pytest
 from kinetic_gap import cli
 from kinetic_gap import evolution as ev
 from kinetic_gap import spectra as sp
-from kinetic_gap.eigen import jacobi_eigh, jacobi_eigvalsh
+from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import assemble_collision, build_operator_set
 from kinetic_gap.hermite import HermiteBasis
 from kinetic_gap.kernels import (compute_ell_b, hard_sphere_family,
@@ -64,7 +64,7 @@ def test_criterion_1_collision_geometry():
 
 def test_criterion_2_h_theorem_default_budget(ops_ref, timings):
     t0 = time.perf_counter()
-    w = jacobi_eigvalsh(ops_ref.L.matrix)
+    w = jacobi_eigh(ops_ref.L.matrix)[0]
     eig_seconds = time.perf_counter() - t0
     total = timings["ref_assembly_seconds"] + eig_seconds
     sym = ops_ref.L.symmetry_defect()
@@ -219,7 +219,7 @@ def test_criterion_9_numerical_infrastructure(ops_small):
         n = int(rng.integers(2, 101))
         a = rng.standard_normal((n, n))
         a = a + a.T
-        w = jacobi_eigvalsh(a)
+        w = jacobi_eigh(a)[0]
         ref = sturm_eigvalsh(a)
         worst = max(worst, float(np.max(np.abs(w - ref))
                                  / max(1.0, np.max(np.abs(ref)))))

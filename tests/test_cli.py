@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -35,6 +36,31 @@ def run_cli(args):
     return cli.main(args)
 
 
+def with_value(cfg, path, value):
+    """``cfg`` with the entry at ``path`` replaced; ``()`` replaces it all."""
+    if not path:
+        return value
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+MALFORMED = [
+    ("N_string", ("discretization", "N"), "abc"),
+    ("species_entry_not_object", ("mixture", "species", 0), 3),
+    ("mixture_null", ("mixture",), None),
+    ("phi_entry_not_object", ("kernels", "phi", 0, 0), "power"),
+    ("top_level_list", (), [1, 2]),
+    ("budget_string", ("budgets", "mc_samples"), "many"),
+    ("poly_coefficient_string", ("kernels", "b", 0, 0),
+     {"type": "poly", "coeffs": ["one"]}),
+    ("decay_dt_string", ("decay", "dt"), "fast"),
+    ("hermite_q_not_above_N", ("discretization", "hermite_q"), 3),  # N = 3
+]
+
+
 class TestValidation:
     def test_gamma_out_of_range_is_config_error(self, tmp_path):
         cfg = hard_sphere_config()
@@ -61,6 +87,18 @@ class TestValidation:
         code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
                         "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("path,value", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_config_is_one_line_error(self, tmp_path, capsys,
+                                                path, value):
+        cfg = with_value(hard_sphere_config(), path, value)
+        code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
 
     def test_threads_validated(self, tmp_path):
         cfg = hard_sphere_config()
@@ -156,6 +194,20 @@ class TestConstants:
         assert (out1 / "eigenvalues.csv").read_bytes() \
             == (out2 / "eigenvalues.csv").read_bytes()
 
+    @pytest.mark.parametrize("field", ["h12_violations",
+                                       "h2_holdout_violations"])
+    def test_hypothesis_violations_gate(self, tmp_path, monkeypatch, field):
+        verify = cli.sp.verify_H1_H3
+        monkeypatch.setattr(cli.sp, "verify_H1_H3", lambda *a, **k:
+                            dataclasses.replace(verify(*a, **k), **{field: 1}))
+        out = tmp_path / "out"
+        code = run_cli(["constants", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(out)])
+        assert code == cli.EXIT_GATE
+        payload = json.loads((out / "constants.json").read_text())
+        assert payload["hypotheses"][field] == 1
+
     def test_seed_override_changes_mc(self, tmp_path):
         cfg = hard_sphere_config(seed=1)
         path = write_config(tmp_path, cfg)
@@ -183,6 +235,37 @@ class TestDecay:
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert rows[0].startswith("t,mode_")
         assert rows[0].endswith("h1_distance,G")
+
+    def test_nonpositive_kappa_gates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.ev, "certify_coefficients",
+                            lambda *a, **k: 0.0)
+        out = tmp_path / "out"
+        code = run_cli(["decay", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(out)])
+        assert code == cli.EXIT_GATE
+        payload = json.loads((out / "decay.json").read_text())
+        assert payload["kappa_certified"] == 0.0
+        assert payload["decay"]["r_squared"] >= 0.99 and payload["g_monotone"]
+
+    def test_conserved_drift_gates(self, tmp_path, monkeypatch):
+        evolve = cli.ev.evolve
+
+        def drifting(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            traj.states[-1].modes[(0, 0, 0)] += 1e-6
+            return traj
+
+        monkeypatch.setattr(cli.ev, "evolve", drifting)
+        out = tmp_path / "out"
+        code = run_cli(["decay", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(out)])
+        assert code == cli.EXIT_GATE
+        payload = json.loads((out / "decay.json").read_text())
+        assert payload["conserved_drift_per_unit_time"] >= 1e-9
+        assert payload["kappa_certified"] > 0.0
+        assert payload["decay"]["r_squared"] >= 0.99 and payload["g_monotone"]
 
     def test_equilibrium_initial_data_is_trivial(self, tmp_path):
         cfg = hard_sphere_config()
