@@ -257,16 +257,21 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
                           n_samples=budgets["lemma_samples"],
                           seed=budgets["seed"])
     mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+    kernel_dim = sp.kernel_count(mu)[0]
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", mu)
     payload = {
         "audit": audit.to_dict(),
         "constants": report.to_dict(),
         "lemma_ledger": [c.to_dict() for c in ledger],
         "hypotheses": hyp.to_dict(),
+        "kernel_dim": kernel_dim,
+        "expected_kernel_dim": mixture.n + 4,
         "discretization": disc,
         "budgets": budgets,
     }
     write_json(out_dir, "constants.json", payload)
+    if kernel_dim != mixture.n + 4:
+        return EXIT_GATE
     if not report.gate_ok():
         return EXIT_GATE
     if any(not c.passed for c in ledger):
@@ -420,7 +425,12 @@ def main(argv=None) -> int:
     threads = args.threads
     if threads is None:
         env = os.environ.get("KINETIC_GAP_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
+        try:
+            threads = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            print(f"error: KINETIC_GAP_THREADS must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     if threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

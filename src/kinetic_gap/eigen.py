@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EigenError", "jacobi_eigh"]
+__all__ = ["EigenError", "jacobi_eigh", "eigvalsh"]
 
 
 class EigenError(RuntimeError):
@@ -38,3 +38,10 @@ def jacobi_eigh(a):
     largest entry.
     """
     return np.linalg.eigh(_check_symmetric(a, 1e-8))
+
+
+def eigvalsh(a) -> np.ndarray:
+    """Eigenvalues, ascending, of a symmetric matrix
+    (``numpy.linalg.eigvalsh``), with the symmetry check of
+    :func:`jacobi_eigh`."""
+    return np.linalg.eigvalsh(_check_symmetric(a, 1e-8))

@@ -16,10 +16,19 @@ T1 = E[B d d^T], T2 = E[B d* d*^T], T12 = E[B d d*^T] are needed per distinct
 kernel.  Evenness of b (A5) makes the integrand invariant under
 sigma -> -sigma, which swaps d and d*; assembly therefore runs over half the
 sphere rule and completes T1 = T2 = G11 + G22, T12 = G12 + G12^T.
+
+The moments are linear in the kernel.  With B = C r^gamma sum_k c_2k
+cos^{2k} theta, (T1, T12) of B is C sum_k c_2k (T1, T12)_{gamma,2k}, where
+the monomial blocks belong to r^gamma cos^{2k} theta and depend on neither
+rho, C nor c.  The quadrature therefore runs per monomial, and the blocks
+are kept for the life of the process in ``_monomial_blocks``, keyed by
+(gamma, 2k, N, q, sphere_level) and the slab shape; requests that share a
+monomial reuse the stored arrays bit for bit.
 """
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +50,12 @@ __all__ = [
 
 DEFAULT_MEMORY_CAP = 2 << 30        # bytes of scratch per assembly worker
 _ROWS_TARGET = 120_000              # quadrature rows per vectorized slab
+_MONOMIAL_CACHE_ENTRIES = 64        # monomial blocks kept, 2 nb^2 doubles each
+
+# (gamma, 2k, N, q, sphere_level, cv, cs) -> read-only (T1, T12) stacked as
+# (2, nb, nb); least recently used first
+_monomial_blocks: dict = {}
+_monomial_lock = threading.Lock()
 
 
 class AssemblyBudgetError(MemoryError):
@@ -264,34 +279,10 @@ class _HermiteProductEvaluator:
         out[:, :rows] *= g
 
 
-def assemble_collision(mixture: Mixture, family: KernelFamily,
-                       basis: HermiteBasis, q: int = 10,
-                       sphere_level: str = "medium", threads: int = 1,
-                       memory_cap: int = DEFAULT_MEMORY_CAP):
-    """Assemble (L, Lm, Lb) by collision quadrature.
-
-    Returns three :class:`DiscreteOperator` with L = Lm + Lb, all symmetric
-    and with -L positive semidefinite up to roundoff.  Deterministic: block
-    boundaries and the pairwise reduction order are independent of the
-    thread count.
-    """
-    if basis.N < 2:
-        raise ValueError("collision assembly requires N >= 2")
-    if mixture.n != family.n or basis.n_species != mixture.n:
-        raise ValueError("mixture / family / basis species counts disagree")
-    if not family.is_symmetric():
-        raise ValueError("kernel family must be descriptor-symmetric (A1)")
-    if not family.all_even():
-        raise ValueError("assembly requires even angular kernels (A5)")
-
-    rule3 = hermite_rule_3d(q)
-    half = half_sphere_rule(sphere_level)
-    nodes3, w3 = rule3.nodes, rule3.weights
-    Qn = nodes3.shape[0]
-    ns = len(half)
-    nb = basis.per_species_size
-    keys, pair_key = family.distinct_pairs()
-
+def _slab_shape(Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
+    """(cv, cs): v and v* nodes per slab, so every slab has cv * cs * ns
+    quadrature rows.  Raises :class:`AssemblyBudgetError` when one
+    (v, v*) pair does not fit in ``memory_cap``."""
     bytes_per_row = 8 * (14 + 6 * nb)       # geometry + two evals + D, E
     min_rows = ns                            # one (v, v*) pair at least
     if min_rows * bytes_per_row > memory_cap:
@@ -308,11 +299,30 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
 
     cv = divisor_at_most(Qn, max(1, min(8, rows_step // ns)))
     cs = divisor_at_most(Qn, max(1, rows_step // (cv * ns)))
-    rows = cv * cs * ns                      # identical for every slab
+    return cv, cs
+
+
+def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
+                   cv: int, cs: int, threads: int) -> list:
+    """Blocks (T1, T12), stacked as (2, nb, nb), of the monomial kernels
+    r^gamma cos^{2k} theta for each (gamma, 2k) in ``monomials``.
+
+    One quadrature pass serves them all: the Hermite differences D of a slab
+    are evaluated once and weighted per monomial.  Each monomial's
+    accumulation does not depend on which others share the pass.
+    """
+    nodes3, w3 = rule3.nodes, rule3.weights
+    Qn = nodes3.shape[0]
+    ns = len(half)
+    nb = basis.per_species_size
+    rows = cv * cs * ns
+    by_gamma: dict = {}
+    for m, (gamma, power) in enumerate(monomials):
+        by_gamma.setdefault(gamma, []).append((m, power))
+    powers = sorted({power for _, power in monomials if power})
 
     H3_T = np.ascontiguousarray(basis.eval_polynomials(nodes3).T)  # (nb, Qn)
     sig, wsig = half.nodes, half.weights
-    t0 = time.perf_counter()
 
     def block(bi: int):
         i0, i1 = bi * cv, (bi + 1) * cv
@@ -321,7 +331,8 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
         D = np.empty((2 * nb, rows))
         E = np.empty((2 * nb, rows))
         wbuf = np.empty((cv, cs, ns))
-        G = [np.zeros((2 * nb, 2 * nb)) for _ in keys]
+        wpow = np.empty((cv, cs, ns))
+        G = [np.zeros((2 * nb, 2 * nb)) for _ in monomials]
         vb, wv = nodes3[i0:i1], w3[i0:i1]
         for j0 in range(0, Qn, cs):
             j1 = j0 + cs
@@ -350,18 +361,17 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
             vps_view -= H3_T[:, None, j0:j1, None]
             pair_w = wv[:, None] * ws[None, :]
             grazing = r == 0.0
-            for k, (phi_d, b_d) in enumerate(keys):
-                pw = pair_w * phi_d(rsafe)
+            ct_pow = {power: np.power(ct, power) for power in powers}
+            for gamma, members in by_gamma.items():
+                pw = pair_w * np.power(rsafe, gamma)
                 if grazing.any():
                     pw[grazing] = 0.0      # d = d* = 0 there anyway
-                if len(b_d.coeffs) == 1:
-                    np.multiply(pw[:, :, None] * b_d.coeffs[0],
-                                wsig[None, None, :], out=wbuf)
-                else:
-                    np.multiply(b_d(ct), pw[:, :, None] * wsig[None, None, :],
-                                out=wbuf)
-                np.multiply(D, wbuf.reshape(rows)[None, :], out=E)
-                G[k] += E @ D.T
+                np.multiply(pw[:, :, None], wsig[None, None, :], out=wbuf)
+                for m, power in members:
+                    w = wbuf if power == 0 else \
+                        np.multiply(wbuf, ct_pow[power], out=wpow)
+                    np.multiply(D, w.reshape(rows)[None, :], out=E)
+                    G[m] += E @ D.T
         return G
 
     nblocks = Qn // cv
@@ -370,34 +380,108 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
             partials = list(pool.map(block, range(nblocks)))
     else:
         partials = [block(bi) for bi in range(nblocks)]
-    Gtot = [_pairwise_sum([p[k] for p in partials]) for k in range(len(keys))]
+    out = []
+    for m in range(len(monomials)):
+        G = _pairwise_sum([p[m] for p in partials])
+        # half-sphere completion, exact under sigma -> -sigma symmetry
+        out.append(np.stack([G[:nb, :nb] + G[nb:, nb:],
+                             G[:nb, nb:] + G[:nb, nb:].T]))
+    return out
 
-    # half-sphere completion, exact under sigma -> -sigma symmetry
-    T1 = [G[:nb, :nb] + G[nb:, nb:] for G in Gtot]
-    T12 = [G[:nb, nb:] + G[:nb, nb:].T for G in Gtot]
 
-    total = basis.total_size
+def _even_powers(b) -> list:
+    """Powers 2k with a nonzero coefficient c_2k in b(cos theta)."""
+    return [power for power, c in enumerate(b.coeffs)
+            if power % 2 == 0 and c != 0.0]
+
+
+def _kernel_blocks(phi, b, blocks: dict, nb: int) -> np.ndarray:
+    """(T1, T12) of B = C r^gamma b(cos theta) as C sum_k c_2k T_{gamma,2k},
+    summed in ascending k."""
+    acc = np.zeros((2, nb, nb))
+    for power in _even_powers(b):
+        acc += b.coeffs[power] * blocks[(phi.gamma, power)]
+    return phi.C * acc
+
+
+def assemble_collision(mixture: Mixture, family: KernelFamily,
+                       basis: HermiteBasis, q: int = 10,
+                       sphere_level: str = "medium", threads: int = 1,
+                       memory_cap: int = DEFAULT_MEMORY_CAP):
+    """Assemble (L, Lm, Lb) by collision quadrature.
+
+    Returns three :class:`DiscreteOperator` with L = L^m + L^b, all symmetric
+    and with -L positive semidefinite up to roundoff.  The quadrature runs
+    only for monomial blocks missing from the process cache (see the module
+    docstring); every kernel and the rho weighting are combined from them on
+    each call.  Deterministic: block boundaries and the pairwise reduction
+    order are independent of the thread count, and cached blocks are the
+    arrays a cold pass would compute, so results do not depend on which
+    calls ran before.
+    """
+    if basis.N < 2:
+        raise ValueError("collision assembly requires N >= 2")
+    if mixture.n != family.n or basis.n_species != mixture.n:
+        raise ValueError("mixture / family / basis species counts disagree")
+    if not family.is_symmetric():
+        raise ValueError("kernel family must be descriptor-symmetric (A1)")
+    if not family.all_even():
+        raise ValueError("assembly requires even angular kernels (A5)")
+
+    rule3 = hermite_rule_3d(q)
+    half = half_sphere_rule(sphere_level)
+    Qn = rule3.nodes.shape[0]
+    ns = len(half)
+    nb = basis.per_species_size
+    cv, cs = _slab_shape(Qn, ns, nb, memory_cap)
+    t0 = time.perf_counter()
+
+    n = mixture.n
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    wanted = sorted({(family.phi[i][j].gamma, power) for i, j in pairs
+                     for power in _even_powers(family.b[i][j])})
+    shape = (basis.N, q, sphere_level, cv, cs)
+    blocks = {}
+    with _monomial_lock:
+        for mono in wanted:
+            hit = _monomial_blocks.pop(mono + shape, None)
+            if hit is not None:
+                blocks[mono] = _monomial_blocks[mono + shape] = hit
+    missing = [mono for mono in wanted if mono not in blocks]
+    if missing:
+        fresh = _monomial_pass(missing, basis, rule3, half, cv, cs, threads)
+        with _monomial_lock:
+            for mono, tb in zip(missing, fresh):
+                tb.setflags(write=False)
+                blocks[mono] = _monomial_blocks[mono + shape] = tb
+            while len(_monomial_blocks) > _MONOMIAL_CACHE_ENTRIES:
+                del _monomial_blocks[next(iter(_monomial_blocks))]
+
+    T = {(i, j): _kernel_blocks(family.phi[i][j], family.b[i][j], blocks, nb)
+         for i, j in pairs}
     rho = mixture.rho_array()
+    total = basis.total_size
     Qm = np.zeros((total, total))
     Qb = np.zeros((total, total))
-    for i in range(mixture.n):
-        k = pair_key[(i, i)]
+    for i in range(n):
+        T1, T12 = T[(i, i)]
         si = basis.species_slice(i)
-        Qm[si, si] += 0.5 * rho[i] * (T1[k] + T12[k])
-        for j in range(mixture.n):
+        Qm[si, si] += 0.5 * rho[i] * (T1 + T12)
+        for j in range(n):
             if j == i:
                 continue
-            kij = pair_key[(i, j)]
+            T1, T12 = T[(i, j)]
             sj = basis.species_slice(j)
-            Qb[si, si] += 0.25 * rho[j] * T1[kij]
-            Qb[sj, sj] += 0.25 * rho[i] * T1[kij]
+            Qb[si, si] += 0.25 * rho[j] * T1
+            Qb[sj, sj] += 0.25 * rho[i] * T1
             w = 0.25 * math.sqrt(rho[i] * rho[j])
-            Qb[si, sj] += w * T12[kij]
-            Qb[sj, si] += w * T12[kij].T
+            Qb[si, sj] += w * T12
+            Qb[sj, si] += w * T12.T
 
     meta = {"N": basis.N, "hermite_q": q, "sphere_level": sphere_level,
-            "n_species": mixture.n, "threads": threads,
+            "n_species": n, "threads": threads,
             "quadrature_rows": Qn * Qn * ns,
+            "monomials": len(wanted), "monomials_computed": len(missing),
             "assembly_seconds": round(time.perf_counter() - t0, 3)}
     Lm = DiscreteOperator("Lm", _sym(-Qm), dict(meta))
     Lb = DiscreteOperator("Lb", _sym(-Qb), dict(meta))

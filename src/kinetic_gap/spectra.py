@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .eigen import jacobi_eigh
+from .eigen import eigvalsh
 from .galerkin import OperatorSet
 from .kernels import KernelFamily
 from .mixture import Mixture, extract_coefficients, project_onto
@@ -30,7 +30,7 @@ from .quadrature import CollisionSampler, hermite_rule_3d, post_collision, spher
 __all__ = [
     "GapError", "InconclusivePositivityError", "generalized_eigs",
     "complement_basis", "generalized_gap", "SpectralReport",
-    "spectral_report", "compute_Cm", "DbEstimate",
+    "kernel_count", "spectral_report", "compute_Cm", "DbEstimate",
     "compute_Db", "quadrature_Db", "compute_Ck", "explicit_lambda",
     "ConstantsReport", "constants_report", "LemmaCheck", "verify_step_lemmas",
     "HypothesisReport", "verify_H1_H3",
@@ -102,23 +102,30 @@ class SpectralReport:
         }
 
 
-def spectral_report(ops: OperatorSet) -> SpectralReport:
-    """Generalized spectrum of (-L, H), kernel count, and the surrogate
-    essential-spectrum checks (Lambda spectrum >= nu0, L spectrum <= 0).
+def kernel_count(mu: np.ndarray) -> tuple:
+    """(kernel dimension, threshold) of an ascending (-L, H) spectrum.
 
-    The kernel threshold is two-pass: eigenvalues below 1e-8 * max|mu| seed
-    the candidate gap, and the final cut is max(1e-8 * max|mu|, gap/10).
+    The threshold is two-pass: eigenvalues below 1e-8 * max|mu| seed the
+    candidate gap, and the final cut is max(1e-8 * max|mu|, gap/10).
     """
-    L = ops.L.matrix
-    mu = generalized_eigs(-L, ops.hgram.matrix)
     scale = max(abs(mu[0]), abs(mu[-1]), 1e-300)
     first = mu > 1e-8 * scale
     lam_candidate = float(mu[np.argmax(first)]) if first.any() else math.inf
     threshold = max(1e-8 * scale, lam_candidate / 10.0)
-    kernel_dim = int(np.sum(mu < threshold))
+    return int(np.sum(mu < threshold)), threshold
+
+
+def spectral_report(ops: OperatorSet) -> SpectralReport:
+    """Generalized spectrum of (-L, H), kernel count (:func:`kernel_count`),
+    and the surrogate essential-spectrum checks (Lambda spectrum >= nu0,
+    L spectrum <= 0).
+    """
+    L = ops.L.matrix
+    mu = generalized_eigs(-L, ops.hgram.matrix)
+    kernel_dim, threshold = kernel_count(mu)
     gap = generalized_gap(L, ops.hgram.matrix, ops.ker_L)
-    wl = jacobi_eigh(ops.lam.matrix)[0]
-    we = jacobi_eigh(L)[0]
+    wl = eigvalsh(ops.lam.matrix)
+    we = eigvalsh(L)
     return SpectralReport(eigenvalues=mu, kernel_dim=kernel_dim,
                           gap_numeric=gap, essential_onset=ops.freq.nu0,
                           kernel_threshold=threshold,
@@ -524,7 +531,7 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float,
     grads = [g.matrix for g in ops.grads]
     total = ops.total_size
 
-    nu_bar_0 = float(jacobi_eigh(lam_m)[0][0])
+    nu_bar_0 = float(eigvalsh(lam_m)[0])
     w_gen = generalized_eigs(lam_m, H)
     nu_bar_1, nu_bar_2 = float(w_gen[0]), float(w_gen[-1])
 
@@ -564,7 +571,7 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float,
     pairs = []
     hold_viol = 0
     for eps in eps_list:
-        C_cert = float(jacobi_eigh(A2 - eps * B2)[0][-1])
+        C_cert = float(eigvalsh(A2 - eps * B2)[-1])
         C_cert = max(C_cert, 0.0)
         samples = rng.standard_normal((n_samples, total))
         num = np.einsum("ij,ij->i", samples @ A2, samples)

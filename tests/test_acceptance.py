@@ -13,6 +13,7 @@ import pytest
 
 from kinetic_gap import cli
 from kinetic_gap import evolution as ev
+from kinetic_gap import galerkin
 from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import assemble_collision, build_operator_set
@@ -256,6 +257,7 @@ def test_criterion_10_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
+        galerkin._monomial_blocks.clear()       # each run assembles cold
         code = cli.main(["constants", "--config", path, "--out", str(out)])
         assert code == cli.EXIT_OK
         outs.append((out / "constants.json").read_bytes())
@@ -264,14 +266,16 @@ def test_criterion_10_determinism(tmp_path):
     mx = Mixture((1.0, 2.0))
     fam = hard_sphere_family(2)
     basis = HermiteBasis(3, 2)
-    L1 = assemble_collision(mx, fam, basis, q=6, sphere_level="coarse",
-                            threads=1)[0].matrix
-    L4 = assemble_collision(mx, fam, basis, q=6, sphere_level="coarse",
-                            threads=4)[0].matrix
-    dev = float(np.max(np.abs(L1 - L4)))
-    ok = identical and dev <= 1e-12
+    Ls = []
+    for threads in (1, 4):
+        galerkin._monomial_blocks.clear()
+        Ls.append(assemble_collision(mx, fam, basis, q=6,
+                                     sphere_level="coarse",
+                                     threads=threads)[0].matrix)
+    same = bool(np.array_equal(*Ls))
+    ok = identical and same
     report(10, ok, f"byte-identical constants.json: {identical}, "
-                   f"thread-count deviation {dev:.1e}")
+                   f"bit-identical across thread counts: {same}")
 
 
 def test_db_quadrature_cross_check_spec_budget():

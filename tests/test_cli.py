@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kinetic_gap import cli
+from kinetic_gap import cli, galerkin
 
 
 def hard_sphere_config(n=2, N=3, q=6, sphere="coarse", m_max=1, seed=11,
@@ -106,6 +106,18 @@ class TestValidation:
                         "--out", str(tmp_path / "out"), "--threads", "0"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_threads_env_validated(self, tmp_path, capsys, monkeypatch,
+                                   value):
+        monkeypatch.setenv("KINETIC_GAP_THREADS", value)
+        code = run_cli(["audit", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestAudit:
     def test_hard_sphere_passes(self, tmp_path):
@@ -156,6 +168,24 @@ class TestSpectrum:
         assert csv[0] == "index,eigenvalue"
         assert len(csv) == 1 + 40   # N=3, n=2: 2 * C(6,3) = 40
 
+    def test_outputs_independent_of_request_order(self, tmp_path):
+        # the second request of each order reuses the first one's cached
+        # collision blocks; outputs must not show it
+        configs = {name: write_config(tmp_path, hard_sphere_config(
+            mixture={"species": [{"rho_inf": r} for r in rho]}), f"{name}.json")
+            for name, rho in (("A", (1.0, 1.5)), ("B", (0.7, 2.1)))}
+        outputs = {}
+        for order in ("AB", "BA"):
+            galerkin._monomial_blocks.clear()
+            for name in order:
+                out = tmp_path / order / name
+                assert run_cli(["spectrum", "--config", configs[name],
+                                "--out", str(out)]) == cli.EXIT_OK
+                outputs[order, name] = [(out / f).read_bytes() for f in
+                                        ("spectrum.json", "eigenvalues.csv")]
+        assert outputs["AB", "A"] == outputs["BA", "A"]
+        assert outputs["AB", "B"] == outputs["BA", "B"]
+
     def test_single_species_dimension(self, tmp_path):
         cfg = hard_sphere_config(n=1)
         out = tmp_path / "out"
@@ -182,6 +212,7 @@ class TestConstants:
         for entry in payload["lemma_ledger"]:
             assert entry["violations"] == 0
         assert payload["hypotheses"]["nu_bar_3"] == 0.5
+        assert payload["kernel_dim"] == payload["expected_kernel_dim"] == 6
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = hard_sphere_config(seed=77)
@@ -207,6 +238,21 @@ class TestConstants:
         assert code == cli.EXIT_GATE
         payload = json.loads((out / "constants.json").read_text())
         assert payload["hypotheses"][field] == 1
+
+    def test_kernel_dimension_gates(self, tmp_path, monkeypatch):
+        count = cli.sp.kernel_count
+        monkeypatch.setattr(cli.sp, "kernel_count", lambda mu: (
+            count(mu)[0] + 1, count(mu)[1]))
+        out = tmp_path / "out"
+        code = run_cli(["constants", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(out)])
+        assert code == cli.EXIT_GATE
+        payload = json.loads((out / "constants.json").read_text())
+        assert payload["kernel_dim"] == 7
+        assert payload["expected_kernel_dim"] == 6
+        assert payload["constants"]["lambda_explicit"] <= \
+            1.05 * payload["constants"]["lambda_numeric"]
 
     def test_seed_override_changes_mc(self, tmp_path):
         cfg = hard_sphere_config(seed=1)

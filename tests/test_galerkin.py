@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import sympy
 
+from kinetic_gap import galerkin
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import (AssemblyBudgetError, assemble_collision,
                                   assemble_grad_v, assemble_lambda_k,
@@ -11,10 +15,12 @@ from kinetic_gap.galerkin import (AssemblyBudgetError, assemble_collision,
                                   build_operator_set, collision_frequency,
                                   frequency_field, nu0_lower_bound)
 from kinetic_gap.hermite import HermiteBasis, hermite_table_3d
-from kinetic_gap.kernels import hard_sphere_family, maxwell_family, power_family
+from kinetic_gap.kernels import (AngularPolynomial, KernelFamily, PowerLaw,
+                                 hard_sphere_family, maxwell_family,
+                                 power_family)
 from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
                                  ker_L_basis, project_onto)
-from kinetic_gap.quadrature import hermite_rule_3d
+from kinetic_gap.quadrature import hermite_rule_3d, post_collision, sphere_rule
 
 from oracles import collision_form_moment_state
 
@@ -153,11 +159,15 @@ class TestCollisionAssembly:
         fam = hard_sphere_family(2)
         basis = HermiteBasis(2, 2)
         kw = dict(q=4, sphere_level="coarse")
-        L1 = assemble_collision(mx, fam, basis, threads=1, **kw)[0].matrix
-        L1b = assemble_collision(mx, fam, basis, threads=1, **kw)[0].matrix
-        L2 = assemble_collision(mx, fam, basis, threads=3, **kw)[0].matrix
-        assert np.array_equal(L1, L1b)
-        assert np.max(np.abs(L1 - L2)) <= 1e-12
+
+        def cold(threads):
+            galerkin._monomial_blocks.clear()
+            return assemble_collision(mx, fam, basis, threads=threads,
+                                      **kw)[0].matrix
+
+        L1 = cold(1)
+        assert np.array_equal(L1, cold(1))
+        assert np.array_equal(L1, cold(3))
 
     def test_parity_mixed_term_vanishes(self, ops_small):
         # embedded u-type vs e-type kernel directions decouple in L^b
@@ -173,6 +183,151 @@ class TestCollisionAssembly:
         scale = np.max(np.abs(ops.Lb.matrix)) * np.linalg.norm(f_u) \
             * np.linalg.norm(f_e)
         assert abs(cross) <= 1e-9 * scale
+
+
+def polynomial_mixed_gamma_family() -> KernelFamily:
+    """n = 2: gamma = 1 self-collisions, gamma = 1/2 cross-collisions,
+    constant and polynomial angular parts (declared constants unused)."""
+    phi11, phi22, phi12 = PowerLaw(1.3, 1.0), PowerLaw(0.9, 1.0), \
+        PowerLaw(0.7, 0.5)
+    b11 = AngularPolynomial((1.0, 0.0, 0.5))
+    b22 = AngularPolynomial((0.8,))
+    b12 = AngularPolynomial((0.6, 0.0, 0.3, 0.0, 0.2))
+    return KernelFamily(n=2, phi=((phi11, phi12), (phi12, phi22)),
+                        b=((b11, b12), (b12, b22)), gamma=0.5, C1=0.1,
+                        C2=2.0, delta=0.5, C3=2.0, C4=2.0, beta=10.0)
+
+
+def brute_force_form(mx, fam, basis, f, q, sphere_level):
+    """-(f, L f) = 1/4 sum_ij rho_i rho_j sum w B_ij (d.c_i/sqrt(rho_i)
+    + d*.c_j/sqrt(rho_j))^2 over the full sphere rule, kernel by kernel."""
+    rule = hermite_rule_3d(q)
+    Qn = rule.nodes.shape[0]
+    v = np.repeat(rule.nodes, Qn, axis=0)
+    vs = np.tile(rule.nodes, (Qn, 1))
+    w = np.outer(rule.weights, rule.weights).ravel()
+    H, Hs = basis.eval_polynomials(v), basis.eval_polynomials(vs)
+    r = np.linalg.norm(v - vs, axis=1)
+    rho = mx.rho_array()
+    c = [f[basis.species_slice(i)] / math.sqrt(rho[i]) for i in range(mx.n)]
+    sph = sphere_rule(sphere_level)
+    total = 0.0
+    for sigma, wsig in zip(sph.nodes, sph.weights):
+        vp, vps = post_collision(v, vs, np.broadcast_to(sigma, v.shape))
+        d = basis.eval_polynomials(vp) - H
+        ds = basis.eval_polynomials(vps) - Hs
+        cos_t = (v - vs) @ sigma / np.where(r > 0.0, r, 1.0)
+        for i in range(mx.n):
+            for j in range(mx.n):
+                B = np.where(r > 0.0, fam.phi[i][j](r) * fam.b[i][j](cos_t),
+                             0.0)
+                total += 0.25 * rho[i] * rho[j] * wsig * np.sum(
+                    w * B * (d @ c[i] + ds @ c[j]) ** 2)
+    return total
+
+
+class TestMonomialCache:
+    """Collision blocks are cached per (gamma, cos^{2k} theta) monomial."""
+    kw = dict(q=4, sphere_level="coarse")
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        galerkin._monomial_blocks.clear()
+        yield
+        galerkin._monomial_blocks.clear()
+
+    def test_warm_result_equals_cold_across_rho(self):
+        fam = polynomial_mixed_gamma_family()
+        basis = HermiteBasis(2, 2)
+        a, b = Mixture((1.0, 1.7)), Mixture((0.6, 2.2))
+        assemble_collision(a, fam, basis, **self.kw)
+        warm = assemble_collision(b, fam, basis, **self.kw)
+        assert warm[0].meta["monomials"] == 5      # (1, 0|2), (1/2, 0|2|4)
+        assert warm[0].meta["monomials_computed"] == 0
+        galerkin._monomial_blocks.clear()
+        cold = assemble_collision(b, fam, basis, **self.kw)
+        assert cold[0].meta["monomials_computed"] == 5
+        for w_op, c_op in zip(warm, cold):
+            assert np.array_equal(w_op.matrix, c_op.matrix)
+
+    def test_block_independent_of_pass_companions(self):
+        basis = HermiteBasis(2, 1)
+        mx = Mixture((1.0,))
+
+        def blocks(coeffs):
+            galerkin._monomial_blocks.clear()
+            fam = dataclasses.replace(power_family(1, 0.5), b=(
+                (AngularPolynomial(coeffs),),))
+            assemble_collision(mx, fam, basis, **self.kw)
+            return {key[:2]: tb for key, tb in
+                    galerkin._monomial_blocks.items()}
+
+        alone = blocks((1.0,))
+        shared = blocks((1.0, 0.0, 0.4))
+        assert set(alone) == {(0.5, 0)}
+        assert set(shared) == {(0.5, 0), (0.5, 2)}
+        assert np.array_equal(alone[(0.5, 0)], shared[(0.5, 0)])
+
+    def test_stored_blocks_are_read_only(self):
+        assemble_collision(Mixture((1.0, 1.7)),
+                           polynomial_mixed_gamma_family(), HermiteBasis(2, 2),
+                           **self.kw)
+        assert galerkin._monomial_blocks
+        for tb in galerkin._monomial_blocks.values():
+            assert not tb.flags.writeable
+            with pytest.raises(ValueError):
+                tb[0, 0, 0] = 1.0
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_ENTRIES", 2)
+        fam = polynomial_mixed_gamma_family()
+        basis = HermiteBasis(2, 2)
+        mx = Mixture((1.0, 1.7))
+        L = assemble_collision(mx, fam, basis, **self.kw)[0].matrix
+        assert len(galerkin._monomial_blocks) == 2
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_ENTRIES", 64)
+        galerkin._monomial_blocks.clear()
+        assert np.array_equal(
+            L, assemble_collision(mx, fam, basis, **self.kw)[0].matrix)
+
+    def test_concurrent_callers_share_the_cache(self, monkeypatch):
+        # more callers than cores, a short switch interval and a cache
+        # smaller than one call's monomials: every caller must still get
+        # the cold result and the bound must hold
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_ENTRIES", 3)
+        fam = polynomial_mixed_gamma_family()
+        basis = HermiteBasis(2, 2)
+        mx = Mixture((1.0, 1.7))
+        cold = assemble_collision(mx, fam, basis, **self.kw)[0].matrix
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(assemble_collision, mx, fam, basis,
+                                       **self.kw) for _ in range(12)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(ops[0].matrix, cold) for ops in results)
+        assert len(galerkin._monomial_blocks) <= 3
+
+    def test_budget_error_on_cached_key(self):
+        mx = Mixture((1.0,))
+        basis = HermiteBasis(2, 1)
+        assemble_collision(mx, maxwell_family(1), basis, **self.kw)
+        assert galerkin._monomial_blocks
+        with pytest.raises(AssemblyBudgetError, match="bytes"):
+            assemble_collision(mx, maxwell_family(1), basis,
+                               memory_cap=10_000, **self.kw)
+
+    def test_form_matches_per_kernel_brute_force(self):
+        mx = Mixture((1.0, 1.7))
+        fam = polynomial_mixed_gamma_family()
+        basis = HermiteBasis(3, 2)
+        L = assemble_collision(mx, fam, basis, **self.kw)[0].matrix
+        f = np.random.default_rng(7).standard_normal(basis.total_size)
+        ref = brute_force_form(mx, fam, basis, f, **self.kw)
+        assert abs(-(f @ (L @ f)) - ref) <= 1e-12 * abs(ref)
 
 
 class TestLambdaAndGram:
