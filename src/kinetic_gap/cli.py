@@ -141,8 +141,11 @@ def parse_budgets(cfg: dict, seed_override=None) -> dict:
            for key, v in defaults.items()}
     if seed_override is not None:
         out["seed"] = int(seed_override)
+    _require(out["seed"] >= 0,
+             f"the seed (budgets.seed or --seed) must be >= 0, got {out['seed']}")
     _require(out["mc_samples"] >= 1, "budgets.mc_samples must be >= 1")
     _require(out["audit_samples"] >= 1000, "budgets.audit_samples must be >= 1000")
+    _require(out["lemma_samples"] >= 1, "budgets.lemma_samples must be >= 1")
     return out
 
 
@@ -153,6 +156,7 @@ def parse_decay(cfg: dict) -> dict:
            "record_every": _number(int, d.get("record_every", 2),
                                    "decay.record_every"),
            "scheme": d.get("scheme", "expm"),
+           "initial": d.get("initial", "random"),
            "amplitude": _number(float, d.get("amplitude", 1e-2),
                                 "decay.amplitude")}
     _require(out["dt"] > 0 and out["t_end"] > out["dt"],
@@ -160,6 +164,8 @@ def parse_decay(cfg: dict) -> dict:
     _require(out["record_every"] >= 1, "decay.record_every must be >= 1")
     _require(out["scheme"] in ("expm", "midpoint"),
              "decay.scheme must be expm|midpoint")
+    _require(out["initial"] in ("random", "equilibrium"),
+             f"decay.initial must be random|equilibrium, got {out['initial']!r}")
     return out
 
 
@@ -326,18 +332,15 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
 
     rng = np.random.default_rng(budgets["seed"])
     m_max = disc["m_max"]
-    state0 = cfg.get("decay", {}).get("initial", "random")
     lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
     search = ev.search_coefficients(ops, m_max=m_max,
                                     n_samples=budgets["lemma_samples"],
                                     seed=budgets["seed"])
     kappa_cert = ev.certify_coefficients(ops, search.c, m_max=m_max)
 
-    if state0 == "equilibrium":
-        f_I = reference_initial_state(ops, rng, m_max, amplitude)
+    f_I = reference_initial_state(ops, rng, m_max, amplitude)
+    if integration["initial"] == "equilibrium":
         f_I = ev.equilibrium_state(f_I, ops.ker_L)
-    else:
-        f_I = reference_initial_state(ops, rng, m_max, amplitude)
     f_inf = ev.equilibrium_state(f_I, ops.ker_L)
 
     traj = ev.evolve(f_I, ops.L.matrix, ops.transports, integration["dt"],

@@ -12,7 +12,10 @@ functional is
     G[f] = c1 ||f||^2 + c2 ||grad_x f||^2 + c3 ||grad_v f||^2
            + c4 Re(grad_x f, grad_v f),
 
-computed modewise from the same operator matrices.
+computed modewise from the same operator matrices: at mode m it is
+Re <f_m, Q_m(c) f_m> with Q_m(c) = sum_j c_j Q_j (see :func:`_terms`), the
+one definition that the functional, its rate along the generator, the H^1
+norm and the certified pencil are all built from.
 """
 from __future__ import annotations
 
@@ -20,49 +23,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
 from .galerkin import OperatorSet
 from .mixture import project_onto
-from .spectra import generalized_eigs
+from .spectra import complement_basis, generalized_eigs
 
 __all__ = [
-    "expm", "mode_generator", "mode_generator_blocked", "TorusState",
-    "Trajectory", "evolve", "h1_norm", "hypo_functional", "fit_decay",
-    "DecayReport", "search_coefficients", "SearchResult", "equilibrium_state",
+    "expm", "mode_generator", "TorusState", "Trajectory", "evolve",
+    "h1_norm", "hypo_functional", "fit_decay", "DecayReport",
+    "search_coefficients", "SearchResult", "equilibrium_state",
     "modes_up_to", "random_physical_state",
 ]
-
-# Pade-13 scaling-and-squaring coefficients (fixed order)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with the order-13 Pade
-    approximant; handles real and complex square matrices."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("expm expects a square matrix")
-    norm = np.linalg.norm(a, 1)
-    s = max(0, int(math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0)
-    A = a / (2.0 ** s)
-    b = _PADE13
-    ident = np.eye(n, dtype=A.dtype)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
-    return R
 
 
 def mode_generator(L: np.ndarray, transports, m) -> np.ndarray:
@@ -77,20 +49,6 @@ def mode_generator(L: np.ndarray, transports, m) -> np.ndarray:
         return L.astype(complex)
     S = 2.0 * np.pi * sum(m[a] * mats[a] for a in range(3))
     return L - 1j * S
-
-
-def mode_generator_blocked(L: np.ndarray, transports, m) -> np.ndarray:
-    """Real 2x2-blocked form [[L, S], [-S, L]] of the complex generator,
-    acting on stacked (Re, Im) coefficient vectors."""
-    A = mode_generator(L, transports, m)
-    S = -A.imag
-    T = L.shape[0]
-    out = np.zeros((2 * T, 2 * T))
-    out[:T, :T] = A.real
-    out[T:, T:] = A.real
-    out[:T, T:] = S
-    out[T:, :T] = -S
-    return out
 
 
 def modes_up_to(m_max: int):
@@ -156,9 +114,9 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
            allow_unstable: bool = False) -> Trajectory:
     """Advance every mode independently and record the trajectory.
 
-    ``expm`` builds one propagator e^{dt A_m} per mode (semigroup-exact up
-    to the Pade tolerance); ``midpoint`` is the implicit midpoint rule,
-    second order, with a dt * ||A|| stability guard.
+    ``expm`` builds one propagator e^{dt A_m} per mode with
+    ``scipy.linalg.expm`` (semigroup-exact to rounding); ``midpoint`` is the
+    implicit midpoint rule, second order, with a dt * ||A|| stability guard.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
@@ -193,25 +151,58 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# norms and the hypocoercive functional
+# the hypocoercive functional, its rate and the H^1 norm
 # ---------------------------------------------------------------------------
+
+_H1 = (1.0, 1.0, 1.0, 0.0)      # ||f||_{H1}^2 is G with these coefficients
+
+
+def _terms(grads, m, X) -> np.ndarray:
+    """Q_j X for the four terms of G, stacked as (4,) + X.shape.
+
+    At mode m, G = sum_j c_j Re <f, Q_j f> with
+
+        Q_1 = I,  Q_2 = |2 pi m|^2 I,  Q_3 = sum_a G_a^T G_a,
+        Q_4 = -2 pi i sum_a m_a G_a,
+
+    G_a the velocity-gradient matrices.  The G_a are real and skew, so every
+    Q_j is Hermitian.  ``m`` is one mode, shape (3,), for all columns of X,
+    or one mode per column, shape (k, 3).
+    """
+    m = np.asarray(m, dtype=float)
+    k2 = (2.0 * np.pi) ** 2 * np.sum(m * m, axis=-1)
+    gx = [g @ X for g in grads]
+    q3 = sum(g.T @ y for g, y in zip(grads, gx))
+    q4 = -2j * np.pi * sum(m[..., a] * y for a, y in enumerate(gx))
+    return np.stack([X, k2 * X, q3, q4])
+
+
+def _weigh(c, F):
+    """sum_j c_j F_j; a stack of tuples c of shape (n, 4) gives n sums."""
+    c = np.asarray(c, dtype=float)
+    return sum(c[..., j, None] * F[j] for j in range(4))
+
+
+def _forms(S, Y) -> np.ndarray:
+    """Re <s_k, y_jk> column by column: (4, k) from S (T, k), Y (4, T, k)."""
+    return np.einsum("tk,jtk->jk", S.conj(), Y).real
+
 
 def _grad_mats(grad_ops):
     return [getattr(g, "matrix", g) for g in grad_ops]
 
 
+def _functional(state: TorusState, c, grad_ops) -> float:
+    """sum_m Re <f_m, Q_m(c) f_m>, every mode in one pass."""
+    S = np.stack(list(state.modes.values()), axis=1)
+    F = _forms(S, _terms(_grad_mats(grad_ops), list(state.modes), S))
+    return float(np.sum(_weigh(c, F)))
+
+
 def h1_norm(state: TorusState, grad_ops) -> float:
     """Squared H^1_{x,v} norm: ||f||^2 + sum_m ||2 pi m f_m||^2
     + sum_axis ||grad_v f||^2."""
-    grads = _grad_mats(grad_ops)
-    total = 0.0
-    for m, c in state.modes.items():
-        k2 = (2.0 * np.pi) ** 2 * float(np.dot(m, m))
-        total += (1.0 + k2) * float(np.vdot(c, c).real)
-        for g in grads:
-            gc = g @ c
-            total += float(np.vdot(gc, gc).real)
-    return total
+    return _functional(state, _H1, grad_ops)
 
 
 def _check_coeffs(c1, c2, c3, c4):
@@ -228,45 +219,35 @@ def hypo_functional(state: TorusState, c1: float, c2: float, c3: float,
     """G[f] = c1 ||f||^2 + c2 ||grad_x f||^2 + c3 ||grad_v f||^2
     + c4 Re(grad_x f, grad_v f), summed over modes."""
     _check_coeffs(c1, c2, c3, c4)
-    grads = _grad_mats(grad_ops)
-    total = 0.0
-    for m, c in state.modes.items():
-        k2 = (2.0 * np.pi) ** 2 * float(np.dot(m, m))
-        total += (c1 + c2 * k2) * float(np.vdot(c, c).real)
-        mixed = 0.0
-        for a, g in enumerate(grads):
-            gc = g @ c
-            total += c3 * float(np.vdot(gc, gc).real)
-            if m[a]:
-                mixed += 2.0 * np.pi * m[a] * float(np.vdot(c, gc).imag)
-        total += c4 * mixed
-    return total
+    return _functional(state, (c1, c2, c3, c4), grad_ops)
 
 
-def _mode_rates(c: np.ndarray, A: np.ndarray, m, grads):
-    """Per-mode ingredients of dG/dt = 2 Re <c, Q_m A c> and ||f||_{H1}^2.
+def _rate_forms(ops: OperatorSet, modes, S):
+    """Rate forms R_jk = Re <s_k, Q_j A_m s_k> of the states S (T, k), column
+    k at mode modes[k], and their squared H^1 norms.
 
-    Returns (a0, a3, a4, n0, nx, nv) with
-      a0 = Re<c, Ac>, a3 = Re sum_a <D_a c, D_a A c>,
-      a4 = 2 pi sum_a m_a Im<c, D_a A c> + Im<A c, D_a c> ... assembled so
-      that dG/dt = 2 (c1 a0 + c2 k2 a0 + c3 a3 + c4 a4).
+    The Q_j are Hermitian, so dG/dt = 2 sum_j c_j R_j along the generator.
     """
-    Ac = A @ c
-    a0 = float(np.vdot(c, Ac).real)
-    a3 = 0.0
-    a4 = 0.0
-    for a, g in enumerate(grads):
-        gc = g @ c
-        gAc = g @ Ac
-        a3 += float(np.vdot(gc, gAc).real)
-        if m[a]:
-            # d/dt Im<c, D_a c> = Im<Ac, D_a c> + Im<c, D_a Ac>
-            a4 += 2.0 * np.pi * m[a] * (float(np.vdot(Ac, gc).imag)
-                                        + float(np.vdot(c, gAc).imag))
-    k2 = (2.0 * np.pi) ** 2 * float(np.dot(m, m))
-    n0 = float(np.vdot(c, c).real)
-    nv = sum(float(np.vdot(g @ c, g @ c).real) for g in grads)
-    return a0, a3, a4, k2, n0, nv
+    columns = {}
+    for k, m in enumerate(modes):
+        columns.setdefault(m, []).append(k)
+    AS = np.empty_like(S)
+    for m, cols in columns.items():
+        A = mode_generator(ops.L.matrix, ops.transports, m)
+        AS[:, cols] = A @ S[:, cols]
+    grads = _grad_mats(ops.grads)
+    return (_forms(S, _terms(grads, modes, AS)),
+            _weigh(_H1, _forms(S, _terms(grads, modes, S))))
+
+
+def _pencil(ops: OperatorSet, c, m):
+    """Hermitian pencil (H, N) of mode m: <s, H s> = -(dG/dt)/2 along A_m
+    and <s, N s> = ||s||_{H1}^2."""
+    grads = _grad_mats(ops.grads)
+    A = mode_generator(ops.L.matrix, ops.transports, m)
+    M = _weigh(c, _terms(grads, m, A))
+    N = _weigh(_H1, _terms(grads, m, np.eye(ops.total_size)))
+    return -(M + M.conj().T) / 2.0, N
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +366,6 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
     best tuple; ``success`` is False when no positive kappa exists.
     """
     rng = np.random.default_rng(seed)
-    grads = [g.matrix for g in ops.grads]
-    L = ops.L.matrix
-    transports = [t.matrix for t in ops.transports]
     total = ops.total_size
     modes = modes_up_to(m_max)
 
@@ -407,74 +385,48 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
     if extra_states:
         states.extend(extra_states)
 
-    # per-state scalars; dG/dt = 2 (c1 a0 + c2 k2 a0 + c3 a3) + c4 a4
-    rows = []
-    gen_cache = {}
-    for m, c in states:
-        if m not in gen_cache:
-            gen_cache[m] = mode_generator(L, transports, m)
-        a0, a3, a4, k2, n0, nv = _mode_rates(c, gen_cache[m], m, grads)
-        h1 = (1.0 + k2) * n0 + nv
-        rows.append((a0, a3, a4, k2, h1, m))
+    state_modes = [m for m, _ in states]
+    R, h1 = _rate_forms(ops, state_modes,
+                        np.stack([c for _, c in states], axis=1))
 
-    grid = grid if grid is not None else _default_grid()
-    best = None
-    for cand in grid:
-        c1, c2, c3, c4 = cand
-        if c4 * c4 >= c2 * c3:
-            continue
-        kappa = math.inf
-        worst = None
-        for a0, a3, a4, k2, h1, m in rows:
-            dg = 2.0 * (c1 * a0 + c2 * k2 * a0 + c3 * a3) + c4 * a4
-            k = -dg / h1
-            if k < kappa:
-                kappa = k
-                worst = m
-        if best is None or kappa > best[1]:
-            best = (cand, kappa, worst)
-    cand, kappa, worst = best
-    return SearchResult(c=tuple(float(x) for x in cand), kappa=float(kappa),
-                        success=bool(kappa > 0.0), n_candidates=len(grid),
-                        n_states=len(states), worst_state={"mode": list(worst)})
+    grid = np.asarray(grid if grid is not None else _default_grid(), dtype=float)
+    admissible = grid[:, 3] ** 2 < grid[:, 1] * grid[:, 2]
+    if not admissible.any():
+        raise ValueError("no coefficient tuple in the grid has c4^2 < c2*c3")
+    kappas = -2.0 * _weigh(grid, R) / h1        # (candidates, states)
+    worst = np.argmin(kappas, axis=1)           # first minimum per candidate
+    kappa = np.where(admissible, kappas[np.arange(len(grid)), worst], -np.inf)
+    best = int(np.argmax(kappa))                # first maximum
+    return SearchResult(c=tuple(float(x) for x in grid[best]),
+                        kappa=float(kappa[best]),
+                        success=bool(kappa[best] > 0.0),
+                        n_candidates=len(grid), n_states=len(states),
+                        worst_state={"mode": list(state_modes[worst[best]])})
 
 
 def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
     """Eigenvalue-certified kappa for a fixed coefficient tuple.
 
-    For each tracked mode the condition dG/dt <= -kappa ||f||_{H1}^2 over
-    ALL states is the Hermitian generalized eigenproblem
+    For each tracked mode, over ALL states,
 
-        kappa_m = min eig of ( -(Q_m A_m + A_m^+ Q_m)/2, N_m ),
+        kappa_m = min eig of ( -(Q_m A_m + A_m^+ Q_m)/2, N_m )
 
-    restricted, at m = 0, to the complement of ker(L).  Returns min_m
-    kappa_m: a bound the sampled search can only approach from above.
+    (the pencil of :func:`_pencil`), restricted, at m = 0, to the
+    complement of ker(L).  Since <s, H s> = -(dG/dt)/2, the returned
+    min_m kappa_m certifies dG/dt <= -2 kappa ||f||_{H1}^2, whereas the
+    sampled kappa of :func:`search_coefficients` estimates the best kappa
+    in dG/dt <= -kappa ||f||_{H1}^2.
     """
-    c1, c2, c3, c4 = c
-    _check_coeffs(c1, c2, c3, c4)
-    grads = [g.matrix for g in ops.grads]
-    L = ops.L.matrix
-    transports = [t.matrix for t in ops.transports]
-    total = ops.total_size
-    D2 = sum(g.T @ g for g in grads)
+    _check_coeffs(*c)
+    W = complement_basis(ops.ker_L, ops.total_size)
     kappa = math.inf
     seen = set()
     for m in modes_up_to(m_max):
         if tuple(-x for x in m) in seen:
             continue  # generator of -m is the complex conjugate: same kappa
         seen.add(m)
-        A = mode_generator(L, transports, m)
-        k2 = (2.0 * np.pi) ** 2 * float(np.dot(m, m))
-        Q = (c1 + c2 * k2) * np.eye(total, dtype=complex) + c3 * D2
-        for a in range(3):
-            if m[a]:
-                Q += c4 * 2.0 * np.pi * m[a] * (-1j) * grads[a]
-        H = -(Q @ A + A.conj().T @ Q) / 2.0
-        N = (1.0 + k2) * np.eye(total, dtype=complex) + D2
+        H, N = _pencil(ops, c, m)
         if m == (0, 0, 0):
-            W = np.linalg.qr(ops.ker_L, mode="complete")[0][:, ops.ker_L.shape[1]:]
-            Wc = W.astype(complex)
-            H = Wc.conj().T @ H @ Wc
-            N = Wc.conj().T @ N @ Wc
+            H, N = W.T @ H @ W, W.T @ N @ W
         kappa = min(kappa, float(generalized_eigs(H, N)[0]))
     return kappa

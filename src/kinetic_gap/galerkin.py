@@ -38,7 +38,7 @@ import numpy as np
 from .hermite import HermiteBasis
 from .kernels import KernelFamily, compute_ell_b
 from .mixture import Mixture, ker_L_basis, ker_Lm_basis
-from .quadrature import half_sphere_rule, hermite_rule_3d
+from .quadrature import gauss_legendre, half_sphere_rule, hermite_rule_3d
 
 __all__ = [
     "DiscreteOperator", "FrequencyField", "AssemblyBudgetError",
@@ -96,6 +96,18 @@ def nu0_lower_bound(mixture: Mixture, family: KernelFamily,
 _RADIAL_WIDTH = 9.5     # e^{-W^2/2} is below double-precision resolution
 
 
+def _radial_rule(s: np.ndarray, n_nodes: int):
+    """Gauss-Legendre nodes rho and weights, one row per s, on the bump
+    support [max(s - _RADIAL_WIDTH, 0), s + _RADIAL_WIDTH]."""
+    gl = gauss_legendre(n_nodes)
+    x01 = 0.5 * (gl.nodes + 1.0)
+    w01 = 0.5 * gl.weights
+    lo = np.maximum(s - _RADIAL_WIDTH, 0.0)
+    hi = s + _RADIAL_WIDTH
+    return (lo[:, None] + (hi - lo)[:, None] * x01[None, :],
+            (hi - lo)[:, None] * w01[None, :])
+
+
 def _gauss_kernel_integral(phi, s: np.ndarray, n_nodes: int):
     """G(s) = int Phi(|v - v*|) e^{-|v*|^2/2} dv* for s = |v|.
 
@@ -109,26 +121,18 @@ def _gauss_kernel_integral(phi, s: np.ndarray, n_nodes: int):
     +/- _RADIAL_WIDTH support around each Gaussian bump resolves the smooth
     integrand to near machine precision.
     """
-    from .quadrature import gauss_legendre
     s = np.asarray(s, dtype=float)
-    gl = gauss_legendre(n_nodes)
-    x01 = 0.5 * (gl.nodes + 1.0)
-    w01 = 0.5 * gl.weights
     out = np.zeros_like(s)
     pos = s > 1e-12
 
     sp = s[pos]
-    lo = np.maximum(sp - _RADIAL_WIDTH, 0.0)
-    hi = sp + _RADIAL_WIDTH
-    rho = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
-    wts = (hi - lo)[:, None] * w01[None, :]
+    rho, wts = _radial_rule(sp, n_nodes)
     vals = rho * phi(rho) * (np.exp(-0.5 * (rho - sp[:, None]) ** 2)
                              - np.exp(-0.5 * (rho + sp[:, None]) ** 2))
     out[pos] = (2.0 * np.pi / sp) * np.sum(wts * vals, axis=1)
 
     if np.any(~pos):
-        rho0 = _RADIAL_WIDTH * x01
-        w0 = _RADIAL_WIDTH * w01
+        rho0, w0 = _radial_rule(np.zeros(1), n_nodes)      # on [0, W]
         g0 = 4.0 * np.pi * np.sum(w0 * rho0 ** 2 * phi(rho0)
                                   * np.exp(-0.5 * rho0 ** 2))
         out[~pos] = g0
@@ -137,18 +141,11 @@ def _gauss_kernel_integral(phi, s: np.ndarray, n_nodes: int):
 
 def _gauss_kernel_integral_ds(phi, s: np.ndarray, n_nodes: int):
     """d/ds of :func:`_gauss_kernel_integral`; zero at s = 0 by symmetry."""
-    from .quadrature import gauss_legendre
     s = np.asarray(s, dtype=float)
-    gl = gauss_legendre(n_nodes)
-    x01 = 0.5 * (gl.nodes + 1.0)
-    w01 = 0.5 * gl.weights
     out = np.zeros_like(s)
     pos = s > 1e-12
     sp = s[pos]
-    lo = np.maximum(sp - _RADIAL_WIDTH, 0.0)
-    hi = sp + _RADIAL_WIDTH
-    rho = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
-    wts = (hi - lo)[:, None] * w01[None, :]
+    rho, wts = _radial_rule(sp, n_nodes)
     em = np.exp(-0.5 * (rho - sp[:, None]) ** 2)
     ep = np.exp(-0.5 * (rho + sp[:, None]) ** 2)
     base = rho * phi(rho)

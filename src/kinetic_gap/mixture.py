@@ -21,7 +21,7 @@ from .hermite import HermiteBasis
 from .quadrature import hermite_rule_3d
 
 __all__ = [
-    "Mixture", "ProjectionCoefficients", "maxwellian_moment", "maxwellian",
+    "Mixture", "ProjectionCoefficients", "maxwellian_moment",
     "embed_species_polynomials", "ker_L_basis", "ker_Lm_basis",
     "orthonormalize", "project_onto", "extract_coefficients",
 ]
@@ -50,13 +50,6 @@ class Mixture:
 
     def rho_array(self) -> np.ndarray:
         return np.array(self.rho_inf)
-
-
-def maxwellian(mixture: Mixture, i: int, v) -> np.ndarray:
-    """M_i(v) = rho_i (2*pi)^{-3/2} exp(-|v|^2 / 2)."""
-    v = np.asarray(v, dtype=float)
-    sq = np.sum(v * v, axis=-1)
-    return mixture.rho_inf[i] * (2.0 * np.pi) ** -1.5 * np.exp(-0.5 * sq)
 
 
 def maxwellian_moment(mixture: Mixture, i: int, monomial: str) -> float:

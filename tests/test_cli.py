@@ -58,6 +58,9 @@ MALFORMED = [
      {"type": "poly", "coeffs": ["one"]}),
     ("decay_dt_string", ("decay", "dt"), "fast"),
     ("hermite_q_not_above_N", ("discretization", "hermite_q"), 3),  # N = 3
+    ("negative_seed", ("budgets", "seed"), -1),
+    ("zero_lemma_samples", ("budgets", "lemma_samples"), 0),
+    ("initial_state_typo", ("decay", "initial"), "equilibrum"),
 ]
 
 
@@ -95,6 +98,15 @@ class TestValidation:
         cfg = with_value(hard_sphere_config(), path, value)
         code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_negative_seed_override_is_one_line_error(self, tmp_path, capsys):
+        code = run_cli(["decay", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(tmp_path / "out"), "--seed", "-1"])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: ")

@@ -23,20 +23,6 @@ class TestModeGenerator:
                               (-1, 2, 0))
         assert np.array_equal(B, np.conj(A))
 
-    def test_blocked_real_form(self, ops_small):
-        m = (1, 0, 1)
-        A = ev.mode_generator(ops_small.L.matrix, ops_small.transports, m)
-        blk = ev.mode_generator_blocked(ops_small.L.matrix,
-                                        ops_small.transports, m)
-        T = ops_small.total_size
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(T)
-        y = rng.standard_normal(T)
-        z = A @ (x + 1j * y)
-        zb = blk @ np.concatenate([x, y])
-        assert np.max(np.abs(zb[:T] - z.real)) <= 1e-12
-        assert np.max(np.abs(zb[T:] - z.imag)) <= 1e-12
-
     def test_dimension_mismatch_rejected(self, ops_small):
         with pytest.raises(ValueError, match="dimensions"):
             ev.mode_generator(np.eye(3), ops_small.transports, (1, 0, 0))
@@ -168,6 +154,25 @@ class TestNorms:
         g = ev.hypo_functional(st, 1.0, 1.0, 1.0, 0.0, ops_small.grads)
         assert g == pytest.approx(ev.h1_norm(st, ops_small.grads), rel=1e-12)
 
+    def test_matches_per_axis_loop(self, ops_small, rng):
+        # reference: G and ||.||_H1 written out per mode and per axis
+        st = ev.random_physical_state(rng, ops_small.total_size, m_max=2)
+        c1, c2, c3, c4 = 1.0, 2.0, 0.5, 0.6
+        grads = [g.matrix for g in ops_small.grads]
+        g_ref = h1_ref = 0.0
+        for m, c in st.modes.items():
+            k2 = (2.0 * np.pi) ** 2 * float(np.dot(m, m))
+            n0 = float(np.vdot(c, c).real)
+            nv = sum(float(np.vdot(g @ c, g @ c).real) for g in grads)
+            mixed = sum(2.0 * np.pi * m[a] * float(np.vdot(c, g @ c).imag)
+                        for a, g in enumerate(grads))
+            g_ref += (c1 + c2 * k2) * n0 + c3 * nv + c4 * mixed
+            h1_ref += (1.0 + k2) * n0 + nv
+        assert ev.hypo_functional(st, c1, c2, c3, c4, ops_small.grads) \
+            == pytest.approx(g_ref, rel=1e-12)
+        assert ev.h1_norm(st, ops_small.grads) == pytest.approx(h1_ref,
+                                                                rel=1e-12)
+
     def test_coefficient_validity(self, ops_small, rng):
         st = ev.random_physical_state(rng, ops_small.total_size, m_max=1)
         with pytest.raises(ValueError, match="c4"):
@@ -227,6 +232,45 @@ class TestNorms:
             errs.append(abs(fd - formula(c)))
         assert errs[0] <= 1e-4 * max(1.0, abs(formula(c)))
         assert errs[0] / max(errs[1], 1e-300) > 3.0   # O(dt^2) stencil
+
+
+class TestSharedDefinition:
+    """G, its rate along the generator, the H^1 norm and the certified
+    pencil come from one coefficient basis.  Each consumer is checked
+    against a centred difference of hypo_functional along the exact flow
+    expm(t A_m) s."""
+
+    C = (1.0, 2.0, 0.5, 0.6)
+
+    @pytest.mark.parametrize("m", [(0, 0, 0), (1, 0, 0), (1, -1, 2),
+                                   (0, 2, -1)])
+    def test_consumers_agree_with_flow_of_functional(self, ops_small, rng, m):
+        ops = ops_small
+        A = ev.mode_generator(ops.L.matrix, ops.transports, m)
+        s = rng.standard_normal(ops.total_size) \
+            + 1j * rng.standard_normal(ops.total_size)
+
+        def G(t):
+            st = ev.TorusState({m: ev.expm(t * A) @ s})
+            return ev.hypo_functional(st, *self.C, ops.grads)
+
+        # with m_max = 0 and no samples, the search sees exactly this state:
+        # its kappa is -dG/dt / ||s||_H1^2 from the rate forms
+        res = ev.search_coefficients(ops, m_max=0, n_samples=0,
+                                     grid=[self.C], extra_states=[(m, s)])
+        assert res.n_states == 1
+        h1 = ev.h1_norm(ev.TorusState({m: s}), ops.grads)
+        rate = -res.kappa * h1
+        errs = [abs((G(dt) - G(-dt)) / (2.0 * dt) - rate)
+                for dt in (1e-4, 5e-5)]
+        assert errs[0] <= 1e-3 * abs(rate)
+        assert 3.5 <= errs[0] / errs[1] <= 4.5          # O(dt^2) stencil
+
+        # certified pencil: <s, H s> = -(dG/dt)/2, <s, N s> = ||s||_H1^2
+        H, N = ev._pencil(ops, self.C, m)
+        assert float(np.vdot(s, H @ s).real) == pytest.approx(-rate / 2.0,
+                                                             rel=1e-12)
+        assert float(np.vdot(s, N @ s).real) == pytest.approx(h1, rel=1e-12)
 
 
 class TestFitDecay:

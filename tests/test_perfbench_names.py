@@ -3,6 +3,7 @@ name.  A rename in the package must fail here, not in a traced benchmark run.
 """
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -34,3 +35,26 @@ def test_rule_caches_report_cache_info():
     quadrature = importlib.import_module(f"{tracing.PACKAGE}.quadrature")
     for name in tracing.RULE_CACHES:
         assert hasattr(getattr(quadrature, name), "cache_info"), name
+
+
+# argument names that the tracer's counter hooks read from the bound call;
+# the eigen.jacobi_eigh hook reads only the result
+HOOK_ARGUMENTS = {
+    ("evolution", "evolve"): ("state", "dt", "t_end"),
+    ("galerkin", "assemble_collision"): ("family", "basis"),
+    ("spectra", "compute_Db"): ("count",),
+    ("eigen", "jacobi_eigh"): (),
+}
+
+
+def test_counter_hook_arguments_exist():
+    tracing = load_tracing()
+    hooked = {(mod_name, path) for mod_name, path, hook in tracing.TRACED
+              if hook is not None}
+    assert hooked == set(HOOK_ARGUMENTS)
+    for (mod_name, path), names in HOOK_ARGUMENTS.items():
+        fn = getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod_name}"),
+                     path)
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert name in params, f"{mod_name}.{path} lost argument {name!r}"
