@@ -52,11 +52,15 @@ def _block(cfg: dict, key: str) -> dict:
 
 
 def _number(kind, value, what: str):
-    """``kind(value)`` for kind int or float, as a ConfigError on failure."""
+    """``kind(value)`` for kind int or float, as a ConfigError unless it is a
+    finite number (JSON as read by Python admits NaN and Infinity)."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return out
 
 
 def parse_mixture(cfg: dict) -> Mixture:
@@ -70,7 +74,7 @@ def parse_mixture(cfg: dict) -> Mixture:
         r = s.get("rho_inf")
         _require(isinstance(r, (int, float)) and r > 0,
                  f"rho_inf must be positive, got {r!r}")
-        rho.append(float(r))
+        rho.append(_number(float, r, "rho_inf"))
     return Mixture(tuple(rho))
 
 
@@ -78,7 +82,8 @@ def _parse_phi(d: dict) -> PowerLaw:
     _require(isinstance(d, dict) and d.get("type") == "power",
              f"phi descriptors must be objects of type 'power', got {d!r}")
     try:
-        return PowerLaw(float(d["C"]), float(d["gamma"]))
+        return PowerLaw(_number(float, d["C"], "phi.C"),
+                        _number(float, d["gamma"], "phi.gamma"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kinetic descriptor {d!r}: {exc}") from exc
 
@@ -106,12 +111,12 @@ def parse_family(cfg: dict, n: int) -> KernelFamily:
                  f"kernels.{name} must be an {n}x{n} table")
     phi = tuple(tuple(_parse_phi(d) for d in row) for row in phi_rows)
     b = tuple(tuple(_parse_b(d) for d in row) for row in b_rows)
+    defaults = {"gamma": 1.0, "C1": 1.0, "C2": 1.0, "delta": 0.5, "C3": 1.0,
+                "C4": 1.0, "beta": 1.0}
+    constants = {key: _number(float, k.get(key, v), f"kernels.{key}")
+                 for key, v in defaults.items()}
     try:
-        return KernelFamily(
-            n=n, phi=phi, b=b, gamma=float(k.get("gamma", 1.0)),
-            C1=float(k.get("C1", 1.0)), C2=float(k.get("C2", 1.0)),
-            delta=float(k.get("delta", 0.5)), C3=float(k.get("C3", 1.0)),
-            C4=float(k.get("C4", 1.0)), beta=float(k.get("beta", 1.0)))
+        return KernelFamily(n=n, phi=phi, b=b, **constants)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -346,14 +351,14 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
     traj = ev.evolve(f_I, ops.L.matrix, ops.transports, integration["dt"],
                      integration["t_end"], scheme=integration["scheme"],
                      record_every=integration["record_every"])
-    c1, c2, c3, c4 = search.c
     h1_dist, g_vals, mode_norms, drift = [], [], [], 0.0
     kproj0 = ops.ker_L.T @ f_I.modes[(0, 0, 0)]
     for st in traj.states:
         diff = ev.TorusState({m: st.modes[m] - f_inf.modes[m]
                               for m in st.modes}, st.time)
-        h1_dist.append(math.sqrt(ev.h1_norm(diff, ops.grads)))
-        g_vals.append(ev.hypo_functional(diff, c1, c2, c3, c4, ops.grads))
+        h1_sq, g = ev.h1_norm_and_functional(diff, search.c, ops.grads)
+        h1_dist.append(math.sqrt(h1_sq))
+        g_vals.append(g)
         mode_norms.append({m: math.sqrt(float(np.vdot(c, c).real))
                            for m, c in st.modes.items()})
         kp = ops.ker_L.T @ st.modes[(0, 0, 0)]

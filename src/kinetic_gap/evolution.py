@@ -31,8 +31,8 @@ from .spectra import complement_basis, generalized_eigs
 
 __all__ = [
     "expm", "mode_generator", "TorusState", "Trajectory", "evolve",
-    "h1_norm", "hypo_functional", "fit_decay", "DecayReport",
-    "search_coefficients", "SearchResult", "equilibrium_state",
+    "h1_norm", "hypo_functional", "h1_norm_and_functional", "fit_decay",
+    "DecayReport", "search_coefficients", "SearchResult", "equilibrium_state",
     "modes_up_to", "random_physical_state",
 ]
 
@@ -192,17 +192,18 @@ def _grad_mats(grad_ops):
     return [getattr(g, "matrix", g) for g in grad_ops]
 
 
-def _functional(state: TorusState, c, grad_ops) -> float:
-    """sum_m Re <f_m, Q_m(c) f_m>, every mode in one pass."""
+def _functional(state: TorusState, c, grad_ops):
+    """sum_m Re <f_m, Q_m(c) f_m>, every mode in one pass; a stack of
+    tuples c of shape (n, 4) gives n values from one evaluation."""
     S = np.stack(list(state.modes.values()), axis=1)
     F = _forms(S, _terms(_grad_mats(grad_ops), list(state.modes), S))
-    return float(np.sum(_weigh(c, F)))
+    return np.sum(_weigh(c, F), axis=-1)
 
 
 def h1_norm(state: TorusState, grad_ops) -> float:
     """Squared H^1_{x,v} norm: ||f||^2 + sum_m ||2 pi m f_m||^2
     + sum_axis ||grad_v f||^2."""
-    return _functional(state, _H1, grad_ops)
+    return float(_functional(state, _H1, grad_ops))
 
 
 def _check_coeffs(c1, c2, c3, c4):
@@ -219,7 +220,14 @@ def hypo_functional(state: TorusState, c1: float, c2: float, c3: float,
     """G[f] = c1 ||f||^2 + c2 ||grad_x f||^2 + c3 ||grad_v f||^2
     + c4 Re(grad_x f, grad_v f), summed over modes."""
     _check_coeffs(c1, c2, c3, c4)
-    return _functional(state, (c1, c2, c3, c4), grad_ops)
+    return float(_functional(state, (c1, c2, c3, c4), grad_ops))
+
+
+def h1_norm_and_functional(state: TorusState, c, grad_ops) -> tuple:
+    """(:func:`h1_norm`, :func:`hypo_functional` at c = (c1, c2, c3, c4)) of
+    one state, from one evaluation of the four forms."""
+    _check_coeffs(*c)
+    return tuple(map(float, _functional(state, (_H1, tuple(c)), grad_ops)))
 
 
 def _rate_forms(ops: OperatorSet, modes, S):

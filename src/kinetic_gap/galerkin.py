@@ -536,9 +536,9 @@ def _block_diag(basis: HermiteBasis, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_transport(basis: HermiteBasis, axis: int) -> DiscreteOperator:
-    """Matrix of f -> v_axis f via x h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1},
-    truncated at degree N.  Symmetric, identical per species."""
+def _lowering(basis: HermiteBasis, axis: int) -> np.ndarray:
+    """Per-species block A of the lowering map e_alpha -> sqrt(k) e_{alpha-1},
+    k = alpha_axis; its transpose is the raising map truncated at degree N."""
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1, or 2")
     nb = basis.per_species_size
@@ -546,16 +546,19 @@ def assemble_transport(basis: HermiteBasis, axis: int) -> DiscreteOperator:
     block = np.zeros((nb, nb))
     for a_pos, alpha in enumerate(basis.indices):
         k = int(alpha[axis])
-        down = list(alpha)
-        down[axis] -= 1
         if k >= 1:
-            block[pos[tuple(down)], a_pos] += math.sqrt(k)
-        up = list(alpha)
-        up[axis] += 1
-        key = tuple(up)
-        if key in pos:
-            block[pos[key], a_pos] += math.sqrt(k + 1)
-    return DiscreteOperator(f"Transport({axis})", _block_diag(basis, block),
+            down = list(alpha)
+            down[axis] -= 1
+            block[pos[tuple(down)], a_pos] = math.sqrt(k)
+    return block
+
+
+def assemble_transport(basis: HermiteBasis, axis: int) -> DiscreteOperator:
+    """Matrix of f -> v_axis f via x h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1},
+    truncated at degree N: A + A^T with A the lowering block.  Symmetric,
+    identical per species."""
+    A = _lowering(basis, axis)
+    return DiscreteOperator(f"Transport({axis})", _block_diag(basis, A + A.T),
                             {"axis": axis, "N": basis.N})
 
 
@@ -566,30 +569,17 @@ def assemble_grad_v(basis: HermiteBasis, axis: int) -> DiscreteOperator:
 
         d e_alpha = (sqrt(k)/2) e_{alpha-1} - (sqrt(k+1)/2) e_{alpha+1},
 
-    expanded to degree N+1 and truncated back; the Frobenius norm of the
-    discarded degree-(N+1) block is recorded in meta["truncation_norm"].
-    The retained matrix is exactly skew-symmetric.
+    expanded to degree N+1 and truncated back to (A - A^T)/2, A the lowering
+    block; the Frobenius norm of the discarded degree-(N+1) block is
+    recorded in meta["truncation_norm"].  The retained matrix is exactly
+    skew-symmetric.
     """
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1, or 2")
-    nb = basis.per_species_size
-    pos = _index_positions(basis)
-    block = np.zeros((nb, nb))
+    A = _lowering(basis, axis)
     dropped = 0.0
-    for a_pos, alpha in enumerate(basis.indices):
-        k = int(alpha[axis])
-        if k >= 1:
-            down = list(alpha)
-            down[axis] -= 1
-            block[pos[tuple(down)], a_pos] += 0.5 * math.sqrt(k)
-        up = list(alpha)
-        up[axis] += 1
-        key = tuple(up)
-        if key in pos:
-            block[pos[key], a_pos] -= 0.5 * math.sqrt(k + 1)
-        else:
-            dropped += (k + 1) / 4.0
-    return DiscreteOperator(f"GradV({axis})", _block_diag(basis, block),
+    for alpha in basis.indices:
+        if sum(alpha) == basis.N:
+            dropped += (int(alpha[axis]) + 1) / 4.0
+    return DiscreteOperator(f"GradV({axis})", _block_diag(basis, (A - A.T) / 2),
                             {"axis": axis, "N": basis.N,
                              "truncation_norm": math.sqrt(dropped)})
 

@@ -161,13 +161,6 @@ def _cached_bases(rho_inf: tuple, N: int):
                                            lambda j: _poly_speed_sq, rule))
     ker_L = orthonormalize(np.stack(raw_L, axis=1))
 
-    raw_m = []
-    for i in range(n):
-        for p in (_poly_one, _poly_axis(0), _poly_axis(1), _poly_axis(2),
-                  _poly_speed_sq):
-            raw_m.append(embed_species_polynomials(mixture, basis, only(i, p), rule))
-    ker_Lm = orthonormalize(np.stack(raw_m, axis=1))
-
     # unnormalized moment functionals of Lemma-style moments:
     #   m0_i = (f, M_i^{1/2} 1), mk_i = (f, M_i^{1/2} v_k), m4_i = (f, M_i^{1/2}|v|^2)
     moments = np.stack(
@@ -175,6 +168,8 @@ def _cached_bases(rho_inf: tuple, N: int):
          for i in range(n)
          for p in (_poly_one, _poly_axis(0), _poly_axis(1), _poly_axis(2),
                    _poly_speed_sq)], axis=1)
+    # ker(L^m) is spanned by the same 5 n embeddings
+    ker_Lm = orthonormalize(moments)
 
     ker_L.setflags(write=False)
     ker_Lm.setflags(write=False)
@@ -209,9 +204,9 @@ def project_onto(span: np.ndarray, f: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ProjectionCoefficients:
     """Per-species coefficients (alpha_i, u_i, e_i) of the ker(L^m) projection."""
-    alpha: np.ndarray       # (n,)
-    u: np.ndarray           # (n, 3)
-    e: np.ndarray           # (n,)
+    alpha: np.ndarray       # (n,), or (n, k) for k vectors
+    u: np.ndarray           # (n, 3), or (n, 3, k)
+    e: np.ndarray           # (n,), or (n, k)
 
 
 def extract_coefficients(mixture: Mixture, basis: HermiteBasis,
@@ -223,16 +218,16 @@ def extract_coefficients(mixture: Mixture, basis: HermiteBasis,
     m4 = rho (3 alpha + 15 e); hence
 
         alpha = (5 m0 - m4) / (2 rho),  e = (m4 - 3 m0) / (6 rho),  u = m / rho.
+
+    ``f`` is one vector, shape (total_size,), or k of them as the columns
+    of a (total_size, k) array; alpha, u and e then gain a trailing axis of
+    length k.
     """
-    moments = _cached_bases(mixture.rho_inf, basis.N)[2].T @ f   # (5n,)
-    n = mixture.n
-    alpha = np.empty(n)
-    u = np.empty((n, 3))
-    e = np.empty(n)
-    for i in range(n):
-        rho = mixture.rho_inf[i]
-        m0, m1, m2, m3, m4 = moments[5 * i:5 * i + 5]
-        alpha[i] = (5.0 * m0 - m4) / (2.0 * rho)
-        u[i] = (m1 / rho, m2 / rho, m3 / rho)
-        e[i] = (m4 - 3.0 * m0) / (6.0 * rho)
-    return ProjectionCoefficients(alpha=alpha, u=u, e=e)
+    f = np.asarray(f)
+    moments = _cached_bases(mixture.rho_inf, basis.N)[2].T @ f
+    moments = moments.reshape((mixture.n, 5) + f.shape[1:])
+    rho = mixture.rho_array().reshape((-1,) + (1,) * (f.ndim - 1))
+    m0, m4 = moments[:, 0], moments[:, 4]
+    return ProjectionCoefficients(alpha=(5.0 * m0 - m4) / (2.0 * rho),
+                                  u=moments[:, 1:4] / rho[:, None],
+                                  e=(m4 - 3.0 * m0) / (6.0 * rho))

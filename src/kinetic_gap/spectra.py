@@ -15,6 +15,7 @@ and lambda is validated as a lower bound on the measured generalized gap.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ import scipy.linalg
 from .eigen import eigvalsh
 from .galerkin import OperatorSet
 from .kernels import KernelFamily
-from .mixture import Mixture, extract_coefficients, project_onto
+from .mixture import Mixture, extract_coefficients
 from .quadrature import CollisionSampler, hermite_rule_3d, post_collision, sphere_rule
 
 __all__ = [
@@ -376,8 +377,28 @@ class LemmaCheck:
                 "worst_margin": self.worst_margin, "witness": self.witness}
 
 
-def _hnorm_sq(h: np.ndarray, g: np.ndarray) -> float:
-    return float(g @ (h @ g))
+def _tally(margin: np.ndarray, scale: np.ndarray, tol: float) -> tuple:
+    """(violations, worst relative margin, first sample at the worst) of a
+    sampled inequality ``margin >= 0``; a violation is margin < -tol * scale.
+    """
+    rel = margin / scale
+    k = int(np.argmin(rel))
+    return int(np.count_nonzero(margin < -tol * scale)), float(rel[k]), k
+
+
+def _scale(*parts: np.ndarray) -> np.ndarray:
+    """max(1, parts...) per sample."""
+    return functools.reduce(np.maximum, parts, 1.0)
+
+
+def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(x_s, y_s) for every row pair."""
+    return np.einsum("si,si->s", X, Y)
+
+
+def _quad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(x_s, M x_s) for every row x_s of X."""
+    return _dot(X @ M.T, X)
 
 
 def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
@@ -397,78 +418,61 @@ def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
                    eta = min{1, 4 C^m C_k/(16 C_k + D^b)} and
                    lambda = eta D^b/(8 C_k)
 
-    Margins are normalized by the scale of the compared quantities; a
-    violation is margin < -tol * scale.
+    Sample k reads row k of one standard-normal draw of width T + 5 n:
+    f, then log rho_i, u_i and e_i of the Jensen tuple.  Margins are
+    normalized by the scale of the compared quantities; a violation is
+    margin < -tol * scale (:func:`_tally`).
     """
     rng = np.random.default_rng(seed)
     L, Lb, H = ops.L.matrix, ops.Lb.matrix, ops.hgram.matrix
     VL, Vm = ops.ker_L, ops.ker_Lm
-    mixture, basis = ops.mixture, ops.basis
+    T, n = ops.total_size, ops.mixture.n
     eta_o = min(1.0, C_m / 8.0)
     eta_t, lam = explicit_lambda(C_m, D_b, C_k)
 
-    names = ["ortho", "bi_species", "differences", "jensen_u", "jensen_e",
-             "full_chain", "gap_lower_bound"]
-    stats = {nm: [0, math.inf, {}] for nm in names}
+    Z = rng.standard_normal((n_samples, T + 5 * n))
+    F = Z[:, :T]
+    F_par = (F @ Vm) @ Vm.T
+    diss = -_quad(L, F)
+    h_perp = _quad(H, F - F_par)
+    cross = -_quad(Lb, F_par)
+    coeffs = extract_coefficients(ops.mixture, ops.basis, F.T)
+    du = coeffs.u[:, None] - coeffs.u[None, :]
+    de = coeffs.e[:, None] - coeffs.e[None, :]
+    diffs = np.sum(du * du, axis=(0, 1, 2)) + np.sum(de * de, axis=(0, 1))
+    h_tilde = _quad(H, F - (F @ VL) @ VL.T)
 
-    def record(nm, margin, scale, witness):
-        entry = stats[nm]
-        rel = margin / scale
-        if rel < entry[1]:
-            entry[1] = rel
-            entry[2] = witness
-        if margin < -tol * scale:
-            entry[0] += 1
+    # Jensen inequalities on independent random tuples
+    rho = np.exp(Z[:, T:T + n])
+    u = Z[:, T + n:T + 4 * n].reshape(n_samples, n, 3)
+    e = Z[:, T + 4 * n:]
+    wu = rho / rho.sum(axis=1, keepdims=True)
+    lhs_u = _dot(wu, np.sum(u * u, axis=2)) \
+        - np.sum(np.einsum("sn,snk->sk", wu, u) ** 2, axis=1)
+    rhs_u = np.sum((u[:, :, None] - u[:, None, :]) ** 2, axis=(1, 2, 3))
+    lhs_e = _dot(wu, e * e) - _dot(wu, e) ** 2
+    rhs_e = np.sum((e[:, :, None] - e[:, None, :]) ** 2, axis=(1, 2))
 
-    for k in range(n_samples):
-        f = rng.standard_normal(ops.total_size)
-        f_par = project_onto(Vm, f)
-        f_perp = f - f_par
-        diss = -float(f @ (L @ f))
-        h_perp = _hnorm_sq(H, f_perp)
-        cross = -float(f_par @ (Lb @ f_par))
-        coeffs = extract_coefficients(mixture, basis, f)
-        du = coeffs.u[:, None, :] - coeffs.u[None, :, :]
-        de = coeffs.e[:, None] - coeffs.e[None, :]
-        diffs = float(np.sum(du * du) + np.sum(de * de))
-        f_tilde = f - project_onto(VL, f)
-        h_tilde = _hnorm_sq(H, f_tilde)
-
-        rhs_o = (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross
-        record("ortho", diss - rhs_o, max(1.0, diss, abs(rhs_o)), {"sample": k})
-
-        rhs_b = 0.25 * D_b * diffs
-        record("bi_species", cross - rhs_b, max(1.0, cross, rhs_b), {"sample": k})
-
-        rhs_d = (h_tilde - 2.0 * h_perp) / C_k
-        record("differences", diffs - rhs_d, max(1.0, diffs, abs(rhs_d)),
-               {"sample": k})
-
-        rhs_c = (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k)) * h_perp \
-            + lam * h_tilde
-        record("full_chain", diss - rhs_c, max(1.0, diss, abs(rhs_c)),
-               {"sample": k})
-        record("gap_lower_bound", diss - lam * h_tilde,
-               max(1.0, diss, lam * h_tilde), {"sample": k})
-
-        # Jensen inequalities on independent random tuples
-        n = mixture.n
-        rho = np.exp(rng.standard_normal(n))
-        rho_tot = rho.sum()
-        u = rng.standard_normal((n, 3))
-        e = rng.standard_normal(n)
-        wu = rho / rho_tot
-        lhs_u = float(wu @ np.sum(u * u, axis=1) - np.sum((wu @ u) ** 2))
-        rhs_u = float(np.sum((u[:, None, :] - u[None, :, :]) ** 2))
-        record("jensen_u", rhs_u - lhs_u, max(1.0, rhs_u, abs(lhs_u)),
-               {"sample": k})
-        lhs_e = float(wu @ (e * e) - (wu @ e) ** 2)
-        rhs_e = float(np.sum((e[:, None] - e[None, :]) ** 2))
-        record("jensen_e", rhs_e - lhs_e, max(1.0, rhs_e, abs(lhs_e)),
-               {"sample": k})
-
-    return [LemmaCheck(nm, n_samples, stats[nm][0],
-                       stats[nm][1], stats[nm][2]) for nm in names]
+    rhs_o = (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross
+    rhs_b = 0.25 * D_b * diffs
+    rhs_d = (h_tilde - 2.0 * h_perp) / C_k
+    rhs_c = (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k)) * h_perp \
+        + lam * h_tilde
+    rhs_g = lam * h_tilde
+    checks = {
+        "ortho": (diss - rhs_o, _scale(diss, abs(rhs_o))),
+        "bi_species": (cross - rhs_b, _scale(cross, rhs_b)),
+        "differences": (diffs - rhs_d, _scale(diffs, abs(rhs_d))),
+        "jensen_u": (rhs_u - lhs_u, _scale(rhs_u, abs(lhs_u))),
+        "jensen_e": (rhs_e - lhs_e, _scale(rhs_e, abs(lhs_e))),
+        "full_chain": (diss - rhs_c, _scale(diss, abs(rhs_c))),
+        "gap_lower_bound": (diss - rhs_g, _scale(diss, rhs_g)),
+    }
+    ledger = []
+    for name, (margin, scale) in checks.items():
+        count, worst, k = _tally(margin, scale, tol)
+        ledger.append(LemmaCheck(name, n_samples, count, worst, {"sample": k}))
+    return ledger
 
 
 # ---------------------------------------------------------------------------
@@ -550,40 +554,36 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float,
     # (H1.2) on random samples; slack grows with the GradV truncation norm
     trunc = ops.grad_truncation_norm()
     lam_scale = float(np.max(np.abs(lam_m)))
-    h12_viol, h12_worst = 0, math.inf
-    for _ in range(n_samples):
-        f = rng.standard_normal(total)
-        lhs = sum(float((g @ f) @ (g @ (lam_m @ f))) for g in grads)
-        hgrad = sum(_hnorm_sq(H, g @ f) for g in grads)
-        rhs = nu_bar_3 * hgrad - nu_bar_4 * float(f @ f)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        slack = 1e-8 * scale + trunc * trunc * lam_scale * float(f @ f)
-        margin = (lhs - rhs + slack) / scale
-        h12_worst = min(h12_worst, margin)
-        if margin < 0.0:
-            h12_viol += 1
+    F = rng.standard_normal((n_samples, total))
+    GF = [F @ g.T for g in grads]
+    LF = F @ lam_m.T
+    ff = _dot(F, F)
+    lhs = sum(_dot(y, LF @ g.T) for g, y in zip(grads, GF))
+    rhs = nu_bar_3 * sum(_quad(H, y) for y in GF) - nu_bar_4 * ff
+    scale = _scale(abs(lhs), abs(rhs))
+    slack = 1e-8 * scale + trunc * trunc * lam_scale * ff
+    h12_viol, h12_worst, _ = _tally(lhs - rhs + slack, scale, 0.0)
 
     # (H2): quadratic forms of (grad f, grad K f) vs eps ||grad f||^2 + C ||f||^2
     A2 = sum(g.T @ (g @ K) for g in grads)
     A2 = 0.5 * (A2 + A2.T)
     B2 = sum(g.T @ g for g in grads)
     B2 = 0.5 * (B2 + B2.T)
+
+    def forms(X):
+        return _dot(X @ A2, X), _dot(X @ B2, X), _dot(X, X)
+
     pairs = []
     hold_viol = 0
     for eps in eps_list:
         C_cert = float(eigvalsh(A2 - eps * B2)[-1])
         C_cert = max(C_cert, 0.0)
-        samples = rng.standard_normal((n_samples, total))
-        num = np.einsum("ij,ij->i", samples @ A2, samples)
-        den_g = np.einsum("ij,ij->i", samples @ B2, samples)
-        den = np.einsum("ij,ij->i", samples, samples)
+        num, den_g, den = forms(rng.standard_normal((n_samples, total)))
         C_fit = float(np.max((num - eps * den_g) / den))
-        holdout = rng.standard_normal((n_samples, total))
-        hnum = np.einsum("ij,ij->i", holdout @ A2, holdout)
-        hg = np.einsum("ij,ij->i", holdout @ B2, holdout)
-        hn = np.einsum("ij,ij->i", holdout, holdout)
-        hold_viol += int(np.sum(hnum > eps * hg + C_cert * hn
-                                + 1e-8 * np.abs(hnum)))
+        # holdout samples, checked against the certified C(eps)
+        hnum, hg, hn = forms(rng.standard_normal((n_samples, total)))
+        hold_viol += _tally(eps * hg + C_cert * hn - hnum, np.abs(hnum),
+                            1e-8)[0]
         pairs.append((float(eps), C_cert, C_fit))
 
     return HypothesisReport(nu_bar_0=nu_bar_0, nu_bar_1=nu_bar_1,

@@ -4,7 +4,8 @@ Nothing here calls the code paths under test: eigenvalues come from
 Householder + Sturm bisection, Gaussian moments from double factorials,
 the bi-species coercivity integral from its separable closed form, and
 collision quadratic forms from the analytic relations of the collision
-geometry.
+geometry, and the sampled certificate checks from a plain loop that
+evaluates one sample at a time.
 """
 from __future__ import annotations
 
@@ -184,3 +185,111 @@ def explicit_gram(vectors: np.ndarray, basis, q: int = 14) -> np.ndarray:
         vals = H @ vectors[i * nb:(i + 1) * nb, :]    # (m, k)
         gram += vals.T @ (vals * rule.weights[:, None])
     return gram
+
+
+# ---------------------------------------------------------------------------
+# sampled certificate checks, one sample at a time
+# ---------------------------------------------------------------------------
+
+def _moment_coefficients(ops, f):
+    """(u, e) of the ker(L^m) projection of f, species by species."""
+    from kinetic_gap.mixture import _cached_bases
+    moments = _cached_bases(ops.mixture.rho_inf, ops.basis.N)[2].T @ f
+    n = ops.mixture.n
+    u = np.empty((n, 3))
+    e = np.empty(n)
+    for i in range(n):
+        rho = ops.mixture.rho_inf[i]
+        m0, m1, m2, m3, m4 = moments[5 * i:5 * i + 5]
+        u[i] = (m1 / rho, m2 / rho, m3 / rho)
+        e[i] = (m4 - 3.0 * m0) / (6.0 * rho)
+    return u, e
+
+
+def step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples, seed, tol=1e-8):
+    """The seven step-lemma checks, sample after sample from one generator:
+    {name: (violations, worst relative margin, first worst sample)}."""
+    rng = np.random.default_rng(seed)
+    L, Lb, H = ops.L.matrix, ops.Lb.matrix, ops.hgram.matrix
+    VL, Vm = ops.ker_L, ops.ker_Lm
+    n = ops.mixture.n
+    eta_o = min(1.0, C_m / 8.0)
+    eta_t = min(1.0, 4.0 * C_m * C_k / (16.0 * C_k + D_b))
+    lam = eta_t * D_b / (8.0 * C_k)
+    stats = {}
+
+    def record(name, margin, scale, k):
+        count, worst, witness = stats.get(name, (0, math.inf, None))
+        rel = margin / scale
+        if rel < worst:
+            worst, witness = rel, k
+        stats[name] = (count + (margin < -tol * scale), worst, witness)
+
+    for k in range(n_samples):
+        f = rng.standard_normal(ops.total_size)
+        f_par = Vm @ (Vm.T @ f)
+        f_perp = f - f_par
+        diss = -float(f @ (L @ f))
+        h_perp = float(f_perp @ (H @ f_perp))
+        cross = -float(f_par @ (Lb @ f_par))
+        u, e = _moment_coefficients(ops, f)
+        du = u[:, None, :] - u[None, :, :]
+        de = e[:, None] - e[None, :]
+        diffs = float(np.sum(du * du) + np.sum(de * de))
+        f_tilde = f - VL @ (VL.T @ f)
+        h_tilde = float(f_tilde @ (H @ f_tilde))
+
+        rhs_o = (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross
+        record("ortho", diss - rhs_o, max(1.0, diss, abs(rhs_o)), k)
+        rhs_b = 0.25 * D_b * diffs
+        record("bi_species", cross - rhs_b, max(1.0, cross, rhs_b), k)
+        rhs_d = (h_tilde - 2.0 * h_perp) / C_k
+        record("differences", diffs - rhs_d, max(1.0, diffs, abs(rhs_d)), k)
+        rhs_c = (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k)) * h_perp \
+            + lam * h_tilde
+        record("full_chain", diss - rhs_c, max(1.0, diss, abs(rhs_c)), k)
+        record("gap_lower_bound", diss - lam * h_tilde,
+               max(1.0, diss, lam * h_tilde), k)
+
+        rho = np.exp(rng.standard_normal(n))
+        uj = rng.standard_normal((n, 3))
+        ej = rng.standard_normal(n)
+        w = rho / rho.sum()
+        lhs_u = float(w @ np.sum(uj * uj, axis=1) - np.sum((w @ uj) ** 2))
+        rhs_u = float(np.sum((uj[:, None, :] - uj[None, :, :]) ** 2))
+        record("jensen_u", rhs_u - lhs_u, max(1.0, rhs_u, abs(lhs_u)), k)
+        lhs_e = float(w @ (ej * ej) - (w @ ej) ** 2)
+        rhs_e = float(np.sum((ej[:, None] - ej[None, :]) ** 2))
+        record("jensen_e", rhs_e - lhs_e, max(1.0, rhs_e, abs(lhs_e)), k)
+    return stats
+
+
+def h12_loop(ops, n_samples, seed):
+    """(violations, worst margin) of the (H1.2) check, sample after sample,
+    from a fresh generator: (grad f, grad Lambda f) >= ||grad f||_H^2 / 2
+    - nu_bar_4 ||f||^2 up to the truncation slack."""
+    from kinetic_gap.quadrature import hermite_rule_3d
+    rng = np.random.default_rng(seed)
+    lam_m, H = ops.lam.matrix, ops.hgram.matrix
+    grads = [g.matrix for g in ops.grads]
+    nodes = hermite_rule_3d(ops.q).nodes
+    nu_bar_4 = 0.0
+    for i in range(ops.mixture.n):
+        nu = ops.freq.nu(i, nodes)
+        gn = ops.freq.grad_nu(i, nodes)
+        nu_bar_4 = max(nu_bar_4, float(np.max(np.sum(gn * gn, axis=1)
+                                              / (2.0 * nu))))
+    trunc = ops.grad_truncation_norm()
+    lam_scale = float(np.max(np.abs(lam_m)))
+    violations, worst = 0, math.inf
+    for _ in range(n_samples):
+        f = rng.standard_normal(ops.total_size)
+        lhs = sum(float((g @ f) @ (g @ (lam_m @ f))) for g in grads)
+        hgrad = sum(float((g @ f) @ (H @ (g @ f))) for g in grads)
+        rhs = 0.5 * hgrad - nu_bar_4 * float(f @ f)
+        scale = max(1.0, abs(lhs), abs(rhs))
+        slack = 1e-8 * scale + trunc * trunc * lam_scale * float(f @ f)
+        margin = (lhs - rhs + slack) / scale
+        worst = min(worst, margin)
+        violations += margin < 0.0
+    return violations, worst

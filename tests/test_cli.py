@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,18 @@ MALFORMED = [
     ("negative_seed", ("budgets", "seed"), -1),
     ("zero_lemma_samples", ("budgets", "lemma_samples"), 0),
     ("initial_state_typo", ("decay", "initial"), "equilibrum"),
+    # JSON as read by Python admits NaN and Infinity
+    ("amplitude_nan", ("decay", "amplitude"), math.nan),
+    ("amplitude_nan_string", ("decay", "amplitude"), "nan"),
+    ("t_end_infinite", ("decay", "t_end"), math.inf),
+    ("N_infinite", ("discretization", "N"), math.inf),
+    ("seed_infinite", ("budgets", "seed"), math.inf),
+    ("record_every_infinite", ("decay", "record_every"), math.inf),
+    ("rho_inf_infinite", ("mixture", "species", 0, "rho_inf"), math.inf),
+    ("kernel_C2_nan", ("kernels", "C2"), math.nan),
+    ("kernel_beta_infinite", ("kernels", "beta"), math.inf),
+    ("phi_C_infinite", ("kernels", "phi", 0, 0),
+     {"type": "power", "C": math.inf, "gamma": 1.0}),
 ]
 
 

@@ -154,6 +154,18 @@ class TestNorms:
         g = ev.hypo_functional(st, 1.0, 1.0, 1.0, 0.0, ops_small.grads)
         assert g == pytest.approx(ev.h1_norm(st, ops_small.grads), rel=1e-12)
 
+    def test_pair_equals_separate_calls(self, ops_small, rng):
+        # the decay command's one-pass pair must reproduce both functions
+        # bit for bit, so its trajectory.csv does not move
+        st = ev.random_physical_state(rng, ops_small.total_size, m_max=2)
+        c = (1.0, 2.0, 0.5, 0.6)
+        assert ev.h1_norm_and_functional(st, c, ops_small.grads) == (
+            ev.h1_norm(st, ops_small.grads),
+            ev.hypo_functional(st, *c, ops_small.grads))
+        with pytest.raises(ValueError, match="mixed coefficient"):
+            ev.h1_norm_and_functional(st, (1.0, 1.0, 1.0, 2.0),
+                                      ops_small.grads)
+
     def test_matches_per_axis_loop(self, ops_small, rng):
         # reference: G and ||.||_H1 written out per mode and per axis
         st = ev.random_physical_state(rng, ops_small.total_size, m_max=2)

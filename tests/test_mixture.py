@@ -170,3 +170,17 @@ class TestExtractCoefficients:
                 np.stack([c.alpha, c.u[:, 0], c.u[:, 1], c.u[:, 2], c.e],
                          axis=1).ravel()])
             assert np.max(np.abs(got - sol)) <= 1e-8
+
+    def test_columns_match_single_vectors(self, rng):
+        mx = Mixture((1.0, 2.0, 0.7))
+        basis = HermiteBasis(3, 3)
+        F = rng.standard_normal((basis.total_size, 7))
+        c = extract_coefficients(mx, basis, F)
+        assert c.alpha.shape == (3, 7) and c.u.shape == (3, 3, 7) \
+            and c.e.shape == (3, 7)
+        for k in range(F.shape[1]):
+            ck = extract_coefficients(mx, basis, F[:, k])
+            assert ck.alpha.shape == (3,) and ck.u.shape == (3, 3)
+            for got, want in ((c.alpha[..., k], ck.alpha),
+                              (c.u[..., k], ck.u), (c.e[..., k], ck.e)):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from kinetic_gap.galerkin import build_operator_set
 from kinetic_gap.kernels import hard_sphere_family, maxwell_family
 from kinetic_gap.mixture import Mixture, project_onto
 
-from oracles import closed_form_Db, sturm_eigvalsh
+from oracles import (closed_form_Db, h12_loop, step_lemma_ledger_loop,
+                     sturm_eigvalsh)
 
 
 class TestSymmetricEigen:
@@ -250,6 +252,44 @@ class TestStepLemmas:
             ft = f - project_onto(ops.ker_L, f)
             lhs = -(f @ (ops.L.matrix @ f))
             assert lhs >= lam * (ft @ (H @ ft)) - 1e-8 * max(1.0, lhs)
+
+
+class TestBatchedChecks:
+    """The batched sampled checks against a loop over the same samples."""
+
+    # C^m, D^b x 12 leaves some samples of one check violated and some not
+    @pytest.mark.parametrize("inflate", [1.0, 12.0])
+    def test_ledger_matches_loop(self, chain, inflate):
+        ops, C_m, D_b, C_k = chain
+        C_m, D_b = inflate * C_m, inflate * D_b
+        ledger = sp.verify_step_lemmas(ops, C_m, D_b, C_k, n_samples=300,
+                                       seed=4, tol=1e-8)
+        ref = step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples=300,
+                                     seed=4, tol=1e-8)
+        assert [c.name for c in ledger] == [
+            "ortho", "bi_species", "differences", "jensen_u", "jensen_e",
+            "full_chain", "gap_lower_bound"]
+        assert set(ref) == {c.name for c in ledger}
+        for check in ledger:
+            violations, worst, witness = ref[check.name]
+            assert check.n_samples == 300
+            assert check.violations == violations, check.name
+            assert check.witness == {"sample": witness}, check.name
+            assert abs(check.worst_margin - worst) <= 1e-12, check.name
+        if inflate > 1.0:
+            assert any(0 < c.violations < 300 for c in ledger)
+
+    @pytest.mark.parametrize("inflate", [1.0, 12.0])
+    def test_h12_matches_loop(self, ops_small, inflate):
+        # an inflated H-Gram raises the right side ||grad f||_H^2 / 2 of
+        # (H1.2) past its left side, so violations occur
+        ops = dataclasses.replace(ops_small, hgram=dataclasses.replace(
+            ops_small.hgram, matrix=inflate * ops_small.hgram.matrix))
+        rep = sp.verify_H1_H3(ops, 1.0, n_samples=300, seed=6)
+        violations, worst = h12_loop(ops, n_samples=300, seed=6)
+        assert rep.h12_violations == violations
+        assert abs(rep.h12_worst_margin - worst) <= 1e-12
+        assert (0 < violations < 300) == (inflate > 1.0)
 
 
 class TestHypotheses:
