@@ -53,13 +53,18 @@ def _block(cfg: dict, key: str) -> dict:
 
 def _number(kind, value, what: str):
     """``kind(value)`` for kind int or float, as a ConfigError unless it is a
-    finite number (JSON as read by Python admits NaN and Infinity)."""
+    finite number (JSON as read by Python admits NaN and Infinity) and not a
+    boolean; an int must also be integral (4.0 reads as 4, 4.7 fails)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(out):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return out
 
 
@@ -167,6 +172,14 @@ def parse_decay(cfg: dict) -> dict:
     _require(out["dt"] > 0 and out["t_end"] > out["dt"],
              "decay.dt/t_end invalid")
     _require(out["record_every"] >= 1, "decay.record_every must be >= 1")
+    times = [k * out["dt"] for k in ev.recorded_steps(
+        out["dt"], out["t_end"], out["record_every"])]
+    kept = sum(t >= ev.FIT_TRANSIENT_FRAC * times[-1] for t in times)
+    _require(kept >= ev.FIT_MIN_POINTS,
+             f"the decay schedule records {kept} times at or after "
+             f"{ev.FIT_TRANSIENT_FRAC:g} t_end; the decay fit needs >= "
+             f"{ev.FIT_MIN_POINTS} (lower decay.record_every or raise "
+             "decay.t_end)")
     _require(out["scheme"] in ("expm", "midpoint"),
              "decay.scheme must be expm|midpoint")
     _require(out["initial"] in ("random", "equilibrium"),

@@ -30,9 +30,10 @@ from .mixture import project_onto
 from .spectra import complement_basis, generalized_eigs
 
 __all__ = [
-    "expm", "mode_generator", "TorusState", "Trajectory", "evolve",
-    "h1_norm", "hypo_functional", "h1_norm_and_functional", "fit_decay",
-    "DecayReport", "search_coefficients", "SearchResult", "equilibrium_state",
+    "expm", "mode_generator", "TorusState", "Trajectory", "recorded_steps",
+    "evolve", "h1_norm", "hypo_functional", "h1_norm_and_functional",
+    "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS", "fit_decay", "DecayReport",
+    "search_coefficients", "SearchResult", "equilibrium_state",
     "modes_up_to", "random_physical_state",
 ]
 
@@ -109,10 +110,19 @@ class Trajectory:
         return len(self.states)
 
 
+def recorded_steps(dt: float, t_end: float, record_every: int) -> list:
+    """Steps k, at time k dt after the start, at which :func:`evolve`
+    records the state: step 0, every ``record_every``-th of its
+    round(t_end / dt) steps, and the last one."""
+    n_steps = int(round(t_end / dt))
+    return [*range(0, n_steps, record_every), n_steps]
+
+
 def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
            t_end: float, scheme: str = "expm", record_every: int = 1,
            allow_unstable: bool = False) -> Trajectory:
-    """Advance every mode independently and record the trajectory.
+    """Advance every mode independently and record the trajectory at the
+    :func:`recorded_steps` of the schedule.
 
     ``expm`` builds one propagator e^{dt A_m} per mode with
     ``scipy.linalg.expm`` (semigroup-exact to rounding); ``midpoint`` is the
@@ -122,7 +132,6 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
         raise ValueError("dt and t_end must be positive")
     if scheme not in ("expm", "midpoint"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    n_steps = int(round(t_end / dt))
     props = {}
     for m in state.modes:
         A = mode_generator(L, transports, m)
@@ -140,13 +149,14 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
     times = [state.time]
     states = [state.copy()]
     current = state.copy()
-    for k in range(1, n_steps + 1):
-        for m in current.modes:
-            current.modes[m] = props[m] @ current.modes[m]
+    steps = recorded_steps(dt, t_end, record_every)
+    for done, k in zip(steps, steps[1:]):
+        for _ in range(k - done):
+            for m in current.modes:
+                current.modes[m] = props[m] @ current.modes[m]
         current.time = state.time + k * dt
-        if k % record_every == 0 or k == n_steps:
-            times.append(current.time)
-            states.append(current.copy())
+        times.append(current.time)
+        states.append(current.copy())
     return Trajectory(np.array(times), states)
 
 
@@ -281,8 +291,14 @@ class DecayReport:
                 "tau_reference": self.tau_reference}
 
 
-def fit_decay(times, values, transient_frac: float = 0.2,
-              floor: float = 1e-13, min_points: int = 20,
+# fit_decay discards the first FIT_TRANSIENT_FRAC of the horizon and needs
+# FIT_MIN_POINTS samples after it
+FIT_TRANSIENT_FRAC = 0.2
+FIT_MIN_POINTS = 20
+
+
+def fit_decay(times, values, transient_frac: float = FIT_TRANSIENT_FRAC,
+              floor: float = 1e-13, min_points: int = FIT_MIN_POINTS,
               tau_reference: float | None = None) -> DecayReport:
     """Exponential envelope C e^{-tau t} of a decaying observable.
 

@@ -34,11 +34,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import hyp1f1
 
 from .hermite import HermiteBasis
 from .kernels import KernelFamily, compute_ell_b
 from .mixture import Mixture, ker_L_basis, ker_Lm_basis
-from .quadrature import gauss_legendre, half_sphere_rule, hermite_rule_3d
+from .quadrature import half_sphere_rule, hermite_rule_3d
 
 __all__ = [
     "DiscreteOperator", "FrequencyField", "AssemblyBudgetError",
@@ -93,116 +94,55 @@ def nu0_lower_bound(mixture: Mixture, family: KernelFamily,
             * math.gamma((g + 3.0) / 2.0) / math.sqrt(math.pi))
 
 
-_RADIAL_WIDTH = 9.5     # e^{-W^2/2} is below double-precision resolution
-
-
-def _radial_rule(s: np.ndarray, n_nodes: int):
-    """Gauss-Legendre nodes rho and weights, one row per s, on the bump
-    support [max(s - _RADIAL_WIDTH, 0), s + _RADIAL_WIDTH]."""
-    gl = gauss_legendre(n_nodes)
-    x01 = 0.5 * (gl.nodes + 1.0)
-    w01 = 0.5 * gl.weights
-    lo = np.maximum(s - _RADIAL_WIDTH, 0.0)
-    hi = s + _RADIAL_WIDTH
-    return (lo[:, None] + (hi - lo)[:, None] * x01[None, :],
-            (hi - lo)[:, None] * w01[None, :])
-
-
-def _gauss_kernel_integral(phi, s: np.ndarray, n_nodes: int):
-    """G(s) = int Phi(|v - v*|) e^{-|v*|^2/2} dv* for s = |v|.
-
-    Reduces to 1-D via spherical coordinates around v:
-
-        G(s) = (2 pi / s) int_0^inf rho Phi(rho)
-               [e^{-(rho-s)^2/2} - e^{-(rho+s)^2/2}] drho        (s > 0),
-        G(0) = 4 pi int_0^inf rho^2 Phi(rho) e^{-rho^2/2} drho.
-
-    The difference form is overflow-free; a Gauss-Legendre rule on the
-    +/- _RADIAL_WIDTH support around each Gaussian bump resolves the smooth
-    integrand to near machine precision.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 1e-12
-
-    sp = s[pos]
-    rho, wts = _radial_rule(sp, n_nodes)
-    vals = rho * phi(rho) * (np.exp(-0.5 * (rho - sp[:, None]) ** 2)
-                             - np.exp(-0.5 * (rho + sp[:, None]) ** 2))
-    out[pos] = (2.0 * np.pi / sp) * np.sum(wts * vals, axis=1)
-
-    if np.any(~pos):
-        rho0, w0 = _radial_rule(np.zeros(1), n_nodes)      # on [0, W]
-        g0 = 4.0 * np.pi * np.sum(w0 * rho0 ** 2 * phi(rho0)
-                                  * np.exp(-0.5 * rho0 ** 2))
-        out[~pos] = g0
-    return out
-
-
-def _gauss_kernel_integral_ds(phi, s: np.ndarray, n_nodes: int):
-    """d/ds of :func:`_gauss_kernel_integral`; zero at s = 0 by symmetry."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 1e-12
-    sp = s[pos]
-    rho, wts = _radial_rule(sp, n_nodes)
-    em = np.exp(-0.5 * (rho - sp[:, None]) ** 2)
-    ep = np.exp(-0.5 * (rho + sp[:, None]) ** 2)
-    base = rho * phi(rho)
-    g = np.sum(wts * base * (em - ep), axis=1)
-    dg = np.sum(wts * base * ((rho - sp[:, None]) * em
-                              + (rho + sp[:, None]) * ep), axis=1)
-    out[pos] = (2.0 * np.pi / sp) * (dg - g / sp)
-    return out
-
-
 @dataclass
 class FrequencyField:
     """Evaluator of the collision frequencies nu_i and their gradients.
 
     nu_i(v) = (2 pi)^{-3/2} sum_j c_ij rho_j int Phi_ij(|v-v*|) e^{-|v*|^2/2} dv*
-    with c_ij = 2 pi int_0^pi b_ij sin theta dtheta.  The dv* integral is
-    evaluated through its exact radial reduction (nu_i is radial), which
-    reaches ~1e-12 relative accuracy; a 3-D tensor Hermite rule stalls near
-    1e-3 on the |v - v*| kink and cannot meet the 1e-6 contract.
+    with c_ij = 2 pi int_0^pi b_ij sin theta dtheta.  For Phi = C r^gamma the
+    dv* integral is (2 pi)^{3/2} C kappa(gamma) 1F1(-gamma/2; 3/2; -|v|^2/2),
+    kappa(gamma) = 2^{gamma/2} Gamma((3+gamma)/2) / Gamma(3/2) (the gamma-th
+    moment of a noncentral chi with three degrees of freedom), so
+
+        nu_i(v)      = sum_j w_ij 1F1(-gamma_ij/2; 3/2; -|v|^2/2),
+        grad nu_i(v) = v sum_j w_ij (gamma_ij/3)
+                           1F1(1 - gamma_ij/2; 5/2; -|v|^2/2),
+
+    w_ij = c_ij rho_j C_ij kappa(gamma_ij), both by ``scipy.special.hyp1f1``.
     """
     mixture: Mixture
     family: KernelFamily
-    q: int
     c: np.ndarray
     nu0: float
 
-    @property
-    def _n_radial(self) -> int:
-        return max(96, 4 * self.q)
+    def _prefactor(self, i: int, j: int) -> float:
+        """w_ij = c_ij rho_j C_ij kappa(gamma_ij)."""
+        phi = self.family.phi[i][j]
+        kappa = (2.0 ** (0.5 * phi.gamma) * math.gamma(1.5 + 0.5 * phi.gamma)
+                 / math.gamma(1.5))
+        return self.c[i, j] * self.mixture.rho_inf[j] * phi.C * kappa
 
     def nu(self, i: int, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s = np.linalg.norm(points, axis=1)
+        x = -0.5 * np.einsum("pk,pk->p", points, points)
         out = np.zeros(points.shape[0])
         for j in range(self.mixture.n):
-            G = _gauss_kernel_integral(self.family.phi[i][j], s, self._n_radial)
-            out += self.c[i, j] * self.mixture.rho_inf[j] * G
-        return (2.0 * np.pi) ** -1.5 * out
+            g = self.family.phi[i][j].gamma
+            out += self._prefactor(i, j) * hyp1f1(-0.5 * g, 1.5, x)
+        return out
 
     def grad_nu(self, i: int, points) -> np.ndarray:
-        """Gradient of the radial nu_i: dnu/ds * v/|v| (zero at the origin)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s = np.linalg.norm(points, axis=1)
-        dnu = np.zeros(points.shape[0])
+        x = -0.5 * np.einsum("pk,pk->p", points, points)
+        radial = np.zeros(points.shape[0])
         for j in range(self.mixture.n):
-            dG = _gauss_kernel_integral_ds(self.family.phi[i][j], s,
-                                           self._n_radial)
-            dnu += self.c[i, j] * self.mixture.rho_inf[j] * dG
-        dnu *= (2.0 * np.pi) ** -1.5
-        vhat = np.where(s[:, None] > 1e-12, points / np.maximum(s, 1e-300)[:, None], 0.0)
-        return dnu[:, None] * vhat
-
-    def nu_all(self, points) -> np.ndarray:
-        return np.stack([self.nu(i, points) for i in range(self.mixture.n)])
+            g = self.family.phi[i][j].gamma
+            radial += (self._prefactor(i, j) * g / 3.0
+                       * hyp1f1(1.0 - 0.5 * g, 2.5, x))
+        return radial[:, None] * points
 
 
-def frequency_field(mixture: Mixture, family: KernelFamily, q: int = 16) -> FrequencyField:
+def frequency_field(mixture: Mixture, family: KernelFamily) -> FrequencyField:
     n = family.n
     if mixture.n != n:
         raise ValueError("mixture and kernel family disagree on species count")
@@ -211,14 +151,13 @@ def frequency_field(mixture: Mixture, family: KernelFamily, q: int = 16) -> Freq
         for j in range(n):
             c[i, j] = 2.0 * math.pi * family.b[i][j].sin_integral()
     ell_b = compute_ell_b(family)
-    return FrequencyField(mixture, family, q, c,
+    return FrequencyField(mixture, family, c,
                           nu0_lower_bound(mixture, family, ell_b))
 
 
-def collision_frequency(mixture: Mixture, family: KernelFamily, i: int, v,
-                        q: int = 16):
+def collision_frequency(mixture: Mixture, family: KernelFamily, i: int, v):
     """nu_i at one velocity or an array of velocities."""
-    fld = frequency_field(mixture, family, q)
+    fld = frequency_field(mixture, family)
     pts = np.asarray(v, dtype=float)
     single = pts.ndim == 1
     vals = fld.nu(i, pts)
@@ -506,7 +445,7 @@ def assemble_nu_gram(mixture: Mixture, family: KernelFamily,
         si = basis.species_slice(i)
         out[si, si] = _sym(H3.T @ (H3 * (rule3.weights * nu)[:, None]))
     return DiscreteOperator("HGram", out,
-                            {"N": basis.N, "hermite_q": q, "freq_q": freq.q,
+                            {"N": basis.N, "hermite_q": q,
                              "nu_node_min": node_min, "nu0": freq.nu0})
 
 
@@ -618,10 +557,10 @@ class OperatorSet:
 
 def build_operator_set(mixture: Mixture, family: KernelFamily, N: int = 4,
                        q: int = 10, sphere_level: str = "medium",
-                       freq_q: int = 16, threads: int = 1,
+                       threads: int = 1,
                        memory_cap: int = DEFAULT_MEMORY_CAP) -> OperatorSet:
     basis = HermiteBasis(N, mixture.n)
-    freq = frequency_field(mixture, family, freq_q)
+    freq = frequency_field(mixture, family)
     L, Lm, Lb = assemble_collision(mixture, family, basis, q, sphere_level,
                                    threads, memory_cap)
     lam, K = assemble_lambda_k(mixture, family, basis, L, q, freq)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .quadrature import _product_sphere
 
@@ -39,11 +38,6 @@ class PowerLaw:
         # np.power(0., 0.) == 1, which is the Phi(0) = C convention for
         # Maxwellian molecules; for gamma > 0 the limit r^gamma -> 0 applies.
         return self.C * np.power(r, self.gamma)
-
-    def derivative(self, r):
-        if self.gamma == 0.0:
-            return np.zeros_like(np.asarray(r, dtype=float))
-        return self.C * self.gamma * np.power(r, self.gamma - 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,10 +67,11 @@ class AngularPolynomial:
         return all(abs(c) < 1e-300 for c in self.coeffs[1::2])
 
     def sin_integral(self) -> float:
-        """integral_0^pi b(cos theta) sin theta dtheta by adaptive quadrature."""
-        val, _err = _quad(lambda th: float(self(math.cos(th))) * math.sin(th),
-                          0.0, math.pi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
+        """integral_0^pi b(cos theta) sin theta dtheta, which is
+        integral_{-1}^1 b(t) dt, from the exact antiderivative."""
+        anti = np.polynomial.polynomial.polyint(np.array(self.coeffs))
+        ends = np.polynomial.polynomial.polyval(np.array([-1.0, 1.0]), anti)
+        return float(ends[1] - ends[0])
 
 
 def constant_angular(c: float) -> AngularPolynomial:

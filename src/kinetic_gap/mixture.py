@@ -120,7 +120,7 @@ def orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
             for j in range(k):
                 col -= (V[:, j] @ col) * V[:, j]
         nrm = np.linalg.norm(col)
-        if nrm <= tol * max(base, 1.0):
+        if nrm <= tol * base:
             raise ValueError(f"column {k} is linearly dependent on its "
                              "predecessors; cannot orthonormalize")
         V[:, k] = col / nrm

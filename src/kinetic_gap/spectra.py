@@ -43,7 +43,9 @@ class GapError(RuntimeError):
 
 
 class InconclusivePositivityError(RuntimeError):
-    """Monte-Carlo estimate not positive at the requested confidence."""
+    """A constant of the explicit chain (C^m, D^b, C_k) is not shown
+    positive: the Monte-Carlo D^b at the requested confidence, or a computed
+    value <= 0."""
 
 
 def generalized_eigs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -329,12 +331,18 @@ def constants_report(ops: OperatorSet, seed: int = 0,
     C_m = compute_Cm(ops)
     db = compute_Db(ops.mixture, ops.family, seed, mc_samples)
     C_k, _ = compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
+    for name, value in (("C^m", C_m), ("D^b", db.value), ("C_k", C_k)):
+        if value <= 0.0:
+            raise InconclusivePositivityError(
+                f"{name} = {value:.6e} is not positive, so the explicit "
+                "rate lambda is undefined")
     eta, lam = explicit_lambda(C_m, db.value, C_k)
     lam_num = generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
     prov = {
         "nu0": {"method": "analytic", "formula":
                 "2^(3g/2) C1 ell_b rho_total Gamma((g+3)/2)/sqrt(pi)"},
-        "ell_b": {"method": "quadrature", "detail": "adaptive 1-D"},
+        "ell_b": {"method": "analytic",
+                  "detail": "antiderivative of the polynomial b"},
         "C_b": {"method": "quadrature",
                 "detail": "32x32 direction grid x 110-node sphere rule; "
                           "non-rigorous lower-confidence estimate"},

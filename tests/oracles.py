@@ -2,10 +2,11 @@
 
 Nothing here calls the code paths under test: eigenvalues come from
 Householder + Sturm bisection, Gaussian moments from double factorials,
-the bi-species coercivity integral from its separable closed form, and
+the bi-species coercivity integral from its separable closed form,
 collision quadratic forms from the analytic relations of the collision
-geometry, and the sampled certificate checks from a plain loop that
-evaluates one sample at a time.
+geometry, collision frequencies from their 1-D radial reduction, and the
+sampled certificate checks from a plain loop that evaluates one sample at
+a time.
 """
 from __future__ import annotations
 
@@ -123,6 +124,59 @@ def closed_form_Db(rho_i: float, rho_j: float, C: float, gamma: float,
         angular += ck * (int_tk - int_tk1)
     angular *= 0.5
     return rho_i * rho_j * 4.0 * math.pi * radial * angular * min_sq_gaussian()
+
+
+# ---------------------------------------------------------------------------
+# collision frequency by radial quadrature
+# ---------------------------------------------------------------------------
+
+_RADIAL_WIDTH = 9.5     # e^{-W^2/2} is below double-precision resolution
+
+
+def _radial_rule(s: np.ndarray, n_nodes: int):
+    """Gauss-Legendre nodes rho and weights, one row per s, on the bump
+    support [max(s - _RADIAL_WIDTH, 0), s + _RADIAL_WIDTH]."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x01, w01 = 0.5 * (x + 1.0), 0.5 * w
+    lo = np.maximum(s - _RADIAL_WIDTH, 0.0)
+    hi = s + _RADIAL_WIDTH
+    return (lo[:, None] + (hi - lo)[:, None] * x01[None, :],
+            (hi - lo)[:, None] * w01[None, :])
+
+
+def radial_frequency(mixture, family, i: int, points, n_nodes: int = 400):
+    """(nu_i, grad nu_i) at ``points`` from the 1-D radial reduction
+
+        G(s) = int Phi(|v - v*|) e^{-|v*|^2/2} dv*
+             = (2 pi / s) int_0^inf rho Phi(rho)
+               [e^{-(rho-s)^2/2} - e^{-(rho+s)^2/2}] drho,   s = |v| > 0,
+
+    nu_i = (2 pi)^{-3/2} sum_j c_ij rho_j G_ij(|v|) with
+    c_ij = 2 pi int_{-1}^{1} b_ij(t) dt, and grad nu_i = nu_i'(s) v / s
+    from the s-derivative of the same integral.  The angular integral sums
+    2 c_k / (k + 1) over the even powers k.  The gradient divides a
+    cancelling difference by s^2, so it loses accuracy as s -> 0.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s = np.linalg.norm(points, axis=1)
+    rho, wts = _radial_rule(s, n_nodes)
+    em = np.exp(-0.5 * (rho - s[:, None]) ** 2)
+    ep = np.exp(-0.5 * (rho + s[:, None]) ** 2)
+    nu = np.zeros(s.shape[0])
+    dnu = np.zeros(s.shape[0])
+    for j in range(mixture.n):
+        b = family.b[i][j].coeffs
+        c_ij = 2.0 * math.pi * sum(2.0 * ck / (k + 1)
+                                   for k, ck in enumerate(b) if k % 2 == 0)
+        base = rho * family.phi[i][j](rho)
+        g = np.sum(wts * base * (em - ep), axis=1)
+        dg = np.sum(wts * base * ((rho - s[:, None]) * em
+                                  + (rho + s[:, None]) * ep), axis=1)
+        scale = c_ij * mixture.rho_inf[j] * 2.0 * math.pi / s
+        nu += scale * g
+        dnu += scale * (dg - g / s)
+    norm = (2.0 * math.pi) ** -1.5
+    return norm * nu, (norm * dnu / s)[:, None] * points
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,15 @@ MALFORMED = [
     ("kernel_beta_infinite", ("kernels", "beta"), math.inf),
     ("phi_C_infinite", ("kernels", "phi", 0, 0),
      {"type": "power", "C": math.inf, "gamma": 1.0}),
+    # integer fields must be integral, and booleans are not numbers
+    ("N_fractional", ("discretization", "N"), 4.7),
+    ("seed_fractional", ("budgets", "seed"), 1.5),
+    ("record_every_fractional", ("decay", "record_every"), 2.5),
+    ("rho_inf_bool", ("mixture", "species", 0, "rho_inf"), True),
+    ("seed_bool", ("budgets", "seed"), True),
+    # fewer than 20 recorded times at or after 0.2 t_end (17 and 7 here)
+    ("decay_schedule_too_short", ("decay", "t_end"), 2.0),
+    ("decay_schedule_too_sparse", ("decay", "record_every"), 10),
 ]
 
 
@@ -124,6 +136,12 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = hard_sphere_config()
+        cfg["discretization"]["N"] = 3.0
+        assert cli.parse_discretization(cfg)["N"] == 3
+        assert cli.parse_budgets({"budgets": {"seed": 7.0}})["seed"] == 7
 
     def test_threads_validated(self, tmp_path):
         cfg = hard_sphere_config()
@@ -211,6 +229,13 @@ class TestSpectrum:
         assert outputs["AB", "A"] == outputs["BA", "A"]
         assert outputs["AB", "B"] == outputs["BA", "B"]
 
+    def test_tiny_density_is_certified(self, tmp_path):
+        cfg = hard_sphere_config()
+        cfg["mixture"]["species"][0]["rho_inf"] = 1e-30
+        code = run_cli(["spectrum", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+
     def test_single_species_dimension(self, tmp_path):
         cfg = hard_sphere_config(n=1)
         out = tmp_path / "out"
@@ -238,6 +263,38 @@ class TestConstants:
             assert entry["violations"] == 0
         assert payload["hypotheses"]["nu_bar_3"] == 0.5
         assert payload["kernel_dim"] == payload["expected_kernel_dim"] == 6
+
+    def test_tiny_density_ends_in_a_documented_exit(self, tmp_path, capsys):
+        # at rho_inf = 1e-30 C^m is roundoff-sized (-1.9e-16 with reference
+        # OpenBLAS), so its sign decides between certificate and gate failure
+        cfg = hard_sphere_config()
+        cfg["mixture"]["species"][0]["rho_inf"] = 1e-30
+        code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_GATE)
+        if code == cli.EXIT_GATE:
+            assert err.startswith("gate failure: ")
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("constant", ["C_m", "D_b", "C_k"])
+    def test_nonpositive_constant_is_one_line_gate_failure(
+            self, tmp_path, capsys, monkeypatch, constant):
+        if constant == "C_m":
+            monkeypatch.setattr(cli.sp, "compute_Cm", lambda ops: -2.7e-16)
+        elif constant == "D_b":
+            monkeypatch.setattr(cli.sp, "compute_Db", lambda *a, **k:
+                                cli.sp.DbEstimate(0.0, 0.0, (0, 0), {}, 1))
+        else:
+            monkeypatch.setattr(cli.sp, "compute_Ck",
+                                lambda *a: (0.0, None))
+        code = run_cli(["constants", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_GATE
+        assert err.startswith("gate failure: ")
+        assert len(err.splitlines()) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = hard_sphere_config(seed=77)
@@ -356,3 +413,17 @@ class TestDecay:
         run_cli(["decay", "--config", path, "--out", str(out)])
         after = set(tmp_path.iterdir()) - {out}
         assert before == after
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # a fresh interpreter: the test session itself may have loaded it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    probe = ("import sys, kinetic_gap.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.integrate')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

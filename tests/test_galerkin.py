@@ -3,6 +3,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -22,7 +23,7 @@ from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
                                  ker_L_basis, project_onto)
 from kinetic_gap.quadrature import hermite_rule_3d, post_collision, sphere_rule
 
-from oracles import collision_form_moment_state
+from oracles import collision_form_moment_state, radial_frequency
 
 
 class TestCollisionFrequency:
@@ -67,6 +68,96 @@ class TestCollisionFrequency:
             dp[a] = eps
             fd = (fld.nu(0, p + dp)[0] - fld.nu(0, p - dp)[0]) / (2 * eps)
             assert abs(grad[a] - fd) <= 1e-7 * max(1.0, abs(fd))
+
+
+def _mixed_poly_family() -> KernelFamily:
+    """n = 2 with three exponents and a polynomial angular part."""
+    b = AngularPolynomial((0.5, 0.0, 0.7))
+    one = AngularPolynomial((1.0,))
+    hs, cross = PowerLaw(1.3, 1.0), PowerLaw(0.7, 0.3)
+    soft = PowerLaw(0.9, 0.5)
+    return KernelFamily(n=2, phi=((hs, cross), (cross, soft)),
+                        b=((b, one), (one, b)), gamma=0.3, C1=0.7, C2=1.3,
+                        delta=0.5, C3=1.2, C4=1.4, beta=2.0)
+
+
+_FREQUENCY_FAMILIES = {
+    "gamma0": lambda: power_family(2, 0.0),
+    "gamma0.3": lambda: power_family(2, 0.3),
+    "gamma0.5": lambda: power_family(2, 0.5),
+    "gamma1": lambda: hard_sphere_family(2),
+    "mixed_poly": _mixed_poly_family,
+}
+
+
+class TestFrequencyClosedForm:
+    @pytest.mark.parametrize("name", sorted(_FREQUENCY_FAMILIES))
+    @pytest.mark.parametrize("q", [6, 8, 10, 16])
+    def test_matches_radial_quadrature_on_hermite_nodes(self, name, q):
+        mx = Mixture((1.0, 1.5))
+        fam = _FREQUENCY_FAMILIES[name]()
+        fld = frequency_field(mx, fam)
+        nodes = hermite_rule_3d(q).nodes
+        for i in range(2):
+            nu_ref, grad_ref = radial_frequency(mx, fam, i, nodes)
+            nu, grad = fld.nu(i, nodes), fld.grad_nu(i, nodes)
+            assert np.max(np.abs(nu - nu_ref) / nu_ref) <= 1e-10
+            scale = np.maximum(np.linalg.norm(grad_ref, axis=1), 1e-300)
+            if name == "gamma0":
+                assert not grad.any()
+            else:
+                assert np.max(np.linalg.norm(grad - grad_ref, axis=1)
+                              / scale) <= 1e-10
+
+    def test_hard_sphere_erf_form(self):
+        # nu = 4 pi E|x + Z| for Z ~ N(0, I), s = |x|
+        mx = Mixture((1.0,))
+        fld = frequency_field(mx, hard_sphere_family(1))
+        s = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 3.7, 6.0, 12.0])
+        pts = s[:, None] * np.array([[0.6, -0.0, 0.8]])
+        expect = [4.0 * math.pi
+                  * (math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x)
+                     + (x + 1.0 / x) * math.erf(x / math.sqrt(2.0)))
+                  for x in s]
+        assert np.max(np.abs(fld.nu(0, pts) - expect) / expect) <= 1e-14
+
+    def test_gamma_zero_is_constant_with_zero_gradient(self):
+        mx = Mixture((1.0, 1.5))
+        fld = frequency_field(mx, maxwell_family(2))
+        pts = np.vstack([np.zeros(3), hermite_rule_3d(8).nodes,
+                         [[1e-8, 0.0, 0.0], [12.0, -3.0, 0.5]]])
+        for i in range(2):
+            nu = fld.nu(i, pts)
+            assert np.all(nu == nu[0])
+            assert not fld.grad_nu(i, pts).any()
+
+    @pytest.mark.parametrize("name", ["gamma0.3", "gamma1", "mixed_poly"])
+    def test_gradient_near_origin(self, name):
+        mx = Mixture((1.0, 1.5))
+        fam = _FREQUENCY_FAMILIES[name]()
+        fld = frequency_field(mx, fam)
+        direction = np.array([0.48, -0.6, 0.64])
+        for s in (1e-8, 1e-6, 1e-4):
+            v = s * direction
+            for i in range(2):
+                with mpmath.workdps(30):
+                    radial = mpmath.mpf(0)
+                    for j in range(2):
+                        phi, b = fam.phi[i][j], fam.b[i][j].coeffs
+                        g = mpmath.mpf(phi.gamma)
+                        ang = sum(2 * mpmath.mpf(ck) / (k + 1)
+                                  for k, ck in enumerate(b) if k % 2 == 0)
+                        kappa = 2 ** (g / 2) * mpmath.gamma((3 + g) / 2) \
+                            / mpmath.gamma(mpmath.mpf(3) / 2)
+                        radial += (2 * mpmath.pi * ang * mx.rho_inf[j]
+                                   * phi.C * kappa * g / 3
+                                   * mpmath.hyp1f1(1 - g / 2,
+                                                   mpmath.mpf(5) / 2,
+                                                   -mpmath.mpf(s) ** 2 / 2))
+                    expect = float(radial) * v
+                got = fld.grad_nu(i, v)[0]
+                assert np.linalg.norm(got - expect) \
+                    <= 1e-12 * np.linalg.norm(expect)
 
 
 class TestCollisionAssembly:

@@ -150,6 +150,21 @@ class TestEllB:
         assert compute_ell_b(fam) == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
+class TestSinIntegral:
+    # int_{-1}^{1} (0.5 + 0.7 t^2) dt = 1 + 1.4/3 = 22/15; int t^10 = 2/11
+    @pytest.mark.parametrize("coeffs,exact", [
+        ((0.5, 0.0, 0.7), 22.0 / 15.0),
+        ((0.0,) * 10 + (1.0,), 2.0 / 11.0)])
+    def test_polynomial_is_exact(self, coeffs, exact):
+        assert AngularPolynomial(coeffs).sin_integral() \
+            == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_odd_coefficients_contribute_nothing(self):
+        even = AngularPolynomial((0.5, 0.0, 0.7))
+        odd = AngularPolynomial((0.5, 0.3, 0.7, -1.9, 0.0, 2.5))
+        assert odd.sin_integral() == even.sin_integral()
+
+
 class TestValidation:
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):

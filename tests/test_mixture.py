@@ -79,6 +79,15 @@ class TestKernelBases:
         with pytest.raises(ValueError, match="dependent"):
             orthonormalize(v)
 
+    def test_orthonormalize_rank_test_is_scale_free(self):
+        # the residual is compared with the column's own norm, so tiny
+        # columns are independent and tiny dependent ones still fail
+        v = 1e-30 * np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        q = orthonormalize(v)
+        assert np.allclose(q.T @ q, np.eye(2), atol=1e-15)
+        with pytest.raises(ValueError, match="dependent"):
+            orthonormalize(1e-30 * np.ones((4, 2)))
+
 
 class TestProjections:
     def test_idempotence(self, rng):
