@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evolution as ev
 from . import spectra as sp
-from .galerkin import build_operator_set
+from .galerkin import DEFAULT_MEMORY_CAP, build_operator_set
 from .kernels import (AngularPolynomial, KernelFamily, PowerLaw,
                       audit_assumptions)
 from .mixture import Mixture, project_onto
@@ -180,6 +180,14 @@ def parse_decay(cfg: dict) -> dict:
              f"{ev.FIT_TRANSIENT_FRAC:g} t_end; the decay fit needs >= "
              f"{ev.FIT_MIN_POINTS} (lower decay.record_every or raise "
              "decay.t_end)")
+    # evolve holds a complex T x T propagator and every recorded state for
+    # each of the (2 M_max + 1)^3 modes
+    disc = parse_discretization(cfg)
+    T = parse_mixture(cfg).n * math.comb(disc["N"] + 3, 3)
+    need = 16 * (2 * disc["m_max"] + 1) ** 3 * T * (T + len(times))
+    _require(need <= DEFAULT_MEMORY_CAP,
+             f"decay at discretization.M_max = {disc['m_max']} needs about "
+             f"{need / 2**30:.3g} GiB (cap {DEFAULT_MEMORY_CAP / 2**30:g} GiB)")
     _require(out["scheme"] in ("expm", "midpoint"),
              "decay.scheme must be expm|midpoint")
     _require(out["initial"] in ("random", "equilibrium"),

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import hyp1f1
 
-from .hermite import HermiteBasis
+from .hermite import HermiteBasis, hermite_table_3d
 from .kernels import KernelFamily, compute_ell_b
 from .mixture import Mixture, ker_L_basis, ker_Lm_basis
 from .quadrature import half_sphere_rule, hermite_rule_3d
@@ -177,44 +177,6 @@ def _pairwise_sum(mats: list) -> np.ndarray:
     return mats[0]
 
 
-class _HermiteProductEvaluator:
-    """Tensor Hermite evaluation into preallocated (nb, rows) buffers.
-
-    Transposed layout keeps the 1-D recurrences and the multi-index row
-    gathers contiguous, which dominates assembly throughput.
-    """
-
-    def __init__(self, N: int, max_rows: int):
-        from .hermite import multi_indices
-        self.N = N
-        idx = multi_indices(N)
-        self.idx = (idx[:, 0].copy(), idx[:, 1].copy(), idx[:, 2].copy())
-        self.nb = idx.shape[0]
-        self._tab = np.empty((3, N + 1, max_rows))
-        self._gather = np.empty((self.nb, max_rows))
-
-    def eval_into(self, coords, rows: int, out: np.ndarray) -> None:
-        """out[:, :rows] = H_alpha(points); coords is a (3, rows) buffer."""
-        N = self.N
-        tab = self._tab[:, :, :rows]
-        for ax in range(3):
-            x = coords[ax]
-            t = tab[ax]
-            t[0] = 1.0
-            if N >= 1:
-                t[1] = x
-            for k in range(1, N):
-                np.multiply(x, t[k], out=t[k + 1])
-                t[k + 1] -= math.sqrt(k) * t[k - 1]
-                t[k + 1] /= math.sqrt(k + 1)
-        g = self._gather[:, :rows]
-        np.take(tab[0], self.idx[0], axis=0, out=out[:, :rows])
-        np.take(tab[1], self.idx[1], axis=0, out=g)
-        out[:, :rows] *= g
-        np.take(tab[2], self.idx[2], axis=0, out=g)
-        out[:, :rows] *= g
-
-
 def _slab_shape(Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
     """(cv, cs): v and v* nodes per slab, so every slab has cv * cs * ns
     quadrature rows.  Raises :class:`AssemblyBudgetError` when one
@@ -257,12 +219,11 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
         by_gamma.setdefault(gamma, []).append((m, power))
     powers = sorted({power for _, power in monomials if power})
 
-    H3_T = np.ascontiguousarray(basis.eval_polynomials(nodes3).T)  # (nb, Qn)
+    H3_T = hermite_table_3d(nodes3, basis.N).T    # (nb, Qn), C-contiguous
     sig, wsig = half.nodes, half.weights
 
     def block(bi: int):
         i0, i1 = bi * cv, (bi + 1) * cv
-        ev = _HermiteProductEvaluator(basis.N, rows)
         coords = np.empty((3, rows))
         D = np.empty((2 * nb, rows))
         E = np.empty((2 * nb, rows))
@@ -285,11 +246,11 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
                             out=buf)
                 buf += center[:, :, ax, None]
             Dp, Dps = D[:nb], D[nb:]
-            ev.eval_into(coords, rows, Dp)
+            hermite_table_3d(coords.T, basis.N, out=Dp.T)
             for ax in range(3):
                 buf = coords[ax].reshape(cv, cs, ns)
                 np.subtract(2.0 * center[:, :, ax, None], buf, out=buf)
-            ev.eval_into(coords, rows, Dps)
+            hermite_table_3d(coords.T, basis.N, out=Dps.T)
             # subtract H(v) and H(v*)
             vp_view = Dp.reshape(nb, cv, cs * ns)
             vp_view -= H3_T[:, i0:i1, None]

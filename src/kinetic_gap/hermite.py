@@ -22,21 +22,25 @@ import numpy as np
 __all__ = ["hermite_table_1d", "multi_indices", "hermite_table_3d", "HermiteBasis"]
 
 
-def hermite_table_1d(x, deg: int) -> np.ndarray:
-    """Values h_0(x)..h_deg(x) of the orthonormal probabilists' Hermite family.
-
-    Recurrence: h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), h_0 = 1,
-    h_1 = x.  Returns an array of shape x.shape + (deg+1,).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (deg + 1,))
-    out[..., 0] = 1.0
+def _fill_1d(x: np.ndarray, deg: int, tab: np.ndarray) -> None:
+    """tab[k] = h_k(x) for k = 0..deg, by the recurrence
+    h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), h_0 = 1, h_1 = x."""
+    tab[0] = 1.0
     if deg >= 1:
-        out[..., 1] = x
+        tab[1] = x
     for k in range(1, deg):
-        out[..., k + 1] = (x * out[..., k] - math.sqrt(k) * out[..., k - 1]) \
-            / math.sqrt(k + 1)
-    return out
+        np.multiply(x, tab[k], out=tab[k + 1])
+        tab[k + 1] -= math.sqrt(k) * tab[k - 1]
+        tab[k + 1] /= math.sqrt(k + 1)
+
+
+def hermite_table_1d(x, deg: int) -> np.ndarray:
+    """Values h_0(x)..h_deg(x) of the orthonormal probabilists' Hermite
+    family, shape x.shape + (deg+1,)."""
+    x = np.asarray(x, dtype=float)
+    tab = np.empty((deg + 1,) + x.shape)
+    _fill_1d(x, deg, tab)
+    return np.moveaxis(tab, 0, -1)
 
 
 @lru_cache(maxsize=None)
@@ -52,19 +56,34 @@ def multi_indices(N: int) -> np.ndarray:
     return arr
 
 
-def hermite_table_3d(points: np.ndarray, N: int) -> np.ndarray:
+def hermite_table_3d(points: np.ndarray, N: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Tensor Hermite values H_alpha(points) for all |alpha| <= N.
 
     ``points`` has shape (m, 3); the result has shape (m, nb) with
-    nb = C(N+3, 3), ordered as :func:`multi_indices`.
+    nb = C(N+3, 3), ordered as :func:`multi_indices`, and is written into
+    ``out`` when given.  A fresh result is the transpose of a C-contiguous
+    (nb, m) array, so each H_alpha is one contiguous row; pass such a view
+    as ``out`` to keep that.
+
+    H_alpha = (h_a(x) h_b(y)) h_c(z), row by row: one scratch array holds
+    the three 1-D tables and the (a, b) products, each product shared by
+    every alpha that uses it.
     """
     points = np.asarray(points, dtype=float)
-    idx = multi_indices(N)
-    t0 = hermite_table_1d(points[:, 0], N)
-    t1 = hermite_table_1d(points[:, 1], N)
-    t2 = hermite_table_1d(points[:, 2], N)
-    out = t0[:, idx[:, 0]] * t1[:, idx[:, 1]]
-    out *= t2[:, idx[:, 2]]
+    idx = multi_indices(N).tolist()
+    pairs = list(dict.fromkeys((a, b) for a, b, _ in idx))
+    m = points.shape[0]
+    if out is None:
+        out = np.empty((len(idx), m)).T
+    scratch = np.empty((3 * (N + 1) + len(pairs), m))
+    tab = scratch[:3 * (N + 1)].reshape(N + 1, 3, m)     # tab[k, axis]
+    _fill_1d(points.T, N, tab)
+    prod = dict(zip(pairs, scratch[3 * (N + 1):]))
+    for (a, b), row in prod.items():
+        np.multiply(tab[a, 0], tab[b, 1], out=row)
+    for row, (a, b, c) in zip(out.T, idx):
+        np.multiply(prod[a, b], tab[c, 2], out=row)
     return out
 
 

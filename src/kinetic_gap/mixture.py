@@ -86,14 +86,20 @@ def _default_rule(basis: HermiteBasis):
 
 
 def embed_species_polynomials(mixture: Mixture, basis: HermiteBasis,
-                              polys, rule=None) -> np.ndarray:
+                              polys) -> np.ndarray:
     """Coefficients of f_i = M_i^{1/2} p_i for per-species polynomials p_i.
 
     ``polys`` maps a species index to a callable p_i(points) -> (m,) or None
-    (species absent).  Exact for polynomial degree <= 2*q - 1 - N.
+    (species absent).  Exact for polynomial degree <= N + 3.
     """
-    rule = rule or _default_rule(basis)
-    H = basis.eval_polynomials(rule.nodes)          # (m, nb)
+    rule = _default_rule(basis)
+    return _embed(mixture, basis, polys, rule,
+                  basis.eval_polynomials(rule.nodes))
+
+
+def _embed(mixture, basis, polys, rule, H) -> np.ndarray:
+    """:func:`embed_species_polynomials` with H the Hermite table of the
+    rule's nodes, shape (m, nb)."""
     out = np.zeros(basis.total_size)
     for i in range(mixture.n):
         p = polys(i) if callable(polys) else polys[i]
@@ -146,25 +152,24 @@ def _cached_bases(rho_inf: tuple, N: int):
     mixture = Mixture(rho_inf)
     basis = HermiteBasis(N, len(rho_inf))
     rule = _default_rule(basis)
+    H = basis.eval_polynomials(rule.nodes)
     n = mixture.n
+
+    def embed(polys):
+        return _embed(mixture, basis, polys, rule, H)
 
     def only(i, p):
         return lambda j: (p if j == i else None)
 
-    raw_L = []
-    for i in range(n):
-        raw_L.append(embed_species_polynomials(mixture, basis, only(i, _poly_one), rule))
-    for ax in range(3):
-        raw_L.append(embed_species_polynomials(
-            mixture, basis, lambda j, ax=ax: _poly_axis(ax), rule))
-    raw_L.append(embed_species_polynomials(mixture, basis,
-                                           lambda j: _poly_speed_sq, rule))
+    raw_L = [embed(only(i, _poly_one)) for i in range(n)]
+    raw_L += [embed(lambda j, ax=ax: _poly_axis(ax)) for ax in range(3)]
+    raw_L.append(embed(lambda j: _poly_speed_sq))
     ker_L = orthonormalize(np.stack(raw_L, axis=1))
 
     # unnormalized moment functionals of Lemma-style moments:
     #   m0_i = (f, M_i^{1/2} 1), mk_i = (f, M_i^{1/2} v_k), m4_i = (f, M_i^{1/2}|v|^2)
     moments = np.stack(
-        [embed_species_polynomials(mixture, basis, only(i, p), rule)
+        [embed(only(i, p))
          for i in range(n)
          for p in (_poly_one, _poly_axis(0), _poly_axis(1), _poly_axis(2),
                    _poly_speed_sq)], axis=1)

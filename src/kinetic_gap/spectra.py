@@ -44,8 +44,8 @@ class GapError(RuntimeError):
 
 class InconclusivePositivityError(RuntimeError):
     """A constant of the explicit chain (C^m, D^b, C_k) is not shown
-    positive: the Monte-Carlo D^b at the requested confidence, or a computed
-    value <= 0."""
+    positive: the Monte-Carlo D^b at the requested confidence, a computed
+    value <= 0, or a C^m within the eigensolver's resolution of zero."""
 
 
 def generalized_eigs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -331,11 +331,16 @@ def constants_report(ops: OperatorSet, seed: int = 0,
     C_m = compute_Cm(ops)
     db = compute_Db(ops.mixture, ops.family, seed, mc_samples)
     C_k, _ = compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
-    for name, value in (("C^m", C_m), ("D^b", db.value), ("C_k", C_k)):
-        if value <= 0.0:
+    # the eigensolver resolves no C^m below dim * eps * max|mu| of its pencil
+    # from zero; max mu is minus the gap of the negated pencil
+    cm_floor = -(ops.total_size - ops.ker_Lm.shape[1]) * np.finfo(float).eps \
+        * generalized_gap(-ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
+    for name, value, floor in (("C^m", C_m, cm_floor), ("D^b", db.value, 0.0),
+                               ("C_k", C_k, 0.0)):
+        if value <= floor:
             raise InconclusivePositivityError(
-                f"{name} = {value:.6e} is not positive, so the explicit "
-                "rate lambda is undefined")
+                f"{name} = {value:.6e} is not above {floor:.1e}, so the "
+                "explicit rate lambda is undefined")
     eta, lam = explicit_lambda(C_m, db.value, C_k)
     lam_num = generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
     prov = {

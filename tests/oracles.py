@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Nothing here calls the code paths under test: eigenvalues come from
-Householder + Sturm bisection, Gaussian moments from double factorials,
+Householder + Sturm bisection, tensor Hermite values from row gathers of
+the 1-D tables, Gaussian moments from double factorials,
 the bi-species coercivity integral from its separable closed form,
 collision quadratic forms from the analytic relations of the collision
 geometry, collision frequencies from their 1-D radial reduction, and the
@@ -124,6 +125,37 @@ def closed_form_Db(rho_i: float, rho_j: float, C: float, gamma: float,
         angular += ck * (int_tk - int_tk1)
     angular *= 0.5
     return rho_i * rho_j * 4.0 * math.pi * radial * angular * min_sq_gaussian()
+
+
+# ---------------------------------------------------------------------------
+# tensor Hermite values by multi-index row gathers
+# ---------------------------------------------------------------------------
+
+def hermite_table_gather(points: np.ndarray, N: int) -> np.ndarray:
+    """H_alpha(points), shape (m, nb), ordered as ``multi_indices(N)``.
+
+    The collision assembly's former evaluator: the 1-D recurrences fill
+    (N + 1, m) tables, and each H_alpha row is (h_a h_b) h_c from three
+    ``np.take`` gathers by the multi-index columns.
+    """
+    from kinetic_gap.hermite import multi_indices
+    points = np.asarray(points, dtype=float)
+    m = points.shape[0]
+    idx = multi_indices(N)
+    tab = np.empty((3, N + 1, m))
+    for ax in range(3):
+        x, t = points[:, ax], tab[ax]
+        t[0] = 1.0
+        if N >= 1:
+            t[1] = x
+        for k in range(1, N):
+            np.multiply(x, t[k], out=t[k + 1])
+            t[k + 1] -= math.sqrt(k) * t[k - 1]
+            t[k + 1] /= math.sqrt(k + 1)
+    out = np.take(tab[0], idx[:, 0], axis=0)
+    out *= np.take(tab[1], idx[:, 1], axis=0)
+    out *= np.take(tab[2], idx[:, 2], axis=0)
+    return out.T
 
 
 # ---------------------------------------------------------------------------

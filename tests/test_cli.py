@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kinetic_gap import cli, galerkin
+from kinetic_gap.galerkin import build_operator_set
 
 
 def hard_sphere_config(n=2, N=3, q=6, sphere="coarse", m_max=1, seed=11,
@@ -143,6 +145,25 @@ class TestValidation:
         assert cli.parse_discretization(cfg)["N"] == 3
         assert cli.parse_budgets({"budgets": {"seed": 7.0}})["seed"] == 7
 
+    def test_decay_memory_bound_is_a_parse_error(self):
+        # (2 M_max + 1)^3 complex T x T propagators, T = 40: about 27 GiB
+        with pytest.raises(cli.ConfigError, match="M_max = 40"):
+            cli.parse_decay(hard_sphere_config(m_max=40))
+        cli.parse_decay(hard_sphere_config(m_max=5))
+
+    def test_over_budget_decay_exits_before_assembly(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_assembly(*args, **kwargs):
+            pytest.fail("an over-budget decay reached assembly")
+        monkeypatch.setattr(cli, "build_operator_set", no_assembly)
+        code = run_cli(["decay", "--config",
+                        write_config(tmp_path, hard_sphere_config(m_max=40)),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: decay at discretization.M_max")
+        assert len(err.splitlines()) == 1
+
     def test_threads_validated(self, tmp_path):
         cfg = hard_sphere_config()
         code = run_cli(["audit", "--config", write_config(tmp_path, cfg),
@@ -266,16 +287,46 @@ class TestConstants:
 
     def test_tiny_density_ends_in_a_documented_exit(self, tmp_path, capsys):
         # at rho_inf = 1e-30 C^m is roundoff-sized (-1.9e-16 with reference
-        # OpenBLAS), so its sign decides between certificate and gate failure
+        # OpenBLAS, against a largest eigenvalue 0.83 of the same pencil),
+        # so it fails the gate at dim * eps * max|mu| whatever its sign
         cfg = hard_sphere_config()
         cfg["mixture"]["species"][0]["rho_inf"] = 1e-30
         code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
                         "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert code in (cli.EXIT_OK, cli.EXIT_GATE)
-        if code == cli.EXIT_GATE:
-            assert err.startswith("gate failure: ")
-            assert len(err.splitlines()) == 1
+        assert code == cli.EXIT_GATE
+        assert err.startswith("gate failure: C^m = ")
+        assert len(err.splitlines()) == 1
+
+    def test_roundoff_sized_positive_Cm_is_gate_failure(
+            self, tmp_path, capsys, monkeypatch):
+        # the other sign of the roundoff above: 1e-16 is below the floor
+        monkeypatch.setattr(cli.sp, "compute_Cm", lambda ops: 1e-16)
+        code = run_cli(["constants", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_GATE
+        assert err.startswith("gate failure: C^m = 1.000000e-16 ")
+        assert len(err.splitlines()) == 1
+
+    def test_small_density_is_resolved(self, tmp_path, capsys):
+        # at rho_inf = 1e-12 C^m (2.5e-13) is well above the floor (5.5e-15)
+        cfg = hard_sphere_config()
+        cfg["mixture"]["species"][0]["rho_inf"] = 1e-12
+        ops = build_operator_set(cli.parse_mixture(cfg),
+                                 cli.parse_family(cfg, 2), N=3, q=6,
+                                 sphere_level="coarse")
+        W = cli.sp.complement_basis(ops.ker_Lm, ops.total_size)
+        A = W.T @ -ops.Lm.matrix @ W
+        B = W.T @ ops.hgram.matrix @ W
+        mu = cli.sp.generalized_eigs(0.5 * (A + A.T), 0.5 * (B + B.T))
+        floor = mu.size * np.finfo(float).eps * np.max(np.abs(mu))
+        assert cli.sp.compute_Cm(ops) > 10.0 * floor
+        code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err == ""
+        assert code == cli.EXIT_OK
 
     @pytest.mark.parametrize("constant", ["C_m", "D_b", "C_k"])
     def test_nonpositive_constant_is_one_line_gate_failure(

@@ -58,3 +58,22 @@ def test_counter_hook_arguments_exist():
         params = inspect.signature(fn).parameters
         for name in names:
             assert name in params, f"{mod_name}.{path} lost argument {name!r}"
+
+
+def test_request_cache_is_clearable():
+    # clear_request_caches empties the per-mixture kernel bases
+    tracing = load_tracing()
+    mixture = importlib.import_module(f"{tracing.PACKAGE}.mixture")
+    assert callable(getattr(mixture._cached_bases, "cache_clear", None))
+
+
+def test_assembly_meta_has_quadrature_rows():
+    # _assembly_counters reads the row count from the assembled L
+    from kinetic_gap.galerkin import assemble_collision
+    from kinetic_gap.hermite import HermiteBasis
+    from kinetic_gap.kernels import hard_sphere_family
+    from kinetic_gap.mixture import Mixture
+    L = assemble_collision(Mixture((1.0,)), hard_sphere_family(1),
+                           HermiteBasis(2, 1), q=3, sphere_level="coarse")[0]
+    assert "quadrature_rows" in L.meta
+    assert L.meta["quadrature_rows"] > 0
