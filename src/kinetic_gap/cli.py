@@ -145,8 +145,7 @@ def parse_discretization(cfg: dict) -> dict:
 
 def parse_budgets(cfg: dict, seed_override=None) -> dict:
     b = _block(cfg, "budgets")
-    defaults = {"mc_samples": 100_000, "seed": 0, "audit_samples": 2000,
-                "lemma_samples": 1000}
+    defaults = {"mc_samples": 100_000, "seed": 0, "lemma_samples": 1000}
     out = {key: _number(int, b.get(key, v), f"budgets.{key}")
            for key, v in defaults.items()}
     if seed_override is not None:
@@ -154,7 +153,6 @@ def parse_budgets(cfg: dict, seed_override=None) -> dict:
     _require(out["seed"] >= 0,
              f"the seed (budgets.seed or --seed) must be >= 0, got {out['seed']}")
     _require(out["mc_samples"] >= 1, "budgets.mc_samples must be >= 1")
-    _require(out["audit_samples"] >= 1000, "budgets.audit_samples must be >= 1000")
     _require(out["lemma_samples"] >= 1, "budgets.lemma_samples must be >= 1")
     return out
 
@@ -253,8 +251,8 @@ def _prepare(cfg, seed_override):
 
 
 def cmd_audit(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
-    mixture, family, _disc, budgets = _prepare(cfg, seed_override)
-    report = audit_assumptions(family, budgets["audit_samples"])
+    mixture, family, _disc, _budgets = _prepare(cfg, seed_override)
+    report = audit_assumptions(family)
     payload = report.to_dict()
     payload["mixture"] = {"n": mixture.n, "rho_inf": list(mixture.rho_inf)}
     write_json(out_dir, "audit.json", payload)
@@ -263,7 +261,7 @@ def cmd_audit(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
 
 def _audited_opset(cfg, seed_override, threads):
     mixture, family, disc, budgets = _prepare(cfg, seed_override)
-    report = audit_assumptions(family, budgets["audit_samples"])
+    report = audit_assumptions(family)
     ops = None
     if report.passed:
         ops = build_operator_set(mixture, family, N=disc["N"], q=disc["q"],
@@ -280,8 +278,7 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
                    {"audit": audit.to_dict(), "constants": None})
         return EXIT_AUDIT
     report = sp.constants_report(ops, seed=budgets["seed"],
-                                 mc_samples=budgets["mc_samples"],
-                                 audit_measured=audit.measured)
+                                 mc_samples=budgets["mc_samples"])
     ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k,
                                    n_samples=budgets["lemma_samples"],
                                    seed=budgets["seed"])

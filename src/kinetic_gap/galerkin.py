@@ -141,6 +141,13 @@ class FrequencyField:
                        * hyp1f1(1.0 - 0.5 * g, 2.5, x))
         return radial[:, None] * points
 
+    @property
+    def nu_min(self) -> float:
+        """min_v nu_i(v) = nu_i(0), minimised over species: nu_i grows with
+        |v| for gamma_ij >= 0."""
+        return min(float(self.nu(i, np.zeros(3))[0])
+                   for i in range(self.mixture.n))
+
 
 def frequency_field(mixture: Mixture, family: KernelFamily) -> FrequencyField:
     n = family.n

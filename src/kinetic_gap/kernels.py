@@ -2,24 +2,25 @@
 
 Kinetic parts are power laws Phi(r) = C r^gamma with gamma in [0, 1] and
 angular parts are polynomials in cos(theta); this covers hard spheres,
-Maxwellian molecules, and every hard power-law potential while keeping the
-structural audits (symmetry, evenness) exact.
+Maxwellian molecules, and every hard power-law potential, and it lets every
+audited bound be decided in closed form rather than sampled.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-
-from .quadrature import _product_sphere
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "PowerLaw", "AngularPolynomial", "constant_angular", "KernelFamily",
-    "KernelConstants", "AssumptionCheck", "AuditReport", "evaluate_B",
-    "audit_assumptions", "compute_ell_b", "estimate_C_b", "kernel_constants",
+    "AssumptionCheck", "AuditReport", "evaluate_B", "AUDIT_RADII",
+    "audit_assumptions", "compute_ell_b", "compute_C_b",
 ]
+
+# (A3) and (A6) are decided for relative speeds r in this closed range.
+AUDIT_RADII = (1e-6, 1e6)
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,11 @@ class AngularPolynomial:
             raise ValueError("angular polynomial needs at least one coefficient")
 
     def __call__(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
-                                                np.array(self.coeffs))
+        return P.polyval(np.asarray(t, dtype=float), np.array(self.coeffs))
 
     def derivative(self, t):
-        dcoef = np.polynomial.polynomial.polyder(np.array(self.coeffs))
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), dcoef)
+        dcoef = P.polyder(np.array(self.coeffs))
+        return P.polyval(np.asarray(t, dtype=float), dcoef)
 
     @property
     def is_even(self) -> bool:
@@ -69,8 +69,8 @@ class AngularPolynomial:
     def sin_integral(self) -> float:
         """integral_0^pi b(cos theta) sin theta dtheta, which is
         integral_{-1}^1 b(t) dt, from the exact antiderivative."""
-        anti = np.polynomial.polynomial.polyint(np.array(self.coeffs))
-        ends = np.polynomial.polynomial.polyval(np.array([-1.0, 1.0]), anti)
+        anti = P.polyint(np.array(self.coeffs))
+        ends = P.polyval(np.array([-1.0, 1.0]), anti)
         return float(ends[1] - ends[0])
 
 
@@ -145,13 +145,6 @@ def evaluate_B(family: KernelFamily, i: int, j: int, s, cos_theta):
     return family.phi[i][j](s) * family.b[i][j](cos_theta)
 
 
-@dataclass(frozen=True)
-class KernelConstants:
-    ell_b: float
-    C_b: float
-    beta_eff: float
-
-
 @dataclass
 class AssumptionCheck:
     name: str
@@ -187,53 +180,48 @@ def compute_ell_b(family: KernelFamily) -> float:
                for i in range(family.n) for j in range(family.n))
 
 
-@lru_cache(maxsize=None)
-def _fibonacci_directions(n: int) -> np.ndarray:
-    ga = math.pi * (3.0 - math.sqrt(5.0))
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    dirs = np.stack([r * np.cos(ga * i), r * np.sin(ga * i), z], axis=1)
-    dirs.setflags(write=False)
-    return dirs
+def _extreme_points(deriv) -> np.ndarray:
+    """Every extreme on [-1, 1] of a polynomial whose derivative has the
+    ascending coefficients ``deriv`` lies among these points: the ends and
+    the real roots of ``deriv``.  All root real parts are taken, clipped to
+    [-1, 1], so that no real root is lost to round-off in its imaginary
+    part; the extra points lie in [-1, 1] and only add evaluations."""
+    roots = P.polyroots(deriv)
+    return np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
 
 
-def estimate_C_b(family: KernelFamily, n_dirs: int = 32) -> float:
-    """Grid estimate of C^b = min_i inf_{s1,s2} int min{b_ii(s1.s3), b_ii(s2.s3)} ds3.
+def _minimum(b: AngularPolynomial) -> tuple:
+    """(t, b(t)) at the minimum of b over t in [-1, 1]."""
+    t = _extreme_points(P.polyder(b.coeffs))
+    vals = b(t)
+    k = int(np.argmin(vals))
+    return float(t[k]), float(vals[k])
 
-    32x32 direction pairs x a 110-node sphere rule for s3.  This is a
-    lower-confidence estimate (grid minimum of a quadrature), flagged
-    non-rigorous in reports; only its positivity is consumed downstream.
+
+def compute_C_b(family: KernelFamily) -> float:
+    """C^b >= 4 pi min_i min_{[-1, 1]} b_ii.
+
+    C^b = min_i inf_{s1, s2} int min{b_ii(s1.s3), b_ii(s2.s3)} ds3, and the
+    integrand is at least min b_ii over a sphere of area 4 pi.  Only the
+    positivity of C^b is consumed downstream.
     """
-    s3 = _product_sphere(5, 22)  # 110 nodes
-    dirs = _fibonacci_directions(n_dirs)
-    best = math.inf
-    for i in range(family.n):
-        bii = family.b[i][i]
-        vals = bii(dirs @ s3.nodes.T)          # (n_dirs, 110)
-        for a in range(n_dirs):
-            pairwise = np.minimum(vals[a][None, :], vals)   # (n_dirs, 110)
-            integrals = pairwise @ s3.weights
-            best = min(best, float(integrals.min()))
-    return best
+    return 4.0 * math.pi * min(_minimum(family.b[i][i])[1]
+                               for i in range(family.n))
 
 
-def _log_r_grid(count: int) -> np.ndarray:
-    return np.logspace(-6.0, 6.0, count)
+def audit_assumptions(family: KernelFamily) -> AuditReport:
+    """Decide (A1)-(A6) on the descriptor family, in closed form.
 
-
-def audit_assumptions(family: KernelFamily, sample_budget: int = 2000,
-                      n_dirs: int = 32) -> AuditReport:
-    """Audit (A1)-(A6) on the descriptor family.
-
-    A1/A2/A5 are structural; A3 is sampled on a log grid r in [1e-6, 1e6];
-    A4 is sampled over theta in [0, pi] plus the C^b grid estimate; A6
-    measures sup B_ij / B_ii over the sample grid.  Failures carry the
-    witness point and the violated inequality.
+    A1/A2/A5 are structural.  A3 and A6 hold for r in ``AUDIT_RADII``:
+    power-law ratios are monotone in r, so they are decided at the ends of
+    the range and, for the upper envelope of A3, at the maximiser of
+    r^g / (r + r^-delta).  A4 and the t-part of A6 are decided at the ends
+    of [-1, 1] and the real roots of b', b'' and b_ij' b_ii - b_ij b_ii'.
+    Failures carry the witness point and the violated inequality.
     """
-    if sample_budget < 1000:
-        raise ValueError("sample_budget must be >= 1000")
-    n = family.n
+    pairs = [(i, j) for i in range(family.n) for j in range(family.n)]
+    r_lo, r_hi = AUDIT_RADII
+    radii = f"r in [{r_lo:g}, {r_hi:g}]"
     checks: list[AssumptionCheck] = []
 
     # (A1) micro-reversibility: descriptor-wise symmetry.
@@ -246,74 +234,67 @@ def audit_assumptions(family: KernelFamily, sample_budget: int = 2000,
     checks.append(AssumptionCheck(
         "A2", True, "B_ij = Phi_ij(|v-v*|) * b_ij(cos theta) by construction"))
 
-    # (A3) C1 r^gamma <= Phi_ij(r) <= C2 (r + r^-delta) on the sampled grid.
-    r = _log_r_grid(sample_budget)
-    lower = family.C1 * np.power(r, family.gamma)
-    upper = family.C2 * (r + np.power(r, -family.delta))
-    a3_ok, a3_wit = True, {}
-    for i in range(n):
-        for j in range(n):
-            vals = family.phi[i][j](r)
-            bad_low = vals < lower * (1.0 - 1e-12)
-            bad_up = vals > upper * (1.0 + 1e-12)
-            if bad_low.any() or bad_up.any():
-                k = int(np.argmax(bad_low | bad_up))
-                a3_ok = False
-                a3_wit = {"pair": [i, j], "r": float(r[k]),
-                          "phi": float(vals[k]),
-                          "violated": "lower C1*r^gamma" if bad_low[k]
-                          else "upper C2*(r + r^-delta)"}
-                break
-        if not a3_ok:
+    # (A3) C1 r^gamma <= Phi_ij(r) <= C2 (r + r^-delta).  Phi / (C1 r^gamma)
+    # is monotone in r; Phi / (r + r^-delta) peaks at
+    # r* = ((g + delta) / (1 - g))^(1 / (1 + delta)) for g < 1.
+    a3_wit = {}
+    for i, j in pairs:
+        phi = family.phi[i][j]
+        r = np.array(AUDIT_RADII)
+        if phi.gamma < 1.0:
+            r_star = ((phi.gamma + family.delta) / (1.0 - phi.gamma)) \
+                ** (1.0 / (1.0 + family.delta))
+            if r_lo < r_star < r_hi:
+                r = np.append(r, r_star)
+        vals = phi(r)
+        bad_low = vals < family.C1 * np.power(r, family.gamma) * (1.0 - 1e-12)
+        bad_up = vals > family.C2 * (r + np.power(r, -family.delta)) \
+            * (1.0 + 1e-12)
+        if bad_low.any() or bad_up.any():
+            k = int(np.argmax(bad_low | bad_up))
+            a3_wit = {"pair": [i, j], "r": float(r[k]), "phi": float(vals[k]),
+                      "violated": "lower C1*r^gamma" if bad_low[k]
+                      else "upper C2*(r + r^-delta)"}
             break
+    a3_ok = not a3_wit
     checks.append(AssumptionCheck(
         "A3", a3_ok,
-        f"C1 r^gamma <= Phi <= C2 (r + r^-delta) on {sample_budget} "
-        "log-spaced radii" if a3_ok else "kinetic-part envelope violated",
-        a3_wit))
+        f"C1 r^gamma <= Phi <= C2 (r + r^-delta) for {radii}" if a3_ok
+        else f"kinetic-part envelope violated for {radii}", a3_wit))
 
-    # (A4) angular positivity, boundedness, derivative bound, C^b > 0.
-    # The printed envelope C3|sin||cos| vanishes at theta = pi/2 and so cannot
-    # dominate any positive b; it is audited in the boundedness reading
-    # b <= C3, which is what Grad's cut-off requires for this kernel class.
-    theta = np.linspace(0.0, math.pi, sample_budget)
-    t = np.cos(theta)
-    a4_ok, a4_wit, a4_msgs = True, {}, []
-    for i in range(n):
-        for j in range(n):
-            bv = family.b[i][j](t)
-            dv = family.b[i][j].derivative(t)
-            if np.any(bv <= 0.0):
-                k = int(np.argmax(bv <= 0.0))
-                a4_ok, a4_wit = False, {"pair": [i, j], "theta": float(theta[k]),
-                                        "b": float(bv[k]),
-                                        "violated": "positivity b > 0"}
-            elif np.any(bv > family.C3 * (1.0 + 1e-12)):
-                k = int(np.argmax(bv > family.C3))
-                a4_ok, a4_wit = False, {"pair": [i, j], "theta": float(theta[k]),
-                                        "b": float(bv[k]), "violated": "b <= C3"}
-            elif np.any(dv > family.C4 * (1.0 + 1e-12)):
-                k = int(np.argmax(dv > family.C4))
-                a4_ok, a4_wit = False, {"pair": [i, j], "theta": float(theta[k]),
-                                        "db": float(dv[k]), "violated": "b' <= C4"}
-            if not a4_ok:
-                break
-        if not a4_ok:
+    # (A4) 0 < b <= C3 and b' <= C4 on [-1, 1].  The printed envelope
+    # C3|sin||cos| vanishes at theta = pi/2 and so cannot dominate any
+    # positive b; it is audited in the boundedness reading b <= C3, which is
+    # what Grad's cut-off requires for this kernel class.
+    a4_wit = {}
+    for i, j in pairs:
+        b = family.b[i][j]
+        t = _extreme_points(P.polyder(b.coeffs))
+        bv = b(t)
+        td = _extreme_points(P.polyder(b.coeffs, 2))
+        dv = b.derivative(td)
+        lo, hi, dhi = int(np.argmin(bv)), int(np.argmax(bv)), int(np.argmax(dv))
+        if bv[lo] <= 0.0:
+            a4_wit = {"pair": [i, j], "cos_theta": float(t[lo]),
+                      "b": float(bv[lo]), "violated": "positivity b > 0"}
+        elif bv[hi] > family.C3 * (1.0 + 1e-12):
+            a4_wit = {"pair": [i, j], "cos_theta": float(t[hi]),
+                      "b": float(bv[hi]), "violated": "b <= C3"}
+        elif dv[dhi] > family.C4 * (1.0 + 1e-12):
+            a4_wit = {"pair": [i, j], "cos_theta": float(td[dhi]),
+                      "db": float(dv[dhi]), "violated": "b' <= C4"}
+        if a4_wit:
             break
-    C_b = estimate_C_b(family, n_dirs) if a4_ok else 0.0
-    if a4_ok and C_b <= 0.0:
-        a4_ok, a4_wit = False, {"violated": "C^b > 0", "C_b": C_b}
-    if a4_ok:
-        a4_msgs.append(f"0 < b <= C3, b' <= C4 on {sample_budget} angles; "
-                       f"C^b ~= {C_b:.6g} (grid estimate, non-rigorous)")
-    checks.append(AssumptionCheck("A4", a4_ok,
-                                  a4_msgs[0] if a4_ok else "angular bound violated",
-                                  a4_wit))
+    a4_ok = not a4_wit
+    C_b = compute_C_b(family)
+    checks.append(AssumptionCheck(
+        "A4", a4_ok,
+        f"0 < b <= C3 and b' <= C4 on [-1, 1]; C^b >= 4 pi min b_ii = {C_b:.6g}"
+        if a4_ok else "angular bound violated", a4_wit))
 
     # (A5) evenness of b; Phi' integrability is automatic for power laws
     # with gamma in [0, 1].
-    odd = [(i, j) for i in range(n) for j in range(n)
-           if not family.b[i][j].is_even]
+    odd = [(i, j) for i, j in pairs if not family.b[i][j].is_even]
     checks.append(AssumptionCheck(
         "A5", not odd,
         "b_ij even in cos theta; Phi' locally integrable and bounded at "
@@ -321,45 +302,44 @@ def audit_assumptions(family: KernelFamily, sample_budget: int = 2000,
         else "angular part has odd cos-theta coefficients",
         {} if not odd else {"pair": list(odd[0]), "violated": "b even"}))
 
-    # (A6) beta sampled as sup B_ij / B_ii over the (r, theta) grid.
-    r6 = _log_r_grid(max(64, sample_budget // 16))
-    t6 = np.cos(np.linspace(0.0, math.pi, 65))
-    beta_eff, a6_wit = 0.0, {}
-    for i in range(n):
-        denom = np.outer(family.phi[i][i](r6), family.b[i][i](t6))
-        for j in range(n):
-            num = np.outer(family.phi[i][j](r6), family.b[i][j](t6))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(denom > 0.0, num / denom, np.inf)
-            k = int(np.argmax(ratio))
-            if ratio.flat[k] > beta_eff:
-                beta_eff = float(ratio.flat[k])
-                a6_wit = {"pair": [i, j],
-                          "r": float(r6[k // t6.size]),
-                          "cos_theta": float(t6[k % t6.size]),
-                          "ratio": beta_eff}
+    # (A6) beta_eff = sup B_ij / B_ii.  B_ii / B_ii = 1; for j != i the
+    # ratio is C_ij/C_ii r^(g_ij - g_ii) b_ij(t)/b_ii(t), extreme over r at
+    # an end of the range and over t at an end of [-1, 1] or a root of
+    # b_ij' b_ii - b_ij b_ii'.  It is unbounded where b_ii vanishes.
+    ends = np.array(AUDIT_RADII)
+    beta_eff, a6_wit = 1.0, {"pair": [0, 0], "ratio": 1.0}
+    for i, j in pairs:
+        if i == j:
+            continue
+        phi_ii, b_ii = family.phi[i][i], family.b[i][i]
+        phi_ij, b_ij = family.phi[i][j], family.b[i][j]
+        t_min, b_ii_min = _minimum(b_ii)
+        if b_ii_min <= 0.0:
+            ratio, wit = math.inf, {"cos_theta": t_min}
+        else:
+            t = _extreme_points(P.polysub(
+                P.polymul(P.polyder(b_ij.coeffs), b_ii.coeffs),
+                P.polymul(b_ij.coeffs, P.polyder(b_ii.coeffs))))
+            table = np.outer(phi_ij(ends), b_ij(t)) \
+                / np.outer(phi_ii(ends), b_ii(t))
+            k = int(np.argmax(table))
+            ratio = float(table.flat[k])
+            wit = {"r": float(ends[k // t.size]),
+                   "cos_theta": float(t[k % t.size])}
+        if ratio > beta_eff:
+            beta_eff, a6_wit = ratio, dict(pair=[i, j], ratio=ratio, **wit)
     a6_ok = bool(np.isfinite(beta_eff)) and beta_eff <= family.beta * (1.0 + 1e-9)
     checks.append(AssumptionCheck(
         "A6", a6_ok,
-        f"measured sup B_ij/B_ii = {beta_eff:.6g} <= beta = {family.beta:g}"
+        f"sup B_ij/B_ii = {beta_eff:.6g} <= beta = {family.beta:g} for {radii}"
         if a6_ok else
-        f"measured sup B_ij/B_ii = {beta_eff:.6g} exceeds declared beta "
+        f"sup B_ij/B_ii = {beta_eff:.6g} for {radii} exceeds declared beta "
         f"= {family.beta:g}",
         {} if a6_ok else a6_wit))
 
-    ell_b = compute_ell_b(family)
-    measured = {"ell_b": ell_b, "C_b": C_b, "beta_eff": beta_eff}
+    measured = {"ell_b": compute_ell_b(family), "C_b": C_b,
+                "beta_eff": beta_eff, "radius_range": list(AUDIT_RADII)}
     return AuditReport(checks, measured)
-
-
-def kernel_constants(family: KernelFamily, sample_budget: int = 2000) -> KernelConstants:
-    report = audit_assumptions(family, sample_budget)
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.failures())
-        raise ValueError(f"kernel audit failed: {failed}")
-    return KernelConstants(ell_b=report.measured["ell_b"],
-                           C_b=report.measured["C_b"],
-                           beta_eff=report.measured["beta_eff"])
 
 
 # -- common families ---------------------------------------------------------

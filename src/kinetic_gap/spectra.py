@@ -89,6 +89,7 @@ class SpectralReport:
     kernel_dim: int
     gap_numeric: float
     essential_onset: float           # nu0 for comparison
+    nu_min: float                    # min_i nu_i(0)
     kernel_threshold: float
     lambda_min_flat: float           # min eigenvalue of Lambda (L2 sense)
     l_spectrum_range: tuple
@@ -99,6 +100,7 @@ class SpectralReport:
             "kernel_dim": self.kernel_dim,
             "gap_numeric": self.gap_numeric,
             "essential_onset": self.essential_onset,
+            "nu_min": self.nu_min,
             "kernel_threshold": self.kernel_threshold,
             "lambda_min_flat": self.lambda_min_flat,
             "l_spectrum_range": [float(x) for x in self.l_spectrum_range],
@@ -131,6 +133,7 @@ def spectral_report(ops: OperatorSet) -> SpectralReport:
     we = eigvalsh(L)
     return SpectralReport(eigenvalues=mu, kernel_dim=kernel_dim,
                           gap_numeric=gap, essential_onset=ops.freq.nu0,
+                          nu_min=ops.freq.nu_min,
                           kernel_threshold=threshold,
                           lambda_min_flat=float(wl[0]),
                           l_spectrum_range=(float(we[0]), float(we[-1])))
@@ -294,6 +297,7 @@ def explicit_lambda(C_m: float, D_b: float, C_k: float):
 @dataclass
 class ConstantsReport:
     nu0: float
+    nu_min: float
     ell_b: float
     C_b: float
     C_m: float
@@ -310,8 +314,8 @@ class ConstantsReport:
 
     def to_dict(self) -> dict:
         return {
-            "nu0": self.nu0, "ell_b": self.ell_b, "C_b": self.C_b,
-            "C_m": self.C_m, "D_b": self.D_b,
+            "nu0": self.nu0, "nu_min": self.nu_min, "ell_b": self.ell_b,
+            "C_b": self.C_b, "C_m": self.C_m, "D_b": self.D_b,
             "D_b_std_err": self.D_b_std_err, "C_k": self.C_k,
             "eta": self.eta, "lambda_explicit": self.lambda_explicit,
             "lambda_numeric": self.lambda_numeric,
@@ -321,13 +325,12 @@ class ConstantsReport:
 
 
 def constants_report(ops: OperatorSet, seed: int = 0,
-                     mc_samples: int = 100_000,
-                     audit_measured: dict | None = None) -> ConstantsReport:
+                     mc_samples: int = 100_000) -> ConstantsReport:
     """Assemble the full constant chain with provenance tags."""
-    from .kernels import compute_ell_b, estimate_C_b
+    from .kernels import compute_C_b, compute_ell_b
 
     ell_b = compute_ell_b(ops.family)
-    C_b = audit_measured["C_b"] if audit_measured else estimate_C_b(ops.family)
+    C_b = compute_C_b(ops.family)
     C_m = compute_Cm(ops)
     db = compute_Db(ops.mixture, ops.family, seed, mc_samples)
     C_k, _ = compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
@@ -346,11 +349,12 @@ def constants_report(ops: OperatorSet, seed: int = 0,
     prov = {
         "nu0": {"method": "analytic", "formula":
                 "2^(3g/2) C1 ell_b rho_total Gamma((g+3)/2)/sqrt(pi)"},
+        "nu_min": {"method": "analytic", "formula":
+                   "min_i nu_i(0) = min_i sum_j w_ij"},
         "ell_b": {"method": "analytic",
                   "detail": "antiderivative of the polynomial b"},
-        "C_b": {"method": "quadrature",
-                "detail": "32x32 direction grid x 110-node sphere rule; "
-                          "non-rigorous lower-confidence estimate"},
+        "C_b": {"method": "analytic",
+                "detail": "lower bound 4 pi min_i min_[-1,1] b_ii"},
         "C_m": {"method": "numeric_eigen",
                 "detail": "generalized gap of -L^m vs H-Gram (surrogate for "
                           "the mono-species constant)"},
@@ -362,7 +366,8 @@ def constants_report(ops: OperatorSet, seed: int = 0,
         "lambda_explicit": {"method": "analytic"},
         "lambda_numeric": {"method": "numeric_eigen"},
     }
-    return ConstantsReport(nu0=ops.freq.nu0, ell_b=ell_b, C_b=C_b, C_m=C_m,
+    return ConstantsReport(nu0=ops.freq.nu0, nu_min=ops.freq.nu_min,
+                           ell_b=ell_b, C_b=C_b, C_m=C_m,
                            D_b=db.value, D_b_std_err=db.std_err, C_k=C_k,
                            eta=eta, lambda_explicit=lam,
                            lambda_numeric=lam_num, provenance=prov)

@@ -5,7 +5,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,21 @@ from kinetic_gap.kernels import (AngularPolynomial, KernelFamily, PowerLaw,
                                  constant_angular, hard_sphere_family,
                                  maxwell_family)
 from kinetic_gap.mixture import Mixture
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(module: str):
+    """The benchmark's ``perfbench/<module>.py``, imported as it is."""
+    name = f"perfbench_{module}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, PERFBENCH / f"{module}.py")
+        loaded = importlib.util.module_from_spec(spec)
+        sys.modules[name] = loaded   # its dataclasses resolve through here
+        spec.loader.exec_module(loaded)
+    return sys.modules[name]
 
 
 def mixed_gamma_family() -> KernelFamily:

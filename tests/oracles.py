@@ -5,9 +5,9 @@ Householder + Sturm bisection, tensor Hermite values from row gathers of
 the 1-D tables, Gaussian moments from double factorials,
 the bi-species coercivity integral from its separable closed form,
 collision quadratic forms from the analytic relations of the collision
-geometry, collision frequencies from their 1-D radial reduction, and the
+geometry, collision frequencies from their 1-D radial reduction, the
 sampled certificate checks from a plain loop that evaluates one sample at
-a time.
+a time, and the kernel assumption audit from sampling grids.
 """
 from __future__ import annotations
 
@@ -379,3 +379,69 @@ def h12_loop(ops, n_samples, seed):
         worst = min(worst, margin)
         violations += margin < 0.0
     return violations, worst
+
+
+# ---------------------------------------------------------------------------
+# kernel assumption audit on sampling grids
+# ---------------------------------------------------------------------------
+
+def _fibonacci_directions(n: int) -> np.ndarray:
+    ga = math.pi * (3.0 - math.sqrt(5.0))
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.stack([r * np.cos(ga * i), r * np.sin(ga * i), z], axis=1)
+
+
+def grid_C_b(family) -> float:
+    """min_i min over 32 x 32 direction pairs (s1, s2) of the 110-node
+    sphere quadrature of min{b_ii(s1.s3), b_ii(s2.s3)} ds3."""
+    from kinetic_gap.quadrature import _product_sphere
+    s3 = _product_sphere(5, 22)
+    dirs = _fibonacci_directions(32)
+    best = math.inf
+    for i in range(family.n):
+        vals = family.b[i][i](dirs @ s3.nodes.T)
+        for a in range(dirs.shape[0]):
+            integrals = np.minimum(vals[a][None, :], vals) @ s3.weights
+            best = min(best, float(integrals.min()))
+    return best
+
+
+def grid_audit(fam):
+    """({check name: passed}, {"C_b", "beta_eff"}) from sampling (A3) on
+    2000 log-spaced radii in [1e-6, 1e6], (A4) on 2000 angles in [0, pi]
+    plus C^b > 0 from :func:`grid_C_b`, and (A6) as the largest
+    B_ij / B_ii on a 125 x 65 (r, theta) grid.  A pass means only that no
+    sample violated the inequality."""
+    pairs = [(i, j) for i in range(fam.n) for j in range(fam.n)]
+    passed = {"A1": fam.is_symmetric(), "A2": True,
+              "A5": fam.all_even()}
+
+    r = np.logspace(-6.0, 6.0, 2000)
+    lower = fam.C1 * np.power(r, fam.gamma)
+    upper = fam.C2 * (r + np.power(r, -fam.delta))
+    passed["A3"] = not any(
+        np.any(fam.phi[i][j](r) < lower * (1.0 - 1e-12))
+        or np.any(fam.phi[i][j](r) > upper * (1.0 + 1e-12)) for i, j in pairs)
+
+    t = np.cos(np.linspace(0.0, math.pi, 2000))
+    a4 = not any(np.any(fam.b[i][j](t) <= 0.0)
+                 or np.any(fam.b[i][j](t) > fam.C3 * (1.0 + 1e-12))
+                 or np.any(fam.b[i][j].derivative(t) > fam.C4 * (1.0 + 1e-12))
+                 for i, j in pairs)
+    C_b = grid_C_b(fam) if a4 else 0.0
+    passed["A4"] = a4 and C_b > 0.0
+
+    r6 = np.logspace(-6.0, 6.0, 125)
+    t6 = np.cos(np.linspace(0.0, math.pi, 65))
+    beta_eff = 0.0
+    for i, j in pairs:
+        denom = np.outer(fam.phi[i][i](r6), fam.b[i][i](t6))
+        num = np.outer(fam.phi[i][j](r6), fam.b[i][j](t6))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(denom > 0.0, num / denom, np.inf)
+        beta_eff = max(beta_eff, float(ratio.max()))
+    passed["A6"] = bool(np.isfinite(beta_eff)) \
+        and beta_eff <= fam.beta * (1.0 + 1e-9)
+    return passed, {"C_b": C_b, "beta_eff": beta_eff}

@@ -32,6 +32,11 @@ def hard_sphere_config(n=2, N=3, q=6, sphere="coarse", m_max=1, seed=11,
     return cfg
 
 
+# nu_i(0) = 4 pi (2 pi)^{-3/2} 8 pi rho_total for the hard spheres of
+# hard_sphere_config(n=2), rho_total = 2.5
+HARD_SPHERE_NU_MIN = 4.0 * math.pi * (2.0 * math.pi) ** -1.5 * 8.0 * math.pi * 2.5
+
+
 def write_config(tmp_path, cfg, name="run.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -145,6 +150,12 @@ class TestValidation:
         assert cli.parse_discretization(cfg)["N"] == 3
         assert cli.parse_budgets({"budgets": {"seed": 7.0}})["seed"] == 7
 
+    def test_audit_samples_is_ignored(self):
+        # the audit is decided in closed form; the key is read like any
+        # unknown one
+        budgets = cli.parse_budgets({"budgets": {"audit_samples": 5}})
+        assert "audit_samples" not in budgets
+
     def test_decay_memory_bound_is_a_parse_error(self):
         # (2 M_max + 1)^3 complex T x T propagators, T = 40: about 27 GiB
         with pytest.raises(cli.ConfigError, match="M_max = 40"):
@@ -216,6 +227,21 @@ class TestAudit:
                             "--out", str(tmp_path / command)])
             assert code == cli.EXIT_AUDIT
 
+    def test_vanishing_angular_part_fails_A4(self, tmp_path):
+        # b = cos^2 theta is 0 at theta = pi/2
+        cfg = hard_sphere_config(n=1)
+        cfg["kernels"]["b"] = [[{"type": "poly", "coeffs": [0.0, 0.0, 1.0]}]]
+        cfg["kernels"]["C4"] = 2.0
+        out = tmp_path / "out"
+        code = run_cli(["spectrum", "--config", write_config(tmp_path, cfg),
+                        "--out", str(out)])
+        assert code == cli.EXIT_AUDIT
+        payload = json.loads((out / "spectrum.json").read_text())
+        failed = [c for c in payload["audit"]["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["A4"]
+        assert failed[0]["witness"]["violated"] == "positivity b > 0"
+        assert failed[0]["witness"]["cos_theta"] == 0.0
+
 
 class TestSpectrum:
     def test_kernel_dimension_gate(self, tmp_path):
@@ -228,6 +254,8 @@ class TestSpectrum:
         assert payload["spectrum"]["kernel_dim"] == 6
         assert payload["spectrum"]["lambda_min_flat"] >= \
             payload["spectrum"]["essential_onset"] - 1e-6
+        assert payload["spectrum"]["nu_min"] == pytest.approx(
+            HARD_SPHERE_NU_MIN, rel=1e-13)
         csv = (out / "eigenvalues.csv").read_text().splitlines()
         assert csv[0] == "index,eigenvalue"
         assert len(csv) == 1 + 40   # N=3, n=2: 2 * C(6,3) = 40
@@ -280,6 +308,8 @@ class TestConstants:
         assert set(c["provenance"]) >= {"nu0", "C_m", "D_b", "C_k",
                                         "lambda_numeric"}
         assert c["provenance"]["D_b"]["method"] == "monte_carlo"
+        assert c["nu_min"] == pytest.approx(HARD_SPHERE_NU_MIN, rel=1e-13)
+        assert c["C_b"] == pytest.approx(4.0 * math.pi, rel=1e-15)
         for entry in payload["lemma_ledger"]:
             assert entry["violations"] == 0
         assert payload["hypotheses"]["nu_bar_3"] == 0.5

@@ -23,6 +23,7 @@ from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
                                  ker_L_basis, project_onto)
 from kinetic_gap.quadrature import hermite_rule_3d, post_collision, sphere_rule
 
+from conftest import mixed_gamma_family
 from oracles import collision_form_moment_state, radial_frequency
 
 
@@ -56,6 +57,21 @@ class TestCollisionFrequency:
         nodes = hermite_rule_3d(8).nodes
         for i in range(2):
             assert np.min(fld.nu(i, nodes)) >= fld.nu0 - 1e-6
+
+    @pytest.mark.parametrize("family", [hard_sphere_family(2),
+                                        power_family(2, 0.5),
+                                        mixed_gamma_family()],
+                             ids=["hard-sphere", "power-0.5", "mixed-gamma"])
+    def test_nu_min_is_the_frequency_at_rest(self, family):
+        # nu_i(v) - nu_i(0) = O(|v|^2): 1e-8 relative at |v| = 1e-4
+        mx = Mixture((1.0, 1.5))
+        fld = frequency_field(mx, family)
+        near_rest = np.array([[1e-4, 0.0, 0.0]])
+        expect = min(radial_frequency(mx, family, i, near_rest)[0][0]
+                     for i in range(2))
+        assert fld.nu_min == pytest.approx(expect, rel=1e-7)
+        nodes = hermite_rule_3d(8).nodes
+        assert all(np.min(fld.nu(i, nodes)) >= fld.nu_min for i in range(2))
 
     def test_gradient_matches_finite_differences(self):
         mx = Mixture((1.0,))

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from kinetic_gap.kernels import (AngularPolynomial, KernelFamily, PowerLaw,
-                                 audit_assumptions, compute_ell_b,
-                                 constant_angular, estimate_C_b, evaluate_B,
-                                 hard_sphere_family, kernel_constants,
-                                 maxwell_family, power_family)
+from kinetic_gap.cli import parse_family, parse_mixture
+from kinetic_gap.kernels import (AUDIT_RADII, AngularPolynomial, KernelFamily,
+                                 PowerLaw, audit_assumptions, compute_C_b,
+                                 compute_ell_b, constant_angular, evaluate_B,
+                                 hard_sphere_family, maxwell_family,
+                                 power_family)
 
-from conftest import mixed_gamma_family
+from conftest import load_perfbench, mixed_gamma_family
+from oracles import grid_audit
 
 
 def _family_with(phi_12, beta=1.0, b_12=None):
@@ -66,38 +70,38 @@ class TestEvaluateB:
 class TestAudit:
     def test_hard_spheres_pass_everything(self):
         for n in (1, 2, 3):
-            rep = audit_assumptions(hard_sphere_family(n), 2000)
+            rep = audit_assumptions(hard_sphere_family(n))
             assert rep.passed, rep.failures()[0].detail
             assert abs(rep.measured["beta_eff"] - 1.0) <= 1e-12
 
     def test_constant_b_gives_Cb_4pi(self):
-        rep = audit_assumptions(hard_sphere_family(2), 1000)
+        rep = audit_assumptions(hard_sphere_family(2))
         assert abs(rep.measured["C_b"] - 4.0 * np.pi) <= 1e-10
 
     def test_beta_violation_detected(self):
         fam = _family_with(PowerLaw(2.0, 1.0), beta=1.0)
-        rep = audit_assumptions(fam, 1000)
+        rep = audit_assumptions(fam)
         a6 = [c for c in rep.checks if c.name == "A6"][0]
         assert not a6.passed
         assert a6.witness["ratio"] >= 2.0 - 1e-12
 
     def test_beta_declared_high_enough(self):
         fam = _family_with(PowerLaw(2.0, 1.0), beta=2.0)
-        rep = audit_assumptions(fam, 1000)
+        rep = audit_assumptions(fam)
         assert rep.passed
         assert abs(rep.measured["beta_eff"] - 2.0) <= 1e-12
 
     def test_odd_angular_fails_A5(self):
         fam = _family_with(PowerLaw(1.0, 1.0),
                            b_12=AngularPolynomial((1.0, 0.5)))
-        rep = audit_assumptions(fam, 1000)
+        rep = audit_assumptions(fam)
         a5 = [c for c in rep.checks if c.name == "A5"][0]
         assert not a5.passed
 
     def test_unbounded_angular_fails_A4(self):
         fam = _family_with(PowerLaw(1.0, 1.0),
                            b_12=AngularPolynomial((3.0,)))  # exceeds C3 = 1
-        rep = audit_assumptions(fam, 1000)
+        rep = audit_assumptions(fam)
         a4 = [c for c in rep.checks if c.name == "A4"][0]
         assert not a4.passed
         assert a4.witness["violated"] == "b <= C3"
@@ -105,26 +109,138 @@ class TestAudit:
     def test_kinetic_envelope_violation_names_witness(self):
         # Phi = 3 r exceeds C2 (r + r^-delta) at large r when C2 = 2
         fam = _family_with(PowerLaw(3.0, 1.0), beta=3.0)
-        rep = audit_assumptions(fam, 1000)
+        rep = audit_assumptions(fam)
         a3 = [c for c in rep.checks if c.name == "A3"][0]
         assert not a3.passed
         assert "upper" in a3.witness["violated"]
 
-    def test_budget_validated(self):
-        with pytest.raises(ValueError, match=">= 1000"):
-            audit_assumptions(hard_sphere_family(1), 100)
-
     def test_mixed_gamma_family_passes(self):
-        rep = audit_assumptions(mixed_gamma_family(), 2000)
+        rep = audit_assumptions(mixed_gamma_family())
         assert rep.passed, [c.detail for c in rep.failures()]
         assert rep.measured["beta_eff"] <= 2e6
 
-    def test_kernel_constants_requires_pass(self):
-        with pytest.raises(ValueError, match="A6"):
-            kernel_constants(_family_with(PowerLaw(2.0, 1.0), beta=1.0), 1000)
-        kc = kernel_constants(hard_sphere_family(2), 1000)
-        assert kc.ell_b == pytest.approx(2.0, abs=1e-12)
-        assert kc.C_b == pytest.approx(4.0 * np.pi, abs=1e-10)
+
+def _one_species(phi, b, **declared):
+    constants = dict(gamma=phi.gamma, C1=phi.C, C2=max(phi.C, 1.0), delta=0.5,
+                     C3=1.0, C4=1.0, beta=1.0)
+    constants.update(declared)
+    return KernelFamily(n=1, phi=((phi,),), b=((b,),), **constants)
+
+
+def _failed(rep):
+    return {c.name: c.witness for c in rep.failures()}
+
+
+# the families built in this module, save those with a root of b in [-1, 1]
+# (cos^2 theta), which the grids never hit and the closed form fails
+ORACLE_FAMILIES = {
+    "hard-sphere-1": lambda: hard_sphere_family(1),
+    "hard-sphere-2": lambda: hard_sphere_family(2),
+    "hard-sphere-3": lambda: hard_sphere_family(3),
+    "maxwell-2": lambda: maxwell_family(2),
+    "power-0.3": lambda: power_family(2, 0.3),
+    "mixed-gamma": mixed_gamma_family,
+    "beta-violated": lambda: _family_with(PowerLaw(2.0, 1.0), beta=1.0),
+    "beta-declared": lambda: _family_with(PowerLaw(2.0, 1.0), beta=2.0),
+    "odd-angular": lambda: _family_with(PowerLaw(1.0, 1.0),
+                                        b_12=AngularPolynomial((1.0, 0.5))),
+    "unbounded-angular": lambda: _family_with(PowerLaw(1.0, 1.0),
+                                              b_12=AngularPolynomial((3.0,))),
+    "envelope-violated": lambda: _family_with(PowerLaw(3.0, 1.0), beta=3.0),
+    "half-cos2": lambda: _one_species(PowerLaw(1.0, 1.0),
+                                      AngularPolynomial((0.5, 0.0, 0.5)),
+                                      C4=2.0),
+    "mostly-cos2": lambda: _one_species(PowerLaw(1.0, 1.0),
+                                       AngularPolynomial((0.05, 0.0, 0.95)),
+                                       C4=2.0),
+}
+
+
+class TestClosedFormAudit:
+    """The closed-form audit against the grid audit it replaced."""
+
+    def _matches_grid(self, fam):
+        rep = audit_assumptions(fam)
+        passed, grid = grid_audit(fam)
+        assert {c.name: c.passed for c in rep.checks} == passed
+        assert rep.measured["beta_eff"] == pytest.approx(
+            grid["beta_eff"], rel=1e-12, abs=0.0)
+        return rep, grid
+
+    @pytest.mark.parametrize("workload",
+                             ["density-sweep", "kernel-sweep", "decay-modes"])
+    def test_matches_grid_audit_on_workloads(self, workload):
+        spec = load_perfbench("workloads").WORKLOADS[workload]
+        for seed in range(4):
+            for rid in range(2 * spec.cycle):
+                cfg = spec.generate(seed, rid).config
+                fam = parse_family(cfg, parse_mixture(cfg).n)
+                rep, grid = self._matches_grid(fam)
+                assert rep.passed
+                # every diagonal b of the workloads is constant
+                assert rep.measured["C_b"] == pytest.approx(
+                    grid["C_b"], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_matches_grid_audit_on_families(self, name):
+        rep, grid = self._matches_grid(ORACLE_FAMILIES[name]())
+        if grid["C_b"] > 0.0:
+            assert rep.measured["C_b"] <= grid["C_b"] * (1.0 + 1e-12)
+
+    def test_envelope_violation_between_grid_radii(self):
+        # r^g / (r + r^-delta) peaks at r* = ((g + delta) / (1 - g))^(1/(1 + delta))
+        r_star = 2.0 ** (2.0 / 3.0)
+        sup = math.sqrt(r_star) / (r_star + r_star ** -0.5)
+        fam = _one_species(PowerLaw(1.0, 0.5), constant_angular(1.0),
+                           C2=(1.0 - 1e-7) * sup)
+        assert all(grid_audit(fam)[0].values())
+        wit = _failed(audit_assumptions(fam))["A3"]
+        assert wit["violated"] == "upper C2*(r + r^-delta)"
+        assert wit["r"] == pytest.approx(r_star, rel=1e-15)
+
+    def test_derivative_violation_between_grid_angles(self):
+        # b' = t - 1.2 t^3 peaks at t = 1/sqrt(3.6), where b'' = 1 - 3.6 t^2 = 0
+        b = AngularPolynomial((1.0, 0.0, 0.5, 0.0, -0.3))
+        t_star = 1.0 / math.sqrt(3.6)
+        fam = _one_species(PowerLaw(1.0, 1.0), b, C3=1.3,
+                           C4=(1.0 - 1e-7) * float(b.derivative(t_star)))
+        assert all(grid_audit(fam)[0].values())
+        failed = _failed(audit_assumptions(fam))
+        assert list(failed) == ["A4"]
+        assert failed["A4"]["violated"] == "b' <= C4"
+        assert failed["A4"]["cos_theta"] == pytest.approx(t_star, rel=1e-12)
+
+    def test_cos_squared_fails_positivity(self):
+        fam = _one_species(PowerLaw(1.0, 1.0), AngularPolynomial((0.0, 0.0, 1.0)),
+                           C4=2.0)
+        assert all(grid_audit(fam)[0].values())
+        failed = _failed(audit_assumptions(fam))
+        assert list(failed) == ["A4"]
+        assert failed["A4"]["violated"] == "positivity b > 0"
+        assert failed["A4"]["cos_theta"] == 0.0
+
+    def test_vanishing_diagonal_b_makes_the_ratio_unbounded(self):
+        one, cos2 = constant_angular(1.0), AngularPolynomial((0.0, 0.0, 1.0))
+        hs = PowerLaw(1.0, 1.0)
+        fam = KernelFamily(n=2, phi=((hs, hs), (hs, hs)),
+                           b=((cos2, one), (one, one)), gamma=1.0, C1=1.0,
+                           C2=1.0, delta=0.5, C3=1.0, C4=2.0, beta=1e6)
+        rep = audit_assumptions(fam)
+        assert rep.measured["beta_eff"] == math.inf
+        assert _failed(rep)["A6"]["pair"] == [0, 1]
+
+    def test_radius_range_is_reported(self):
+        rep = audit_assumptions(hard_sphere_family(2))
+        assert rep.measured["radius_range"] == list(AUDIT_RADII)
+        for check in rep.checks:
+            if check.name in ("A3", "A6"):
+                assert "r in [1e-06, 1e+06]" in check.detail
+
+    def test_Cb_is_4pi_min_diagonal_b(self):
+        # 0.5 + 0.7 t^2 is least at t = 0
+        fam = _one_species(PowerLaw(1.0, 1.0), AngularPolynomial((0.5, 0.0, 0.7)),
+                           C3=1.2, C4=1.4)
+        assert compute_C_b(fam) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
 
 class TestEllB:
@@ -184,9 +300,9 @@ class TestValidation:
                          gamma=1.0, C1=1.0, C2=1.0, delta=0.5, C3=1.0,
                          C4=1.0, beta=1.0)
 
-    def test_estimate_Cb_positive_for_cos2(self):
+    def test_Cb_bound_positive_for_cos2(self):
         fam = KernelFamily(
             n=1, phi=((PowerLaw(1.0, 1.0),),),
             b=((AngularPolynomial((0.05, 0.0, 0.95)),),),
             gamma=1.0, C1=1.0, C2=1.0, delta=0.5, C3=1.0, C4=2.0, beta=1.0)
-        assert estimate_C_b(fam) > 0.0
+        assert compute_C_b(fam) > 0.0

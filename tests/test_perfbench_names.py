@@ -1,27 +1,16 @@
 """The benchmark tracer (perfbench/tracing.py) wraps package functions by
-name.  A rename in the package must fail here, not in a traced benchmark run.
+name, and the workload generator (perfbench/workloads.py) declares kernel
+constants for the audited radius range.  A rename or a new range in the
+package must fail here, not in a benchmark run.
 """
 import importlib
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    name = "perfbench_tracing"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, TRACING)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module   # its dataclasses resolve through here
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+from conftest import load_perfbench
 
 
 def test_traced_names_resolve():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for mod_name, path, _hook in tracing.TRACED:
         owner = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
         for part in path.split("."):
@@ -31,7 +20,7 @@ def test_traced_names_resolve():
 
 
 def test_rule_caches_report_cache_info():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     quadrature = importlib.import_module(f"{tracing.PACKAGE}.quadrature")
     for name in tracing.RULE_CACHES:
         assert hasattr(getattr(quadrature, name), "cache_info"), name
@@ -48,7 +37,7 @@ HOOK_ARGUMENTS = {
 
 
 def test_counter_hook_arguments_exist():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     hooked = {(mod_name, path) for mod_name, path, hook in tracing.TRACED
               if hook is not None}
     assert hooked == set(HOOK_ARGUMENTS)
@@ -62,7 +51,7 @@ def test_counter_hook_arguments_exist():
 
 def test_request_cache_is_clearable():
     # clear_request_caches empties the per-mixture kernel bases
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     mixture = importlib.import_module(f"{tracing.PACKAGE}.mixture")
     assert callable(getattr(mixture._cached_bases, "cache_clear", None))
 
@@ -77,3 +66,10 @@ def test_assembly_meta_has_quadrature_rows():
                            HermiteBasis(2, 1), q=3, sphere_level="coarse")[0]
     assert "quadrature_rows" in L.meta
     assert L.meta["quadrature_rows"] > 0
+
+
+def test_workload_radii_are_the_audited_range():
+    # perfbench/workloads.py pads its declared C1 and beta to this range
+    from kinetic_gap.kernels import AUDIT_RADII
+    workloads = load_perfbench("workloads")
+    assert (workloads.AUDIT_R_MIN, workloads.AUDIT_R_MAX) == AUDIT_RADII
