@@ -18,7 +18,8 @@ import numpy as np
 
 from . import evolution as ev
 from . import spectra as sp
-from .galerkin import DEFAULT_MEMORY_CAP, build_operator_set
+from .galerkin import (DEFAULT_MEMORY_CAP, AssemblyBudgetError,
+                       build_operator_set)
 from .kernels import (AngularPolynomial, KernelFamily, PowerLaw,
                       audit_assumptions)
 from .mixture import Mixture, project_onto
@@ -267,6 +268,10 @@ def _audited_opset(cfg, seed_override, threads):
         ops = build_operator_set(mixture, family, N=disc["N"], q=disc["q"],
                                  sphere_level=disc["sphere_level"],
                                  threads=threads)
+        _require(all(np.isfinite(m).all() for m in (ops.L.matrix,
+                                                    ops.lam.matrix)),
+                 "the collision operators overflow to inf or NaN; lower "
+                 "rho_inf or the kernel constants")
     return mixture, family, disc, budgets, report, ops
 
 
@@ -279,13 +284,11 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
         return EXIT_AUDIT
     report = sp.constants_report(ops, seed=budgets["seed"],
                                  mc_samples=budgets["mc_samples"])
-    ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k,
-                                   n_samples=budgets["lemma_samples"],
-                                   seed=budgets["seed"])
-    hyp = sp.verify_H1_H3(ops, report.lambda_numeric,
+    ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k)
+    mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+    hyp = sp.verify_H1_H3(ops, report.lambda_numeric, mu,
                           n_samples=budgets["lemma_samples"],
                           seed=budgets["seed"])
-    mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
     kernel_dim = sp.kernel_count(mu)[0]
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", mu)
     payload = {
@@ -466,7 +469,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](cfg, out_dir, args.seed, threads)
-    except ConfigError as exc:
+    except (ConfigError, AssemblyBudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except sp.InconclusivePositivityError as exc:

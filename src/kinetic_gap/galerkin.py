@@ -186,15 +186,18 @@ def _pairwise_sum(mats: list) -> np.ndarray:
 
 def _slab_shape(Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
     """(cv, cs): v and v* nodes per slab, so every slab has cv * cs * ns
-    quadrature rows.  Raises :class:`AssemblyBudgetError` when one
-    (v, v*) pair does not fit in ``memory_cap``."""
+    quadrature rows.  Raises :class:`AssemblyBudgetError` when the (nb, Qn)
+    Hermite table at the nodes and one (v, v*) pair do not fit in
+    ``memory_cap``."""
     bytes_per_row = 8 * (14 + 6 * nb)       # geometry + two evals + D, E
-    min_rows = ns                            # one (v, v*) pair at least
-    if min_rows * bytes_per_row > memory_cap:
+    table = 8 * nb * Qn                      # H_alpha at every 3-D node
+    need = table + ns * bytes_per_row        # one (v, v*) pair at least
+    if need > memory_cap:
         raise AssemblyBudgetError(
-            f"assembly needs at least {min_rows * bytes_per_row} bytes of "
-            f"scratch (cap {memory_cap}); raise the memory cap")
-    rows_step = max(ns, min(_ROWS_TARGET, memory_cap // bytes_per_row))
+            f"assembly needs at least {need} bytes of scratch "
+            f"(cap {memory_cap}); lower discretization.N or hermite_q")
+    rows_step = max(ns, min(_ROWS_TARGET,
+                            (memory_cap - table) // bytes_per_row))
 
     def divisor_at_most(n, target):
         d = max(1, min(n, target))

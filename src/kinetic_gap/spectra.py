@@ -12,10 +12,14 @@ The certified chain is
     lambda: eta D^b / (8 C_k),
 
 and lambda is validated as a lower bound on the measured generalized gap.
+
+Every inequality of the chain's proof that compares two quadratic forms
+in the coefficient vector f, and (H1.2), is decided on the whole discrete
+space by one eigenvalue test (:func:`form_check`): f^T A f >= f^T R f for
+all f exactly when A - R is positive semidefinite.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,8 +37,9 @@ __all__ = [
     "complement_basis", "generalized_gap", "SpectralReport",
     "kernel_count", "spectral_report", "compute_Cm", "DbEstimate",
     "compute_Db", "quadrature_Db", "compute_Ck", "explicit_lambda",
-    "ConstantsReport", "constants_report", "LemmaCheck", "verify_step_lemmas",
-    "HypothesisReport", "verify_H1_H3",
+    "ConstantsReport", "constants_report", "LemmaCheck", "form_check",
+    "step_lemma_forms", "verify_step_lemmas", "HypothesisReport", "h12_forms",
+    "verify_H1_H3",
 ]
 
 
@@ -45,7 +50,8 @@ class GapError(RuntimeError):
 class InconclusivePositivityError(RuntimeError):
     """A constant of the explicit chain (C^m, D^b, C_k) is not shown
     positive: the Monte-Carlo D^b at the requested confidence, a computed
-    value <= 0, or a C^m within the eigensolver's resolution of zero."""
+    value <= 0, or a C^m within the eigensolver's resolution of zero.  Also
+    raised when a form compared by :func:`form_check` is not finite."""
 
 
 def generalized_eigs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -380,117 +386,104 @@ def constants_report(ops: OperatorSet, seed: int = 0,
 @dataclass
 class LemmaCheck:
     name: str
-    n_samples: int
-    violations: int
-    worst_margin: float
-    witness: dict = field(default_factory=dict)
+    violations: int                  # 1 when the inequality fails, else 0
+    worst_margin: float              # lambda_min(A - R) / scale
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "n_samples": self.n_samples,
-                "violations": self.violations,
-                "worst_margin": self.worst_margin, "witness": self.witness}
+        return {"name": self.name, "violations": self.violations,
+                "worst_margin": self.worst_margin}
 
 
-def _tally(margin: np.ndarray, scale: np.ndarray, tol: float) -> tuple:
-    """(violations, worst relative margin, first sample at the worst) of a
-    sampled inequality ``margin >= 0``; a violation is margin < -tol * scale.
+def form_check(name: str, A: np.ndarray, R: np.ndarray, metric=None,
+               slack: float = 0.0, tol: float = 1e-8) -> LemmaCheck:
+    """Decide f^T A f + slack |f|^2 >= f^T R f for every f at once.
+
+    The inequality holds on the whole space exactly when A - R + slack I is
+    positive semidefinite, i.e. when its least eigenvalue against ``metric``
+    (the identity when None) is >= 0.  Both forms may vanish on a common
+    subspace, so the gate is relative: lambda_min >= -tol * scale, with
+    scale the larger spectral radius of A and R against the same metric.
     """
-    rel = margin / scale
-    k = int(np.argmin(rel))
-    return int(np.count_nonzero(margin < -tol * scale)), float(rel[k]), k
+    def spectrum(M):
+        M = 0.5 * (M + M.T)
+        return eigvalsh(M) if metric is None else generalized_eigs(M, metric)
+
+    M = A - R + slack * np.eye(A.shape[0])
+    if not np.isfinite(M).all():
+        raise InconclusivePositivityError(
+            f"the quadratic forms of {name} overflow to inf or NaN")
+    wA, wR = spectrum(A), spectrum(R)
+    lam_min = float(spectrum(M)[0])
+    scale = max(abs(wA[0]), abs(wA[-1]), abs(wR[0]), abs(wR[-1]), 1e-300)
+    return LemmaCheck(name, int(lam_min < -tol * scale), lam_min / scale)
 
 
-def _scale(*parts: np.ndarray) -> np.ndarray:
-    """max(1, parts...) per sample."""
-    return functools.reduce(np.maximum, parts, 1.0)
-
-
-def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """(x_s, y_s) for every row pair."""
-    return np.einsum("si,si->s", X, Y)
-
-
-def _quad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(x_s, M x_s) for every row x_s of X."""
-    return _dot(X @ M.T, X)
-
-
-def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
-                       n_samples: int = 1000, seed: int = 0,
-                       tol: float = 1e-8) -> list:
-    """Sampled verification of the constructive-gap chain.
-
-    Checks, on ``n_samples`` standard-normal coefficient vectors:
+def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float,
+                     C_k: float) -> dict:
+    """{name: (A, R)}: the two sides f^T A f >= f^T R f of each operator
+    inequality of the constructive-gap chain, as T x T matrices.
 
       ortho      : -(f,Lf) >= (C^m - 4 eta_o) ||f_perp||_H^2
                    - (eta_o/2)(f_par, L^b f_par), eta_o = min{1, C^m/8}
       bi_species : -(f_par, L^b f_par) >= D^b/4 sum_ij (|ui-uj|^2 + (ei-ej)^2)
       differences: sum_ij (...) >= (||f - Pi_L f||_H^2 - 2||f_perp||_H^2)/C_k
-      jensen_*   : the two convex-combination inequalities on random
-                   (rho_i, u_i, e_i) tuples
       full_chain : the assembled theorem inequality with
                    eta = min{1, 4 C^m C_k/(16 C_k + D^b)} and
                    lambda = eta D^b/(8 C_k)
+      gap_lower_bound: -(f,Lf) >= lambda ||f - Pi_L f||_H^2
 
-    Sample k reads row k of one standard-normal draw of width T + 5 n:
-    f, then log rho_i, u_i and e_i of the Jensen tuple.  Margins are
-    normalized by the scale of the compared quantities; a violation is
-    margin < -tol * scale (:func:`_tally`).
+    f_par = P f with P = Vm Vm^T the projection onto ker(L^m), and
+    (u_i, e_i) = E f with E = extract_coefficients(..., I), so every side
+    is a quadratic form in f.
     """
-    rng = np.random.default_rng(seed)
     L, Lb, H = ops.L.matrix, ops.Lb.matrix, ops.hgram.matrix
     VL, Vm = ops.ker_L, ops.ker_Lm
-    T, n = ops.total_size, ops.mixture.n
+    I = np.eye(ops.total_size)
     eta_o = min(1.0, C_m / 8.0)
     eta_t, lam = explicit_lambda(C_m, D_b, C_k)
 
-    Z = rng.standard_normal((n_samples, T + 5 * n))
-    F = Z[:, :T]
-    F_par = (F @ Vm) @ Vm.T
-    diss = -_quad(L, F)
-    h_perp = _quad(H, F - F_par)
-    cross = -_quad(Lb, F_par)
-    coeffs = extract_coefficients(ops.mixture, ops.basis, F.T)
-    du = coeffs.u[:, None] - coeffs.u[None, :]
-    de = coeffs.e[:, None] - coeffs.e[None, :]
-    diffs = np.sum(du * du, axis=(0, 1, 2)) + np.sum(de * de, axis=(0, 1))
-    h_tilde = _quad(H, F - (F @ VL) @ VL.T)
-
-    # Jensen inequalities on independent random tuples
-    rho = np.exp(Z[:, T:T + n])
-    u = Z[:, T + n:T + 4 * n].reshape(n_samples, n, 3)
-    e = Z[:, T + 4 * n:]
-    wu = rho / rho.sum(axis=1, keepdims=True)
-    lhs_u = _dot(wu, np.sum(u * u, axis=2)) \
-        - np.sum(np.einsum("sn,snk->sk", wu, u) ** 2, axis=1)
-    rhs_u = np.sum((u[:, :, None] - u[:, None, :]) ** 2, axis=(1, 2, 3))
-    lhs_e = _dot(wu, e * e) - _dot(wu, e) ** 2
-    rhs_e = np.sum((e[:, :, None] - e[:, None, :]) ** 2, axis=(1, 2))
-
-    rhs_o = (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross
-    rhs_b = 0.25 * D_b * diffs
-    rhs_d = (h_tilde - 2.0 * h_perp) / C_k
-    rhs_c = (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k)) * h_perp \
-        + lam * h_tilde
-    rhs_g = lam * h_tilde
-    checks = {
-        "ortho": (diss - rhs_o, _scale(diss, abs(rhs_o))),
-        "bi_species": (cross - rhs_b, _scale(cross, rhs_b)),
-        "differences": (diffs - rhs_d, _scale(diffs, abs(rhs_d))),
-        "jensen_u": (rhs_u - lhs_u, _scale(rhs_u, abs(lhs_u))),
-        "jensen_e": (rhs_e - lhs_e, _scale(rhs_e, abs(lhs_e))),
-        "full_chain": (diss - rhs_c, _scale(diss, abs(rhs_c))),
-        "gap_lower_bound": (diss - rhs_g, _scale(diss, rhs_g)),
+    P = Vm @ Vm.T
+    Q = I - P
+    QL = I - VL @ VL.T
+    diss = -L
+    h_perp = Q.T @ H @ Q
+    cross = -P.T @ Lb @ P
+    h_tilde = QL.T @ H @ QL
+    coeffs = extract_coefficients(ops.mixture, ops.basis, I)
+    diff_rows = np.concatenate([
+        (coeffs.u[:, None] - coeffs.u[None, :]).reshape(-1, ops.total_size),
+        (coeffs.e[:, None] - coeffs.e[None, :]).reshape(-1, ops.total_size)])
+    diffs = diff_rows.T @ diff_rows
+    return {
+        "ortho": (diss, (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross),
+        "bi_species": (cross, 0.25 * D_b * diffs),
+        "differences": (diffs, (h_tilde - 2.0 * h_perp) / C_k),
+        "full_chain": (diss, (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k))
+                       * h_perp + lam * h_tilde),
+        "gap_lower_bound": (diss, lam * h_tilde),
     }
-    ledger = []
-    for name, (margin, scale) in checks.items():
-        count, worst, k = _tally(margin, scale, tol)
-        ledger.append(LemmaCheck(name, n_samples, count, worst, {"sample": k}))
-    return ledger
+
+
+def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
+                       tol: float = 1e-8) -> list:
+    """Certify each inequality of :func:`step_lemma_forms` on the whole
+    discrete space with :func:`form_check` against the H-Gram.
+
+    The two Jensen steps of the proof need no check: for weights
+    w_i >= 0 with sum_i w_i = 1,
+
+        sum_i w_i |u_i|^2 - |sum_i w_i u_i|^2
+            = 1/2 sum_ij w_i w_j |u_i - u_j|^2 <= sum_ij |u_i - u_j|^2,
+
+    since w_i w_j <= 1, and likewise for the e_i.
+    """
+    H = ops.hgram.matrix
+    return [form_check(name, A, R, H, tol=tol)
+            for name, (A, R) in step_lemma_forms(ops, C_m, D_b, C_k).items()]
 
 
 # ---------------------------------------------------------------------------
@@ -531,32 +524,47 @@ class HypothesisReport:
         }
 
 
-def verify_H1_H3(ops: OperatorSet, lambda_numeric: float,
+def h12_forms(ops: OperatorSet, nu_bar_4: float) -> tuple:
+    """(A, R, slack) of (H1.2),
+
+        (grad f, grad Lambda f) + slack |f|^2
+            >= ||grad f||_H^2 / 2 - nu_bar_4 |f|^2,
+
+    with A = sum_a G_a^T G_a Lambda, R = 1/2 sum_a G_a^T H G_a - nu_bar_4 I
+    and slack = trunc^2 max|Lambda| for the GradV truncation norm trunc.
+    """
+    lam_m, H = ops.lam.matrix, ops.hgram.matrix
+    grads = [g.matrix for g in ops.grads]
+    A = sum(g.T @ g @ lam_m for g in grads)
+    R = 0.5 * sum(g.T @ H @ g for g in grads) \
+        - nu_bar_4 * np.eye(ops.total_size)
+    trunc = ops.grad_truncation_norm()
+    return A, R, trunc * trunc * float(np.max(np.abs(lam_m)))
+
+
+def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
                  n_samples: int = 1000, seed: int = 0,
                  eps_list=(1e-1, 1e-2, 1e-3)) -> HypothesisReport:
     """Verify the hypocoercivity hypotheses on the assembled operators.
 
-    (H1.1) holds with nu_bar_1 = nu_bar_2 = 1 by construction (Lambda and
-    the H-Gram are the same matrix); nu_bar_0 is the smallest eigenvalue of
-    Lambda.  (H1.2) uses nu_bar_3 = 1/2 and
-    nu_bar_4 = max_i sup_nodes |grad nu_i|^2 / (2 nu_i), re-verified on
-    random samples with the GradV truncation norm as slack.  (H2) fits the
-    smallest sampled C(eps) and certifies an eigenvalue bound valid on the
-    whole discrete space; the holdout check runs against the certified
-    value.  (H3) is the measured generalized gap.
+    ``mu`` is the generalized spectrum of (-L, H-Gram), so
+    C_L = max |mu|.  (H1.1) holds with nu_bar_1 = nu_bar_2 = 1 by
+    construction (Lambda and the H-Gram are the same matrix); nu_bar_0 is
+    the smallest eigenvalue of Lambda.  (H1.2) uses nu_bar_3 = 1/2 and
+    nu_bar_4 = max_i sup_nodes |grad nu_i|^2 / (2 nu_i), and is decided on
+    the whole discrete space by :func:`form_check` on :func:`h12_forms`,
+    with the GradV truncation norm as slack.  (H2) certifies
+    C(eps) = lambda_max(A2 - eps B2), an eigenvalue bound valid on the
+    whole discrete space, and fits the largest sampled Rayleigh quotient
+    C_fit on ``n_samples`` standard-normal vectors; the holdout counts the
+    eps whose C_fit exceeds C(eps) by more than 1e-8 relative to the
+    pencil's spectral radius.  (H3) is the measured generalized gap.
     """
     rng = np.random.default_rng(seed)
-    lam_m = ops.lam.matrix
-    H = ops.hgram.matrix
     K = ops.K.matrix
-    L = ops.L.matrix
     grads = [g.matrix for g in ops.grads]
-    total = ops.total_size
 
-    nu_bar_0 = float(eigvalsh(lam_m)[0])
-    w_gen = generalized_eigs(lam_m, H)
-    nu_bar_1, nu_bar_2 = float(w_gen[0]), float(w_gen[-1])
-
+    nu_bar_0 = float(eigvalsh(ops.lam.matrix)[0])
     nodes = hermite_rule_3d(ops.q).nodes
     nu_bar_4 = 0.0
     for i in range(ops.mixture.n):
@@ -564,23 +572,8 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float,
         gn = ops.freq.grad_nu(i, nodes)
         nu_bar_4 = max(nu_bar_4, float(np.max(np.sum(gn * gn, axis=1)
                                               / (2.0 * nu))))
-    nu_bar_3 = 0.5
-
-    wL = generalized_eigs(L, H)
-    C_L = float(np.max(np.abs(wL)))
-
-    # (H1.2) on random samples; slack grows with the GradV truncation norm
-    trunc = ops.grad_truncation_norm()
-    lam_scale = float(np.max(np.abs(lam_m)))
-    F = rng.standard_normal((n_samples, total))
-    GF = [F @ g.T for g in grads]
-    LF = F @ lam_m.T
-    ff = _dot(F, F)
-    lhs = sum(_dot(y, LF @ g.T) for g, y in zip(grads, GF))
-    rhs = nu_bar_3 * sum(_quad(H, y) for y in GF) - nu_bar_4 * ff
-    scale = _scale(abs(lhs), abs(rhs))
-    slack = 1e-8 * scale + trunc * trunc * lam_scale * ff
-    h12_viol, h12_worst, _ = _tally(lhs - rhs + slack, scale, 0.0)
+    A, R, slack = h12_forms(ops, nu_bar_4)
+    h12 = form_check("H1.2", A, R, slack=slack)
 
     # (H2): quadratic forms of (grad f, grad K f) vs eps ||grad f||^2 + C ||f||^2
     A2 = sum(g.T @ (g @ K) for g in grads)
@@ -588,26 +581,22 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float,
     B2 = sum(g.T @ g for g in grads)
     B2 = 0.5 * (B2 + B2.T)
 
-    def forms(X):
-        return _dot(X @ A2, X), _dot(X @ B2, X), _dot(X, X)
-
     pairs = []
     hold_viol = 0
     for eps in eps_list:
-        C_cert = float(eigvalsh(A2 - eps * B2)[-1])
-        C_cert = max(C_cert, 0.0)
-        num, den_g, den = forms(rng.standard_normal((n_samples, total)))
-        C_fit = float(np.max((num - eps * den_g) / den))
-        # holdout samples, checked against the certified C(eps)
-        hnum, hg, hn = forms(rng.standard_normal((n_samples, total)))
-        hold_viol += _tally(eps * hg + C_cert * hn - hnum, np.abs(hnum),
-                            1e-8)[0]
+        M2 = A2 - eps * B2
+        w = eigvalsh(M2)
+        C_cert = max(float(w[-1]), 0.0)
+        X = rng.standard_normal((n_samples, ops.total_size))
+        C_fit = float(np.max(np.einsum("si,si->s", X @ M2, X)
+                             / np.einsum("si,si->s", X, X)))
+        hold_viol += C_fit - C_cert > 1e-8 * max(abs(w[0]), abs(w[-1]))
         pairs.append((float(eps), C_cert, C_fit))
 
-    return HypothesisReport(nu_bar_0=nu_bar_0, nu_bar_1=nu_bar_1,
-                            nu_bar_2=nu_bar_2, nu_bar_3=nu_bar_3,
-                            nu_bar_4=nu_bar_4, C_L=C_L, h2_pairs=pairs,
-                            h3_lambda=lambda_numeric,
-                            h12_violations=h12_viol,
-                            h12_worst_margin=h12_worst,
-                            h2_holdout_violations=hold_viol)
+    return HypothesisReport(nu_bar_0=nu_bar_0, nu_bar_1=1.0, nu_bar_2=1.0,
+                            nu_bar_3=0.5, nu_bar_4=nu_bar_4,
+                            C_L=float(max(abs(mu[0]), abs(mu[-1]))),
+                            h2_pairs=pairs, h3_lambda=lambda_numeric,
+                            h12_violations=h12.violations,
+                            h12_worst_margin=h12.worst_margin,
+                            h2_holdout_violations=int(hold_viol))

@@ -292,16 +292,49 @@ def _moment_coefficients(ops, f):
     return u, e
 
 
-def step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples, seed, tol=1e-8):
-    """The seven step-lemma checks, sample after sample from one generator:
-    {name: (violations, worst relative margin, first worst sample)}."""
-    rng = np.random.default_rng(seed)
+def step_lemma_margins(ops, C_m, D_b, C_k, f):
+    """{name: (margin, scale)} of the five operator inequalities of the
+    constructive-gap chain at one coefficient vector f; the inequality is
+    violated at f when margin < -tol * scale."""
     L, Lb, H = ops.L.matrix, ops.Lb.matrix, ops.hgram.matrix
     VL, Vm = ops.ker_L, ops.ker_Lm
-    n = ops.mixture.n
     eta_o = min(1.0, C_m / 8.0)
     eta_t = min(1.0, 4.0 * C_m * C_k / (16.0 * C_k + D_b))
     lam = eta_t * D_b / (8.0 * C_k)
+    f_par = Vm @ (Vm.T @ f)
+    f_perp = f - f_par
+    diss = -float(f @ (L @ f))
+    h_perp = float(f_perp @ (H @ f_perp))
+    cross = -float(f_par @ (Lb @ f_par))
+    u, e = _moment_coefficients(ops, f)
+    du = u[:, None, :] - u[None, :, :]
+    de = e[:, None] - e[None, :]
+    diffs = float(np.sum(du * du) + np.sum(de * de))
+    f_tilde = f - VL @ (VL.T @ f)
+    h_tilde = float(f_tilde @ (H @ f_tilde))
+
+    rhs_o = (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross
+    rhs_b = 0.25 * D_b * diffs
+    rhs_d = (h_tilde - 2.0 * h_perp) / C_k
+    rhs_c = (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k)) * h_perp \
+        + lam * h_tilde
+    return {
+        "ortho": (diss - rhs_o, max(1.0, diss, abs(rhs_o))),
+        "bi_species": (cross - rhs_b, max(1.0, cross, rhs_b)),
+        "differences": (diffs - rhs_d, max(1.0, diffs, abs(rhs_d))),
+        "full_chain": (diss - rhs_c, max(1.0, diss, abs(rhs_c))),
+        "gap_lower_bound": (diss - lam * h_tilde,
+                            max(1.0, diss, lam * h_tilde)),
+    }
+
+
+def step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples, seed, tol=1e-8):
+    """The five operator checks of :func:`step_lemma_margins` and the two
+    Jensen inequalities on random (rho_i, u_i, e_i) tuples, sample after
+    sample from one generator:
+    {name: (violations, worst relative margin, first worst sample)}."""
+    rng = np.random.default_rng(seed)
+    n = ops.mixture.n
     stats = {}
 
     def record(name, margin, scale, k):
@@ -313,29 +346,9 @@ def step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples, seed, tol=1e-8):
 
     for k in range(n_samples):
         f = rng.standard_normal(ops.total_size)
-        f_par = Vm @ (Vm.T @ f)
-        f_perp = f - f_par
-        diss = -float(f @ (L @ f))
-        h_perp = float(f_perp @ (H @ f_perp))
-        cross = -float(f_par @ (Lb @ f_par))
-        u, e = _moment_coefficients(ops, f)
-        du = u[:, None, :] - u[None, :, :]
-        de = e[:, None] - e[None, :]
-        diffs = float(np.sum(du * du) + np.sum(de * de))
-        f_tilde = f - VL @ (VL.T @ f)
-        h_tilde = float(f_tilde @ (H @ f_tilde))
-
-        rhs_o = (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross
-        record("ortho", diss - rhs_o, max(1.0, diss, abs(rhs_o)), k)
-        rhs_b = 0.25 * D_b * diffs
-        record("bi_species", cross - rhs_b, max(1.0, cross, rhs_b), k)
-        rhs_d = (h_tilde - 2.0 * h_perp) / C_k
-        record("differences", diffs - rhs_d, max(1.0, diffs, abs(rhs_d)), k)
-        rhs_c = (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k)) * h_perp \
-            + lam * h_tilde
-        record("full_chain", diss - rhs_c, max(1.0, diss, abs(rhs_c)), k)
-        record("gap_lower_bound", diss - lam * h_tilde,
-               max(1.0, diss, lam * h_tilde), k)
+        for name, (margin, scale) in step_lemma_margins(
+                ops, C_m, D_b, C_k, f).items():
+            record(name, margin, scale, k)
 
         rho = np.exp(rng.standard_normal(n))
         uj = rng.standard_normal((n, 3))
@@ -350,35 +363,45 @@ def step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples, seed, tol=1e-8):
     return stats
 
 
-def h12_loop(ops, n_samples, seed):
-    """(violations, worst margin) of the (H1.2) check, sample after sample,
-    from a fresh generator: (grad f, grad Lambda f) >= ||grad f||_H^2 / 2
-    - nu_bar_4 ||f||^2 up to the truncation slack."""
+def nu_bar_4(ops):
+    """max_i over the Hermite nodes of |grad nu_i|^2 / (2 nu_i)."""
     from kinetic_gap.quadrature import hermite_rule_3d
-    rng = np.random.default_rng(seed)
-    lam_m, H = ops.lam.matrix, ops.hgram.matrix
-    grads = [g.matrix for g in ops.grads]
     nodes = hermite_rule_3d(ops.q).nodes
-    nu_bar_4 = 0.0
+    out = 0.0
     for i in range(ops.mixture.n):
         nu = ops.freq.nu(i, nodes)
         gn = ops.freq.grad_nu(i, nodes)
-        nu_bar_4 = max(nu_bar_4, float(np.max(np.sum(gn * gn, axis=1)
-                                              / (2.0 * nu))))
+        out = max(out, float(np.max(np.sum(gn * gn, axis=1) / (2.0 * nu))))
+    return out
+
+
+def h12_margin(ops, f, nu4):
+    """(margin, scale) of (H1.2) at one vector f,
+
+        (grad f, grad Lambda f) + trunc^2 max|Lambda| ||f||^2
+            >= ||grad f||_H^2 / 2 - nu4 ||f||^2;
+
+    the inequality is violated at f when margin < -1e-8 * scale."""
+    lam_m, H = ops.lam.matrix, ops.hgram.matrix
+    grads = [g.matrix for g in ops.grads]
     trunc = ops.grad_truncation_norm()
     lam_scale = float(np.max(np.abs(lam_m)))
-    violations, worst = 0, math.inf
-    for _ in range(n_samples):
-        f = rng.standard_normal(ops.total_size)
-        lhs = sum(float((g @ f) @ (g @ (lam_m @ f))) for g in grads)
-        hgrad = sum(float((g @ f) @ (H @ (g @ f))) for g in grads)
-        rhs = 0.5 * hgrad - nu_bar_4 * float(f @ f)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        slack = 1e-8 * scale + trunc * trunc * lam_scale * float(f @ f)
-        margin = (lhs - rhs + slack) / scale
-        worst = min(worst, margin)
-        violations += margin < 0.0
-    return violations, worst
+    lhs = sum(float((g @ f) @ (g @ (lam_m @ f))) for g in grads)
+    hgrad = sum(float((g @ f) @ (H @ (g @ f))) for g in grads)
+    rhs = 0.5 * hgrad - nu4 * float(f @ f)
+    slack = trunc * trunc * lam_scale * float(f @ f)
+    return lhs - rhs + slack, max(1.0, abs(lhs), abs(rhs))
+
+
+def h12_loop(ops, n_samples, seed):
+    """(violations, worst relative margin) of :func:`h12_margin`, sample
+    after sample, from a fresh generator."""
+    rng = np.random.default_rng(seed)
+    nu4 = nu_bar_4(ops)
+    margins = [h12_margin(ops, rng.standard_normal(ops.total_size), nu4)
+               for _ in range(n_samples)]
+    return (sum(m < -1e-8 * s for m, s in margins),
+            min(m / s for m, s in margins))
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,7 @@ def test_criterion_5_gap_theorem_gate(ops_maxwell1, ops_ref, ops_mixed2,
 
 def test_criterion_6_step_lemma_ledger(ops_ref, ref_constants):
     C_m, db, C_k, _ = ref_constants
-    ledger = sp.verify_step_lemmas(ops_ref, C_m, db.value, C_k,
-                                   n_samples=1000, seed=6, tol=1e-8)
+    ledger = sp.verify_step_lemmas(ops_ref, C_m, db.value, C_k, tol=1e-8)
     viol = {c.name: c.violations for c in ledger}
     ok = all(v == 0 for v in viol.values())
     worst = min(c.worst_margin for c in ledger)
@@ -154,7 +153,8 @@ def test_criterion_6_step_lemma_ledger(ops_ref, ref_constants):
 
 def test_criterion_7_hypotheses(ops_ref, ref_constants):
     _, _, _, lam_num = ref_constants
-    rep = sp.verify_H1_H3(ops_ref, lam_num, n_samples=1000, seed=7)
+    mu = sp.generalized_eigs(-ops_ref.L.matrix, ops_ref.hgram.matrix)
+    rep = sp.verify_H1_H3(ops_ref, lam_num, mu, n_samples=1000, seed=7)
     ok = (rep.all_positive() and rep.nu_bar_3 == 0.5
           and rep.h12_violations == 0 and rep.h2_holdout_violations == 0
           and rep.h3_lambda == lam_num

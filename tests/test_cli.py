@@ -93,6 +93,9 @@ MALFORMED = [
     # fewer than 20 recorded times at or after 0.2 t_end (17 and 7 here)
     ("decay_schedule_too_short", ("decay", "t_end"), 2.0),
     ("decay_schedule_too_sparse", ("decay", "record_every"), 10),
+    # rho_i rho_j overflows, so the assembled operators hold inf and NaN
+    ("rho_inf_overflows_operators", ("mixture", "species"),
+     [{"rho_inf": 1e300}, {"rho_inf": 1e300}]),
 ]
 
 
@@ -173,6 +176,20 @@ class TestValidation:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: decay at discretization.M_max")
+        assert len(err.splitlines()) == 1
+
+    def test_over_budget_assembly_exits_before_node_table(
+            self, tmp_path, capsys, monkeypatch):
+        # N = 30, q = 64: the (nb, Qn) Hermite table alone is 10.7 GiB
+        def no_table(*args, **kwargs):
+            pytest.fail("an over-budget assembly built its node table")
+        monkeypatch.setattr(galerkin, "hermite_table_3d", no_table)
+        code = run_cli(["spectrum", "--config",
+                        write_config(tmp_path, hard_sphere_config(N=30, q=64)),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: assembly needs at least")
         assert len(err.splitlines()) == 1
 
     def test_threads_validated(self, tmp_path):
@@ -375,6 +392,20 @@ class TestConstants:
         err = capsys.readouterr().err
         assert code == cli.EXIT_GATE
         assert err.startswith("gate failure: ")
+        assert len(err.splitlines()) == 1
+
+    def test_overflowing_forms_end_in_a_gate_failure(self, tmp_path, capsys):
+        # at phi C = 1e300 the operators are finite, but |grad nu|^2 in
+        # nu_bar_4, and so the (H1.2) forms, overflow
+        cfg = hard_sphere_config()
+        cfg["kernels"].update(C1=1e300, C2=1e300)
+        for row in cfg["kernels"]["phi"]:
+            row[:] = [{"type": "power", "C": 1e300, "gamma": 1.0}] * len(row)
+        code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_GATE
+        assert err.startswith("gate failure: the quadratic forms of H1.2")
         assert len(err.splitlines()) == 1
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -1,12 +1,14 @@
 """The benchmark tracer (perfbench/tracing.py) wraps package functions by
-name, and the workload generator (perfbench/workloads.py) declares kernel
-constants for the audited radius range.  A rename or a new range in the
-package must fail here, not in a benchmark run.
+name, the workload generator (perfbench/workloads.py) declares kernel
+constants for the audited radius range, and the output checks
+(perfbench/checks.py) read keys of the written reports.  A rename or a new
+range in the package must fail here, not in a benchmark run.
 """
 import importlib
 import inspect
 
 from conftest import load_perfbench
+from test_cli import hard_sphere_config, run_cli, write_config
 
 
 def test_traced_names_resolve():
@@ -73,3 +75,14 @@ def test_workload_radii_are_the_audited_range():
     from kinetic_gap.kernels import AUDIT_RADII
     workloads = load_perfbench("workloads")
     assert (workloads.AUDIT_R_MIN, workloads.AUDIT_R_MAX) == AUDIT_RADII
+
+
+def test_constants_output_passes_benchmark_checks(tmp_path):
+    # the ledger, hypotheses and eigenvalue keys that checks.py reads
+    checks = load_perfbench("checks")
+    out = tmp_path / "out"
+    code = run_cli(["constants", "--config",
+                    write_config(tmp_path, hard_sphere_config()),
+                    "--out", str(out)])
+    problems, _values = checks.check_request("constants", 2, code, out)
+    assert problems == []

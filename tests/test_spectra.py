@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
@@ -10,7 +11,8 @@ from kinetic_gap.galerkin import build_operator_set
 from kinetic_gap.kernels import hard_sphere_family, maxwell_family
 from kinetic_gap.mixture import Mixture, project_onto
 
-from oracles import (closed_form_Db, h12_loop, step_lemma_ledger_loop,
+from oracles import (closed_form_Db, h12_loop, h12_margin, nu_bar_4,
+                     step_lemma_ledger_loop, step_lemma_margins,
                      sturm_eigvalsh)
 
 
@@ -208,8 +210,7 @@ def chain(ops_small):
 class TestStepLemmas:
     def test_zero_violations(self, chain):
         ops, C_m, D_b, C_k = chain
-        ledger = sp.verify_step_lemmas(ops, C_m, D_b, C_k, n_samples=1000,
-                                       seed=0, tol=1e-8)
+        ledger = sp.verify_step_lemmas(ops, C_m, D_b, C_k, tol=1e-8)
         for check in ledger:
             assert check.violations == 0, (check.name, check.worst_margin)
 
@@ -254,50 +255,107 @@ class TestStepLemmas:
             assert lhs >= lam * (ft @ (H @ ft)) - 1e-8 * max(1.0, lhs)
 
 
-class TestBatchedChecks:
-    """The batched sampled checks against a loop over the same samples."""
+def _inflated_hgram(ops, factor):
+    return dataclasses.replace(ops, hgram=dataclasses.replace(
+        ops.hgram, matrix=factor * ops.hgram.matrix))
 
-    # C^m, D^b x 12 leaves some samples of one check violated and some not
-    @pytest.mark.parametrize("inflate", [1.0, 12.0])
-    def test_ledger_matches_loop(self, chain, inflate):
+
+def _least_eigenvector(A, R, metric=None, slack=0.0):
+    M = 0.5 * ((A - R) + (A - R).T) + slack * np.eye(A.shape[0])
+    return scipy.linalg.eigh(M, metric)[1][:, 0]
+
+
+LEDGER_NAMES = ["ortho", "bi_species", "differences", "full_chain",
+                "gap_lower_bound"]
+
+
+class TestEigenvalueCertificates:
+    """The eigenvalue certificates against the sampled loops of oracles.py:
+    a sampled violation must come with a negative certificate, whose
+    least eigenvector violates the inequality itself."""
+
+    def test_true_constants_pass(self, chain):
         ops, C_m, D_b, C_k = chain
-        C_m, D_b = inflate * C_m, inflate * D_b
-        ledger = sp.verify_step_lemmas(ops, C_m, D_b, C_k, n_samples=300,
-                                       seed=4, tol=1e-8)
+        ledger = sp.verify_step_lemmas(ops, C_m, D_b, C_k)
+        assert [c.name for c in ledger] == LEDGER_NAMES
         ref = step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples=300,
-                                     seed=4, tol=1e-8)
-        assert [c.name for c in ledger] == [
-            "ortho", "bi_species", "differences", "jensen_u", "jensen_e",
-            "full_chain", "gap_lower_bound"]
-        assert set(ref) == {c.name for c in ledger}
+                                     seed=4)
         for check in ledger:
-            violations, worst, witness = ref[check.name]
-            assert check.n_samples == 300
-            assert check.violations == violations, check.name
-            assert check.witness == {"sample": witness}, check.name
-            assert abs(check.worst_margin - worst) <= 1e-12, check.name
-        if inflate > 1.0:
-            assert any(0 < c.violations < 300 for c in ledger)
+            assert check.violations == 0, (check.name, check.worst_margin)
+            assert ref[check.name][0] == 0, check.name
+        assert ref["jensen_u"][0] == ref["jensen_e"][0] == 0
 
-    @pytest.mark.parametrize("inflate", [1.0, 12.0])
-    def test_h12_matches_loop(self, ops_small, inflate):
+    # C^m and D^b x 12, or the H-Gram x 12, break some of the inequalities
+    @pytest.mark.parametrize("chain_factor,hgram_factor",
+                             [(12.0, 1.0), (1.0, 12.0)])
+    def test_sampled_violation_implies_negative_certificate(
+            self, chain, chain_factor, hgram_factor):
+        ops, C_m, D_b, C_k = chain
+        ops = _inflated_hgram(ops, hgram_factor)
+        C_m, D_b = chain_factor * C_m, chain_factor * D_b
+        ledger = {c.name: c for c in sp.verify_step_lemmas(ops, C_m, D_b, C_k)}
+        ref = step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples=300,
+                                     seed=4)
+        sampled = [name for name in LEDGER_NAMES if ref[name][0] > 0]
+        assert sampled
+        for name in sampled:
+            assert ledger[name].violations == 1, name
+            assert ledger[name].worst_margin < -1e-8, name
+        forms = sp.step_lemma_forms(ops, C_m, D_b, C_k)
+        for name, check in ledger.items():
+            if check.violations:
+                x = _least_eigenvector(*forms[name], ops.hgram.matrix)
+                margin, scale = step_lemma_margins(ops, C_m, D_b, C_k,
+                                                   x)[name]
+                assert margin < -1e-8 * scale, name
+
+    @pytest.mark.parametrize("factor", [1.0, 12.0])
+    def test_h12_against_loop(self, ops_small, factor):
         # an inflated H-Gram raises the right side ||grad f||_H^2 / 2 of
-        # (H1.2) past its left side, so violations occur
-        ops = dataclasses.replace(ops_small, hgram=dataclasses.replace(
-            ops_small.hgram, matrix=inflate * ops_small.hgram.matrix))
-        rep = sp.verify_H1_H3(ops, 1.0, n_samples=300, seed=6)
-        violations, worst = h12_loop(ops, n_samples=300, seed=6)
-        assert rep.h12_violations == violations
-        assert abs(rep.h12_worst_margin - worst) <= 1e-12
-        assert (0 < violations < 300) == (inflate > 1.0)
+        # (H1.2) past its left side
+        ops = _inflated_hgram(ops_small, factor)
+        mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+        rep = sp.verify_H1_H3(ops, 1.0, mu, n_samples=10, seed=6)
+        violations, _ = h12_loop(ops, n_samples=300, seed=6)
+        assert (violations > 0) == (factor > 1.0)
+        assert rep.h12_violations == int(violations > 0)
+        assert (rep.h12_worst_margin < 0.0) == (factor > 1.0)
+        if rep.h12_violations:
+            A, R, slack = sp.h12_forms(ops, rep.nu_bar_4)
+            x = _least_eigenvector(A, R, slack=slack)
+            margin, scale = h12_margin(ops, x, nu_bar_4(ops))
+            assert margin < -1e-8 * scale
+
+    def test_forms_match_loop_margins(self, chain, rng):
+        # f^T (A - R) f is the margin the loops compute, term by term
+        ops, C_m, D_b, C_k = chain
+        forms = sp.step_lemma_forms(ops, C_m, D_b, C_k)
+        assert list(forms) == LEDGER_NAMES
+        nu4 = nu_bar_4(ops)
+        A, R, slack = sp.h12_forms(ops, nu4)
+        for _ in range(5):
+            f = rng.standard_normal(ops.total_size)
+            for name, (margin, scale) in step_lemma_margins(
+                    ops, C_m, D_b, C_k, f).items():
+                A_l, R_l = forms[name]
+                assert f @ (A_l - R_l) @ f == pytest.approx(
+                    margin, abs=1e-10 * scale), name
+            margin, scale = h12_margin(ops, f, nu4)
+            assert f @ (A - R) @ f + slack * (f @ f) == pytest.approx(
+                margin, abs=1e-10 * scale)
 
 
 class TestHypotheses:
     def test_maxwell_h_ratio_and_nu4(self, ops_maxwell1_small):
         ops = ops_maxwell1_small
         lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-        rep = sp.verify_H1_H3(ops, lam_num, n_samples=300, seed=1)
-        assert rep.nu_bar_1 == pytest.approx(rep.nu_bar_2, abs=1e-8)
+        mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+        rep = sp.verify_H1_H3(ops, lam_num, mu, n_samples=300, seed=1)
+        # the H-Gram is Lambda itself, so (Lambda, H) has only the eigenvalue 1
+        assert ops.hgram.matrix is ops.lam.matrix
+        assert rep.nu_bar_1 == rep.nu_bar_2 == 1.0
+        wL = sp.generalized_eigs(ops.L.matrix, ops.hgram.matrix)
+        assert rep.C_L == pytest.approx(np.max(np.abs(wL)), rel=1e-12)
         assert rep.nu_bar_4 <= 1e-10
         assert rep.all_positive()
         assert rep.h12_violations == 0
@@ -306,7 +364,8 @@ class TestHypotheses:
     def test_hard_sphere_hypotheses(self, ops_small):
         ops = ops_small
         lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-        rep = sp.verify_H1_H3(ops, lam_num, n_samples=500, seed=2)
+        mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+        rep = sp.verify_H1_H3(ops, lam_num, mu, n_samples=500, seed=2)
         assert rep.nu_bar_3 == 0.5
         assert rep.nu_bar_4 > 0.0
         assert rep.nu_bar_0 >= ops.freq.nu0 - 1e-6
