@@ -335,14 +335,13 @@ def cmd_spectrum(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int
 def reference_initial_state(ops, rng, m_max: int, amplitude: float = 1e-2):
     """Randomized perturbation with ker(L^m)-but-not-ker(L) content at m=0."""
     state = ev.random_physical_state(rng, ops.total_size, m_max, amplitude)
-    c0 = state.modes[(0, 0, 0)]
+    zero = len(state.modes) // 2            # m = 0 in modes_up_to order
     if ops.ker_Lm.shape[1] > ops.ker_L.shape[1]:
         for k in range(ops.ker_Lm.shape[1]):
             w = ops.ker_Lm[:, k] - project_onto(ops.ker_L, ops.ker_Lm[:, k])
             nrm = np.linalg.norm(w)
             if nrm > 1e-8:
-                c0 = c0 + amplitude * (w / nrm).astype(complex)
-    state.modes[(0, 0, 0)] = c0
+                state.coeffs[zero] += amplitude * (w / nrm).astype(complex)
     return state
 
 
@@ -372,18 +371,16 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
     traj = ev.evolve(f_I, ops.L.matrix, ops.transports, integration["dt"],
                      integration["t_end"], scheme=integration["scheme"],
                      record_every=integration["record_every"])
-    h1_dist, g_vals, mode_norms, drift = [], [], [], 0.0
-    kproj0 = ops.ker_L.T @ f_I.modes[(0, 0, 0)]
-    for st in traj.states:
-        diff = ev.TorusState({m: st.modes[m] - f_inf.modes[m]
-                              for m in st.modes}, st.time)
+    h1_dist, g_vals = [], []
+    for t, X in zip(traj.times, traj.coeffs):
+        diff = ev.TorusState(f_I.modes, X - f_inf.coeffs, t)
         h1_sq, g = ev.h1_norm_and_functional(diff, search.c, ops.grads)
         h1_dist.append(math.sqrt(h1_sq))
         g_vals.append(g)
-        mode_norms.append({m: math.sqrt(float(np.vdot(c, c).real))
-                           for m, c in st.modes.items()})
-        kp = ops.ker_L.T @ st.modes[(0, 0, 0)]
-        drift = max(drift, float(np.max(np.abs(kp - kproj0))))
+    mode_norms = np.sqrt(np.vecdot(traj.coeffs, traj.coeffs).real)
+    zero = len(f_I.modes) // 2
+    kproj = [ops.ker_L.T @ X[zero] for X in traj.coeffs]
+    drift = max(float(np.max(np.abs(kp - kproj[0]))) for kp in kproj)
     drift_rate = drift / max(traj.times[-1] - traj.times[0], 1e-300)
 
     report = ev.fit_decay(traj.times, np.array(h1_dist),
@@ -392,15 +389,12 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
                      for i in range(len(g_vals) - 1))
 
     # trajectory.csv: t, per-mode norms, h1_distance, G
-    modes_sorted = sorted(traj.states[0].modes)
-    header = ["t"] + [f"mode_{m[0]}_{m[1]}_{m[2]}" for m in modes_sorted] \
+    header = ["t"] + [f"mode_{a}_{b}_{c}" for a, b, c in f_I.modes.tolist()] \
         + ["h1_distance", "G"]
     lines = [",".join(header)]
-    for i, t in enumerate(traj.times):
-        row = [repr(float(t))]
-        row += [repr(mode_norms[i][m]) for m in modes_sorted]
-        row += [repr(h1_dist[i]), repr(g_vals[i])]
-        lines.append(",".join(row))
+    for t, norms, h1, g in zip(traj.times.tolist(), mode_norms.tolist(),
+                               h1_dist, g_vals):
+        lines.append(",".join(map(repr, [t, *norms, h1, g])))
     (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n",
                                             encoding="utf-8")
 

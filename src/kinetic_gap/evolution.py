@@ -20,7 +20,7 @@ norm and the certified pencil are all built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -52,62 +52,53 @@ def mode_generator(L: np.ndarray, transports, m) -> np.ndarray:
     return L - 1j * S
 
 
-def modes_up_to(m_max: int):
-    """All integer modes with |m|_inf <= m_max (closed under negation)."""
+def modes_up_to(m_max: int) -> np.ndarray:
+    """All integer modes with |m|_inf <= m_max, (K, 3) in lexicographic
+    order, so -modes[k] = modes[K - 1 - k] and modes[K // 2] = 0."""
     rng = range(-m_max, m_max + 1)
-    return [(a, b, c) for a in rng for b in rng for c in rng]
+    return np.array([(a, b, c) for a in rng for b in rng for c in rng])
 
 
 @dataclass
 class TorusState:
-    """Finite set of Fourier modes; coefficient vectors are complex."""
-    modes: dict
+    """Fourier modes of a field on the torus: row k of ``coeffs`` (K, T) is
+    the complex coefficient vector of mode ``modes[k]`` ((K, 3) integers)."""
+    modes: np.ndarray
+    coeffs: np.ndarray
     time: float = 0.0
-
-    def copy(self) -> "TorusState":
-        return TorusState({m: c.copy() for m, c in self.modes.items()},
-                          self.time)
-
-    def norm_sq(self) -> float:
-        return sum(float(np.vdot(c, c).real) for c in self.modes.values())
 
 
 def random_physical_state(rng, total_size: int, m_max: int = 1,
                           amplitude: float = 1.0) -> TorusState:
-    """Random state of a real field: coeffs(-m) = conj(coeffs(m)), real at m=0."""
-    modes = {}
-    for m in modes_up_to(m_max):
-        if m in modes or tuple(-x for x in m) in modes:
-            continue
-        if m == (0, 0, 0):
-            modes[m] = amplitude * rng.standard_normal(total_size).astype(complex)
-        else:
-            c = amplitude * (rng.standard_normal(total_size)
-                             + 1j * rng.standard_normal(total_size)) / math.sqrt(2)
-            modes[m] = c
-            modes[tuple(-x for x in m)] = np.conj(c)
-    return TorusState(modes)
+    """Random state of a real field: coeffs(-m) = conj(coeffs(m)), real at m=0.
+
+    The first half of :func:`modes_up_to` is drawn (real, then imaginary
+    part), then m = 0; the second half is the conjugate of the first,
+    reversed."""
+    modes = modes_up_to(m_max)
+    half = len(modes) // 2
+    z = rng.standard_normal((half, 2, total_size))
+    c = amplitude * (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2)
+    c0 = amplitude * rng.standard_normal(total_size).astype(complex)
+    return TorusState(modes, np.concatenate([c, c0[None], np.conj(c[::-1])]))
 
 
 def equilibrium_state(state: TorusState, ker_L: np.ndarray) -> TorusState:
     """Global equilibrium Pi_B(f): ker(L) projection of mode 0, zero elsewhere."""
-    out = {}
-    for m, c in state.modes.items():
-        if m == (0, 0, 0):
-            out[m] = project_onto(ker_L, c.real).astype(complex) \
-                + 1j * project_onto(ker_L, c.imag)
-        else:
-            out[m] = np.zeros_like(c)
-    return TorusState(out, state.time)
+    out = np.zeros_like(state.coeffs)
+    for k in np.flatnonzero(~state.modes.any(axis=1)):
+        c = state.coeffs[k]
+        out[k] = project_onto(ker_L, c.real).astype(complex) \
+            + 1j * project_onto(ker_L, c.imag)
+    return TorusState(state.modes, out, state.time)
 
 
 @dataclass
 class Trajectory:
+    """The recorded states: ``coeffs[r]`` (K, T) at ``times[r]``, rows in
+    the mode order of the initial state."""
     times: np.ndarray
-    states: list
-
-    def __len__(self) -> int:
-        return len(self.states)
+    coeffs: np.ndarray
 
 
 def recorded_steps(dt: float, t_end: float, record_every: int) -> list:
@@ -127,37 +118,36 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
     ``expm`` builds one propagator e^{dt A_m} per mode with
     ``scipy.linalg.expm`` (semigroup-exact to rounding); ``midpoint`` is the
     implicit midpoint rule, second order, with a dt * ||A|| stability guard.
+    The propagators form one (K, T, T) stack, so a step advances all modes
+    with one stacked product.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     if scheme not in ("expm", "midpoint"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    props = {}
-    for m in state.modes:
+    K, T = state.coeffs.shape
+    P = np.empty((K, T, T), dtype=complex)
+    for k, m in enumerate(state.modes):
         A = mode_generator(L, transports, m)
         if scheme == "expm":
-            props[m] = expm(dt * A)
+            P[k] = expm(dt * A)
         else:
             if dt * np.linalg.norm(A) > 1e3 and not allow_unstable:
                 raise ValueError(
                     f"midpoint step dt*||A|| = {dt * np.linalg.norm(A):.3e} "
                     "> 1e3; pass allow_unstable=True to override")
-            ident = np.eye(A.shape[0], dtype=complex)
-            props[m] = np.linalg.solve(ident - 0.5 * dt * A,
-                                       ident + 0.5 * dt * A)
+            ident = np.eye(T, dtype=complex)
+            P[k] = np.linalg.solve(ident - 0.5 * dt * A, ident + 0.5 * dt * A)
 
-    times = [state.time]
-    states = [state.copy()]
-    current = state.copy()
     steps = recorded_steps(dt, t_end, record_every)
-    for done, k in zip(steps, steps[1:]):
+    coeffs = np.empty((len(steps), K, T), dtype=complex)
+    coeffs[0] = state.coeffs
+    X = coeffs[0, ..., None]
+    for r, (done, k) in enumerate(zip(steps, steps[1:]), 1):
         for _ in range(k - done):
-            for m in current.modes:
-                current.modes[m] = props[m] @ current.modes[m]
-        current.time = state.time + k * dt
-        times.append(current.time)
-        states.append(current.copy())
-    return Trajectory(np.array(times), states)
+            X = np.matmul(P, X)
+        coeffs[r] = X[..., 0]
+    return Trajectory(state.time + np.array(steps) * dt, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +195,8 @@ def _grad_mats(grad_ops):
 def _functional(state: TorusState, c, grad_ops):
     """sum_m Re <f_m, Q_m(c) f_m>, every mode in one pass; a stack of
     tuples c of shape (n, 4) gives n values from one evaluation."""
-    S = np.stack(list(state.modes.values()), axis=1)
-    F = _forms(S, _terms(_grad_mats(grad_ops), list(state.modes), S))
+    S = np.ascontiguousarray(state.coeffs.T)
+    F = _forms(S, _terms(_grad_mats(grad_ops), state.modes, S))
     return np.sum(_weigh(c, F), axis=-1)
 
 
@@ -358,7 +348,6 @@ class SearchResult:
     success: bool
     n_candidates: int
     n_states: int
-    worst_state: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"c1": self.c[0], "c2": self.c[1], "c3": self.c[2],
@@ -391,7 +380,7 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
     """
     rng = np.random.default_rng(seed)
     total = ops.total_size
-    modes = modes_up_to(m_max)
+    modes = [tuple(m) for m in modes_up_to(m_max).tolist()]
 
     states = []
     for _ in range(n_samples):
@@ -409,8 +398,7 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
     if extra_states:
         states.extend(extra_states)
 
-    state_modes = [m for m, _ in states]
-    R, h1 = _rate_forms(ops, state_modes,
+    R, h1 = _rate_forms(ops, [m for m, _ in states],
                         np.stack([c for _, c in states], axis=1))
 
     grid = np.asarray(grid if grid is not None else _default_grid(), dtype=float)
@@ -418,14 +406,12 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
     if not admissible.any():
         raise ValueError("no coefficient tuple in the grid has c4^2 < c2*c3")
     kappas = -2.0 * _weigh(grid, R) / h1        # (candidates, states)
-    worst = np.argmin(kappas, axis=1)           # first minimum per candidate
-    kappa = np.where(admissible, kappas[np.arange(len(grid)), worst], -np.inf)
+    kappa = np.where(admissible, kappas.min(axis=1), -np.inf)
     best = int(np.argmax(kappa))                # first maximum
     return SearchResult(c=tuple(float(x) for x in grid[best]),
                         kappa=float(kappa[best]),
                         success=bool(kappa[best] > 0.0),
-                        n_candidates=len(grid), n_states=len(states),
-                        worst_state={"mode": list(state_modes[worst[best]])})
+                        n_candidates=len(grid), n_states=len(states))
 
 
 def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
@@ -444,13 +430,11 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
     _check_coeffs(*c)
     W = complement_basis(ops.ker_L, ops.total_size)
     kappa = math.inf
-    seen = set()
-    for m in modes_up_to(m_max):
-        if tuple(-x for x in m) in seen:
-            continue  # generator of -m is the complex conjugate: same kappa
-        seen.add(m)
+    modes = modes_up_to(m_max)
+    # A_{-m} = conj(A_m) gives the same kappa: the first half and m = 0 do
+    for m in modes[:len(modes) // 2 + 1]:
         H, N = _pencil(ops, c, m)
-        if m == (0, 0, 0):
+        if not m.any():
             H, N = W.T @ H @ W, W.T @ N @ W
         kappa = min(kappa, float(generalized_eigs(H, N)[0]))
     return kappa

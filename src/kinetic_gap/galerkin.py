@@ -175,13 +175,23 @@ def collision_frequency(mixture: Mixture, family: KernelFamily, i: int, v):
 # collision-operator assembly
 # ---------------------------------------------------------------------------
 
-def _pairwise_sum(mats: list) -> np.ndarray:
-    while len(mats) > 1:
-        nxt = [mats[k] + mats[k + 1] for k in range(0, len(mats) - 1, 2)]
-        if len(mats) % 2:
-            nxt.append(mats[-1])
-        mats = nxt
-    return mats[0]
+def _fold(partials) -> list:
+    """Sum an iterable of equal-length lists of arrays, list entry by list
+    entry, in the tree of a level-by-level pairwise sum: the sums of equal
+    block counts merge as they complete (a binary counter), the rest fold
+    from the right.  At most about log2(count) sums are alive at once."""
+    stack = []                               # (blocks covered, sums)
+    for p in partials:
+        n = 1
+        while stack and stack[-1][0] == n:
+            covered, left = stack.pop()
+            p = [a + b for a, b in zip(left, p)]
+            n += covered
+        stack.append((n, p))
+    acc = stack.pop()[1]
+    while stack:
+        acc = [a + b for a, b in zip(stack.pop()[1], acc)]
+    return acc
 
 
 def _slab_shape(Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
@@ -284,12 +294,11 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
     nblocks = Qn // cv
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(block, range(nblocks)))
+            sums = _fold(pool.map(block, range(nblocks)))
     else:
-        partials = [block(bi) for bi in range(nblocks)]
+        sums = _fold(map(block, range(nblocks)))
     out = []
-    for m in range(len(monomials)):
-        G = _pairwise_sum([p[m] for p in partials])
+    for G in sums:
         # half-sphere completion, exact under sigma -> -sigma symmetry
         out.append(np.stack([G[:nb, :nb] + G[nb:, nb:],
                              G[:nb, nb:] + G[:nb, nb:].T]))

@@ -16,9 +16,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "QuadratureRule", "CollisionPair", "post_collision", "collision_pair",
-    "hermite_rule_1d", "hermite_rule_3d", "gauss_legendre", "sphere_rule",
-    "CollisionSampler", "collision_sampler", "SPHERE_LEVELS",
+    "QuadratureRule", "post_collision", "hermite_rule_1d", "hermite_rule_3d",
+    "gauss_legendre", "sphere_rule", "CollisionSampler", "SPHERE_LEVELS",
 ]
 
 SPHERE_LEVELS = {"coarse": (6, 12), "medium": (12, 24), "fine": (24, 48)}
@@ -65,21 +64,6 @@ def post_collision(v, v_star, sigma, *, unit_tol: float = 1e-12):
     v_prime = center + half_r * sigma
     v_prime_star = center - half_r * sigma
     return v_prime, v_prime_star
-
-
-@dataclass(frozen=True)
-class CollisionPair:
-    v: np.ndarray
-    v_star: np.ndarray
-    v_prime: np.ndarray
-    v_prime_star: np.ndarray
-    sigma: np.ndarray
-
-
-def collision_pair(v, v_star, sigma) -> CollisionPair:
-    vp, vps = post_collision(v, v_star, sigma)
-    return CollisionPair(np.asarray(v, float), np.asarray(v_star, float),
-                         vp, vps, np.asarray(sigma, float))
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +161,8 @@ class CollisionSampler:
     estimator of  integral g * M_1 M_1^* / rho^2 dv dv* dsigma.
     """
 
-    def __init__(self, seed, _sequence: np.random.SeedSequence | None = None):
-        self.seed = seed
-        self._seq = _sequence if _sequence is not None \
-            else np.random.SeedSequence(seed)
-        self._rng = np.random.default_rng(self._seq)
-
-    def split(self, k: int) -> list["CollisionSampler"]:
-        """k independent child samplers; deterministic given the parent seed."""
-        return [CollisionSampler(self.seed, _sequence=child)
-                for child in self._seq.spawn(k)]
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
 
     def draw(self, count: int):
         if count < 1:
@@ -199,8 +175,3 @@ class CollisionSampler:
         sigma = raw / norms
         weight = np.full(count, 4.0 * np.pi)
         return v, v_star, sigma, weight
-
-
-def collision_sampler(seed, count: int):
-    """One-shot draw; see :class:`CollisionSampler`."""
-    return CollisionSampler(seed).draw(count)

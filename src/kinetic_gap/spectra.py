@@ -216,7 +216,7 @@ def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
             per_pair[(i, j)] = (scale * mean, scale * se)
     pair = min(per_pair, key=lambda p: per_pair[p][0])
     value, std_err = per_pair[pair]
-    if value <= confidence_sigmas * std_err:
+    if not value > confidence_sigmas * std_err:     # NaN fails too
         raise InconclusivePositivityError(
             f"D^b estimate {value:.6e} +- {std_err:.2e} is not positive at "
             f"{confidence_sigmas} sigma; increase the Monte-Carlo budget "

@@ -7,7 +7,9 @@ the bi-species coercivity integral from its separable closed form,
 collision quadratic forms from the analytic relations of the collision
 geometry, collision frequencies from their 1-D radial reduction, the
 sampled certificate checks from a plain loop that evaluates one sample at
-a time, and the kernel assumption audit from sampling grids.
+a time, the kernel assumption audit from sampling grids, the assembly's
+block sum from a level-by-level pairwise sum, and the torus evolution
+from one propagator and one coefficient vector per mode, kept in a dict.
 """
 from __future__ import annotations
 
@@ -468,3 +470,67 @@ def grid_audit(fam):
     passed["A6"] = bool(np.isfinite(beta_eff)) \
         and beta_eff <= fam.beta * (1.0 + 1e-9)
     return passed, {"C_b": C_b, "beta_eff": beta_eff}
+
+
+# ---------------------------------------------------------------------------
+# collision-assembly block sum
+# ---------------------------------------------------------------------------
+
+def pairwise_sum(mats: list) -> np.ndarray:
+    """Sum of the arrays by levels: adjacent pairs are added, an odd last
+    one is carried to the next level."""
+    while len(mats) > 1:
+        nxt = [mats[k] + mats[k + 1] for k in range(0, len(mats) - 1, 2)]
+        if len(mats) % 2:
+            nxt.append(mats[-1])
+        mats = nxt
+    return mats[0]
+
+
+# ---------------------------------------------------------------------------
+# torus evolution with the modes in a dict keyed by mode tuples
+# ---------------------------------------------------------------------------
+
+def dict_random_physical_state(rng, total_size: int, m_max: int = 1,
+                               amplitude: float = 1.0) -> dict:
+    """{mode: coefficients} of a random real field, each mode drawn on
+    first sight and its negation set to the conjugate."""
+    rng_m = range(-m_max, m_max + 1)
+    modes = {}
+    for m in [(a, b, c) for a in rng_m for b in rng_m for c in rng_m]:
+        if m in modes or tuple(-x for x in m) in modes:
+            continue
+        if m == (0, 0, 0):
+            modes[m] = amplitude * rng.standard_normal(total_size).astype(complex)
+        else:
+            c = amplitude * (rng.standard_normal(total_size)
+                             + 1j * rng.standard_normal(total_size)) / math.sqrt(2)
+            modes[m] = c
+            modes[tuple(-x for x in m)] = np.conj(c)
+    return modes
+
+
+def dict_evolve(modes: dict, L, transports, dt, t_end, scheme="expm",
+                record_every=1) -> tuple:
+    """(times, [{mode: coefficients}]) at the recorded steps, one
+    propagator per mode applied one mode at a time."""
+    from scipy.linalg import expm
+    from kinetic_gap.evolution import mode_generator, recorded_steps
+    props = {}
+    for m in modes:
+        A = mode_generator(L, transports, m)
+        if scheme == "expm":
+            props[m] = expm(dt * A)
+        else:
+            ident = np.eye(A.shape[0], dtype=complex)
+            props[m] = np.linalg.solve(ident - 0.5 * dt * A,
+                                       ident + 0.5 * dt * A)
+    current = {m: c.copy() for m, c in modes.items()}
+    states = [{m: c.copy() for m, c in modes.items()}]
+    steps = recorded_steps(dt, t_end, record_every)
+    for done, k in zip(steps, steps[1:]):
+        for _ in range(k - done):
+            for m in current:
+                current[m] = props[m] @ current[m]
+        states.append({m: c.copy() for m, c in current.items()})
+    return [k * dt for k in steps], states

@@ -395,8 +395,24 @@ class TestConstants:
         assert len(err.splitlines()) == 1
 
     def test_overflowing_forms_end_in_a_gate_failure(self, tmp_path, capsys):
-        # at phi C = 1e300 the operators are finite, but |grad nu|^2 in
-        # nu_bar_4, and so the (H1.2) forms, overflow
+        # at self-collision phi C = 1e300 the operators are finite, but
+        # |grad nu|^2 in nu_bar_4, and so the (H1.2) forms, overflow; the
+        # cross kernel keeps C = 1, so the smallest D^b (the cross pair)
+        # stays finite and the request gets as far as (H1.2)
+        cfg = hard_sphere_config()
+        cfg["kernels"].update(C2=1e300)
+        for i, row in enumerate(cfg["kernels"]["phi"]):
+            row[i] = {"type": "power", "C": 1e300, "gamma": 1.0}
+        code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_GATE
+        assert err.startswith("gate failure: the quadratic forms of H1.2")
+        assert len(err.splitlines()) == 1
+
+    def test_overflowing_Db_ends_in_a_gate_failure(self, tmp_path, capsys):
+        # at phi C = 1e300 in every pair the D^b sum of squares overflows
+        # and its standard error is NaN, which must fail the D^b gate
         cfg = hard_sphere_config()
         cfg["kernels"].update(C1=1e300, C2=1e300)
         for row in cfg["kernels"]["phi"]:
@@ -405,7 +421,7 @@ class TestConstants:
                         "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_GATE
-        assert err.startswith("gate failure: the quadratic forms of H1.2")
+        assert err.startswith("gate failure: D^b estimate")
         assert len(err.splitlines()) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -493,7 +509,7 @@ class TestDecay:
 
         def drifting(*args, **kwargs):
             traj = evolve(*args, **kwargs)
-            traj.states[-1].modes[(0, 0, 0)] += 1e-6
+            traj.coeffs[-1, traj.coeffs.shape[1] // 2] += 1e-6   # m = 0
             return traj
 
         monkeypatch.setattr(cli.ev, "evolve", drifting)

@@ -8,6 +8,18 @@ from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.mixture import embed_species_polynomials, project_onto
 
+from oracles import dict_evolve, dict_random_physical_state
+
+
+def one_mode(m, coeffs) -> ev.TorusState:
+    """The state with the single mode m."""
+    return ev.TorusState(np.array([m]), np.asarray(coeffs)[None, :])
+
+
+def norm_sq(coeffs) -> float:
+    """Squared L^2 norm summed over the modes of a (K, T) coefficient array."""
+    return float(np.vdot(coeffs, coeffs).real)
+
 
 class TestModeGenerator:
     def test_zero_mode_is_L(self, ops_small):
@@ -66,9 +78,9 @@ class TestEvolve:
     def test_kernel_state_is_stationary(self, ops_small):
         ops = ops_small
         coeff = ops.ker_L @ np.arange(1.0, ops.ker_L.shape[1] + 1.0)
-        st = ev.TorusState({(0, 0, 0): coeff.astype(complex)})
+        st = one_mode((0, 0, 0), coeff.astype(complex))
         traj = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.1, t_end=1.0)
-        drift = np.max(np.abs(traj.states[-1].modes[(0, 0, 0)] - coeff))
+        drift = np.max(np.abs(traj.coeffs[-1, 0] - coeff))
         assert drift <= 1e-10 * np.max(np.abs(coeff))
 
     def test_pure_transport_preserves_norm(self, ops_small, rng):
@@ -76,28 +88,27 @@ class TestEvolve:
         st = ev.random_physical_state(rng, ops.total_size, m_max=1)
         zero = np.zeros_like(ops.L.matrix)
         traj = ev.evolve(st, zero, ops.transports, dt=0.05, t_end=1.0)
-        n0 = st.norm_sq()
-        assert abs(traj.states[-1].norm_sq() - n0) <= 1e-9 * n0
+        n0 = norm_sq(st.coeffs)
+        assert abs(norm_sq(traj.coeffs[-1]) - n0) <= 1e-9 * n0
 
     def test_midpoint_second_order(self, ops_small, rng):
         ops = ops_small
         c = rng.standard_normal(ops.total_size) \
             + 1j * rng.standard_normal(ops.total_size)
-        st = ev.TorusState({(1, 0, 0): c})
+        st = one_mode((1, 0, 0), c)
         ref = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.05, t_end=1.0,
-                        scheme="expm").states[-1].modes[(1, 0, 0)]
+                        scheme="expm").coeffs[-1, 0]
         errs = []
         for dt in (0.05, 0.025):
             got = ev.evolve(st, ops.L.matrix, ops.transports, dt=dt,
-                            t_end=1.0, scheme="midpoint").states[-1]
-            errs.append(np.linalg.norm(got.modes[(1, 0, 0)] - ref))
+                            t_end=1.0, scheme="midpoint").coeffs[-1]
+            errs.append(np.linalg.norm(got[0] - ref))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
     def test_midpoint_stability_guard(self, ops_small):
         ops = ops_small
-        st = ev.TorusState({(0, 0, 0):
-                            np.ones(ops.total_size, dtype=complex)})
+        st = one_mode((0, 0, 0), np.ones(ops.total_size, dtype=complex))
         with pytest.raises(ValueError, match="1e3"):
             ev.evolve(st, ops.L.matrix, ops.transports, dt=1e4, t_end=2e4,
                       scheme="midpoint")
@@ -108,16 +119,14 @@ class TestEvolve:
         ops = ops_small
         st = ev.random_physical_state(rng, ops.total_size, m_max=1)
         full = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.1, t_end=0.5)
-        for m in st.modes:
-            single = ev.evolve(ev.TorusState({m: st.modes[m]}), ops.L.matrix,
+        for k, m in enumerate(st.modes):
+            single = ev.evolve(one_mode(m, st.coeffs[k]), ops.L.matrix,
                                ops.transports, dt=0.1, t_end=0.5)
-            dev = np.max(np.abs(full.states[-1].modes[m]
-                                - single.states[-1].modes[m]))
-            assert dev <= 1e-12 * max(1.0, np.max(np.abs(st.modes[m])))
+            dev = np.max(np.abs(full.coeffs[-1, k] - single.coeffs[-1, 0]))
+            assert dev <= 1e-12 * max(1.0, np.max(np.abs(st.coeffs[k])))
 
     def test_invalid_inputs(self, ops_small):
-        st = ev.TorusState({(0, 0, 0):
-                            np.ones(ops_small.total_size, dtype=complex)})
+        st = one_mode((0, 0, 0), np.ones(ops_small.total_size, dtype=complex))
         with pytest.raises(ValueError):
             ev.evolve(st, ops_small.L.matrix, ops_small.transports,
                       dt=-0.1, t_end=1.0)
@@ -128,8 +137,7 @@ class TestEvolve:
 
 class TestNorms:
     def test_zero_state(self, ops_small):
-        st = ev.TorusState({(0, 0, 0):
-                            np.zeros(ops_small.total_size, dtype=complex)})
+        st = one_mode((0, 0, 0), np.zeros(ops_small.total_size, dtype=complex))
         assert ev.h1_norm(st, ops_small.grads) == 0.0
 
     def test_maxwellian_root_h1_value(self, ops_maxwell1_small):
@@ -137,14 +145,14 @@ class TestNorms:
         ops = ops_maxwell1_small
         f = embed_species_polynomials(ops.mixture, ops.basis,
                                       [lambda p: np.ones(len(p))])
-        st = ev.TorusState({(0, 0, 0): f.astype(complex)})
+        st = one_mode((0, 0, 0), f.astype(complex))
         rho = ops.mixture.rho_inf[0]
         expect = rho + 3.0 * rho / 4.0
         assert ev.h1_norm(st, ops.grads) == pytest.approx(expect, rel=1e-10)
 
     def test_parseval_scaling(self, ops_small, rng):
         st = ev.random_physical_state(rng, ops_small.total_size, m_max=1)
-        st2 = ev.TorusState({m: 2.0 * c for m, c in st.modes.items()})
+        st2 = ev.TorusState(st.modes, 2.0 * st.coeffs)
         a = ev.h1_norm(st, ops_small.grads)
         b = ev.h1_norm(st2, ops_small.grads)
         assert b == pytest.approx(4.0 * a, rel=1e-12)
@@ -172,7 +180,7 @@ class TestNorms:
         c1, c2, c3, c4 = 1.0, 2.0, 0.5, 0.6
         grads = [g.matrix for g in ops_small.grads]
         g_ref = h1_ref = 0.0
-        for m, c in st.modes.items():
+        for m, c in zip(st.modes.tolist(), st.coeffs):
             k2 = (2.0 * np.pi) ** 2 * float(np.dot(m, m))
             n0 = float(np.vdot(c, c).real)
             nv = sum(float(np.vdot(g @ c, g @ c).real) for g in grads)
@@ -263,7 +271,7 @@ class TestSharedDefinition:
             + 1j * rng.standard_normal(ops.total_size)
 
         def G(t):
-            st = ev.TorusState({m: ev.expm(t * A) @ s})
+            st = one_mode(m, ev.expm(t * A) @ s)
             return ev.hypo_functional(st, *self.C, ops.grads)
 
         # with m_max = 0 and no samples, the search sees exactly this state:
@@ -271,7 +279,7 @@ class TestSharedDefinition:
         res = ev.search_coefficients(ops, m_max=0, n_samples=0,
                                      grid=[self.C], extra_states=[(m, s)])
         assert res.n_states == 1
-        h1 = ev.h1_norm(ev.TorusState({m: s}), ops.grads)
+        h1 = ev.h1_norm(one_mode(m, s), ops.grads)
         rate = -res.kappa * h1
         errs = [abs((G(dt) - G(-dt)) / (2.0 * dt) - rate)
                 for dt in (1e-4, 5e-5)]
@@ -292,10 +300,10 @@ class TestFitDecay:
         ops = ops_maxwell1_small
         w, v = jacobi_eigh(ops.lam.matrix)
         c = v[:, 0] + 0.05 * rng.standard_normal(ops.total_size)
-        st = ev.TorusState({(0, 0, 0): c.astype(complex)})
+        st = one_mode((0, 0, 0), c.astype(complex))
         traj = ev.evolve(st, -ops.lam.matrix, ops.transports, dt=0.02,
                          t_end=1.2)
-        vals = np.array([math.sqrt(s.norm_sq()) for s in traj.states])
+        vals = np.array([math.sqrt(norm_sq(X)) for X in traj.coeffs])
         rep = ev.fit_decay(traj.times, vals, transient_frac=0.4)
         assert rep.tau_fit == pytest.approx(w[0], rel=0.02)
 
@@ -308,10 +316,10 @@ class TestFitDecay:
         mu = -w[k]
         # horizon scaled to the mode rate so the series stays above the floor
         t_end = 6.0 / mu
-        st = ev.TorusState({(0, 0, 0): (1e-3 * v[:, k]).astype(complex)})
+        st = one_mode((0, 0, 0), (1e-3 * v[:, k]).astype(complex))
         traj = ev.evolve(st, ops.L.matrix, ops.transports, dt=t_end / 60.0,
                          t_end=t_end)
-        vals = np.array([math.sqrt(s.norm_sq()) for s in traj.states])
+        vals = np.array([math.sqrt(norm_sq(X)) for X in traj.coeffs])
         rep = ev.fit_decay(traj.times, vals)
         assert rep.tau_fit == pytest.approx(mu, rel=0.02)
         assert rep.r_squared >= 0.999
@@ -367,7 +375,7 @@ class TestSearch:
         extra = [((0, 0, 0), phi)]
         res = ev.search_coefficients(ops_small, m_max=1, n_samples=300,
                                      seed=6, extra_states=extra)
-        st = ev.TorusState({(0, 0, 0): phi})
+        st = one_mode((0, 0, 0), phi)
         g_val = ev.hypo_functional(st, *res.c, ops.grads)
         h1 = ev.h1_norm(st, ops.grads)
         ceiling = 2.0 * mu * g_val / h1
@@ -378,7 +386,7 @@ class TestEquilibrium:
     def test_projection_structure(self, ops_small, rng):
         st = ev.random_physical_state(rng, ops_small.total_size, m_max=1)
         eq = ev.equilibrium_state(st, ops_small.ker_L)
-        for m, c in eq.modes.items():
+        for m, c in zip(map(tuple, eq.modes.tolist()), eq.coeffs):
             if m == (0, 0, 0):
                 resid = c - (project_onto(ops_small.ker_L, c.real)
                              + 1j * project_onto(ops_small.ker_L, c.imag))
@@ -388,6 +396,45 @@ class TestEquilibrium:
 
     def test_reality_constraint(self, ops_small, rng):
         st = ev.random_physical_state(rng, ops_small.total_size, m_max=2)
-        for m, c in st.modes.items():
-            mm = tuple(-x for x in m)
-            assert np.max(np.abs(np.conj(c) - st.modes[mm])) == 0.0
+        for m, c in zip(st.modes, st.coeffs):
+            mm = np.flatnonzero((st.modes == -m).all(axis=1))[0]
+            assert np.max(np.abs(np.conj(c) - st.coeffs[mm])) == 0.0
+
+
+class TestModeArray:
+    """The (K, T) state array against the per-mode dict layout
+    (tests/oracles.py): the same draws and bit-identical evolution."""
+
+    @pytest.mark.parametrize("m_max", [1, 2])
+    def test_random_state_matches_dict_draw(self, ops_small, m_max):
+        T = ops_small.total_size
+        st = ev.random_physical_state(np.random.default_rng(5), T, m_max,
+                                      amplitude=0.3)
+        ref = dict_random_physical_state(np.random.default_rng(5), T, m_max,
+                                         amplitude=0.3)
+        K = (2 * m_max + 1) ** 3
+        assert st.modes.shape == (K, 3) and st.coeffs.shape == (K, T)
+        assert [tuple(m) for m in st.modes.tolist()] == sorted(ref)
+        for k, m in enumerate(st.modes.tolist()):
+            assert np.array_equal(st.coeffs[k], ref[tuple(m)])
+            assert np.array_equal(st.modes[K - 1 - k], -st.modes[k])
+            assert np.array_equal(st.coeffs[K - 1 - k], np.conj(st.coeffs[k]))
+
+    @pytest.mark.parametrize("scheme", ["expm", "midpoint"])
+    @pytest.mark.parametrize("m_max", [1, 2])
+    def test_evolve_matches_per_mode_dict(self, ops_small, scheme, m_max):
+        ops = ops_small
+        st = ev.random_physical_state(np.random.default_rng(7),
+                                      ops.total_size, m_max)
+        ref = dict_random_physical_state(np.random.default_rng(7),
+                                         ops.total_size, m_max)
+        traj = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.05,
+                         t_end=1.0, scheme=scheme, record_every=3)
+        times, states = dict_evolve(ref, ops.L.matrix, ops.transports,
+                                    dt=0.05, t_end=1.0, scheme=scheme,
+                                    record_every=3)
+        assert np.array_equal(traj.times, times)
+        assert traj.coeffs.shape == (len(states),) + st.coeffs.shape
+        for X, state in zip(traj.coeffs, states):
+            for k, m in enumerate(st.modes.tolist()):
+                assert np.array_equal(X[k], state[tuple(m)])

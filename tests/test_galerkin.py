@@ -24,7 +24,8 @@ from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
 from kinetic_gap.quadrature import hermite_rule_3d, post_collision, sphere_rule
 
 from conftest import mixed_gamma_family
-from oracles import collision_form_moment_state, radial_frequency
+from oracles import (collision_form_moment_state, pairwise_sum,
+                     radial_frequency)
 
 
 class TestCollisionFrequency:
@@ -275,6 +276,20 @@ class TestCollisionAssembly:
         L1 = cold(1)
         assert np.array_equal(L1, cold(1))
         assert np.array_equal(L1, cold(3))
+
+    def test_block_fold_is_the_pairwise_sum(self):
+        # the streamed fold of the per-block partials adds in the tree of
+        # the level-by-level pairwise sum, for every block count
+        rng = np.random.default_rng(3)
+        for nblocks in range(1, 71):
+            partials = [[rng.standard_normal((3, 3))
+                         * 10.0 ** rng.integers(-6, 7, (3, 3))
+                         for _ in range(2)] for _ in range(nblocks)]
+            got = galerkin._fold(iter(partials))
+            assert len(got) == 2
+            for m in range(2):
+                ref = pairwise_sum([p[m] for p in partials])
+                assert got[m].tobytes() == ref.tobytes()
 
     def test_parity_mixed_term_vanishes(self, ops_small):
         # embedded u-type vs e-type kernel directions decouple in L^b

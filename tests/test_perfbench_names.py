@@ -7,6 +7,8 @@ range in the package must fail here, not in a benchmark run.
 import importlib
 import inspect
 
+import numpy as np
+
 from conftest import load_perfbench
 from test_cli import hard_sphere_config, run_cli, write_config
 
@@ -49,6 +51,19 @@ def test_counter_hook_arguments_exist():
         params = inspect.signature(fn).parameters
         for name in names:
             assert name in params, f"{mod_name}.{path} lost argument {name!r}"
+
+
+def test_evolve_counter_reads_the_state(ops_small):
+    # _evolve_counters counts len(state.modes) modes times round(t_end/dt)
+    # steps; a change of the state layout must not silently change it
+    from kinetic_gap.evolution import random_physical_state
+    tracing = load_perfbench("tracing")
+    st = random_physical_state(np.random.default_rng(0), ops_small.total_size,
+                               m_max=1)
+    K = 27
+    counters = tracing._evolve_counters(
+        {"state": st, "dt": 0.05, "t_end": 1.0}, None)
+    assert counters == {"mode_steps": K * round(1.0 / 0.05)}
 
 
 def test_request_cache_is_clearable():

@@ -3,8 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from kinetic_gap.quadrature import (CollisionSampler, collision_pair,
-                                    collision_sampler, gauss_legendre,
+from kinetic_gap.quadrature import (CollisionSampler, gauss_legendre,
                                     hermite_rule_1d, hermite_rule_3d,
                                     post_collision, sphere_rule)
 
@@ -131,12 +130,12 @@ class TestPostCollision:
         assert np.max(np.abs(vs2 - vs)) <= 1e-10
 
     def test_collision_pair_invariants(self):
-        pair = collision_pair(np.array([0.3, 1.0, -2.0]),
-                              np.array([1.0, 1.0, 1.0]),
-                              np.array([0.0, 1.0, 0.0]))
-        assert np.max(np.abs(pair.v_prime + pair.v_prime_star
-                             - pair.v - pair.v_star)) <= 1e-13
-        assert abs(np.linalg.norm(pair.sigma) - 1.0) <= 1e-14
+        v, v_star = np.array([0.3, 1.0, -2.0]), np.array([1.0, 1.0, 1.0])
+        sigma = np.array([0.0, 1.0, 0.0])
+        v_prime, v_prime_star = post_collision(v, v_star, sigma)
+        assert np.max(np.abs(v_prime + v_prime_star
+                             - v - v_star)) <= 1e-13
+        assert abs(np.linalg.norm(sigma) - 1.0) <= 1e-14
 
     def test_cos_deviation_within_clamp(self):
         rng = np.random.default_rng(4)
@@ -151,39 +150,27 @@ class TestPostCollision:
 
 class TestCollisionSampler:
     def test_deterministic_streams(self):
-        a = collision_sampler(123, 1000)
-        b = collision_sampler(123, 1000)
+        a = CollisionSampler(123).draw(1000)
+        b = CollisionSampler(123).draw(1000)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_normalization_estimate(self):
-        v, vs, sigma, w = collision_sampler(5, 100_000)
+        v, vs, sigma, w = CollisionSampler(5).draw(100_000)
         assert np.allclose(w, 4.0 * np.pi)
         est = w.mean()
         assert abs(est - 4.0 * np.pi) <= 1e-12   # constant weight: exact
 
     def test_second_moment_estimate(self):
-        v, vs, sigma, w = collision_sampler(6, 100_000)
+        v, vs, sigma, w = CollisionSampler(6).draw(100_000)
         g = w * np.sum(v * v, axis=1)
         se = g.std() / np.sqrt(len(g))
         assert abs(g.mean() - 3.0 * 4.0 * np.pi) <= 3.0 * se
 
-    def test_split_substreams(self):
-        parent = CollisionSampler(99)
-        kids = parent.split(3)
-        again = CollisionSampler(99).split(3)
-        for k1, k2 in zip(kids, again):
-            a = k1.draw(100)
-            b = k2.draw(100)
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
-        # children produce distinct streams
-        assert not np.array_equal(kids[0].draw(100)[0], kids[1].draw(100)[0])
-
     def test_sigma_unit(self):
-        _, _, sigma, _ = collision_sampler(7, 10_000)
+        _, _, sigma, _ = CollisionSampler(7).draw(10_000)
         assert np.max(np.abs(np.linalg.norm(sigma, axis=1) - 1.0)) <= 1e-12
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
-            collision_sampler(1, 0)
+            CollisionSampler(1).draw(0)

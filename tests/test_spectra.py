@@ -147,6 +147,15 @@ class TestDb:
         with pytest.raises(sp.InconclusivePositivityError, match="budget"):
             sp.compute_Db(mx, hard_sphere_family(2), seed=1, count=10)
 
+    def test_overflowing_estimate_fails_the_gate(self):
+        # at C = 1e300 the sum of squares overflows and the standard error
+        # is NaN; a NaN comparison must not pass for positivity
+        mx = Mixture((1.0, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(sp.InconclusivePositivityError, match="budget"):
+            sp.compute_Db(mx, hard_sphere_family(2, rho_scale=1e300), seed=1,
+                          count=1000)
+
 
 class TestCk:
     def test_maxwell_single_species_value(self, ops_maxwell1_small):
