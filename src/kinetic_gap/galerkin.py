@@ -17,6 +17,17 @@ kernel.  Evenness of b (A5) makes the integrand invariant under
 sigma -> -sigma, which swaps d and d*; assembly therefore runs over half the
 sphere rule and completes T1 = T2 = G11 + G22, T12 = G12 + G12^T.
 
+The kernels are isotropic, so the mirrors v_x -> -v_x and v_z -> -v_z,
+applied to v, v* and sigma together, keep r and cos theta and map the half
+sphere (sigma_y > 0) onto itself; they multiply d and d* entrywise by the
+signs (-1)^{alpha_x} and (-1)^{alpha_z}.  The Gauss-Hermite and sphere rules
+are mirror-symmetric, so v runs over the tensor nodes with v_x >= 0 and
+v_z >= 0 only, each weighted by its number of mirror images, and the
+entries whose two multi-indices differ in x- or z-parity, which the images
+cancel, are set to 0.  That is about a quarter of the (v, v*, sigma) rows.  The
+y-mirror maps the half sphere onto the other half, which the sigma -> -sigma
+completion already uses, so it cannot be folded as well.
+
 The moments are linear in the kernel.  With B = C r^gamma sum_k c_2k
 cos^{2k} theta, (T1, T12) of B is C sum_k c_2k (T1, T12)_{gamma,2k}, where
 the monomial blocks belong to r^gamma cos^{2k} theta and depend on neither
@@ -43,7 +54,7 @@ from .quadrature import half_sphere_rule, hermite_rule_3d
 
 __all__ = [
     "DiscreteOperator", "FrequencyField", "AssemblyBudgetError",
-    "collision_frequency", "frequency_field", "nu0_lower_bound",
+    "frequency_field", "nu0_lower_bound",
     "assemble_collision", "assemble_nu_gram", "assemble_lambda_k",
     "assemble_transport", "assemble_grad_v", "OperatorSet",
     "build_operator_set",
@@ -69,11 +80,6 @@ class DiscreteOperator:
     role: str
     matrix: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def symmetry_defect(self) -> float:
-        m = self.matrix
-        scale = np.max(np.abs(m)) or 1.0
-        return float(np.max(np.abs(m - m.T)) / scale)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -162,15 +168,6 @@ def frequency_field(mixture: Mixture, family: KernelFamily) -> FrequencyField:
                           nu0_lower_bound(mixture, family, ell_b))
 
 
-def collision_frequency(mixture: Mixture, family: KernelFamily, i: int, v):
-    """nu_i at one velocity or an array of velocities."""
-    fld = frequency_field(mixture, family)
-    pts = np.asarray(v, dtype=float)
-    single = pts.ndim == 1
-    vals = fld.nu(i, pts)
-    return float(vals[0]) if single else vals
-
-
 # ---------------------------------------------------------------------------
 # collision-operator assembly
 # ---------------------------------------------------------------------------
@@ -194,13 +191,14 @@ def _fold(partials) -> list:
     return acc
 
 
-def _slab_shape(Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
+def _slab_shape(Qv: int, Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
     """(cv, cs): v and v* nodes per slab, so every slab has cv * cs * ns
-    quadrature rows.  Raises :class:`AssemblyBudgetError` when the (nb, Qn)
-    Hermite table at the nodes and one (v, v*) pair do not fit in
+    quadrature rows; cv divides the Qv folded v nodes, cs the Qn tensor
+    nodes.  Raises :class:`AssemblyBudgetError` when the (nb, Qn) and
+    (nb, Qv) Hermite tables at the nodes and one (v, v*) pair do not fit in
     ``memory_cap``."""
     bytes_per_row = 8 * (14 + 6 * nb)       # geometry + two evals + D, E
-    table = 8 * nb * Qn                      # H_alpha at every 3-D node
+    table = 8 * nb * (Qn + Qv)               # H_alpha at all and at kept nodes
     need = table + ns * bytes_per_row        # one (v, v*) pair at least
     if need > memory_cap:
         raise AssemblyBudgetError(
@@ -215,9 +213,26 @@ def _slab_shape(Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
             d -= 1
         return d
 
-    cv = divisor_at_most(Qn, max(1, min(8, rows_step // ns)))
+    cv = divisor_at_most(Qv, max(1, min(8, rows_step // ns)))
     cs = divisor_at_most(Qn, max(1, rows_step // (cv * ns)))
     return cv, cs
+
+
+def _mirror_fold(nodes3: np.ndarray) -> tuple:
+    """(keep, images): indices of the tensor nodes with v_x >= 0 and
+    v_z >= 0, and for each the number of its x- and z-mirror images,
+    2^(number of nonzero entries among v_x, v_z)."""
+    keep = np.flatnonzero((nodes3[:, 0] >= 0.0) & (nodes3[:, 2] >= 0.0))
+    nonzero = (nodes3[keep][:, [0, 2]] != 0.0).sum(axis=1)
+    return keep, np.ldexp(1.0, nonzero)
+
+
+def _parity_mismatch(basis: HermiteBasis) -> np.ndarray:
+    """(nb, nb) mask of the multi-index pairs that differ in x- or
+    z-parity."""
+    idx = basis.indices
+    cls = 2 * (idx[:, 0] % 2) + idx[:, 2] % 2
+    return cls[:, None] != cls[None, :]
 
 
 def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
@@ -227,10 +242,13 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
 
     One quadrature pass serves them all: the Hermite differences D of a slab
     are evaluated once and weighted per monomial.  Each monomial's
-    accumulation does not depend on which others share the pass.
+    accumulation does not depend on which others share the pass.  v runs
+    over the mirror-folded nodes of :func:`_mirror_fold` (see the module
+    docstring), v* over every tensor node and sigma over the half sphere.
     """
     nodes3, w3 = rule3.nodes, rule3.weights
-    Qn = nodes3.shape[0]
+    keep, images = _mirror_fold(nodes3)
+    Qn, Qv = nodes3.shape[0], keep.shape[0]
     ns = len(half)
     nb = basis.per_species_size
     rows = cv * cs * ns
@@ -240,6 +258,8 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
     powers = sorted({power for _, power in monomials if power})
 
     H3_T = hermite_table_3d(nodes3, basis.N).T    # (nb, Qn), C-contiguous
+    Hv_T = H3_T[:, keep]                          # (nb, Qv) at the kept v
+    nodes_v, w_v = nodes3[keep], w3[keep] * images
     sig, wsig = half.nodes, half.weights
 
     def block(bi: int):
@@ -250,7 +270,7 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
         wbuf = np.empty((cv, cs, ns))
         wpow = np.empty((cv, cs, ns))
         G = [np.zeros((2 * nb, 2 * nb)) for _ in monomials]
-        vb, wv = nodes3[i0:i1], w3[i0:i1]
+        vb, wv = nodes_v[i0:i1], w_v[i0:i1]
         for j0 in range(0, Qn, cs):
             j1 = j0 + cs
             vs, ws = nodes3[j0:j1], w3[j0:j1]
@@ -273,7 +293,7 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
             hermite_table_3d(coords.T, basis.N, out=Dps.T)
             # subtract H(v) and H(v*)
             vp_view = Dp.reshape(nb, cv, cs * ns)
-            vp_view -= H3_T[:, i0:i1, None]
+            vp_view -= Hv_T[:, i0:i1, None]
             vps_view = Dps.reshape(nb, cv, cs, ns)
             vps_view -= H3_T[:, None, j0:j1, None]
             pair_w = wv[:, None] * ws[None, :]
@@ -291,17 +311,20 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
                     G[m] += E @ D.T
         return G
 
-    nblocks = Qn // cv
+    nblocks = Qv // cv
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             sums = _fold(pool.map(block, range(nblocks)))
     else:
         sums = _fold(map(block, range(nblocks)))
+    odd = _parity_mismatch(basis)
     out = []
     for G in sums:
         # half-sphere completion, exact under sigma -> -sigma symmetry
-        out.append(np.stack([G[:nb, :nb] + G[nb:, nb:],
-                             G[:nb, nb:] + G[:nb, nb:].T]))
+        tb = np.stack([G[:nb, :nb] + G[nb:, nb:],
+                       G[:nb, nb:] + G[:nb, nb:].T])
+        tb[:, odd] = 0.0           # the mirror images cancel these
+        out.append(tb)
     return out
 
 
@@ -347,9 +370,10 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
     rule3 = hermite_rule_3d(q)
     half = half_sphere_rule(sphere_level)
     Qn = rule3.nodes.shape[0]
+    Qv = _mirror_fold(rule3.nodes)[0].shape[0]
     ns = len(half)
     nb = basis.per_species_size
-    cv, cs = _slab_shape(Qn, ns, nb, memory_cap)
+    cv, cs = _slab_shape(Qv, Qn, ns, nb, memory_cap)
     t0 = time.perf_counter()
 
     n = mixture.n
@@ -379,24 +403,26 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
     total = basis.total_size
     Qm = np.zeros((total, total))
     Qb = np.zeros((total, total))
-    for i in range(n):
-        T1, T12 = T[(i, i)]
-        si = basis.species_slice(i)
-        Qm[si, si] += 0.5 * rho[i] * (T1 + T12)
-        for j in range(n):
-            if j == i:
-                continue
-            T1, T12 = T[(i, j)]
-            sj = basis.species_slice(j)
-            Qb[si, si] += 0.25 * rho[j] * T1
-            Qb[sj, sj] += 0.25 * rho[i] * T1
-            w = 0.25 * math.sqrt(rho[i] * rho[j])
-            Qb[si, sj] += w * T12
-            Qb[sj, si] += w * T12.T
+    # rho_i rho_j may overflow; callers check the operators for inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            T1, T12 = T[(i, i)]
+            si = basis.species_slice(i)
+            Qm[si, si] += 0.5 * rho[i] * (T1 + T12)
+            for j in range(n):
+                if j == i:
+                    continue
+                T1, T12 = T[(i, j)]
+                sj = basis.species_slice(j)
+                Qb[si, si] += 0.25 * rho[j] * T1
+                Qb[sj, sj] += 0.25 * rho[i] * T1
+                w = 0.25 * math.sqrt(rho[i] * rho[j])
+                Qb[si, sj] += w * T12
+                Qb[sj, si] += w * T12.T
 
     meta = {"N": basis.N, "hermite_q": q, "sphere_level": sphere_level,
             "n_species": n, "threads": threads,
-            "quadrature_rows": Qn * Qn * ns,
+            "quadrature_rows": Qv * Qn * ns,
             "monomials": len(wanted), "monomials_computed": len(missing),
             "assembly_seconds": round(time.perf_counter() - t0, 3)}
     Lm = DiscreteOperator("Lm", _sym(-Qm), dict(meta))

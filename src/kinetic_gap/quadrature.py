@@ -139,7 +139,10 @@ def half_sphere_rule(level: str = "medium") -> QuadratureRule:
     """Half of the sphere rule (phi < pi); the antipodal image is the rest.
 
     Used by operator assembly together with the sigma -> -sigma symmetry of
-    even angular kernels, halving the collision quadrature work.
+    even angular kernels, halving the collision quadrature work.  The
+    mirrors x -> -x (phi -> pi - phi) and z -> -z (symmetric Legendre nodes)
+    map the half onto itself, to rounding, with equal weights; the assembly
+    folds its v nodes by these two mirrors.
     """
     n_cos, n_phi = SPHERE_LEVELS[level]
     full = sphere_rule(level)

@@ -193,30 +193,35 @@ def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
     sq_sums = np.zeros(len(keys))
     sampler = CollisionSampler(seed)
     left = count
-    while left > 0:
-        chunk = min(left, 200_000)
-        v, vs, sig, w = sampler.draw(chunk)
-        r, ct, ut, et = _db_integrand_terms(v, vs, sig)
-        base = w * np.minimum(ut, et)
-        for k, (phi_d, b_d) in enumerate(keys):
-            g = base * phi_d(np.where(r > 0, r, 1.0)) * b_d(ct)
-            g[r == 0.0] = 0.0
-            sums[k] += g.sum()
-            sq_sums[k] += (g * g).sum()
-        left -= chunk
+    # an overflow leaves inf or NaN, which the gate below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        while left > 0:
+            chunk = min(left, 200_000)
+            v, vs, sig, w = sampler.draw(chunk)
+            r, ct, ut, et = _db_integrand_terms(v, vs, sig)
+            base = w * np.minimum(ut, et)
+            for k, (phi_d, b_d) in enumerate(keys):
+                g = base * phi_d(np.where(r > 0, r, 1.0)) * b_d(ct)
+                g[r == 0.0] = 0.0
+                sums[k] += g.sum()
+                sq_sums[k] += (g * g).sum()
+            left -= chunk
 
-    per_pair = {}
-    for i in range(mixture.n):
-        for j in range(mixture.n):
-            k = pair_key[(i, j)]
-            mean = sums[k] / count
-            var = max(sq_sums[k] / count - mean * mean, 0.0)
-            se = math.sqrt(var / count)
-            scale = mixture.rho_inf[i] * mixture.rho_inf[j]
-            per_pair[(i, j)] = (scale * mean, scale * se)
+        per_pair = {}
+        for i in range(mixture.n):
+            for j in range(mixture.n):
+                k = pair_key[(i, j)]
+                mean = sums[k] / count
+                var = max(sq_sums[k] / count - mean * mean, 0.0)
+                se = math.sqrt(var / count)
+                scale = mixture.rho_inf[i] * mixture.rho_inf[j]
+                per_pair[(i, j)] = (scale * mean, scale * se)
     pair = min(per_pair, key=lambda p: per_pair[p][0])
     value, std_err = per_pair[pair]
-    if not value > confidence_sigmas * std_err:     # NaN fails too
+    if not (math.isfinite(value) and math.isfinite(std_err)):
+        raise InconclusivePositivityError(
+            f"D^b estimate {value:.6e} +- {std_err:.2e} is not finite")
+    if not value > confidence_sigmas * std_err:
         raise InconclusivePositivityError(
             f"D^b estimate {value:.6e} +- {std_err:.2e} is not positive at "
             f"{confidence_sigmas} sigma; increase the Monte-Carlo budget "
@@ -567,12 +572,14 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
     nu_bar_0 = float(eigvalsh(ops.lam.matrix)[0])
     nodes = hermite_rule_3d(ops.q).nodes
     nu_bar_4 = 0.0
-    for i in range(ops.mixture.n):
-        nu = ops.freq.nu(i, nodes)
-        gn = ops.freq.grad_nu(i, nodes)
-        nu_bar_4 = max(nu_bar_4, float(np.max(np.sum(gn * gn, axis=1)
-                                              / (2.0 * nu))))
-    A, R, slack = h12_forms(ops, nu_bar_4)
+    # an overflow here is reported by form_check's finiteness gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(ops.mixture.n):
+            nu = ops.freq.nu(i, nodes)
+            gn = ops.freq.grad_nu(i, nodes)
+            nu_bar_4 = max(nu_bar_4, float(np.max(np.sum(gn * gn, axis=1)
+                                                  / (2.0 * nu))))
+        A, R, slack = h12_forms(ops, nu_bar_4)
     h12 = form_check("H1.2", A, R, slack=slack)
 
     # (H2): quadratic forms of (grad f, grad K f) vs eps ||grad f||^2 + C ||f||^2

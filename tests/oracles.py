@@ -8,8 +8,11 @@ collision quadratic forms from the analytic relations of the collision
 geometry, collision frequencies from their 1-D radial reduction, the
 sampled certificate checks from a plain loop that evaluates one sample at
 a time, the kernel assumption audit from sampling grids, the assembly's
-block sum from a level-by-level pairwise sum, and the torus evolution
-from one propagator and one coefficient vector per mode, kept in a dict.
+block sum from a level-by-level pairwise sum, the collision monomial
+blocks from the full (v, v*) node grid without the mirror fold, and the
+torus evolution from one propagator and one coefficient vector per mode,
+kept in a dict.  ``collision_frequency`` and ``symmetry_defect`` are
+small helpers over the package's operators that only the tests use.
 """
 from __future__ import annotations
 
@@ -485,6 +488,65 @@ def pairwise_sum(mats: list) -> np.ndarray:
             nxt.append(mats[-1])
         mats = nxt
     return mats[0]
+
+
+# ---------------------------------------------------------------------------
+# helpers over the package's operators
+# ---------------------------------------------------------------------------
+
+def collision_frequency(mixture, family, i: int, v):
+    """nu_i at one velocity or an array of velocities."""
+    from kinetic_gap.galerkin import frequency_field
+    fld = frequency_field(mixture, family)
+    pts = np.asarray(v, dtype=float)
+    single = pts.ndim == 1
+    vals = fld.nu(i, pts)
+    return float(vals[0]) if single else vals
+
+
+def symmetry_defect(op) -> float:
+    """max |M - M^T| / max |M| of a DiscreteOperator's matrix M."""
+    m = op.matrix
+    scale = np.max(np.abs(m)) or 1.0
+    return float(np.max(np.abs(m - m.T)) / scale)
+
+
+# ---------------------------------------------------------------------------
+# collision monomial blocks on the full (v, v*) tensor grid
+# ---------------------------------------------------------------------------
+
+def full_monomial_pass(monomials: list, basis, q: int,
+                       sphere_level: str) -> list:
+    """(T1, T12), stacked as (2, nb, nb), of each monomial kernel
+    r^gamma cos^{2k} theta in ``monomials``, by the collision pass without
+    the mirror fold: v and v* both run over every tensor Hermite node, one
+    v node per slab, and sigma over the half sphere."""
+    from kinetic_gap.hermite import hermite_table_3d
+    from kinetic_gap.quadrature import half_sphere_rule, hermite_rule_3d
+    rule3, half = hermite_rule_3d(q), half_sphere_rule(sphere_level)
+    nodes, w = rule3.nodes, rule3.weights
+    sig, wsig = half.nodes, half.weights
+    Qn, ns, nb = nodes.shape[0], len(half), basis.per_species_size
+    H = hermite_table_3d(nodes, basis.N)                   # (Qn, nb)
+    G = [np.zeros((2 * nb, 2 * nb)) for _ in monomials]
+    for a in range(Qn):
+        diff = nodes[a] - nodes                            # (Qn, 3)
+        r = np.sqrt(np.einsum("bk,bk->b", diff, diff))
+        rsafe = np.where(r > 0.0, r, 1.0)
+        ct = (diff @ sig.T) / rsafe[:, None]               # (Qn, ns)
+        center = 0.5 * (nodes[a] + nodes)
+        vp = center[:, None, :] + 0.5 * r[:, None, None] * sig[None, :, :]
+        vps = 2.0 * center[:, None, :] - vp
+        d = hermite_table_3d(vp.reshape(-1, 3), basis.N) - H[a]
+        ds = (hermite_table_3d(vps.reshape(-1, 3), basis.N).reshape(Qn, ns, nb)
+              - H[:, None, :]).reshape(-1, nb)
+        D = np.hstack([d, ds])                             # (Qn ns, 2 nb)
+        for m, (gamma, power) in enumerate(monomials):
+            pw = np.where(r > 0.0, w[a] * w * rsafe ** gamma, 0.0)
+            wt = (pw[:, None] * wsig[None, :] * ct ** power).ravel()
+            G[m] += (D * wt[:, None]).T @ D
+    return [np.stack([g[:nb, :nb] + g[nb:, nb:], g[:nb, nb:] + g[:nb, nb:].T])
+            for g in G]
 
 
 # ---------------------------------------------------------------------------

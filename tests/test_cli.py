@@ -47,6 +47,16 @@ def run_cli(args):
     return cli.main(args)
 
 
+def cli_env() -> dict:
+    """The environment of this process with the package's source directory
+    first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 def with_value(cfg, path, value):
     """``cfg`` with the entry at ``path`` replaced; ``()`` replaces it all."""
     if not path:
@@ -424,6 +434,35 @@ class TestConstants:
         assert err.startswith("gate failure: D^b estimate")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("overflow, code, message", [
+        ("every_kernel", cli.EXIT_GATE, "gate failure: D^b estimate"),
+        ("self_kernels", cli.EXIT_GATE,
+         "gate failure: the quadratic forms of H1.2"),
+        ("rho_inf", cli.EXIT_CONFIG, "config error: the collision operators")])
+    def test_overflow_prints_one_line_in_a_fresh_process(
+            self, tmp_path, overflow, code, message):
+        # pytest captures numpy's RuntimeWarnings in-process; only a fresh
+        # interpreter shows every line that reaches stderr
+        cfg = hard_sphere_config()
+        if overflow == "rho_inf":
+            cfg["mixture"]["species"] = [{"rho_inf": 1e300}] * 2
+        else:
+            cfg["kernels"].update(C2=1e300)
+            if overflow == "every_kernel":
+                cfg["kernels"].update(C1=1e300)
+            for i, row in enumerate(cfg["kernels"]["phi"]):
+                for j in range(len(row)):
+                    if overflow == "every_kernel" or i == j:
+                        row[j] = {"type": "power", "C": 1e300, "gamma": 1.0}
+        done = subprocess.run(
+            [sys.executable, "-m", "kinetic_gap.cli", "constants",
+             "--config", write_config(tmp_path, cfg),
+             "--out", str(tmp_path / "out")],
+            env=cli_env(), capture_output=True, text=True)
+        assert done.returncode == code
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith(message)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = hard_sphere_config(seed=77)
         path = write_config(tmp_path, cfg)
@@ -545,13 +584,9 @@ class TestDecay:
 
 def test_cli_import_does_not_load_scipy_integrate():
     # a fresh interpreter: the test session itself may have loaded it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     probe = ("import sys, kinetic_gap.cli; "
              "print(sorted(m for m in sys.modules "
              "if m.startswith('scipy.integrate')))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

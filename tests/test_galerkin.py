@@ -13,19 +13,21 @@ from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import (AssemblyBudgetError, assemble_collision,
                                   assemble_grad_v, assemble_lambda_k,
                                   assemble_nu_gram, assemble_transport,
-                                  build_operator_set, collision_frequency,
-                                  frequency_field, nu0_lower_bound)
+                                  build_operator_set, frequency_field,
+                                  nu0_lower_bound)
 from kinetic_gap.hermite import HermiteBasis, hermite_table_3d
 from kinetic_gap.kernels import (AngularPolynomial, KernelFamily, PowerLaw,
                                  hard_sphere_family, maxwell_family,
                                  power_family)
 from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
                                  ker_L_basis, project_onto)
-from kinetic_gap.quadrature import hermite_rule_3d, post_collision, sphere_rule
+from kinetic_gap.quadrature import (half_sphere_rule, hermite_rule_3d,
+                                    post_collision, sphere_rule)
 
 from conftest import mixed_gamma_family
-from oracles import (collision_form_moment_state, pairwise_sum,
-                     radial_frequency)
+from oracles import (collision_form_moment_state, collision_frequency,
+                     full_monomial_pass, pairwise_sum, radial_frequency,
+                     symmetry_defect)
 
 
 class TestCollisionFrequency:
@@ -192,7 +194,7 @@ class TestCollisionAssembly:
     def test_symmetry(self, ops_small):
         for op in (ops_small.L, ops_small.Lm, ops_small.Lb, ops_small.lam,
                    ops_small.K, ops_small.hgram):
-            assert op.symmetry_defect() <= 1e-10
+            assert symmetry_defect(op) <= 1e-10
 
     def test_collision_invariants_annihilated(self, ops_small):
         ops = ops_small
@@ -263,19 +265,23 @@ class TestCollisionAssembly:
                                q=4, sphere_level="coarse", memory_cap=10_000)
 
     def test_determinism_across_runs_and_threads(self):
+        # q = 5 folds to Qv = 45 v nodes, 9 blocks of 5, with nodes on the
+        # mirror planes
         mx = Mixture((1.0, 2.0))
         fam = hard_sphere_family(2)
         basis = HermiteBasis(2, 2)
-        kw = dict(q=4, sphere_level="coarse")
 
-        def cold(threads):
+        def cold(threads, q):
             galerkin._monomial_blocks.clear()
-            return assemble_collision(mx, fam, basis, threads=threads,
-                                      **kw)[0].matrix
+            return assemble_collision(mx, fam, basis, q=q,
+                                      sphere_level="coarse",
+                                      threads=threads)[0].matrix
 
-        L1 = cold(1)
-        assert np.array_equal(L1, cold(1))
-        assert np.array_equal(L1, cold(3))
+        for q in (4, 5):
+            L1 = cold(1, q)
+            assert np.array_equal(L1, cold(1, q))
+            assert np.array_equal(L1, cold(2, q))
+            assert np.array_equal(L1, cold(3, q))
 
     def test_block_fold_is_the_pairwise_sum(self):
         # the streamed fold of the per-block partials adds in the tree of
@@ -305,6 +311,43 @@ class TestCollisionAssembly:
         scale = np.max(np.abs(ops.Lb.matrix)) * np.linalg.norm(f_u) \
             * np.linalg.norm(f_e)
         assert abs(cross) <= 1e-9 * scale
+
+
+_FOLD_MONOMIALS = [(gamma, power) for gamma in (0.0, 0.5, 1.0)
+                   for power in (0, 2, 4)]
+
+
+class TestMirrorFold:
+    """The collision pass sums v over the x- and z-mirror-folded nodes."""
+
+    @pytest.mark.parametrize("q, N, level", [
+        (3, 3, "medium"), (3, 2, "coarse"), (4, 2, "medium"),
+        (4, 3, "coarse"), (5, 3, "coarse"), (5, 2, "medium"),
+        (6, 2, "coarse"), (6, 3, "coarse")])
+    def test_folded_blocks_match_the_full_grid(self, q, N, level):
+        basis = HermiteBasis(N, 1)
+        rule3, half = hermite_rule_3d(q), half_sphere_rule(level)
+        Qn = rule3.nodes.shape[0]
+        Qv = galerkin._mirror_fold(rule3.nodes)[0].shape[0]
+        assert Qv == (q + 1) // 2 * ((q + 1) // 2) * q
+        cv, cs = galerkin._slab_shape(Qv, Qn, len(half),
+                                      basis.per_species_size,
+                                      galerkin.DEFAULT_MEMORY_CAP)
+        got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
+                                      cv, cs, threads=1)
+        ref = full_monomial_pass(_FOLD_MONOMIALS, basis, q, level)
+        idx = basis.indices
+        odd = ((idx[:, None, 0] + idx[None, :, 0]) % 2 == 1) \
+            | ((idx[:, None, 2] + idx[None, :, 2]) % 2 == 1)
+        for tb, tr in zip(got, ref):
+            assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
+            assert np.all(tb[:, odd] == 0.0)
+
+    def test_quadrature_rows_count_the_folded_pass(self):
+        L = assemble_collision(Mixture((1.0,)), maxwell_family(1),
+                               HermiteBasis(2, 1), q=5,
+                               sphere_level="coarse")[0]
+        assert L.meta["quadrature_rows"] == 45 * 125 * 36
 
 
 def polynomial_mixed_gamma_family() -> KernelFamily:
@@ -464,7 +507,7 @@ class TestLambdaAndGram:
     def test_K_definition_and_symmetry(self, ops_small):
         ops = ops_small
         assert np.array_equal(ops.K.matrix, ops.L.matrix + ops.lam.matrix)
-        assert ops.K.symmetry_defect() <= 1e-10
+        assert symmetry_defect(ops.K) <= 1e-10
 
     def test_basis_gram_identity(self):
         basis = HermiteBasis(4, 1)

@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from kinetic_gap.quadrature import (CollisionSampler, gauss_legendre,
+from kinetic_gap.quadrature import (SPHERE_LEVELS, CollisionSampler,
+                                    gauss_legendre, half_sphere_rule,
                                     hermite_rule_1d, hermite_rule_3d,
                                     post_collision, sphere_rule)
 
@@ -47,6 +48,28 @@ class TestHermiteRules:
         # E[x^2 y^2] = 1
         val = (r.nodes[:, 0] ** 2 * r.nodes[:, 1] ** 2) @ r.weights
         assert abs(val - 1.0) <= 1e-12
+
+
+class TestMirrorSymmetry:
+    """The premise of the collision pass's x- and z-mirror fold."""
+
+    def test_hermite_rule_is_exactly_symmetric(self):
+        for q in range(1, 65):
+            r = hermite_rule_1d(q)
+            assert np.array_equal(r.nodes, -r.nodes[::-1])
+            assert np.array_equal(r.weights, r.weights[::-1])
+
+    @pytest.mark.parametrize("level", sorted(SPHERE_LEVELS))
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_half_sphere_maps_onto_itself(self, level, axis):
+        r = half_sphere_rule(level)
+        image = r.nodes.copy()
+        image[:, axis] *= -1.0
+        dist = np.max(np.abs(image[:, None, :] - r.nodes[None, :, :]), axis=2)
+        match = np.argmin(dist, axis=1)
+        assert np.max(dist[np.arange(len(r)), match]) <= 1e-15
+        assert sorted(match) == list(range(len(r)))
+        assert np.array_equal(r.weights[match], r.weights)
 
 
 class TestSphereRule:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,10 +150,13 @@ class TestDb:
 
     def test_overflowing_estimate_fails_the_gate(self):
         # at C = 1e300 the sum of squares overflows and the standard error
-        # is NaN; a NaN comparison must not pass for positivity
+        # is NaN; a NaN comparison must not pass for positivity, and the
+        # overflow raises the gate error, not a numpy warning
         mx = Mixture((1.0, 1.0))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(sp.InconclusivePositivityError, match="budget"):
+        with warnings.catch_warnings(), \
+                pytest.raises(sp.InconclusivePositivityError,
+                              match="is not finite$"):
+            warnings.simplefilter("error")
             sp.compute_Db(mx, hard_sphere_family(2, rho_scale=1e300), seed=1,
                           count=1000)
 
