@@ -146,7 +146,7 @@ def parse_discretization(cfg: dict) -> dict:
 
 def parse_budgets(cfg: dict, seed_override=None) -> dict:
     b = _block(cfg, "budgets")
-    defaults = {"mc_samples": 100_000, "seed": 0, "lemma_samples": 1000}
+    defaults = {"mc_samples": 100_000, "seed": 0}
     out = {key: _number(int, b.get(key, v), f"budgets.{key}")
            for key, v in defaults.items()}
     if seed_override is not None:
@@ -154,7 +154,6 @@ def parse_budgets(cfg: dict, seed_override=None) -> dict:
     _require(out["seed"] >= 0,
              f"the seed (budgets.seed or --seed) must be >= 0, got {out['seed']}")
     _require(out["mc_samples"] >= 1, "budgets.mc_samples must be >= 1")
-    _require(out["lemma_samples"] >= 1, "budgets.lemma_samples must be >= 1")
     return out
 
 
@@ -286,9 +285,7 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
                                  mc_samples=budgets["mc_samples"])
     ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k)
     mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
-    hyp = sp.verify_H1_H3(ops, report.lambda_numeric, mu,
-                          n_samples=budgets["lemma_samples"],
-                          seed=budgets["seed"])
+    hyp = sp.verify_H1_H3(ops, report.lambda_numeric, mu)
     kernel_dim = sp.kernel_count(mu)[0]
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", mu)
     payload = {
@@ -308,7 +305,7 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
         return EXIT_GATE
     if any(not c.passed for c in ledger):
         return EXIT_GATE
-    if hyp.h12_violations > 0 or hyp.h2_holdout_violations > 0:
+    if hyp.h12_violations > 0:
         return EXIT_GATE
     return EXIT_OK
 
@@ -358,9 +355,7 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
     rng = np.random.default_rng(budgets["seed"])
     m_max = disc["m_max"]
     lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-    search = ev.search_coefficients(ops, m_max=m_max,
-                                    n_samples=budgets["lemma_samples"],
-                                    seed=budgets["seed"])
+    search = ev.search_coefficients(ops, m_max=m_max)
     kappa_cert = ev.certify_coefficients(ops, search.c, m_max=m_max)
 
     f_I = reference_initial_state(ops, rng, m_max, amplitude)
@@ -368,9 +363,14 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
         f_I = ev.equilibrium_state(f_I, ops.ker_L)
     f_inf = ev.equilibrium_state(f_I, ops.ker_L)
 
-    traj = ev.evolve(f_I, ops.L.matrix, ops.transports, integration["dt"],
-                     integration["t_end"], scheme=integration["scheme"],
-                     record_every=integration["record_every"])
+    try:
+        traj = ev.evolve(f_I, ops.L.matrix, ops.transports, integration["dt"],
+                         integration["t_end"], scheme=integration["scheme"],
+                         record_every=integration["record_every"])
+    except ev.UnstableStepError as exc:
+        raise ConfigError(f"decay.scheme midpoint is unstable at decay.dt = "
+                          f"{integration['dt']:g} ({exc}); lower decay.dt or "
+                          "use decay.scheme: expm") from None
     h1_dist, g_vals = [], []
     for t, X in zip(traj.times, traj.coeffs):
         diff = ev.TorusState(f_I.modes, X - f_inf.coeffs, t)

@@ -30,11 +30,11 @@ from .mixture import project_onto
 from .spectra import complement_basis, generalized_eigs
 
 __all__ = [
-    "expm", "mode_generator", "TorusState", "Trajectory", "recorded_steps",
-    "evolve", "h1_norm", "hypo_functional", "h1_norm_and_functional",
-    "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS", "fit_decay", "DecayReport",
-    "search_coefficients", "SearchResult", "equilibrium_state",
-    "modes_up_to", "random_physical_state",
+    "expm", "mode_generator", "TorusState", "Trajectory", "UnstableStepError",
+    "recorded_steps", "evolve", "h1_norm", "hypo_functional",
+    "h1_norm_and_functional", "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS",
+    "fit_decay", "DecayReport", "search_coefficients", "SearchResult",
+    "equilibrium_state", "modes_up_to", "random_physical_state",
 ]
 
 
@@ -101,6 +101,10 @@ class Trajectory:
     coeffs: np.ndarray
 
 
+class UnstableStepError(ValueError):
+    """A midpoint step beyond the dt * ||A|| <= 1e3 stability guard."""
+
+
 def recorded_steps(dt: float, t_end: float, record_every: int) -> list:
     """Steps k, at time k dt after the start, at which :func:`evolve`
     records the state: step 0, every ``record_every``-th of its
@@ -117,7 +121,9 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
 
     ``expm`` builds one propagator e^{dt A_m} per mode with
     ``scipy.linalg.expm`` (semigroup-exact to rounding); ``midpoint`` is the
-    implicit midpoint rule, second order, with a dt * ||A|| stability guard.
+    implicit midpoint rule, second order; it raises
+    :class:`UnstableStepError` when dt * ||A_m|| > 1e3 for some mode, unless
+    ``allow_unstable`` is set.
     The propagators form one (K, T, T) stack, so a step advances all modes
     with one stacked product.
     """
@@ -133,9 +139,9 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
             P[k] = expm(dt * A)
         else:
             if dt * np.linalg.norm(A) > 1e3 and not allow_unstable:
-                raise ValueError(
+                raise UnstableStepError(
                     f"midpoint step dt*||A|| = {dt * np.linalg.norm(A):.3e} "
-                    "> 1e3; pass allow_unstable=True to override")
+                    "> 1e3")
             ident = np.eye(T, dtype=complex)
             P[k] = np.linalg.solve(ident - 0.5 * dt * A, ident + 0.5 * dt * A)
 
@@ -230,22 +236,16 @@ def h1_norm_and_functional(state: TorusState, c, grad_ops) -> tuple:
     return tuple(map(float, _functional(state, (_H1, tuple(c)), grad_ops)))
 
 
-def _rate_forms(ops: OperatorSet, modes, S):
-    """Rate forms R_jk = Re <s_k, Q_j A_m s_k> of the states S (T, k), column
-    k at mode modes[k], and their squared H^1 norms.
+def _rate_forms(ops: OperatorSet, m, S):
+    """Rate forms R_jk = Re <s_k, Q_j A_m s_k> of the states S (T, k) at
+    mode m, and their squared H^1 norms.
 
     The Q_j are Hermitian, so dG/dt = 2 sum_j c_j R_j along the generator.
     """
-    columns = {}
-    for k, m in enumerate(modes):
-        columns.setdefault(m, []).append(k)
-    AS = np.empty_like(S)
-    for m, cols in columns.items():
-        A = mode_generator(ops.L.matrix, ops.transports, m)
-        AS[:, cols] = A @ S[:, cols]
+    A = mode_generator(ops.L.matrix, ops.transports, m)
     grads = _grad_mats(ops.grads)
-    return (_forms(S, _terms(grads, modes, AS)),
-            _weigh(_H1, _forms(S, _terms(grads, modes, S))))
+    return (_forms(S, _terms(grads, m, A @ S)),
+            _weigh(_H1, _forms(S, _terms(grads, m, S))))
 
 
 def _pencil(ops: OperatorSet, c, m):
@@ -365,53 +365,37 @@ def _default_grid():
 
 
 def search_coefficients(ops: OperatorSet, m_max: int = 2,
-                        n_samples: int = 1000, seed: int = 0,
-                        grid=None, extra_states=None) -> SearchResult:
-    """Grid search for (c1..c4) maximizing the certified kappa with
+                        grid=None) -> SearchResult:
+    """Grid search for (c1..c4) maximizing the kappa of
 
         dG/dt <= -kappa ||f||_{H1}^2
 
-    over a sample of mode states (dG/dt evaluated exactly via the
-    generator).  Mode-0 samples are projected off ker(L), the invariant
-    subspace carrying the conserved quantities; the sample always includes
-    the hard deterministic states (per-mode ker(L) vectors, where the
-    dissipation vanishes and only transport mixing helps).  Returns the
-    best tuple; ``success`` is False when no positive kappa exists.
+    over one fixed basis of states per mode (dG/dt evaluated exactly via
+    the generator): at m = 0 the orthonormal complement of ker(L), the
+    invariant subspace carrying the conserved quantities, and at every
+    m != 0 the ker(L) columns, where the dissipation vanishes and only
+    transport mixing helps.  Returns the best tuple; ``success`` is False
+    when no positive kappa exists.  This kappa is on the dG/dt scale above,
+    a factor 2 from :func:`certify_coefficients`.
     """
-    rng = np.random.default_rng(seed)
-    total = ops.total_size
-    modes = [tuple(m) for m in modes_up_to(m_max).tolist()]
-
-    states = []
-    for _ in range(n_samples):
-        m = modes[rng.integers(len(modes))]
-        c = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-        if m == (0, 0, 0):
-            c = c - project_onto(ops.ker_L, c.real) \
-                - 1j * project_onto(ops.ker_L, c.imag)
-        states.append((m, c))
-    for m in modes:
-        if m == (0, 0, 0):
-            continue
-        for k in range(ops.ker_L.shape[1]):
-            states.append((m, ops.ker_L[:, k].astype(complex)))
-    if extra_states:
-        states.extend(extra_states)
-
-    R, h1 = _rate_forms(ops, [m for m, _ in states],
-                        np.stack([c for _, c in states], axis=1))
-
     grid = np.asarray(grid if grid is not None else _default_grid(), dtype=float)
     admissible = grid[:, 3] ** 2 < grid[:, 1] * grid[:, 2]
     if not admissible.any():
         raise ValueError("no coefficient tuple in the grid has c4^2 < c2*c3")
-    kappas = -2.0 * _weigh(grid, R) / h1        # (candidates, states)
-    kappa = np.where(admissible, kappas.min(axis=1), -np.inf)
+    W = complement_basis(ops.ker_L, ops.total_size)
+    kappa = np.full(len(grid), np.inf)
+    n_states = 0
+    for m in modes_up_to(m_max):
+        S = (ops.ker_L if m.any() else W).astype(complex)
+        R, h1 = _rate_forms(ops, m, S)
+        kappa = np.minimum(kappa, (-2.0 * _weigh(grid, R) / h1).min(axis=1))
+        n_states += S.shape[1]
+    kappa = np.where(admissible, kappa, -np.inf)
     best = int(np.argmax(kappa))                # first maximum
     return SearchResult(c=tuple(float(x) for x in grid[best]),
                         kappa=float(kappa[best]),
                         success=bool(kappa[best] > 0.0),
-                        n_candidates=len(grid), n_states=len(states))
+                        n_candidates=len(grid), n_states=n_states)
 
 
 def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
@@ -424,8 +408,8 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
     (the pencil of :func:`_pencil`), restricted, at m = 0, to the
     complement of ker(L).  Since <s, H s> = -(dG/dt)/2, the returned
     min_m kappa_m certifies dG/dt <= -2 kappa ||f||_{H1}^2, whereas the
-    sampled kappa of :func:`search_coefficients` estimates the best kappa
-    in dG/dt <= -kappa ||f||_{H1}^2.
+    kappa of :func:`search_coefficients` is the best kappa in
+    dG/dt <= -kappa ||f||_{H1}^2 over its state bases only.
     """
     _check_coeffs(*c)
     W = complement_basis(ops.ker_L, ops.total_size)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["hermite_table_1d", "multi_indices", "hermite_table_3d", "HermiteBasis"]
+__all__ = ["multi_indices", "hermite_table_3d", "HermiteBasis"]
 
 
 def _fill_1d(x: np.ndarray, deg: int, tab: np.ndarray) -> None:
@@ -32,15 +32,6 @@ def _fill_1d(x: np.ndarray, deg: int, tab: np.ndarray) -> None:
         np.multiply(x, tab[k], out=tab[k + 1])
         tab[k + 1] -= math.sqrt(k) * tab[k - 1]
         tab[k + 1] /= math.sqrt(k + 1)
-
-
-def hermite_table_1d(x, deg: int) -> np.ndarray:
-    """Values h_0(x)..h_deg(x) of the orthonormal probabilists' Hermite
-    family, shape x.shape + (deg+1,)."""
-    x = np.asarray(x, dtype=float)
-    tab = np.empty((deg + 1,) + x.shape)
-    _fill_1d(x, deg, tab)
-    return np.moveaxis(tab, 0, -1)
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +117,3 @@ class HermiteBasis:
     def eval_polynomials(self, points: np.ndarray) -> np.ndarray:
         """H_alpha at the given velocity points, shape (m, per_species_size)."""
         return hermite_table_3d(points, self.N)
-
-    def degree_mask(self, max_degree: int) -> np.ndarray:
-        """Boolean mask over the full coefficient layout, |alpha| <= max_degree."""
-        per = self.degrees <= max_degree
-        return np.tile(per, self.n_species)

@@ -15,7 +15,7 @@ from numpy.polynomial import polynomial as P
 
 __all__ = [
     "PowerLaw", "AngularPolynomial", "constant_angular", "KernelFamily",
-    "AssumptionCheck", "AuditReport", "evaluate_B", "AUDIT_RADII",
+    "AssumptionCheck", "AuditReport", "AUDIT_RADII",
     "audit_assumptions", "compute_ell_b", "compute_C_b",
 ]
 
@@ -132,17 +132,6 @@ class KernelFamily:
         pair_key = {(i, j): table[(self.phi[i][j], self.b[i][j])]
                     for i in range(self.n) for j in range(self.n)}
         return keys, pair_key
-
-
-def evaluate_B(family: KernelFamily, i: int, j: int, s, cos_theta):
-    """B_ij(s, cos theta) = Phi_ij(s) * b_ij(cos theta); requires s > 0."""
-    s = np.asarray(s, dtype=float)
-    cos_theta = np.asarray(cos_theta, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("relative speed s must be positive")
-    if np.any(np.abs(cos_theta) > 1.0 + 1e-14):
-        raise ValueError("cos_theta must lie in [-1, 1]")
-    return family.phi[i][j](s) * family.b[i][j](cos_theta)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .hermite import HermiteBasis
 from .quadrature import hermite_rule_3d
 
 __all__ = [
-    "Mixture", "ProjectionCoefficients", "maxwellian_moment",
+    "Mixture", "ProjectionCoefficients",
     "embed_species_polynomials", "ker_L_basis", "ker_Lm_basis",
     "orthonormalize", "project_onto", "extract_coefficients",
 ]
@@ -50,30 +50,6 @@ class Mixture:
 
     def rho_array(self) -> np.ndarray:
         return np.array(self.rho_inf)
-
-
-def maxwellian_moment(mixture: Mixture, i: int, monomial: str) -> float:
-    """Closed-form Gaussian moment of M_i.
-
-    Supported monomials: "1", "vJvK" with J, K in {1,2,3} (e.g. "v1v2"),
-    "|v|^2", and "|v|^4".  Values: rho_i, rho_i*delta_JK, 3*rho_i, 15*rho_i.
-    """
-    if not 0 <= i < mixture.n:
-        raise ValueError(f"species index {i} out of range for n = {mixture.n}")
-    rho = mixture.rho_inf[i]
-    key = monomial.replace(" ", "")
-    if key == "1":
-        return rho
-    if key == "|v|^2":
-        return 3.0 * rho
-    if key == "|v|^4":
-        return 15.0 * rho
-    if len(key) == 4 and key[0] == "v" and key[2] == "v" \
-            and key[1] in "123" and key[3] in "123":
-        return rho if key[1] == key[3] else 0.0
-    raise ValueError(
-        f"unsupported monomial {monomial!r}: expected '1', 'vJvK', "
-        "'|v|^2' or '|v|^4'")
 
 
 # ---------------------------------------------------------------------------

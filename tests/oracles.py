@@ -2,17 +2,19 @@
 
 Nothing here calls the code paths under test: eigenvalues come from
 Householder + Sturm bisection, tensor Hermite values from row gathers of
-the 1-D tables, Gaussian moments from double factorials,
-the bi-species coercivity integral from its separable closed form,
-collision quadratic forms from the analytic relations of the collision
-geometry, collision frequencies from their 1-D radial reduction, the
-sampled certificate checks from a plain loop that evaluates one sample at
-a time, the kernel assumption audit from sampling grids, the assembly's
-block sum from a level-by-level pairwise sum, the collision monomial
-blocks from the full (v, v*) node grid without the mirror fold, and the
-torus evolution from one propagator and one coefficient vector per mode,
-kept in a dict.  ``collision_frequency`` and ``symmetry_defect`` are
-small helpers over the package's operators that only the tests use.
+the 1-D tables, Gaussian moments from double factorials, the bi-species
+coercivity integral from its separable closed form and from a tensor
+quadrature, collision quadratic forms from the analytic relations of the
+collision geometry, collision frequencies from their 1-D radial
+reduction, the sampled certificate checks from a plain loop that
+evaluates one sample at a time, the kernel assumption audit from sampling
+grids, the assembly's block sum from a level-by-level pairwise sum, the
+collision monomial blocks from the full (v, v*) node grid without the
+mirror fold, the torus evolution from one propagator and one coefficient
+vector per mode, kept in a dict, and the Lyapunov coefficient search from
+1000 random states.  ``evaluate_B``, ``degree_mask``,
+``collision_frequency`` and ``symmetry_defect`` are small helpers over the
+package's objects that only the tests use.
 """
 from __future__ import annotations
 
@@ -95,8 +97,32 @@ def gaussian_moment_1d(k: int) -> float:
     return out
 
 
+def maxwellian_moment(mixture, i: int, monomial: str) -> float:
+    """Closed-form Gaussian moment of M_i.
+
+    Supported monomials: "1", "vJvK" with J, K in {1,2,3} (e.g. "v1v2"),
+    "|v|^2", and "|v|^4".  Values: rho_i, rho_i*delta_JK, 3*rho_i, 15*rho_i.
+    """
+    if not 0 <= i < mixture.n:
+        raise ValueError(f"species index {i} out of range for n = {mixture.n}")
+    rho = mixture.rho_inf[i]
+    key = monomial.replace(" ", "")
+    if key == "1":
+        return rho
+    if key == "|v|^2":
+        return 3.0 * rho
+    if key == "|v|^4":
+        return 15.0 * rho
+    if len(key) == 4 and key[0] == "v" and key[2] == "v" \
+            and key[1] in "123" and key[3] in "123":
+        return rho if key[1] == key[3] else 0.0
+    raise ValueError(
+        f"unsupported monomial {monomial!r}: expected '1', 'vJvK', "
+        "'|v|^2' or '|v|^4'")
+
+
 # ---------------------------------------------------------------------------
-# closed form for the bi-species coercivity integral
+# the bi-species coercivity integral: closed form and tensor quadrature
 # ---------------------------------------------------------------------------
 
 def min_sq_gaussian() -> float:
@@ -132,9 +158,85 @@ def closed_form_Db(rho_i: float, rho_j: float, C: float, gamma: float,
     return rho_i * rho_j * 4.0 * math.pi * radial * angular * min_sq_gaussian()
 
 
+def quadrature_Db(mixture, family, q: int = 12,
+                  sphere_level: str = "fine") -> dict:
+    """Deterministic tensor-quadrature evaluation of the D^b integrals.
+
+    Serves as the independent cross-check for ``spectra.compute_Db``; the
+    min{.,.} integrand is only piecewise smooth, so this is an oracle at
+    moderate accuracy, not a replacement for the Monte-Carlo error bars.
+    """
+    from kinetic_gap.quadrature import hermite_rule_3d, sphere_rule
+    rule3 = hermite_rule_3d(q)
+    sph = sphere_rule(sphere_level)
+    nodes, w3 = rule3.nodes, rule3.weights
+    Qn = nodes.shape[0]
+    ns = sph.nodes.shape[0]
+    keys, pair_key = family.distinct_pairs()
+    acc = np.zeros(len(keys))
+
+    # |v - v'|^2 / 3 = r^2 (1 - cos) / 6 and |v'|^2 - |v|^2 = r (c.sigma) - c.w
+    chunk = max(1, 8_000_000 // ns)
+    ct = np.empty((chunk, ns))
+    e_term = np.empty((chunk, ns))
+    base = np.empty((chunk, ns))
+    gbuf = np.empty((chunk, ns))
+    for p0 in range(0, Qn * Qn, chunk):
+        idx = np.arange(p0, min(p0 + chunk, Qn * Qn))
+        m = idx.shape[0]
+        v = nodes[idx // Qn]
+        vs = nodes[idx % Qn]
+        wp = w3[idx // Qn] * w3[idx % Qn]
+        diff = v - vs
+        r = np.linalg.norm(diff, axis=1)
+        rs = np.where(r > 0, r, 1.0)
+        center = 0.5 * (v + vs)
+        cw = np.einsum("ij,ij->i", center, diff)
+        np.divide(diff @ sph.nodes.T, rs[:, None], out=ct[:m])
+        np.multiply(center @ sph.nodes.T, r[:, None], out=e_term[:m])
+        e_term[:m] -= cw[:, None]
+        np.square(e_term[:m], out=e_term[:m])
+        np.subtract(1.0, ct[:m], out=base[:m])
+        base[:m] *= (r * r / 6.0)[:, None]
+        np.minimum(base[:m], e_term[:m], out=base[:m])
+        base[:m] *= (wp[:, None] * sph.weights[None, :])
+        for k, (phi_d, b_d) in enumerate(keys):
+            # base vanishes on the r = 0 diagonal, so phi(rs) with the
+            # guarded radius is safe for every gamma
+            if len(b_d.coeffs) == 1:
+                np.multiply(base[:m], (b_d.coeffs[0] * phi_d(rs))[:, None],
+                            out=gbuf[:m])
+            else:
+                np.multiply(base[:m], b_d(ct[:m]), out=gbuf[:m])
+                gbuf[:m] *= phi_d(rs)[:, None]
+            acc[k] += gbuf[:m].sum()
+    out = {}
+    for i in range(mixture.n):
+        for j in range(mixture.n):
+            out[(i, j)] = mixture.rho_inf[i] * mixture.rho_inf[j] \
+                * acc[pair_key[(i, j)]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # tensor Hermite values by multi-index row gathers
 # ---------------------------------------------------------------------------
+
+def hermite_table_1d(x, deg: int) -> np.ndarray:
+    """Values h_0(x)..h_deg(x) of the orthonormal probabilists' Hermite
+    family, shape x.shape + (deg+1,), by the recurrence
+    h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), h_0 = 1, h_1 = x."""
+    x = np.asarray(x, dtype=float)
+    t = np.empty((deg + 1,) + x.shape)
+    t[0] = 1.0
+    if deg >= 1:
+        t[1] = x
+    for k in range(1, deg):
+        np.multiply(x, t[k], out=t[k + 1])
+        t[k + 1] -= math.sqrt(k) * t[k - 1]
+        t[k + 1] /= math.sqrt(k + 1)
+    return np.moveaxis(t, 0, -1)
+
 
 def hermite_table_gather(points: np.ndarray, N: int) -> np.ndarray:
     """H_alpha(points), shape (m, nb), ordered as ``multi_indices(N)``.
@@ -145,18 +247,8 @@ def hermite_table_gather(points: np.ndarray, N: int) -> np.ndarray:
     """
     from kinetic_gap.hermite import multi_indices
     points = np.asarray(points, dtype=float)
-    m = points.shape[0]
     idx = multi_indices(N)
-    tab = np.empty((3, N + 1, m))
-    for ax in range(3):
-        x, t = points[:, ax], tab[ax]
-        t[0] = 1.0
-        if N >= 1:
-            t[1] = x
-        for k in range(1, N):
-            np.multiply(x, t[k], out=t[k + 1])
-            t[k + 1] -= math.sqrt(k) * t[k - 1]
-            t[k + 1] /= math.sqrt(k + 1)
+    tab = [hermite_table_1d(points[:, ax], N).T for ax in range(3)]
     out = np.take(tab[0], idx[:, 0], axis=0)
     out *= np.take(tab[1], idx[:, 1], axis=0)
     out *= np.take(tab[2], idx[:, 2], axis=0)
@@ -494,6 +586,23 @@ def pairwise_sum(mats: list) -> np.ndarray:
 # helpers over the package's operators
 # ---------------------------------------------------------------------------
 
+def evaluate_B(family, i: int, j: int, s, cos_theta):
+    """B_ij(s, cos theta) = Phi_ij(s) * b_ij(cos theta); requires s > 0."""
+    s = np.asarray(s, dtype=float)
+    cos_theta = np.asarray(cos_theta, dtype=float)
+    if np.any(s <= 0.0):
+        raise ValueError("relative speed s must be positive")
+    if np.any(np.abs(cos_theta) > 1.0 + 1e-14):
+        raise ValueError("cos_theta must lie in [-1, 1]")
+    return family.phi[i][j](s) * family.b[i][j](cos_theta)
+
+
+def degree_mask(basis, max_degree: int) -> np.ndarray:
+    """Boolean mask over the full coefficient layout of a HermiteBasis,
+    |alpha| <= max_degree."""
+    return np.tile(basis.degrees <= max_degree, basis.n_species)
+
+
 def collision_frequency(mixture, family, i: int, v):
     """nu_i at one velocity or an array of velocities."""
     from kinetic_gap.galerkin import frequency_field
@@ -596,3 +705,56 @@ def dict_evolve(modes: dict, L, transports, dt, t_end, scheme="expm",
                 current[m] = props[m] @ current[m]
         states.append({m: c.copy() for m, c in current.items()})
     return [k * dt for k in steps], states
+
+
+# ---------------------------------------------------------------------------
+# the coefficient search over sampled states
+# ---------------------------------------------------------------------------
+
+def sampled_search_coefficients(ops, m_max: int = 2, n_samples: int = 1000,
+                                seed: int = 0, grid=None):
+    """``evolution.search_coefficients`` as it was before it searched fixed
+    state bases: ``n_samples`` random complex states at random modes (the
+    m = 0 ones projected off ker(L)), then the ker(L) columns at every
+    m != 0, with the rate forms of each mode's columns formed together."""
+    from kinetic_gap import evolution as ev
+    from kinetic_gap.mixture import project_onto
+    rng = np.random.default_rng(seed)
+    total = ops.total_size
+    modes = [tuple(m) for m in ev.modes_up_to(m_max).tolist()]
+    states = []
+    for _ in range(n_samples):
+        m = modes[rng.integers(len(modes))]
+        c = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        if m == (0, 0, 0):
+            c = c - project_onto(ops.ker_L, c.real) \
+                - 1j * project_onto(ops.ker_L, c.imag)
+        states.append((m, c))
+    for m in modes:
+        if m != (0, 0, 0):
+            for k in range(ops.ker_L.shape[1]):
+                states.append((m, ops.ker_L[:, k].astype(complex)))
+
+    S = np.stack([c for _, c in states], axis=1)
+    cols = {}
+    for k, (m, _) in enumerate(states):
+        cols.setdefault(m, []).append(k)
+    AS = np.empty_like(S)
+    for m, ks in cols.items():
+        AS[:, ks] = ev.mode_generator(ops.L.matrix, ops.transports, m) \
+            @ S[:, ks]
+    grads = ev._grad_mats(ops.grads)
+    per_col = np.array([m for m, _ in states], dtype=float)
+    R = ev._forms(S, ev._terms(grads, per_col, AS))
+    h1 = ev._weigh(ev._H1, ev._forms(S, ev._terms(grads, per_col, S)))
+
+    grid = np.asarray(grid if grid is not None else ev._default_grid(),
+                      dtype=float)
+    admissible = grid[:, 3] ** 2 < grid[:, 1] * grid[:, 2]
+    kappas = -2.0 * ev._weigh(grid, R) / h1          # (candidates, states)
+    kappa = np.where(admissible, kappas.min(axis=1), -np.inf)
+    best = int(np.argmax(kappa))
+    return ev.SearchResult(c=tuple(float(x) for x in grid[best]),
+                           kappa=float(kappa[best]),
+                           success=bool(kappa[best] > 0.0),
+                           n_candidates=len(grid), n_states=len(states))

@@ -23,8 +23,7 @@ def hard_sphere_config(n=2, N=3, q=6, sphere="coarse", m_max=1, seed=11,
                     "C3": 1.0, "C4": 1.0, "beta": 1.0, "phi": phi, "b": b},
         "discretization": {"N": N, "hermite_q": q, "sphere_level": sphere,
                            "M_max": m_max},
-        "budgets": {"mc_samples": mc, "seed": seed, "audit_samples": 1000,
-                    "lemma_samples": 200},
+        "budgets": {"mc_samples": mc, "seed": seed, "audit_samples": 1000},
         "decay": {"dt": 0.05, "t_end": 4.0, "record_every": 2,
                   "amplitude": 0.01},
     }
@@ -80,7 +79,6 @@ MALFORMED = [
     ("decay_dt_string", ("decay", "dt"), "fast"),
     ("hermite_q_not_above_N", ("discretization", "hermite_q"), 3),  # N = 3
     ("negative_seed", ("budgets", "seed"), -1),
-    ("zero_lemma_samples", ("budgets", "lemma_samples"), 0),
     ("initial_state_typo", ("decay", "initial"), "equilibrum"),
     # JSON as read by Python admits NaN and Infinity
     ("amplitude_nan", ("decay", "amplitude"), math.nan),
@@ -164,10 +162,24 @@ class TestValidation:
         assert cli.parse_budgets({"budgets": {"seed": 7.0}})["seed"] == 7
 
     def test_audit_samples_is_ignored(self):
-        # the audit is decided in closed form; the key is read like any
-        # unknown one
-        budgets = cli.parse_budgets({"budgets": {"audit_samples": 5}})
-        assert "audit_samples" not in budgets
+        # the audit is decided in closed form and nothing else is sampled
+        # but D^b; these keys are read like any unknown one
+        budgets = cli.parse_budgets({"budgets": {"audit_samples": 5,
+                                                 "lemma_samples": 0}})
+        assert budgets == {"mc_samples": 100_000, "seed": 0}
+
+    def test_unstable_midpoint_step_is_one_line_error(self, tmp_path, capsys):
+        # at rho_inf = 1000 the midpoint step has dt ||A|| ~ 1.7e4 > 1e3
+        cfg = hard_sphere_config()
+        cfg["mixture"]["species"] = [{"rho_inf": 1000.0}] * 2
+        cfg["decay"]["scheme"] = "midpoint"
+        code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert "decay.dt" in err and "decay.scheme: expm" in err
+        assert len(err.splitlines()) == 1
 
     def test_decay_memory_bound_is_a_parse_error(self):
         # (2 M_max + 1)^3 complex T x T propagators, T = 40: about 27 GiB
@@ -474,8 +486,7 @@ class TestConstants:
         assert (out1 / "eigenvalues.csv").read_bytes() \
             == (out2 / "eigenvalues.csv").read_bytes()
 
-    @pytest.mark.parametrize("field", ["h12_violations",
-                                       "h2_holdout_violations"])
+    @pytest.mark.parametrize("field", ["h12_violations"])
     def test_hypothesis_violations_gate(self, tmp_path, monkeypatch, field):
         verify = cli.sp.verify_H1_H3
         monkeypatch.setattr(cli.sp, "verify_H1_H3", lambda *a, **k:
@@ -580,6 +591,42 @@ class TestDecay:
         run_cli(["decay", "--config", path, "--out", str(out)])
         after = set(tmp_path.iterdir()) - {out}
         assert before == after
+
+
+class TestSeedFree:
+    """Only the Monte-Carlo D^b and the decay's initial state are drawn from
+    the seed; the (H2) constants and the coefficient search are not."""
+
+    def run(self, tmp_path, command, cfg, name, *extra):
+        out = tmp_path / name
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        assert run_cli([command, "--config", path, "--out", str(out),
+                        *extra]) == cli.EXIT_OK
+        return (out / f"{command}.json").read_text()
+
+    def test_seed_moves_only_the_drawn_values(self, tmp_path):
+        cfg = hard_sphere_config()
+        for command, fixed in (("constants", ("hypotheses",)),
+                               ("decay", ("coefficients", "kappa_certified"))):
+            a, b = (json.loads(self.run(tmp_path, command, cfg,
+                                        f"{command}{seed}", "--seed", seed))
+                    for seed in ("1", "2"))
+            for key in fixed:
+                assert json.dumps(a[key], sort_keys=True) \
+                    == json.dumps(b[key], sort_keys=True), (command, key)
+            moved = ("constants", "D_b") if command == "constants" \
+                else ("decay", "tau_fit")
+            assert a[moved[0]][moved[1]] != b[moved[0]][moved[1]]
+
+    @pytest.mark.parametrize("command", ["constants", "decay"])
+    def test_lemma_samples_changes_no_byte(self, tmp_path, command):
+        outputs = []
+        for value in (1, 5000, None):
+            cfg = hard_sphere_config()
+            if value is not None:
+                cfg["budgets"]["lemma_samples"] = value
+            outputs.append(self.run(tmp_path, command, cfg, f"run{value}"))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_cli_import_does_not_load_scipy_integrate():

@@ -8,7 +8,8 @@ from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.mixture import embed_species_polynomials, project_onto
 
-from oracles import dict_evolve, dict_random_physical_state
+from oracles import (degree_mask, dict_evolve, dict_random_physical_state,
+                     sampled_search_coefficients)
 
 
 def one_mode(m, coeffs) -> ev.TorusState:
@@ -222,7 +223,7 @@ class TestNorms:
         # States are restricted to degree <= N-2 so operator truncation does
         # not pollute the identity.
         ops = ops_small
-        mask = ops.basis.degree_mask(ops.basis.N - 2)
+        mask = degree_mask(ops.basis, ops.basis.N - 2)
         m = (1, 0, -1)
         A = ev.mode_generator(ops.L.matrix, ops.transports, m)
         grads = [g.matrix for g in ops.grads]
@@ -274,13 +275,11 @@ class TestSharedDefinition:
             st = one_mode(m, ev.expm(t * A) @ s)
             return ev.hypo_functional(st, *self.C, ops.grads)
 
-        # with m_max = 0 and no samples, the search sees exactly this state:
-        # its kappa is -dG/dt / ||s||_H1^2 from the rate forms
-        res = ev.search_coefficients(ops, m_max=0, n_samples=0,
-                                     grid=[self.C], extra_states=[(m, s)])
-        assert res.n_states == 1
+        # the search's rate forms: dG/dt = 2 sum_j c_j R_j
+        R, h1_forms = ev._rate_forms(ops, m, s[:, None])
+        rate = 2.0 * float(ev._weigh(self.C, R)[0])
         h1 = ev.h1_norm(one_mode(m, s), ops.grads)
-        rate = -res.kappa * h1
+        assert float(h1_forms[0]) == pytest.approx(h1, rel=1e-12)
         errs = [abs((G(dt) - G(-dt)) / (2.0 * dt) - rate)
                 for dt in (1e-4, 5e-5)]
         assert errs[0] <= 1e-3 * abs(rate)
@@ -344,27 +343,46 @@ class TestFitDecay:
 
 class TestSearch:
     def test_positive_kappa_with_mixed_term(self, ops_small):
-        res = ev.search_coefficients(ops_small, m_max=1, n_samples=400,
-                                     seed=3)
+        res = ev.search_coefficients(ops_small, m_max=1)
         assert res.success and res.kappa > 0.0
         c1, c2, c3, c4 = res.c
         assert c4 * c4 < c2 * c3
 
     def test_c4_zero_fails_on_kernel_states(self, ops_small):
-        res = ev.search_coefficients(ops_small, m_max=1, n_samples=100,
-                                     seed=4, grid=[(1.0, 1.0, 1.0, 0.0)])
+        res = ev.search_coefficients(ops_small, m_max=1,
+                                     grid=[(1.0, 1.0, 1.0, 0.0)])
         assert res.kappa <= 1e-12
 
-    def test_certified_bound_below_sampled(self, ops_small):
-        res = ev.search_coefficients(ops_small, m_max=1, n_samples=300,
-                                     seed=5)
+    def test_certified_bound_below_searched(self, ops_small):
+        res = ev.search_coefficients(ops_small, m_max=1)
         cert = ev.certify_coefficients(ops_small, res.c, m_max=1)
         assert cert <= res.kappa + 1e-9
         assert cert > 0.0
 
+    @pytest.mark.parametrize("seed", [0, 8])
+    @pytest.mark.parametrize("ops_name,m_max", [
+        ("ops_small", 0), ("ops_small", 1), ("ops_small", 2),
+        ("ops_maxwell1_small", 0), ("ops_maxwell1_small", 1),
+        ("ops_maxwell1_small", 2), ("ops_mixed2", 1)])
+    def test_matches_sampled_search(self, request, ops_name, m_max, seed):
+        # the random states of the sampled search never bind: it picks the
+        # same c, and from M_max = 1 on the same kappa, set by a ker(L)
+        # state at some m != 0
+        ops = request.getfixturevalue(ops_name)
+        res = ev.search_coefficients(ops, m_max=m_max)
+        ref = sampled_search_coefficients(ops, m_max=m_max, seed=seed)
+        assert res.c == ref.c
+        if m_max >= 1:
+            assert res.kappa == ref.kappa
+        assert ev.certify_coefficients(ops, res.c, m_max=m_max) \
+            == ev.certify_coefficients(ops, ref.c, m_max=m_max)
+        T, k = ops.total_size, ops.ker_L.shape[1]
+        assert res.n_states == T - k + ((2 * m_max + 1) ** 3 - 1) * k
+
     def test_kappa_ceiling_at_gap_eigenvector(self, ops_small):
         # spectral-abscissa comparison: along the slowest m=0 eigenvector
-        # state, dG/dt = -2 mu G, so kappa <= 2 mu G / ||.||_H1 at that state
+        # state, dG/dt = -2 mu G, so its rate ratio is 2 mu G / ||.||_H1,
+        # and the searched kappa stays below it
         ops = ops_small
         w, v = jacobi_eigh(ops.L.matrix)
         scale = np.max(np.abs(w))
@@ -372,13 +390,14 @@ class TestSearch:
         k = nonzero[np.argmin(-w[nonzero])]
         mu = -w[k]
         phi = v[:, k].astype(complex)
-        extra = [((0, 0, 0), phi)]
-        res = ev.search_coefficients(ops_small, m_max=1, n_samples=300,
-                                     seed=6, extra_states=extra)
+        res = ev.search_coefficients(ops_small, m_max=1)
         st = one_mode((0, 0, 0), phi)
         g_val = ev.hypo_functional(st, *res.c, ops.grads)
         h1 = ev.h1_norm(st, ops.grads)
         ceiling = 2.0 * mu * g_val / h1
+        R, h1_forms = ev._rate_forms(ops, (0, 0, 0), phi[:, None])
+        assert float(-2.0 * ev._weigh(res.c, R)[0] / h1_forms[0]) \
+            == pytest.approx(ceiling, rel=1e-9)
         assert res.kappa <= ceiling * (1.0 + 1e-9)
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermevander
 
-from kinetic_gap.hermite import hermite_table_1d, hermite_table_3d, multi_indices
+from kinetic_gap.hermite import hermite_table_3d, multi_indices
 
-from oracles import hermite_table_gather
+from oracles import hermite_table_1d, hermite_table_gather
 
 DEGREES = [0, 1, 2, 3, 4, 7]
 

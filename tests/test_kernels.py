@@ -6,12 +6,12 @@ import pytest
 from kinetic_gap.cli import parse_family, parse_mixture
 from kinetic_gap.kernels import (AUDIT_RADII, AngularPolynomial, KernelFamily,
                                  PowerLaw, audit_assumptions, compute_C_b,
-                                 compute_ell_b, constant_angular, evaluate_B,
+                                 compute_ell_b, constant_angular,
                                  hard_sphere_family, maxwell_family,
                                  power_family)
 
 from conftest import load_perfbench, mixed_gamma_family
-from oracles import grid_audit
+from oracles import evaluate_B, grid_audit
 
 
 def _family_with(phi_12, beta=1.0, b_12=None):

@@ -4,10 +4,9 @@ import pytest
 from kinetic_gap.hermite import HermiteBasis
 from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
                                  extract_coefficients, ker_L_basis,
-                                 ker_Lm_basis, maxwellian_moment,
-                                 orthonormalize, project_onto)
+                                 ker_Lm_basis, orthonormalize, project_onto)
 
-from oracles import explicit_gram
+from oracles import explicit_gram, maxwellian_moment
 
 
 class TestMaxwellianMoments:
