@@ -178,11 +178,13 @@ def parse_decay(cfg: dict) -> dict:
              f"{ev.FIT_TRANSIENT_FRAC:g} t_end; the decay fit needs >= "
              f"{ev.FIT_MIN_POINTS} (lower decay.record_every or raise "
              "decay.t_end)")
-    # evolve holds a complex T x T propagator and every recorded state for
-    # each of the (2 M_max + 1)^3 modes
+    # for each of the K // 2 + 1 independent modes of the K = (2 M_max + 1)^3,
+    # evolve holds a complex T x T propagator and every recorded state, and
+    # the forms pass then holds three copies of the recorded states
     disc = parse_discretization(cfg)
     T = parse_mixture(cfg).n * math.comb(disc["N"] + 3, 3)
-    need = 16 * (2 * disc["m_max"] + 1) ** 3 * T * (T + len(times))
+    R = len(times)
+    need = 16 * ((2 * disc["m_max"] + 1) ** 3 // 2 + 1) * T * max(T + R, 3 * R)
     _require(need <= DEFAULT_MEMORY_CAP,
              f"decay at discretization.M_max = {disc['m_max']} needs about "
              f"{need / 2**30:.3g} GiB (cap {DEFAULT_MEMORY_CAP / 2**30:g} GiB)")
@@ -361,6 +363,9 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
     f_I = reference_initial_state(ops, rng, m_max, amplitude)
     if integration["initial"] == "equilibrium":
         f_I = ev.equilibrium_state(f_I, ops.ker_L)
+    # a real field: only its independent half is evolved and measured
+    modes = f_I.modes
+    f_I = ev.independent_half(f_I)
     f_inf = ev.equilibrium_state(f_I, ops.ker_L)
 
     try:
@@ -371,17 +376,17 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
         raise ConfigError(f"decay.scheme midpoint is unstable at decay.dt = "
                           f"{integration['dt']:g} ({exc}); lower decay.dt or "
                           "use decay.scheme: expm") from None
-    h1_dist, g_vals = [], []
-    for t, X in zip(traj.times, traj.coeffs):
-        diff = ev.TorusState(f_I.modes, X - f_inf.coeffs, t)
-        h1_sq, g = ev.h1_norm_and_functional(diff, search.c, ops.grads)
-        h1_dist.append(math.sqrt(h1_sq))
-        g_vals.append(g)
-    mode_norms = np.sqrt(np.vecdot(traj.coeffs, traj.coeffs).real)
-    zero = len(f_I.modes) // 2
-    kproj = [ops.ker_L.T @ X[zero] for X in traj.coeffs]
+    mode_norms = ev.real_field_mode_norms(traj.coeffs)
+    kproj = [ops.ker_L.T @ X[-1] for X in traj.coeffs]     # m = 0 is last
     drift = max(float(np.max(np.abs(kp - kproj[0]))) for kp in kproj)
     drift_rate = drift / max(traj.times[-1] - traj.times[0], 1e-300)
+    # the recorded states become f - f_inf in place, so the forms pass
+    # holds no third copy of them
+    traj.coeffs -= f_inf.coeffs
+    h1_sq, g_vals = ev.real_field_forms(f_I.modes, traj.coeffs, search.c,
+                                        ops.grads)
+    h1_dist = np.sqrt(h1_sq).tolist()
+    g_vals = g_vals.tolist()
 
     report = ev.fit_decay(traj.times, np.array(h1_dist),
                           tau_reference=lam_num)
@@ -389,7 +394,7 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
                      for i in range(len(g_vals) - 1))
 
     # trajectory.csv: t, per-mode norms, h1_distance, G
-    header = ["t"] + [f"mode_{a}_{b}_{c}" for a, b, c in f_I.modes.tolist()] \
+    header = ["t"] + [f"mode_{a}_{b}_{c}" for a, b, c in modes.tolist()] \
         + ["h1_distance", "G"]
     lines = [",".join(header)]
     for t, norms, h1, g in zip(traj.times.tolist(), mode_norms.tolist(),

@@ -13,9 +13,18 @@ functional is
            + c4 Re(grad_x f, grad_v f),
 
 computed modewise from the same operator matrices: at mode m it is
-Re <f_m, Q_m(c) f_m> with Q_m(c) = sum_j c_j Q_j (see :func:`_terms`), the
-one definition that the functional, its rate along the generator, the H^1
-norm and the certified pencil are all built from.
+Re <f_m, Q_m(c) f_m> with Q_m(c) = sum_j c_j Q_j (see :func:`_terms`).  The
+functional and the H^1 norm (:func:`_state_forms`), its rate along the
+generator (:func:`_rate_forms`) and the certified pencil
+(:func:`_pencils`) each evaluate these Q_j their own way, and the tests
+check all three against the flow of G.
+
+A real field has f_{-m} = conj(f_m) and A_{-m} = conj(A_m), so the rows
+``modes[:K // 2 + 1]`` of :func:`modes_up_to` (one mode of each pair +-m,
+then m = 0) decide everything: the decay run evolves and measures only
+these (:func:`independent_half`, :func:`real_field_mode_norms`,
+:func:`real_field_forms`), and the search and the certificate visit only
+these modes.
 """
 from __future__ import annotations
 
@@ -32,8 +41,9 @@ from .spectra import complement_basis, generalized_eigs
 __all__ = [
     "expm", "mode_generator", "TorusState", "Trajectory", "UnstableStepError",
     "recorded_steps", "evolve", "h1_norm", "hypo_functional",
-    "h1_norm_and_functional", "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS",
-    "fit_decay", "DecayReport", "search_coefficients", "SearchResult",
+    "independent_half", "real_field_mode_norms", "real_field_forms",
+    "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS", "fit_decay", "DecayReport",
+    "search_coefficients", "SearchResult",
     "equilibrium_state", "modes_up_to", "random_physical_state",
 ]
 
@@ -81,6 +91,15 @@ def random_physical_state(rng, total_size: int, m_max: int = 1,
     c = amplitude * (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2)
     c0 = amplitude * rng.standard_normal(total_size).astype(complex)
     return TorusState(modes, np.concatenate([c, c0[None], np.conj(c[::-1])]))
+
+
+def independent_half(state: TorusState) -> TorusState:
+    """Rows ``[:K // 2 + 1]`` of a state on :func:`modes_up_to`: one mode of
+    each pair +-m, then m = 0.  For a real field they fix the other rows,
+    coeffs(-m) = conj(coeffs(m)), and :func:`evolve` keeps that relation,
+    since A_{-m} = conj(A_m)."""
+    half = len(state.modes) // 2 + 1
+    return TorusState(state.modes[:half], state.coeffs[:half], state.time)
 
 
 def equilibrium_state(state: TorusState, ker_L: np.ndarray) -> TorusState:
@@ -198,12 +217,34 @@ def _grad_mats(grad_ops):
     return [getattr(g, "matrix", g) for g in grad_ops]
 
 
+def _state_forms(grads, m, S) -> np.ndarray:
+    """Re <s_k, Q_j s_k> of the columns s_k of S (T, k) at the modes m
+    (k, 3), stacked (4, k), without forming any Q_j S.
+
+    The G_a are real, so each acts on the real view of S in one real
+    product; Re <s, Q_3 s> = sum_a ||G_a s||^2 and
+    Re <s, Q_4 s> = 2 pi sum_a m_a Im <s, G_a s>.
+    """
+    m = np.asarray(m, dtype=float)
+    S = np.ascontiguousarray(S, dtype=complex)
+    Sr = S.view(float)                          # (T, 2k): Re and Im parts
+    n0 = np.vecdot(S, S, axis=0).real
+    nv = np.zeros_like(n0)
+    mixed = np.zeros_like(n0)
+    Yr = np.empty_like(Sr)
+    Y = Yr.view(complex)
+    for a, g in enumerate(grads):
+        np.matmul(g, Sr, out=Yr)                # Y = G_a S
+        nv += np.vecdot(Y, Y, axis=0).real
+        mixed += m[:, a] * np.vecdot(S, Y, axis=0).imag
+    k2 = (2.0 * np.pi) ** 2 * np.sum(m * m, axis=-1)
+    return np.stack([n0, k2 * n0, nv, 2.0 * np.pi * mixed])
+
+
 def _functional(state: TorusState, c, grad_ops):
-    """sum_m Re <f_m, Q_m(c) f_m>, every mode in one pass; a stack of
-    tuples c of shape (n, 4) gives n values from one evaluation."""
-    S = np.ascontiguousarray(state.coeffs.T)
-    F = _forms(S, _terms(_grad_mats(grad_ops), state.modes, S))
-    return np.sum(_weigh(c, F), axis=-1)
+    """sum_m Re <f_m, Q_m(c) f_m>, every mode in one pass."""
+    F = _state_forms(_grad_mats(grad_ops), state.modes, state.coeffs.T)
+    return np.sum(_weigh(c, F))
 
 
 def h1_norm(state: TorusState, grad_ops) -> float:
@@ -229,11 +270,30 @@ def hypo_functional(state: TorusState, c1: float, c2: float, c3: float,
     return float(_functional(state, (c1, c2, c3, c4), grad_ops))
 
 
-def h1_norm_and_functional(state: TorusState, c, grad_ops) -> tuple:
-    """(:func:`h1_norm`, :func:`hypo_functional` at c = (c1, c2, c3, c4)) of
-    one state, from one evaluation of the four forms."""
+def real_field_mode_norms(coeffs) -> np.ndarray:
+    """Per-mode L^2 norms (R, K) of real-field states on :func:`modes_up_to`
+    from their :func:`independent_half` rows ``coeffs`` (R, K // 2 + 1, T):
+    row k > K // 2 holds the conjugate of row K - 1 - k, so it copies that
+    norm (|conj z| = |z|, to the bit)."""
+    norms = np.sqrt(np.vecdot(coeffs, coeffs).real)
+    return np.concatenate([norms, np.flip(norms[:, :-1], axis=1)], axis=1)
+
+
+def real_field_forms(modes, coeffs, c, grad_ops) -> tuple:
+    """(||f||_{H1}^2, G[f] at c = (c1, c2, c3, c4)), each of shape (R,), of
+    R real-field states given by their :func:`independent_half` rows
+    ``coeffs`` (R, k, T) on ``modes`` (k, 3).
+
+    The conjugate row at -m has the same four forms, so every m != 0
+    counts twice.  All R k rows go through one pass of
+    :func:`_state_forms`.
+    """
     _check_coeffs(*c)
-    return tuple(map(float, _functional(state, (_H1, tuple(c)), grad_ops)))
+    R, k, T = coeffs.shape
+    S = coeffs.reshape(R * k, T).T
+    F = _state_forms(_grad_mats(grad_ops), np.tile(modes, (R, 1)), S)
+    F = F.reshape(4, R, k) @ np.where(modes.any(axis=1), 2.0, 1.0)
+    return _weigh(_H1, F), _weigh(c, F)
 
 
 def _rate_forms(ops: OperatorSet, m, S):
@@ -248,14 +308,48 @@ def _rate_forms(ops: OperatorSet, m, S):
             _weigh(_H1, _forms(S, _terms(grads, m, S))))
 
 
-def _pencil(ops: OperatorSet, c, m):
-    """Hermitian pencil (H, N) of mode m: <s, H s> = -(dG/dt)/2 along A_m
-    and <s, N s> = ||s||_{H1}^2."""
-    grads = _grad_mats(ops.grads)
-    A = mode_generator(ops.L.matrix, ops.transports, m)
-    M = _weigh(c, _terms(grads, m, A))
-    N = _weigh(_H1, _terms(grads, m, np.eye(ops.total_size)))
-    return -(M + M.conj().T) / 2.0, N
+def _pencils(ops: OperatorSet, c, modes) -> tuple:
+    """Hermitian pencils (H, N), each (k, T, T), of the modes (k, 3):
+    <s, H s> = -(dG/dt)/2 along A_m and <s, N s> = ||s||_{H1}^2.
+
+    With w = 2 pi m, A_m = L - i sum_b w_b V_b and Q_4 = -i sum_a w_a G_a,
+    every H_m is a weighted sum of real blocks that do not depend on m:
+
+        H_m = -(c1 + c2 |w|^2) sym L - c3 sym Q_3 L
+              + c4 sum_ab w_a w_b sym G_a V_b
+              + i [(c1 + c2 |w|^2) sum_b w_b skew V_b
+                   + c3 sum_b w_b skew Q_3 V_b + c4 sum_a w_a skew G_a L],
+
+    sym X = (X + X^T)/2, skew X = (X - X^T)/2; N_m = (1 + |w|^2) I + Q_3.
+    The blocks are formed once, and all pencils by two products.
+    """
+    c1, c2, c3, c4 = c
+    L = ops.L.matrix
+    V = [getattr(t, "matrix", t) for t in ops.transports]
+    G = _grad_mats(ops.grads)
+    Q3 = sum(g.T @ g for g in G)
+    T = ops.total_size
+
+    def sym(X):
+        return (X + X.T) / 2.0
+
+    def skew(X):
+        return (X - X.T) / 2.0
+
+    real = np.stack([sym(L), sym(Q3 @ L)]
+                    + [sym(g @ v) for g in G for v in V]).reshape(11, T * T)
+    imag = np.stack([skew(v) for v in V] + [skew(Q3 @ v) for v in V]
+                    + [skew(g @ L) for g in G]).reshape(9, T * T)
+
+    w = 2.0 * np.pi * np.asarray(modes, dtype=float)            # (k, 3)
+    w2 = np.sum(w * w, axis=1)
+    ww = (w[:, :, None] * w[:, None, :]).reshape(-1, 9)         # w_a w_b
+    base = c1 + c2 * w2
+    wr = np.column_stack([-base, np.full_like(base, -c3), c4 * ww])
+    wi = np.column_stack([base[:, None] * w, c3 * w, c4 * w])
+    H = (wr @ real + 1j * (wi @ imag)).reshape(-1, T, T)
+    N = (1.0 + w2)[:, None, None] * np.eye(T) + Q3
+    return H, N
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +468,10 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
     the generator): at m = 0 the orthonormal complement of ker(L), the
     invariant subspace carrying the conserved quantities, and at every
     m != 0 the ker(L) columns, where the dissipation vanishes and only
-    transport mixing helps.  Returns the best tuple; ``success`` is False
+    transport mixing helps.  These states are real and A_{-m} = conj(A_m),
+    so the rate forms at -m equal those at m: only the modes of
+    :func:`independent_half` are scored, and ``n_states`` counts the
+    states of both halves.  Returns the best tuple; ``success`` is False
     when no positive kappa exists.  This kappa is on the dG/dt scale above,
     a factor 2 from :func:`certify_coefficients`.
     """
@@ -385,11 +482,12 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2,
     W = complement_basis(ops.ker_L, ops.total_size)
     kappa = np.full(len(grid), np.inf)
     n_states = 0
-    for m in modes_up_to(m_max):
+    modes = modes_up_to(m_max)
+    for m in modes[:len(modes) // 2 + 1]:
         S = (ops.ker_L if m.any() else W).astype(complex)
         R, h1 = _rate_forms(ops, m, S)
         kappa = np.minimum(kappa, (-2.0 * _weigh(grid, R) / h1).min(axis=1))
-        n_states += S.shape[1]
+        n_states += S.shape[1] * (2 if m.any() else 1)
     kappa = np.where(admissible, kappa, -np.inf)
     best = int(np.argmax(kappa))                # first maximum
     return SearchResult(c=tuple(float(x) for x in grid[best]),
@@ -405,19 +503,21 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
 
         kappa_m = min eig of ( -(Q_m A_m + A_m^+ Q_m)/2, N_m )
 
-    (the pencil of :func:`_pencil`), restricted, at m = 0, to the
-    complement of ker(L).  Since <s, H s> = -(dG/dt)/2, the returned
-    min_m kappa_m certifies dG/dt <= -2 kappa ||f||_{H1}^2, whereas the
-    kappa of :func:`search_coefficients` is the best kappa in
+    (the pencils of :func:`_pencils`, assembled from blocks formed once per
+    call), restricted, at m = 0, to the complement of ker(L).
+    A_{-m} = conj(A_m) gives the conjugate pencil and the same kappa_m, so
+    only the modes of :func:`independent_half` are solved.  Since
+    <s, H s> = -(dG/dt)/2, the returned min_m kappa_m certifies
+    dG/dt <= -2 kappa ||f||_{H1}^2, whereas the kappa of
+    :func:`search_coefficients` is the best kappa in
     dG/dt <= -kappa ||f||_{H1}^2 over its state bases only.
     """
     _check_coeffs(*c)
     W = complement_basis(ops.ker_L, ops.total_size)
-    kappa = math.inf
     modes = modes_up_to(m_max)
-    # A_{-m} = conj(A_m) gives the same kappa: the first half and m = 0 do
-    for m in modes[:len(modes) // 2 + 1]:
-        H, N = _pencil(ops, c, m)
+    modes = modes[:len(modes) // 2 + 1]
+    kappa = math.inf
+    for m, H, N in zip(modes, *_pencils(ops, c, modes)):
         if not m.any():
             H, N = W.T @ H @ W, W.T @ N @ W
         kappa = min(kappa, float(generalized_eigs(H, N)[0]))

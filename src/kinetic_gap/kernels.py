@@ -329,30 +329,3 @@ def audit_assumptions(family: KernelFamily) -> AuditReport:
     measured = {"ell_b": compute_ell_b(family), "C_b": C_b,
                 "beta_eff": beta_eff, "radius_range": list(AUDIT_RADII)}
     return AuditReport(checks, measured)
-
-
-# -- common families ---------------------------------------------------------
-
-def hard_sphere_family(n: int, rho_scale: float = 1.0) -> KernelFamily:
-    """B_ij = |v - v*| for every pair; the paper's main physical case."""
-    phi = tuple(tuple(PowerLaw(rho_scale, 1.0) for _ in range(n)) for _ in range(n))
-    b = tuple(tuple(constant_angular(1.0) for _ in range(n)) for _ in range(n))
-    return KernelFamily(n=n, phi=phi, b=b, gamma=1.0, C1=rho_scale,
-                        C2=max(rho_scale, 1.0), delta=0.5, C3=1.0, C4=1.0,
-                        beta=1.0)
-
-
-def maxwell_family(n: int, c: float = 1.0) -> KernelFamily:
-    """Maxwellian molecules: B_ij = c (constant kernel)."""
-    phi = tuple(tuple(PowerLaw(c, 0.0) for _ in range(n)) for _ in range(n))
-    b = tuple(tuple(constant_angular(1.0) for _ in range(n)) for _ in range(n))
-    return KernelFamily(n=n, phi=phi, b=b, gamma=0.0, C1=c, C2=max(c, 1.0),
-                        delta=0.5, C3=1.0, C4=1.0, beta=1.0)
-
-
-def power_family(n: int, gamma: float, C: float = 1.0) -> KernelFamily:
-    """Shared power-law kinetic part Phi_ij = C r^gamma with b_ij = 1."""
-    phi = tuple(tuple(PowerLaw(C, gamma) for _ in range(n)) for _ in range(n))
-    b = tuple(tuple(constant_angular(1.0) for _ in range(n)) for _ in range(n))
-    return KernelFamily(n=n, phi=phi, b=b, gamma=gamma, C1=C, C2=max(C, 1.0),
-                        delta=0.5, C3=1.0, C4=1.0, beta=1.0)

@@ -15,8 +15,7 @@ import pytest
 
 from kinetic_gap.galerkin import build_operator_set
 from kinetic_gap.kernels import (AngularPolynomial, KernelFamily, PowerLaw,
-                                 constant_angular, hard_sphere_family,
-                                 maxwell_family)
+                                 constant_angular)
 from kinetic_gap.mixture import Mixture
 
 
@@ -33,6 +32,31 @@ def load_perfbench(module: str):
         sys.modules[name] = loaded   # its dataclasses resolve through here
         spec.loader.exec_module(loaded)
     return sys.modules[name]
+
+
+def hard_sphere_family(n: int, rho_scale: float = 1.0) -> KernelFamily:
+    """B_ij = |v - v*| for every pair; the paper's main physical case."""
+    phi = tuple(tuple(PowerLaw(rho_scale, 1.0) for _ in range(n)) for _ in range(n))
+    b = tuple(tuple(constant_angular(1.0) for _ in range(n)) for _ in range(n))
+    return KernelFamily(n=n, phi=phi, b=b, gamma=1.0, C1=rho_scale,
+                        C2=max(rho_scale, 1.0), delta=0.5, C3=1.0, C4=1.0,
+                        beta=1.0)
+
+
+def maxwell_family(n: int, c: float = 1.0) -> KernelFamily:
+    """Maxwellian molecules: B_ij = c (constant kernel)."""
+    phi = tuple(tuple(PowerLaw(c, 0.0) for _ in range(n)) for _ in range(n))
+    b = tuple(tuple(constant_angular(1.0) for _ in range(n)) for _ in range(n))
+    return KernelFamily(n=n, phi=phi, b=b, gamma=0.0, C1=c, C2=max(c, 1.0),
+                        delta=0.5, C3=1.0, C4=1.0, beta=1.0)
+
+
+def power_family(n: int, gamma: float, C: float = 1.0) -> KernelFamily:
+    """Shared power-law kinetic part Phi_ij = C r^gamma with b_ij = 1."""
+    phi = tuple(tuple(PowerLaw(C, gamma) for _ in range(n)) for _ in range(n))
+    b = tuple(tuple(constant_angular(1.0) for _ in range(n)) for _ in range(n))
+    return KernelFamily(n=n, phi=phi, b=b, gamma=gamma, C1=C, C2=max(C, 1.0),
+                        delta=0.5, C3=1.0, C4=1.0, beta=1.0)
 
 
 def mixed_gamma_family() -> KernelFamily:

@@ -11,8 +11,11 @@ evaluates one sample at a time, the kernel assumption audit from sampling
 grids, the assembly's block sum from a level-by-level pairwise sum, the
 collision monomial blocks from the full (v, v*) node grid without the
 mirror fold, the torus evolution from one propagator and one coefficient
-vector per mode, kept in a dict, and the Lyapunov coefficient search from
-1000 random states.  ``evaluate_B``, ``degree_mask``,
+vector per mode, kept in a dict, the Lyapunov coefficient search from
+1000 random states, and the decay measurements over all K modes of a
+real field (the functional from the stacked Q_j f of
+``evolution._terms``, the certified pencils from each mode's generator,
+the search over both halves of the modes).  ``evaluate_B``, ``degree_mask``,
 ``collision_frequency`` and ``symmetry_defect`` are small helpers over the
 package's objects that only the tests use.
 """
@@ -758,3 +761,67 @@ def sampled_search_coefficients(ops, m_max: int = 2, n_samples: int = 1000,
                            kappa=float(kappa[best]),
                            success=bool(kappa[best] > 0.0),
                            n_candidates=len(grid), n_states=len(states))
+
+
+# ---------------------------------------------------------------------------
+# the decay measurements over all K modes
+# ---------------------------------------------------------------------------
+
+def all_modes_functional(state, c, grad_ops) -> np.ndarray:
+    """sum_m Re <f_m, Q_m(c) f_m> over every mode of ``state``, one state
+    at a time, from the stacked Q_j f_m of ``evolution._terms``; a stack of
+    tuples c of shape (n, 4) gives n values."""
+    from kinetic_gap import evolution as ev
+    S = np.ascontiguousarray(state.coeffs.T)
+    F = ev._forms(S, ev._terms(ev._grad_mats(grad_ops), state.modes, S))
+    return np.sum(ev._weigh(c, F), axis=-1)
+
+
+def pencil(ops, c, m):
+    """Hermitian pencil (H, N) of mode m built from its generator:
+    M = sum_j c_j Q_j A_m, H = -(M + M^H)/2 and N = sum_{j<=3} Q_j."""
+    from kinetic_gap import evolution as ev
+    grads = ev._grad_mats(ops.grads)
+    A = ev.mode_generator(ops.L.matrix, ops.transports, m)
+    M = ev._weigh(c, ev._terms(grads, m, A))
+    N = ev._weigh(ev._H1, ev._terms(grads, m, np.eye(ops.total_size)))
+    return -(M + M.conj().T) / 2.0, N
+
+
+def all_modes_certificate(ops, c, m_max: int) -> float:
+    """min over every mode of ``modes_up_to(m_max)`` of the smallest
+    eigenvalue of :func:`pencil`, on the complement of ker(L) at m = 0."""
+    from kinetic_gap import evolution as ev
+    from kinetic_gap import spectra as sp
+    W = sp.complement_basis(ops.ker_L, ops.total_size)
+    kappa = math.inf
+    for m in ev.modes_up_to(m_max):
+        H, N = pencil(ops, c, m)
+        if not m.any():
+            H, N = W.T @ H @ W, W.T @ N @ W
+        kappa = min(kappa, float(sp.generalized_eigs(H, N)[0]))
+    return kappa
+
+
+def both_halves_search(ops, m_max: int = 2, grid=None):
+    """``evolution.search_coefficients`` scoring the state bases at every
+    mode of ``modes_up_to(m_max)``, -m as well as m."""
+    from kinetic_gap import evolution as ev
+    from kinetic_gap import spectra as sp
+    grid = np.asarray(grid if grid is not None else ev._default_grid(),
+                      dtype=float)
+    admissible = grid[:, 3] ** 2 < grid[:, 1] * grid[:, 2]
+    W = sp.complement_basis(ops.ker_L, ops.total_size)
+    kappa = np.full(len(grid), np.inf)
+    n_states = 0
+    for m in ev.modes_up_to(m_max):
+        S = (ops.ker_L if m.any() else W).astype(complex)
+        R, h1 = ev._rate_forms(ops, m, S)
+        kappa = np.minimum(kappa, (-2.0 * ev._weigh(grid, R) / h1).min(axis=1))
+        n_states += S.shape[1]
+    kappa = np.where(admissible, kappa, -np.inf)
+    best = int(np.argmax(kappa))
+    return ev.SearchResult(c=tuple(float(x) for x in grid[best]),
+                           kappa=float(kappa[best]),
+                           success=bool(kappa[best] > 0.0),
+                           n_candidates=len(grid), n_states=n_states)

@@ -18,11 +18,11 @@ from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import assemble_collision, build_operator_set
 from kinetic_gap.hermite import HermiteBasis
-from kinetic_gap.kernels import (compute_ell_b, hard_sphere_family,
-                                 maxwell_family, power_family)
+from kinetic_gap.kernels import compute_ell_b
 from kinetic_gap.mixture import Mixture, project_onto
 from kinetic_gap.quadrature import hermite_rule_3d, post_collision
 
+from conftest import hard_sphere_family, maxwell_family, power_family
 from oracles import quadrature_Db, sturm_eigvalsh, symmetry_defect
 from test_cli import hard_sphere_config, write_config
 

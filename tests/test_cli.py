@@ -182,10 +182,18 @@ class TestValidation:
         assert len(err.splitlines()) == 1
 
     def test_decay_memory_bound_is_a_parse_error(self):
-        # (2 M_max + 1)^3 complex T x T propagators, T = 40: about 27 GiB
+        # three copies of the recorded states of (2 M_max + 1)^3 // 2 + 1
+        # modes, T = 40 and 41 recorded times: about 19 GiB
         with pytest.raises(cli.ConfigError, match="M_max = 40"):
             cli.parse_decay(hard_sphere_config(m_max=40))
         cli.parse_decay(hard_sphere_config(m_max=5))
+
+    def test_decay_memory_bound_counts_independent_modes(self):
+        # N = 4, n = 2 (T = 70), 41 recorded times: the K // 2 + 1 modes
+        # that decay evolves fit the 2 GiB cap up to M_max = 15
+        cli.parse_decay(hard_sphere_config(N=4, m_max=15))
+        with pytest.raises(cli.ConfigError, match="M_max = 16"):
+            cli.parse_decay(hard_sphere_config(N=4, m_max=16))
 
     def test_over_budget_decay_exits_before_assembly(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -557,9 +565,9 @@ class TestDecay:
     def test_conserved_drift_gates(self, tmp_path, monkeypatch):
         evolve = cli.ev.evolve
 
-        def drifting(*args, **kwargs):
-            traj = evolve(*args, **kwargs)
-            traj.coeffs[-1, traj.coeffs.shape[1] // 2] += 1e-6   # m = 0
+        def drifting(state, *args, **kwargs):
+            traj = evolve(state, *args, **kwargs)
+            traj.coeffs[-1, ~state.modes.any(axis=1)] += 1e-6    # m = 0
             return traj
 
         monkeypatch.setattr(cli.ev, "evolve", drifting)

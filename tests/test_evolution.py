@@ -8,7 +8,9 @@ from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.mixture import embed_species_polynomials, project_onto
 
-from oracles import (degree_mask, dict_evolve, dict_random_physical_state,
+from oracles import (all_modes_certificate, all_modes_functional,
+                     both_halves_search, degree_mask, dict_evolve,
+                     dict_random_physical_state, pencil,
                      sampled_search_coefficients)
 
 
@@ -163,17 +165,22 @@ class TestNorms:
         g = ev.hypo_functional(st, 1.0, 1.0, 1.0, 0.0, ops_small.grads)
         assert g == pytest.approx(ev.h1_norm(st, ops_small.grads), rel=1e-12)
 
-    def test_pair_equals_separate_calls(self, ops_small, rng):
-        # the decay command's one-pass pair must reproduce both functions
-        # bit for bit, so its trajectory.csv does not move
+    def test_real_field_forms_match_full_state(self, ops_small, rng):
+        # the decay command's pass over the independent half reproduces
+        # both functions of the whole real field
         st = ev.random_physical_state(rng, ops_small.total_size, m_max=2)
+        half = ev.independent_half(st)
         c = (1.0, 2.0, 0.5, 0.6)
-        assert ev.h1_norm_and_functional(st, c, ops_small.grads) == (
-            ev.h1_norm(st, ops_small.grads),
-            ev.hypo_functional(st, *c, ops_small.grads))
+        h1, g = ev.real_field_forms(half.modes, half.coeffs[None], c,
+                                    ops_small.grads)
+        assert h1.shape == g.shape == (1,)
+        assert h1[0] == pytest.approx(ev.h1_norm(st, ops_small.grads),
+                                      rel=1e-14, abs=0.0)
+        assert g[0] == pytest.approx(
+            ev.hypo_functional(st, *c, ops_small.grads), rel=1e-14, abs=0.0)
         with pytest.raises(ValueError, match="mixed coefficient"):
-            ev.h1_norm_and_functional(st, (1.0, 1.0, 1.0, 2.0),
-                                      ops_small.grads)
+            ev.real_field_forms(half.modes, half.coeffs[None],
+                                (1.0, 1.0, 1.0, 2.0), ops_small.grads)
 
     def test_matches_per_axis_loop(self, ops_small, rng):
         # reference: G and ||.||_H1 written out per mode and per axis
@@ -286,10 +293,22 @@ class TestSharedDefinition:
         assert 3.5 <= errs[0] / errs[1] <= 4.5          # O(dt^2) stencil
 
         # certified pencil: <s, H s> = -(dG/dt)/2, <s, N s> = ||s||_H1^2
-        H, N = ev._pencil(ops, self.C, m)
+        H, N = (X[0] for X in ev._pencils(ops, self.C, [m]))
         assert float(np.vdot(s, H @ s).real) == pytest.approx(-rate / 2.0,
                                                              rel=1e-12)
         assert float(np.vdot(s, N @ s).real) == pytest.approx(h1, rel=1e-12)
+
+    @pytest.mark.parametrize("m_max", [0, 1, 2])
+    def test_block_pencils_match_generator_pencils(self, ops_small, m_max):
+        # the pencils from m-independent blocks against each mode's
+        # pencil built from its generator A_m
+        modes = ev.modes_up_to(m_max)
+        H, N = ev._pencils(ops_small, self.C, modes)
+        for m, Hm, Nm in zip(modes, H, N):
+            H_ref, N_ref = pencil(ops_small, self.C, m)
+            assert np.max(np.abs(Hm - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
+            assert np.max(np.abs(Nm - N_ref)) <= 1e-13 * np.max(np.abs(N_ref))
+            assert np.array_equal(Hm, Hm.conj().T)
 
 
 class TestFitDecay:
@@ -457,3 +476,50 @@ class TestModeArray:
         for X, state in zip(traj.coeffs, states):
             for k, m in enumerate(st.modes.tolist()):
                 assert np.array_equal(X[k], state[tuple(m)])
+
+
+class TestIndependentHalf:
+    """The decay run on the independent half of a real field's modes
+    against the all-modes path of tests/oracles.py: evolution of all K
+    modes, the functional one recorded state at a time, every mode's
+    pencil and the search over both halves."""
+
+    C = (1.0, 2.0, 0.5, 0.6)
+
+    @pytest.fixture(params=["ops_small", "ops_mixed2"])
+    def ops(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize("m_max", [0, 1, 2])
+    def test_trajectory_matches_all_modes(self, ops, m_max):
+        st = ev.random_physical_state(np.random.default_rng(3),
+                                      ops.total_size, m_max)
+        st.coeffs[len(st.modes) // 2] += ops.ker_L[:, 0]  # equilibrium part
+        f_inf = ev.equilibrium_state(st, ops.ker_L)
+        half = ev.independent_half(st)
+        kw = dict(dt=0.05, t_end=1.0, record_every=2)
+        full = ev.evolve(st, ops.L.matrix, ops.transports, **kw)
+        traj = ev.evolve(half, ops.L.matrix, ops.transports, **kw)
+        assert np.array_equal(traj.times, full.times)
+        assert np.array_equal(ev.real_field_mode_norms(traj.coeffs),
+                              np.sqrt(np.vecdot(full.coeffs,
+                                                full.coeffs).real))
+        h1, g = ev.real_field_forms(
+            half.modes, traj.coeffs - ev.independent_half(f_inf).coeffs,
+            self.C, ops.grads)
+        for r, X in enumerate(full.coeffs):
+            diff = ev.TorusState(st.modes, X - f_inf.coeffs)
+            h1_ref, g_ref = all_modes_functional(diff, (ev._H1, self.C),
+                                                 ops.grads)
+            assert h1[r] == pytest.approx(h1_ref, rel=1e-14, abs=0.0)
+            assert g[r] == pytest.approx(g_ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("m_max", [0, 1, 2])
+    def test_search_and_certificate_match_all_modes(self, ops, m_max):
+        res = ev.search_coefficients(ops, m_max=m_max)
+        ref = both_halves_search(ops, m_max=m_max)
+        assert (res.c, res.kappa, res.n_states) \
+            == (ref.c, ref.kappa, ref.n_states)
+        assert ev.certify_coefficients(ops, res.c, m_max=m_max) \
+            == pytest.approx(all_modes_certificate(ops, res.c, m_max),
+                             rel=1e-12, abs=0.0)

@@ -6,11 +6,10 @@ import pytest
 from kinetic_gap.cli import parse_family, parse_mixture
 from kinetic_gap.kernels import (AUDIT_RADII, AngularPolynomial, KernelFamily,
                                  PowerLaw, audit_assumptions, compute_C_b,
-                                 compute_ell_b, constant_angular,
-                                 hard_sphere_family, maxwell_family,
-                                 power_family)
+                                 compute_ell_b, constant_angular)
 
-from conftest import load_perfbench, mixed_gamma_family
+from conftest import (hard_sphere_family, load_perfbench, maxwell_family,
+                      mixed_gamma_family, power_family)
 from oracles import evaluate_B, grid_audit
 
 

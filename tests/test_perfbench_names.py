@@ -9,7 +9,7 @@ import inspect
 
 import numpy as np
 
-from conftest import load_perfbench
+from conftest import hard_sphere_family, load_perfbench
 from test_cli import hard_sphere_config, run_cli, write_config
 
 
@@ -77,7 +77,6 @@ def test_assembly_meta_has_quadrature_rows():
     # _assembly_counters reads the row count from the assembled L
     from kinetic_gap.galerkin import assemble_collision
     from kinetic_gap.hermite import HermiteBasis
-    from kinetic_gap.kernels import hard_sphere_family
     from kinetic_gap.mixture import Mixture
     L = assemble_collision(Mixture((1.0,)), hard_sphere_family(1),
                            HermiteBasis(2, 1), q=3, sphere_level="coarse")[0]

@@ -9,9 +9,9 @@ import scipy.linalg
 from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import build_operator_set
-from kinetic_gap.kernels import hard_sphere_family, maxwell_family
 from kinetic_gap.mixture import Mixture, project_onto
 
+from conftest import hard_sphere_family, maxwell_family
 from oracles import (closed_form_Db, h12_loop, h12_margin, nu_bar_4,
                      quadrature_Db, step_lemma_ledger_loop,
                      step_lemma_margins, sturm_eigvalsh)
