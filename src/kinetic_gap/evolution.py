@@ -13,11 +13,18 @@ functional is
            + c4 Re(grad_x f, grad_v f),
 
 computed modewise from the same operator matrices: at mode m it is
-Re <f_m, Q_m(c) f_m> with Q_m(c) = sum_j c_j Q_j (see :func:`_terms`).  The
-functional and the H^1 norm (:func:`_state_forms`), its rate along the
-generator (:func:`_rate_forms`) and the certified pencil
-(:func:`_pencils`) each evaluate these Q_j their own way, and the tests
-check all three against the flow of G.
+Re <f_m, Q_m(c) f_m> with Q_m(c) = sum_j c_j Q_j,
+
+    Q_1 = I,  Q_2 = |2 pi m|^2 I,  Q_3 = sum_a G_a^T G_a,
+    Q_4 = -2 pi i sum_a m_a G_a,
+
+G_a the (real, skew) velocity-gradient matrices.  These Q_j are evaluated
+two ways.  The state forms Re <s, Q_j s> (:func:`_state_forms`) give the
+functional and the H^1 norm of recorded states.  The rate blocks
+(:func:`_blocks`, :func:`_weights`) give -(dG/dt)/2 along A_m as a
+weighted sum of real matrices that do not depend on m: the search scores
+its states on them and the certificate builds its pencils from them.  The
+tests check both against the flow of G.
 
 A real field has f_{-m} = conj(f_m) and A_{-m} = conj(A_m), so the rows
 ``modes[:K // 2 + 1]`` of :func:`modes_up_to` (one mode of each pair +-m,
@@ -133,16 +140,15 @@ def recorded_steps(dt: float, t_end: float, record_every: int) -> list:
 
 
 def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
-           t_end: float, scheme: str = "expm", record_every: int = 1,
-           allow_unstable: bool = False) -> Trajectory:
+           t_end: float, scheme: str = "expm",
+           record_every: int = 1) -> Trajectory:
     """Advance every mode independently and record the trajectory at the
     :func:`recorded_steps` of the schedule.
 
     ``expm`` builds one propagator e^{dt A_m} per mode with
     ``scipy.linalg.expm`` (semigroup-exact to rounding); ``midpoint`` is the
     implicit midpoint rule, second order; it raises
-    :class:`UnstableStepError` when dt * ||A_m|| > 1e3 for some mode, unless
-    ``allow_unstable`` is set.
+    :class:`UnstableStepError` when dt * ||A_m|| > 1e3 for some mode.
     The propagators form one (K, T, T) stack, so a step advances all modes
     with one stacked product.
     """
@@ -157,7 +163,7 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
         if scheme == "expm":
             P[k] = expm(dt * A)
         else:
-            if dt * np.linalg.norm(A) > 1e3 and not allow_unstable:
+            if dt * np.linalg.norm(A) > 1e3:
                 raise UnstableStepError(
                     f"midpoint step dt*||A|| = {dt * np.linalg.norm(A):.3e} "
                     "> 1e3")
@@ -182,35 +188,10 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
 _H1 = (1.0, 1.0, 1.0, 0.0)      # ||f||_{H1}^2 is G with these coefficients
 
 
-def _terms(grads, m, X) -> np.ndarray:
-    """Q_j X for the four terms of G, stacked as (4,) + X.shape.
-
-    At mode m, G = sum_j c_j Re <f, Q_j f> with
-
-        Q_1 = I,  Q_2 = |2 pi m|^2 I,  Q_3 = sum_a G_a^T G_a,
-        Q_4 = -2 pi i sum_a m_a G_a,
-
-    G_a the velocity-gradient matrices.  The G_a are real and skew, so every
-    Q_j is Hermitian.  ``m`` is one mode, shape (3,), for all columns of X,
-    or one mode per column, shape (k, 3).
-    """
-    m = np.asarray(m, dtype=float)
-    k2 = (2.0 * np.pi) ** 2 * np.sum(m * m, axis=-1)
-    gx = [g @ X for g in grads]
-    q3 = sum(g.T @ y for g, y in zip(grads, gx))
-    q4 = -2j * np.pi * sum(m[..., a] * y for a, y in enumerate(gx))
-    return np.stack([X, k2 * X, q3, q4])
-
-
 def _weigh(c, F):
     """sum_j c_j F_j; a stack of tuples c of shape (n, 4) gives n sums."""
     c = np.asarray(c, dtype=float)
     return sum(c[..., j, None] * F[j] for j in range(4))
-
-
-def _forms(S, Y) -> np.ndarray:
-    """Re <s_k, y_jk> column by column: (4, k) from S (T, k), Y (4, T, k)."""
-    return np.einsum("tk,jtk->jk", S.conj(), Y).real
 
 
 def _grad_mats(grad_ops):
@@ -296,39 +277,27 @@ def real_field_forms(modes, coeffs, c, grad_ops) -> tuple:
     return _weigh(_H1, F), _weigh(c, F)
 
 
-def _rate_forms(ops: OperatorSet, m, S):
-    """Rate forms R_jk = Re <s_k, Q_j A_m s_k> of the states S (T, k) at
-    mode m, and their squared H^1 norms.
+def _blocks(ops: OperatorSet) -> tuple:
+    """The real blocks, formed once, of which every rate form is a
+    weighted sum: (sym (11, T, T), skew (9, T, T), Q_3).
 
-    The Q_j are Hermitian, so dG/dt = 2 sum_j c_j R_j along the generator.
-    """
-    A = mode_generator(ops.L.matrix, ops.transports, m)
-    grads = _grad_mats(ops.grads)
-    return (_forms(S, _terms(grads, m, A @ S)),
-            _weigh(_H1, _forms(S, _terms(grads, m, S))))
-
-
-def _pencils(ops: OperatorSet, c, modes) -> tuple:
-    """Hermitian pencils (H, N), each (k, T, T), of the modes (k, 3):
-    <s, H s> = -(dG/dt)/2 along A_m and <s, N s> = ||s||_{H1}^2.
-
-    With w = 2 pi m, A_m = L - i sum_b w_b V_b and Q_4 = -i sum_a w_a G_a,
-    every H_m is a weighted sum of real blocks that do not depend on m:
+    With w = 2 pi m, A_m = L - i sum_b w_b V_b and
+    Q_4 = -i sum_a w_a G_a (G_a the velocity gradients, V_b the
+    transports), the Hermitian H_m with <s, H_m s> = -(dG/dt)/2 along A_m
+    is
 
         H_m = -(c1 + c2 |w|^2) sym L - c3 sym Q_3 L
               + c4 sum_ab w_a w_b sym G_a V_b
               + i [(c1 + c2 |w|^2) sum_b w_b skew V_b
                    + c3 sum_b w_b skew Q_3 V_b + c4 sum_a w_a skew G_a L],
 
-    sym X = (X + X^T)/2, skew X = (X - X^T)/2; N_m = (1 + |w|^2) I + Q_3.
-    The blocks are formed once, and all pencils by two products.
+    sym X = (X + X^T)/2, skew X = (X - X^T)/2, stacked in this order;
+    :func:`_weights` gives the weights.
     """
-    c1, c2, c3, c4 = c
     L = ops.L.matrix
     V = [getattr(t, "matrix", t) for t in ops.transports]
     G = _grad_mats(ops.grads)
     Q3 = sum(g.T @ g for g in G)
-    T = ops.total_size
 
     def sym(X):
         return (X + X.T) / 2.0
@@ -336,20 +305,40 @@ def _pencils(ops: OperatorSet, c, modes) -> tuple:
     def skew(X):
         return (X - X.T) / 2.0
 
-    real = np.stack([sym(L), sym(Q3 @ L)]
-                    + [sym(g @ v) for g in G for v in V]).reshape(11, T * T)
+    real = np.stack([sym(L), sym(Q3 @ L)] + [sym(g @ v) for g in G for v in V])
     imag = np.stack([skew(v) for v in V] + [skew(Q3 @ v) for v in V]
-                    + [skew(g @ L) for g in G]).reshape(9, T * T)
+                    + [skew(g @ L) for g in G])
+    return real, imag, Q3
 
+
+def _weights(c, modes) -> tuple:
+    """Weights (wr, wi, wn) of the modes (k, 3) at c = (c1, c2, c3, c4):
+    H_m = wr . sym + i wi . skew over the :func:`_blocks`, and
+    N_m = wn I + Q_3 with <s, N_m s> = ||s||_{H1}^2.  wr is (k, 11) and
+    wi (k, 9); a stack of tuples c of shape (n, 4) gives (n, k, 11) and
+    (n, k, 9).  wn = 1 + |2 pi m|^2 is (k,)."""
+    c = np.asarray(c, dtype=float)[..., None, :]
+    c1, c2, c3, c4 = (c[..., j, None] for j in range(4))
     w = 2.0 * np.pi * np.asarray(modes, dtype=float)            # (k, 3)
     w2 = np.sum(w * w, axis=1)
     ww = (w[:, :, None] * w[:, None, :]).reshape(-1, 9)         # w_a w_b
-    base = c1 + c2 * w2
-    wr = np.column_stack([-base, np.full_like(base, -c3), c4 * ww])
-    wi = np.column_stack([base[:, None] * w, c3 * w, c4 * w])
-    H = (wr @ real + 1j * (wi @ imag)).reshape(-1, T, T)
-    N = (1.0 + w2)[:, None, None] * np.eye(T) + Q3
-    return H, N
+    base = c1 + c2 * w2[:, None]
+    wr = np.concatenate([-base, np.broadcast_to(-c3, base.shape), c4 * ww],
+                        axis=-1)
+    wi = np.concatenate([base * w, c3 * w, c4 * w], axis=-1)
+    return wr, wi, 1.0 + w2
+
+
+def _pencils(ops: OperatorSet, c, modes) -> tuple:
+    """Hermitian pencils (H, N), each (k, T, T), of the modes (k, 3):
+    <s, H s> = -(dG/dt)/2 along A_m and <s, N s> = ||s||_{H1}^2, all from
+    the :func:`_blocks` by two products."""
+    real, imag, Q3 = _blocks(ops)
+    wr, wi, wn = _weights(c, modes)
+    T = ops.total_size
+    H = (wr @ real.reshape(11, T * T)
+         + 1j * (wi @ imag.reshape(9, T * T))).reshape(-1, T, T)
+    return H, wn[:, None, None] * np.eye(T) + Q3
 
 
 # ---------------------------------------------------------------------------
@@ -458,42 +447,48 @@ def _default_grid():
             for c2 in c2s for c3 in c3s for frac in fracs]
 
 
-def search_coefficients(ops: OperatorSet, m_max: int = 2,
-                        grid=None) -> SearchResult:
+def search_coefficients(ops: OperatorSet, m_max: int = 2) -> SearchResult:
     """Grid search for (c1..c4) maximizing the kappa of
 
         dG/dt <= -kappa ||f||_{H1}^2
 
-    over one fixed basis of states per mode (dG/dt evaluated exactly via
-    the generator): at m = 0 the orthonormal complement of ker(L), the
-    invariant subspace carrying the conserved quantities, and at every
-    m != 0 the ker(L) columns, where the dissipation vanishes and only
-    transport mixing helps.  These states are real and A_{-m} = conj(A_m),
-    so the rate forms at -m equal those at m: only the modes of
-    :func:`independent_half` are scored, and ``n_states`` counts the
-    states of both halves.  Returns the best tuple; ``success`` is False
-    when no positive kappa exists.  This kappa is on the dG/dt scale above,
-    a factor 2 from :func:`certify_coefficients`.
+    over one fixed basis of states per mode: at m = 0 the orthonormal
+    complement of ker(L), the invariant subspace carrying the conserved
+    quantities, and at every m != 0 the ker(L) columns, where the
+    dissipation vanishes and only transport mixing helps.  These states
+    are real, so the skew blocks drop out of <s, H_m s> = -(dG/dt)/2 and
+    it is wr(c, m) . (s^T R_b s) over the eleven symmetric
+    :func:`_blocks` R_b (:func:`_weights`): the forms s^T R_b s are taken
+    once per basis, and every candidate and mode is one weighted sum of
+    them.  Since A_{-m} = conj(A_m), the forms at -m equal those at m:
+    only the modes of :func:`independent_half` are scored, and
+    ``n_states`` counts the states of both halves.  Returns the best
+    tuple; ``success`` is False when no positive kappa exists.  This kappa
+    is on the dG/dt scale above, a factor 2 from
+    :func:`certify_coefficients`.
     """
-    grid = np.asarray(grid if grid is not None else _default_grid(), dtype=float)
-    admissible = grid[:, 3] ** 2 < grid[:, 1] * grid[:, 2]
-    if not admissible.any():
-        raise ValueError("no coefficient tuple in the grid has c4^2 < c2*c3")
-    W = complement_basis(ops.ker_L, ops.total_size)
-    kappa = np.full(len(grid), np.inf)
-    n_states = 0
+    grid = np.asarray(_default_grid())
+    real, _, Q3 = _blocks(ops)
     modes = modes_up_to(m_max)
-    for m in modes[:len(modes) // 2 + 1]:
-        S = (ops.ker_L if m.any() else W).astype(complex)
-        R, h1 = _rate_forms(ops, m, S)
-        kappa = np.minimum(kappa, (-2.0 * _weigh(grid, R) / h1).min(axis=1))
-        n_states += S.shape[1] * (2 if m.any() else 1)
-    kappa = np.where(admissible, kappa, -np.inf)
+    K, k = len(modes), ops.ker_L.shape[1]
+    modes = modes[:K // 2 + 1]
+    wr, _, wn = _weights(grid, modes)
+    moving = modes.any(axis=1)
+    kappa = np.full(len(grid), np.inf)
+    for S, at in ((complement_basis(ops.ker_L, ops.total_size), ~moving),
+                  (ops.ker_L, moving)):
+        F = np.vecdot(S, real @ S, axis=-2)             # (11, states)
+        h1 = wn[at, None] * np.vecdot(S, S, axis=0) \
+            + np.vecdot(S, Q3 @ S, axis=0)
+        ratio = wr[:, at] @ F                           # (grid, modes, states)
+        ratio /= h1
+        kappa = np.minimum(kappa, 2.0 * ratio.min(axis=(1, 2), initial=np.inf))
     best = int(np.argmax(kappa))                # first maximum
     return SearchResult(c=tuple(float(x) for x in grid[best]),
                         kappa=float(kappa[best]),
                         success=bool(kappa[best] > 0.0),
-                        n_candidates=len(grid), n_states=n_states)
+                        n_candidates=len(grid),
+                        n_states=ops.total_size - k + (K - 1) * k)
 
 
 def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
@@ -503,8 +498,8 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
 
         kappa_m = min eig of ( -(Q_m A_m + A_m^+ Q_m)/2, N_m )
 
-    (the pencils of :func:`_pencils`, assembled from blocks formed once per
-    call), restricted, at m = 0, to the complement of ker(L).
+    (the pencils of :func:`_pencils`, assembled from the :func:`_blocks`
+    formed once per call), restricted, at m = 0, to the complement of ker(L).
     A_{-m} = conj(A_m) gives the conjugate pencil and the same kappa_m, so
     only the modes of :func:`independent_half` are solved.  Since
     <s, H s> = -(dG/dt)/2, the returned min_m kappa_m certifies

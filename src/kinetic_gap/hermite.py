@@ -99,10 +99,6 @@ class HermiteBasis:
         return multi_indices(self.N)
 
     @property
-    def degrees(self) -> np.ndarray:
-        return self.indices.sum(axis=1)
-
-    @property
     def per_species_size(self) -> int:
         return math.comb(self.N + 3, 3)
 

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 __all__ = [
-    "PowerLaw", "AngularPolynomial", "constant_angular", "KernelFamily",
+    "PowerLaw", "AngularPolynomial", "KernelFamily",
     "AssumptionCheck", "AuditReport", "AUDIT_RADII",
     "audit_assumptions", "compute_ell_b", "compute_C_b",
 ]
@@ -72,10 +72,6 @@ class AngularPolynomial:
         anti = P.polyint(np.array(self.coeffs))
         ends = P.polyval(np.array([-1.0, 1.0]), anti)
         return float(ends[1] - ends[0])
-
-
-def constant_angular(c: float) -> AngularPolynomial:
-    return AngularPolynomial((c,))
 
 
 def _as_square(grid, n, what):
@@ -150,9 +146,6 @@ class AuditReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {

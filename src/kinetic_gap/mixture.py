@@ -22,7 +22,7 @@ from .quadrature import hermite_rule_3d
 
 __all__ = [
     "Mixture", "ProjectionCoefficients",
-    "embed_species_polynomials", "ker_L_basis", "ker_Lm_basis",
+    "ker_L_basis", "ker_Lm_basis",
     "orthonormalize", "project_onto", "extract_coefficients",
 ]
 
@@ -61,21 +61,15 @@ def _default_rule(basis: HermiteBasis):
     return hermite_rule_3d(basis.N + 2)
 
 
-def embed_species_polynomials(mixture: Mixture, basis: HermiteBasis,
-                              polys) -> np.ndarray:
-    """Coefficients of f_i = M_i^{1/2} p_i for per-species polynomials p_i.
+def _embed(mixture, basis, polys, rule, H) -> np.ndarray:
+    """Coefficients of f_i = M_i^{1/2} p_i for per-species polynomials p_i,
+    by the Gauss-Hermite ``rule`` with H the Hermite table of its nodes,
+    shape (m, nb).
 
     ``polys`` maps a species index to a callable p_i(points) -> (m,) or None
-    (species absent).  Exact for polynomial degree <= N + 3.
+    (species absent).  Exact for polynomial degree <= N + 3 at the
+    :func:`_default_rule`.
     """
-    rule = _default_rule(basis)
-    return _embed(mixture, basis, polys, rule,
-                  basis.eval_polynomials(rule.nodes))
-
-
-def _embed(mixture, basis, polys, rule, H) -> np.ndarray:
-    """:func:`embed_species_polynomials` with H the Hermite table of the
-    rule's nodes, shape (m, nb)."""
     out = np.zeros(basis.total_size)
     for i in range(mixture.n):
         p = polys(i) if callable(polys) else polys[i]

@@ -35,9 +35,9 @@ from .quadrature import CollisionSampler, hermite_rule_3d, post_collision
 
 __all__ = [
     "GapError", "InconclusivePositivityError", "generalized_eigs",
-    "complement_basis", "generalized_gap", "SpectralReport",
-    "kernel_count", "spectral_report", "compute_Cm", "DbEstimate",
-    "compute_Db", "compute_Ck", "explicit_lambda",
+    "complement_basis", "complement_spectrum", "generalized_gap",
+    "SpectralReport", "kernel_count", "spectral_report", "compute_Cm",
+    "DbEstimate", "compute_Db", "compute_Ck", "explicit_lambda",
     "ConstantsReport", "constants_report", "LemmaCheck", "form_check",
     "step_lemma_forms", "verify_step_lemmas", "HypothesisReport", "h12_forms",
     "verify_H1_H3",
@@ -77,17 +77,24 @@ def complement_basis(span: np.ndarray, total: int) -> np.ndarray:
     return q[:, span.shape[1]:]
 
 
-def generalized_gap(L: np.ndarray, hgram: np.ndarray,
-                    kernel_basis: np.ndarray) -> float:
-    """Smallest generalized eigenvalue of -L against the H-Gram on the
-    kernel complement; this is the measured spectral gap
-
-        -(f, L f) >= lambda_numeric ||f - Pi(f)||_H^2.
-    """
+def complement_spectrum(L: np.ndarray, hgram: np.ndarray,
+                        kernel_basis: np.ndarray) -> np.ndarray:
+    """Generalized eigenvalues, ascending, of -L against the H-Gram on the
+    orthogonal complement of the kernel basis."""
     W = complement_basis(kernel_basis, L.shape[0])
     A = W.T @ (-L) @ W
     B = W.T @ hgram @ W
-    return float(generalized_eigs(0.5 * (A + A.T), 0.5 * (B + B.T))[0])
+    return generalized_eigs(0.5 * (A + A.T), 0.5 * (B + B.T))
+
+
+def generalized_gap(L: np.ndarray, hgram: np.ndarray,
+                    kernel_basis: np.ndarray) -> float:
+    """Smallest eigenvalue of :func:`complement_spectrum`; this is the
+    measured spectral gap
+
+        -(f, L f) >= lambda_numeric ||f - Pi(f)||_H^2.
+    """
+    return float(complement_spectrum(L, hgram, kernel_basis)[0])
 
 
 @dataclass
@@ -165,7 +172,7 @@ class DbEstimate:
     n_samples: int
 
 
-def _db_integrand_terms(v, v_star, sigma):
+def _db_integrand_parts(v, v_star, sigma):
     """(r, cos_theta, third_u, third_e): pieces of min{|v-v'|^2/3, (|v'|^2-|v|^2)^2}."""
     vp, _ = post_collision(v, v_star, sigma)
     dvp = v - vp
@@ -199,7 +206,7 @@ def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
         while left > 0:
             chunk = min(left, 200_000)
             v, vs, sig, w = sampler.draw(chunk)
-            r, ct, ut, et = _db_integrand_terms(v, vs, sig)
+            r, ct, ut, et = _db_integrand_parts(v, vs, sig)
             base = w * np.minimum(ut, et)
             for k, (phi_d, b_d) in enumerate(keys):
                 g = base * phi_d(np.where(r > 0, r, 1.0)) * b_d(ct)
@@ -284,13 +291,13 @@ def constants_report(ops: OperatorSet, seed: int = 0,
 
     ell_b = compute_ell_b(ops.family)
     C_b = compute_C_b(ops.family)
-    C_m = compute_Cm(ops)
+    # C^m (:func:`compute_Cm`) is the first eigenvalue of its pencil; the
+    # eigensolver resolves no C^m below dim * eps * max mu from zero
+    mu = complement_spectrum(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
+    C_m = float(mu[0])
+    cm_floor = mu.size * np.finfo(float).eps * mu[-1]
     db = compute_Db(ops.mixture, ops.family, seed, mc_samples)
     C_k, _ = compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
-    # the eigensolver resolves no C^m below dim * eps * max|mu| of its pencil
-    # from zero; max mu is minus the gap of the negated pencil
-    cm_floor = -(ops.total_size - ops.ker_Lm.shape[1]) * np.finfo(float).eps \
-        * generalized_gap(-ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
     for name, value, floor in (("C^m", C_m, cm_floor), ("D^b", db.value, 0.0),
                                ("C_k", C_k, 0.0)):
         if value <= floor:
@@ -449,12 +456,6 @@ class HypothesisReport:
     h3_lambda: float
     h12_violations: int
     h12_worst_margin: float
-
-    def all_positive(self) -> bool:
-        # nu_bar_4 = 0 is legitimate (constant collision frequency)
-        return (min(self.nu_bar_0, self.nu_bar_1, self.nu_bar_2,
-                    self.nu_bar_3, self.C_L, self.h3_lambda) > 0.0
-                and self.nu_bar_4 >= 0.0)
 
     def to_dict(self) -> dict:
         return {

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from kinetic_gap.galerkin import build_operator_set
-from kinetic_gap.kernels import (AngularPolynomial, KernelFamily, PowerLaw,
-                                 constant_angular)
+from kinetic_gap.kernels import AngularPolynomial, KernelFamily, PowerLaw
 from kinetic_gap.mixture import Mixture
 
 
@@ -32,6 +31,11 @@ def load_perfbench(module: str):
         sys.modules[name] = loaded   # its dataclasses resolve through here
         spec.loader.exec_module(loaded)
     return sys.modules[name]
+
+
+def constant_angular(c: float) -> AngularPolynomial:
+    """The angular part b(cos theta) = c."""
+    return AngularPolynomial((c,))
 
 
 def hard_sphere_family(n: int, rho_scale: float = 1.0) -> KernelFamily:

@@ -11,13 +11,15 @@ evaluates one sample at a time, the kernel assumption audit from sampling
 grids, the assembly's block sum from a level-by-level pairwise sum, the
 collision monomial blocks from the full (v, v*) node grid without the
 mirror fold, the torus evolution from one propagator and one coefficient
-vector per mode, kept in a dict, the Lyapunov coefficient search from
-1000 random states, and the decay measurements over all K modes of a
-real field (the functional from the stacked Q_j f of
-``evolution._terms``, the certified pencils from each mode's generator,
-the search over both halves of the modes).  ``evaluate_B``, ``degree_mask``,
+vector per mode, kept in a dict, and the hypocoercive forms by the
+generator route: the stacked Q_j A_m S of each mode (:func:`terms`) for
+the Lyapunov coefficient search from 1000 random states, and for the
+decay measurements over all K modes of a real field (the functional,
+the certified pencils from each mode's generator, the search over both
+halves of the modes).  ``evaluate_B``, ``degree_mask``,
 ``collision_frequency`` and ``symmetry_defect`` are small helpers over the
-package's objects that only the tests use.
+package's objects that only the tests use, as are
+``embed_species_polynomials``, ``audit_failures`` and ``all_positive``.
 """
 from __future__ import annotations
 
@@ -603,7 +605,31 @@ def evaluate_B(family, i: int, j: int, s, cos_theta):
 def degree_mask(basis, max_degree: int) -> np.ndarray:
     """Boolean mask over the full coefficient layout of a HermiteBasis,
     |alpha| <= max_degree."""
-    return np.tile(basis.degrees <= max_degree, basis.n_species)
+    return np.tile(basis.indices.sum(axis=1) <= max_degree, basis.n_species)
+
+
+def embed_species_polynomials(mixture, basis, polys) -> np.ndarray:
+    """Coefficients of f_i = M_i^{1/2} p_i for per-species polynomials p_i
+    (``polys`` maps a species index to a callable p_i(points) -> (m,) or
+    None), by the package's embedding at its default Gauss-Hermite rule;
+    exact for polynomial degree <= N + 3."""
+    from kinetic_gap.mixture import _default_rule, _embed
+    rule = _default_rule(basis)
+    return _embed(mixture, basis, polys, rule,
+                  basis.eval_polynomials(rule.nodes))
+
+
+def audit_failures(report) -> list:
+    """The failed checks of a ``kernels.AuditReport``."""
+    return [c for c in report.checks if not c.passed]
+
+
+def all_positive(report) -> bool:
+    """Whether a ``spectra.HypothesisReport`` has every constant positive;
+    nu_bar_4 = 0 is legitimate (constant collision frequency)."""
+    return (min(report.nu_bar_0, report.nu_bar_1, report.nu_bar_2,
+                report.nu_bar_3, report.C_L, report.h3_lambda) > 0.0
+            and report.nu_bar_4 >= 0.0)
 
 
 def collision_frequency(mixture, family, i: int, v):
@@ -711,15 +737,54 @@ def dict_evolve(modes: dict, L, transports, dt, t_end, scheme="expm",
 
 
 # ---------------------------------------------------------------------------
+# the hypocoercive forms by the generator route
+# ---------------------------------------------------------------------------
+
+def terms(grads, m, X) -> np.ndarray:
+    """Q_j X for the four terms of G, stacked as (4,) + X.shape.
+
+    At mode m, G = sum_j c_j Re <f, Q_j f> with
+
+        Q_1 = I,  Q_2 = |2 pi m|^2 I,  Q_3 = sum_a G_a^T G_a,
+        Q_4 = -2 pi i sum_a m_a G_a,
+
+    G_a the velocity-gradient matrices.  ``m`` is one mode, shape (3,), for
+    all columns of X, or one mode per column, shape (k, 3).
+    """
+    m = np.asarray(m, dtype=float)
+    k2 = (2.0 * np.pi) ** 2 * np.sum(m * m, axis=-1)
+    gx = [g @ X for g in grads]
+    q3 = sum(g.T @ y for g, y in zip(grads, gx))
+    q4 = -2j * np.pi * sum(m[..., a] * y for a, y in enumerate(gx))
+    return np.stack([X, k2 * X, q3, q4])
+
+
+def forms(S, Y) -> np.ndarray:
+    """Re <s_k, y_jk> column by column: (4, k) from S (T, k), Y (4, T, k)."""
+    return np.einsum("tk,jtk->jk", S.conj(), Y).real
+
+
+def rate_forms(ops, m, S):
+    """Rate forms R_jk = Re <s_k, Q_j A_m s_k> of the states S (T, k) at
+    mode m, from the generator A_m, and their squared H^1 norms; along the
+    generator dG/dt = 2 sum_j c_j R_j."""
+    from kinetic_gap import evolution as ev
+    A = ev.mode_generator(ops.L.matrix, ops.transports, m)
+    grads = ev._grad_mats(ops.grads)
+    return (forms(S, terms(grads, m, A @ S)),
+            ev._weigh(ev._H1, forms(S, terms(grads, m, S))))
+
+
+# ---------------------------------------------------------------------------
 # the coefficient search over sampled states
 # ---------------------------------------------------------------------------
 
 def sampled_search_coefficients(ops, m_max: int = 2, n_samples: int = 1000,
-                                seed: int = 0, grid=None):
+                                seed: int = 0):
     """``evolution.search_coefficients`` as it was before it searched fixed
     state bases: ``n_samples`` random complex states at random modes (the
     m = 0 ones projected off ker(L)), then the ker(L) columns at every
-    m != 0, with the rate forms of each mode's columns formed together."""
+    m != 0, with the :func:`rate_forms` of all states formed together."""
     from kinetic_gap import evolution as ev
     from kinetic_gap.mixture import project_onto
     rng = np.random.default_rng(seed)
@@ -748,14 +813,11 @@ def sampled_search_coefficients(ops, m_max: int = 2, n_samples: int = 1000,
             @ S[:, ks]
     grads = ev._grad_mats(ops.grads)
     per_col = np.array([m for m, _ in states], dtype=float)
-    R = ev._forms(S, ev._terms(grads, per_col, AS))
-    h1 = ev._weigh(ev._H1, ev._forms(S, ev._terms(grads, per_col, S)))
+    R = forms(S, terms(grads, per_col, AS))
+    h1 = ev._weigh(ev._H1, forms(S, terms(grads, per_col, S)))
 
-    grid = np.asarray(grid if grid is not None else ev._default_grid(),
-                      dtype=float)
-    admissible = grid[:, 3] ** 2 < grid[:, 1] * grid[:, 2]
-    kappas = -2.0 * ev._weigh(grid, R) / h1          # (candidates, states)
-    kappa = np.where(admissible, kappas.min(axis=1), -np.inf)
+    grid = np.asarray(ev._default_grid())
+    kappa = (-2.0 * ev._weigh(grid, R) / h1).min(axis=1)
     best = int(np.argmax(kappa))
     return ev.SearchResult(c=tuple(float(x) for x in grid[best]),
                            kappa=float(kappa[best]),
@@ -769,11 +831,11 @@ def sampled_search_coefficients(ops, m_max: int = 2, n_samples: int = 1000,
 
 def all_modes_functional(state, c, grad_ops) -> np.ndarray:
     """sum_m Re <f_m, Q_m(c) f_m> over every mode of ``state``, one state
-    at a time, from the stacked Q_j f_m of ``evolution._terms``; a stack of
+    at a time, from the stacked Q_j f_m of :func:`terms`; a stack of
     tuples c of shape (n, 4) gives n values."""
     from kinetic_gap import evolution as ev
     S = np.ascontiguousarray(state.coeffs.T)
-    F = ev._forms(S, ev._terms(ev._grad_mats(grad_ops), state.modes, S))
+    F = forms(S, terms(ev._grad_mats(grad_ops), state.modes, S))
     return np.sum(ev._weigh(c, F), axis=-1)
 
 
@@ -783,8 +845,8 @@ def pencil(ops, c, m):
     from kinetic_gap import evolution as ev
     grads = ev._grad_mats(ops.grads)
     A = ev.mode_generator(ops.L.matrix, ops.transports, m)
-    M = ev._weigh(c, ev._terms(grads, m, A))
-    N = ev._weigh(ev._H1, ev._terms(grads, m, np.eye(ops.total_size)))
+    M = ev._weigh(c, terms(grads, m, A))
+    N = ev._weigh(ev._H1, terms(grads, m, np.eye(ops.total_size)))
     return -(M + M.conj().T) / 2.0, N
 
 
@@ -803,23 +865,21 @@ def all_modes_certificate(ops, c, m_max: int) -> float:
     return kappa
 
 
-def both_halves_search(ops, m_max: int = 2, grid=None):
-    """``evolution.search_coefficients`` scoring the state bases at every
-    mode of ``modes_up_to(m_max)``, -m as well as m."""
+def both_halves_search(ops, m_max: int = 2):
+    """``evolution.search_coefficients`` by the generator route: the
+    :func:`rate_forms` of its state bases at every mode of
+    ``modes_up_to(m_max)``, -m as well as m."""
     from kinetic_gap import evolution as ev
     from kinetic_gap import spectra as sp
-    grid = np.asarray(grid if grid is not None else ev._default_grid(),
-                      dtype=float)
-    admissible = grid[:, 3] ** 2 < grid[:, 1] * grid[:, 2]
+    grid = np.asarray(ev._default_grid())
     W = sp.complement_basis(ops.ker_L, ops.total_size)
     kappa = np.full(len(grid), np.inf)
     n_states = 0
     for m in ev.modes_up_to(m_max):
         S = (ops.ker_L if m.any() else W).astype(complex)
-        R, h1 = ev._rate_forms(ops, m, S)
+        R, h1 = rate_forms(ops, m, S)
         kappa = np.minimum(kappa, (-2.0 * ev._weigh(grid, R) / h1).min(axis=1))
         n_states += S.shape[1]
-    kappa = np.where(admissible, kappa, -np.inf)
     best = int(np.argmax(kappa))
     return ev.SearchResult(c=tuple(float(x) for x in grid[best]),
                            kappa=float(kappa[best]),

@@ -23,7 +23,8 @@ from kinetic_gap.mixture import Mixture, project_onto
 from kinetic_gap.quadrature import hermite_rule_3d, post_collision
 
 from conftest import hard_sphere_family, maxwell_family, power_family
-from oracles import quadrature_Db, sturm_eigvalsh, symmetry_defect
+from oracles import (all_positive, quadrature_Db, sturm_eigvalsh,
+                     symmetry_defect)
 from test_cli import hard_sphere_config, write_config
 
 
@@ -155,7 +156,7 @@ def test_criterion_7_hypotheses(ops_ref, ref_constants):
     _, _, _, lam_num = ref_constants
     mu = sp.generalized_eigs(-ops_ref.L.matrix, ops_ref.hgram.matrix)
     rep = sp.verify_H1_H3(ops_ref, lam_num, mu)
-    ok = (rep.all_positive() and rep.nu_bar_3 == 0.5
+    ok = (all_positive(rep) and rep.nu_bar_3 == 0.5
           and rep.h12_violations == 0
           and rep.h3_lambda == lam_num
           and [p[0] for p in rep.h2_pairs] == [1e-1, 1e-2, 1e-3])

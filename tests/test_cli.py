@@ -67,6 +67,14 @@ def with_value(cfg, path, value):
     return cfg
 
 
+def patch_Cm(monkeypatch, value):
+    """Make ``value`` the C^m of ``constants``: the first eigenvalue of its
+    complement spectrum, the rest (and so the resolution floor) kept."""
+    spectrum = cli.sp.complement_spectrum
+    monkeypatch.setattr(cli.sp, "complement_spectrum",
+                        lambda *a: np.concatenate([[value], spectrum(*a)[1:]]))
+
+
 MALFORMED = [
     ("N_string", ("discretization", "N"), "abc"),
     ("species_entry_not_object", ("mixture", "species", 0), 3),
@@ -378,7 +386,7 @@ class TestConstants:
     def test_roundoff_sized_positive_Cm_is_gate_failure(
             self, tmp_path, capsys, monkeypatch):
         # the other sign of the roundoff above: 1e-16 is below the floor
-        monkeypatch.setattr(cli.sp, "compute_Cm", lambda ops: 1e-16)
+        patch_Cm(monkeypatch, 1e-16)
         code = run_cli(["constants", "--config",
                         write_config(tmp_path, hard_sphere_config()),
                         "--out", str(tmp_path / "out")])
@@ -409,7 +417,7 @@ class TestConstants:
     def test_nonpositive_constant_is_one_line_gate_failure(
             self, tmp_path, capsys, monkeypatch, constant):
         if constant == "C_m":
-            monkeypatch.setattr(cli.sp, "compute_Cm", lambda ops: -2.7e-16)
+            patch_Cm(monkeypatch, -2.7e-16)
         elif constant == "D_b":
             monkeypatch.setattr(cli.sp, "compute_Db", lambda *a, **k:
                                 cli.sp.DbEstimate(0.0, 0.0, (0, 0), {}, 1))

@@ -17,16 +17,16 @@ from kinetic_gap.galerkin import (AssemblyBudgetError, assemble_collision,
                                   nu0_lower_bound)
 from kinetic_gap.hermite import HermiteBasis, hermite_table_3d
 from kinetic_gap.kernels import AngularPolynomial, KernelFamily, PowerLaw
-from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
-                                 ker_L_basis, project_onto)
+from kinetic_gap.mixture import Mixture, ker_L_basis, project_onto
 from kinetic_gap.quadrature import (half_sphere_rule, hermite_rule_3d,
                                     post_collision, sphere_rule)
 
 from conftest import (hard_sphere_family, maxwell_family, mixed_gamma_family,
                       power_family)
 from oracles import (collision_form_moment_state, collision_frequency,
-                     degree_mask, full_monomial_pass, pairwise_sum,
-                     radial_frequency, symmetry_defect)
+                     degree_mask, embed_species_polynomials,
+                     full_monomial_pass, pairwise_sum, radial_frequency,
+                     symmetry_defect)
 
 
 class TestCollisionFrequency:

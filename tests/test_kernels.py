@@ -6,11 +6,11 @@ import pytest
 from kinetic_gap.cli import parse_family, parse_mixture
 from kinetic_gap.kernels import (AUDIT_RADII, AngularPolynomial, KernelFamily,
                                  PowerLaw, audit_assumptions, compute_C_b,
-                                 compute_ell_b, constant_angular)
+                                 compute_ell_b)
 
-from conftest import (hard_sphere_family, load_perfbench, maxwell_family,
-                      mixed_gamma_family, power_family)
-from oracles import evaluate_B, grid_audit
+from conftest import (constant_angular, hard_sphere_family, load_perfbench,
+                      maxwell_family, mixed_gamma_family, power_family)
+from oracles import audit_failures, evaluate_B, grid_audit
 
 
 def _family_with(phi_12, beta=1.0, b_12=None):
@@ -70,7 +70,7 @@ class TestAudit:
     def test_hard_spheres_pass_everything(self):
         for n in (1, 2, 3):
             rep = audit_assumptions(hard_sphere_family(n))
-            assert rep.passed, rep.failures()[0].detail
+            assert rep.passed, audit_failures(rep)[0].detail
             assert abs(rep.measured["beta_eff"] - 1.0) <= 1e-12
 
     def test_constant_b_gives_Cb_4pi(self):
@@ -115,7 +115,7 @@ class TestAudit:
 
     def test_mixed_gamma_family_passes(self):
         rep = audit_assumptions(mixed_gamma_family())
-        assert rep.passed, [c.detail for c in rep.failures()]
+        assert rep.passed, [c.detail for c in audit_failures(rep)]
         assert rep.measured["beta_eff"] <= 2e6
 
 
@@ -127,7 +127,7 @@ def _one_species(phi, b, **declared):
 
 
 def _failed(rep):
-    return {c.name: c.witness for c in rep.failures()}
+    return {c.name: c.witness for c in audit_failures(rep)}
 
 
 # the families built in this module, save those with a root of b in [-1, 1]

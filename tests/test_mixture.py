@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from kinetic_gap.hermite import HermiteBasis
-from kinetic_gap.mixture import (Mixture, embed_species_polynomials,
-                                 extract_coefficients, ker_L_basis,
+from kinetic_gap.mixture import (Mixture, extract_coefficients, ker_L_basis,
                                  ker_Lm_basis, orthonormalize, project_onto)
 
-from oracles import explicit_gram, maxwellian_moment
+from oracles import (embed_species_polynomials, explicit_gram,
+                     maxwellian_moment)
 
 
 class TestMaxwellianMoments:

@@ -12,9 +12,10 @@ from kinetic_gap.galerkin import build_operator_set
 from kinetic_gap.mixture import Mixture, project_onto
 
 from conftest import hard_sphere_family, maxwell_family
-from oracles import (closed_form_Db, h12_loop, h12_margin, nu_bar_4,
-                     quadrature_Db, step_lemma_ledger_loop,
-                     step_lemma_margins, sturm_eigvalsh)
+from oracles import (all_positive, closed_form_Db, embed_species_polynomials,
+                     h12_loop, h12_margin, nu_bar_4, quadrature_Db,
+                     step_lemma_ledger_loop, step_lemma_margins,
+                     sturm_eigvalsh)
 
 
 class TestSymmetricEigen:
@@ -96,6 +97,11 @@ class TestCm:
         cm = sp.compute_Cm(ops)
         assert cm == pytest.approx(gap, abs=1e-10)
 
+    def test_constants_report_takes_compute_Cm(self, ops_small):
+        # the report's one complement solve gives C^m to the bit
+        rep = sp.constants_report(ops_small, mc_samples=1000)
+        assert rep.C_m == sp.compute_Cm(ops_small)
+
     def test_identical_species_have_equal_blocks(self):
         ops = build_operator_set(Mixture((1.0, 1.0)), hard_sphere_family(2),
                                  N=3, q=6, sphere_level="coarse")
@@ -112,11 +118,11 @@ class TestCm:
 
 class TestDb:
     def test_integrand_vanishes_on_energy_shell(self, rng):
-        from kinetic_gap.spectra import _db_integrand_terms
+        from kinetic_gap.spectra import _db_integrand_parts
         v = rng.standard_normal((100, 3))
         vs = rng.standard_normal((100, 3))
         sigma = (v - vs) / np.linalg.norm(v - vs, axis=1, keepdims=True)
-        _, _, ut, et = _db_integrand_terms(v, vs, sigma)
+        _, _, ut, et = _db_integrand_parts(v, vs, sigma)
         assert np.max(np.minimum(ut, et)) <= 1e-12
 
     def test_pair_symmetry(self):
@@ -230,8 +236,7 @@ class TestStepLemmas:
     def test_equal_motion_degenerates(self, chain):
         # u_i and e_i all equal: both sides of the bi-species bound vanish
         ops, C_m, D_b, C_k = chain
-        from kinetic_gap.mixture import embed_species_polynomials, \
-            extract_coefficients
+        from kinetic_gap.mixture import extract_coefficients
         f = embed_species_polynomials(
             ops.mixture, ops.basis,
             [lambda p: 1.0 + 0.2 * p[:, 1] + 0.3 * np.sum(p * p, axis=1)
@@ -370,7 +375,7 @@ class TestHypotheses:
         wL = sp.generalized_eigs(ops.L.matrix, ops.hgram.matrix)
         assert rep.C_L == pytest.approx(np.max(np.abs(wL)), rel=1e-12)
         assert rep.nu_bar_4 <= 1e-10
-        assert rep.all_positive()
+        assert all_positive(rep)
         assert rep.h12_violations == 0
         assert rep.to_dict()["h2_holdout_violations"] == 0
 
