@@ -2,14 +2,19 @@
 
 Every command is a pure function of (config, seed): reports are JSON with
 sorted keys plus plot-ready CSV, so identical inputs give byte-identical
-outputs.  Exit codes: 0 success, 1 config/validation error, 2 assumption
-audit failure, 3 theorem-gate failure.
+outputs.  Each command returns its report and a list of gates, each
+``{"name", "value", "bound", "passed"}``; :func:`write_certificate` writes
+the report with a ``verdict`` block ``{"certified", "gates"}`` and derives
+the exit code from it: 0 certified, 1 config/validation error, 2 assumption
+audit failure, 3 a failed gate (or a constant of the explicit chain that is
+not shown positive, which writes no report).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -31,9 +36,25 @@ EXIT_CONFIG = 1
 EXIT_AUDIT = 2
 EXIT_GATE = 3
 
+# the gate bounds: lambda_explicit <= GAP_GATE_FACTOR lambda_numeric,
+# Lambda >= nu0 - LAMBDA_FLOOR_TOL, drift < MAX_CONSERVED_DRIFT per unit
+# time, and a fit with r^2 >= DECAY_MIN_R2
+GAP_GATE_FACTOR = 1.05
+LAMBDA_FLOOR_TOL = 1e-6
+MAX_CONSERVED_DRIFT = 1e-9
+DECAY_MIN_R2 = 0.99
+
 
 class ConfigError(ValueError):
     pass
+
+
+class AuditFailure(Exception):
+    """The kernel family fails the assumption audit, so nothing is assembled."""
+
+    def __init__(self, report):
+        super().__init__("assumption audit failed")
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +261,29 @@ def write_eigenvalue_csv(out_dir: Path, name: str, values) -> Path:
     return path
 
 
+def gate(name: str, value, test, bound, waived: bool = False) -> dict:
+    """One gate of a verdict: passed when ``test(value, bound)`` holds (a
+    missing value fails), or whatever the value when ``waived``."""
+    passed = waived or (value is not None and bool(test(value, bound)))
+    return {"name": name, "value": value, "bound": bound, "passed": passed}
+
+
+def write_certificate(out_dir: Path, command: str, audit, payload: dict,
+                      gates: list) -> int:
+    """Write ``<command>.json`` with its ``verdict`` block and return the
+    exit code it states: EXIT_AUDIT when the audit failed, else EXIT_GATE
+    when a gate failed, else EXIT_OK."""
+    certified = audit.passed and all(g["passed"] for g in gates)
+    write_json(out_dir, f"{command}.json",
+               {**payload, "verdict": {"certified": certified,
+                                       "gates": gates}})
+    if not audit.passed:
+        return EXIT_AUDIT
+    return EXIT_OK if certified else EXIT_GATE
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (audit report, payload, gates) for write_certificate
 # ---------------------------------------------------------------------------
 
 def _prepare(cfg, seed_override):
@@ -252,37 +294,34 @@ def _prepare(cfg, seed_override):
     return mixture, family, disc, budgets
 
 
-def cmd_audit(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
+def cmd_audit(cfg: dict, out_dir: Path, seed_override=None, threads=1):
     mixture, family, _disc, _budgets = _prepare(cfg, seed_override)
     report = audit_assumptions(family)
     payload = report.to_dict()
     payload["mixture"] = {"n": mixture.n, "rho_inf": list(mixture.rho_inf)}
-    write_json(out_dir, "audit.json", payload)
-    return EXIT_OK if report.passed else EXIT_AUDIT
+    return report, payload, []
 
 
 def _audited_opset(cfg, seed_override, threads):
+    """The parsed request and its operators; raises :class:`AuditFailure`
+    before any assembly when the kernel family fails the audit."""
     mixture, family, disc, budgets = _prepare(cfg, seed_override)
-    report = audit_assumptions(family)
-    ops = None
-    if report.passed:
-        ops = build_operator_set(mixture, family, N=disc["N"], q=disc["q"],
-                                 sphere_level=disc["sphere_level"],
-                                 threads=threads)
-        _require(all(np.isfinite(m).all() for m in (ops.L.matrix,
-                                                    ops.lam.matrix)),
-                 "the collision operators overflow to inf or NaN; lower "
-                 "rho_inf or the kernel constants")
-    return mixture, family, disc, budgets, report, ops
-
-
-def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
-    mixture, family, disc, budgets, audit, ops = \
-        _audited_opset(cfg, seed_override, threads)
+    audit = audit_assumptions(family)
     if not audit.passed:
-        write_json(out_dir, "constants.json",
-                   {"audit": audit.to_dict(), "constants": None})
-        return EXIT_AUDIT
+        raise AuditFailure(audit)
+    ops = build_operator_set(mixture, family, N=disc["N"], q=disc["q"],
+                             sphere_level=disc["sphere_level"],
+                             threads=threads)
+    _require(all(np.isfinite(m).all() for m in (ops.L.matrix,
+                                                ops.lam.matrix)),
+             "the collision operators overflow to inf or NaN; lower "
+             "rho_inf or the kernel constants")
+    return mixture, disc, budgets, audit, ops
+
+
+def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1):
+    mixture, disc, budgets, audit, ops = \
+        _audited_opset(cfg, seed_override, threads)
     report = sp.constants_report(ops, seed=budgets["seed"],
                                  mc_samples=budgets["mc_samples"])
     ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k)
@@ -290,9 +329,10 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
     hyp = sp.verify_H1_H3(ops, report.lambda_numeric, mu)
     kernel_dim = sp.kernel_count(mu)[0]
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", mu)
+    constants = report.to_dict()
     payload = {
         "audit": audit.to_dict(),
-        "constants": report.to_dict(),
+        "constants": constants,
         "lemma_ledger": [c.to_dict() for c in ledger],
         "hypotheses": hyp.to_dict(),
         "kernel_dim": kernel_dim,
@@ -300,35 +340,26 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> in
         "discretization": disc,
         "budgets": budgets,
     }
-    write_json(out_dir, "constants.json", payload)
-    if kernel_dim != mixture.n + 4:
-        return EXIT_GATE
-    if not report.gate_ok():
-        return EXIT_GATE
-    if any(not c.passed for c in ledger):
-        return EXIT_GATE
-    if hyp.h12_violations > 0:
-        return EXIT_GATE
-    return EXIT_OK
+    gates = [gate("kernel_dim", kernel_dim, operator.eq, mixture.n + 4),
+             gate("lambda_ratio", constants["lambda_ratio"], operator.le,
+                  GAP_GATE_FACTOR)]
+    gates += [gate(f"lemma.{c.name}", c.violations, operator.le, 0)
+              for c in ledger]
+    gates.append(gate("H1.2", hyp.h12_violations, operator.le, 0))
+    return audit, payload, gates
 
 
-def cmd_spectrum(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
-    mixture, family, disc, budgets, audit, ops = \
+def cmd_spectrum(cfg: dict, out_dir: Path, seed_override=None, threads=1):
+    mixture, disc, budgets, audit, ops = \
         _audited_opset(cfg, seed_override, threads)
-    if not audit.passed:
-        write_json(out_dir, "spectrum.json",
-                   {"audit": audit.to_dict(), "spectrum": None})
-        return EXIT_AUDIT
     report = sp.spectral_report(ops)
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", report.eigenvalues)
     payload = {"audit": audit.to_dict(), "spectrum": report.to_dict(),
                "discretization": disc, "expected_kernel_dim": mixture.n + 4}
-    write_json(out_dir, "spectrum.json", payload)
-    if report.kernel_dim != mixture.n + 4:
-        return EXIT_GATE
-    if report.lambda_min_flat < ops.freq.nu0 - 1e-6:
-        return EXIT_GATE
-    return EXIT_OK
+    gates = [gate("kernel_dim", report.kernel_dim, operator.eq, mixture.n + 4),
+             gate("lambda_min_flat", report.lambda_min_flat, operator.ge,
+                  ops.freq.nu0 - LAMBDA_FLOOR_TOL)]
+    return audit, payload, gates
 
 
 def reference_initial_state(ops, rng, m_max: int, amplitude: float = 1e-2):
@@ -344,14 +375,10 @@ def reference_initial_state(ops, rng, m_max: int, amplitude: float = 1e-2):
     return state
 
 
-def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
+def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1):
     integration = parse_decay(cfg)
-    mixture, family, disc, budgets, audit, ops = \
+    mixture, disc, budgets, audit, ops = \
         _audited_opset(cfg, seed_override, threads)
-    if not audit.passed:
-        write_json(out_dir, "decay.json",
-                   {"audit": audit.to_dict(), "decay": None})
-        return EXIT_AUDIT
     amplitude = integration["amplitude"]
 
     rng = np.random.default_rng(budgets["seed"])
@@ -415,16 +442,16 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1) -> int:
         "budgets": budgets,
         "integration": integration,
     }
-    write_json(out_dir, "decay.json", payload)
-
-    if kappa_cert <= 0.0 or drift_rate >= 1e-9:
-        return EXIT_GATE
-    if report.trivial_decay:
-        return EXIT_OK
-    ok = (report.tau_fit is not None and report.tau_fit > 0.0
-          and report.r_squared is not None and report.r_squared >= 0.99
-          and g_monotone)
-    return EXIT_OK if ok else EXIT_GATE
+    trivial = report.trivial_decay
+    gates = [gate("kappa_certified", kappa_cert, operator.gt, 0.0),
+             gate("conserved_drift_per_unit_time", drift_rate, operator.lt,
+                  MAX_CONSERVED_DRIFT),
+             gate("tau_fit", report.tau_fit, operator.gt, 0.0, waived=trivial),
+             gate("r_squared", report.r_squared, operator.ge, DECAY_MIN_R2,
+                  waived=trivial),
+             gate("g_monotone", g_monotone, operator.eq, True,
+                  waived=trivial)]
+    return audit, payload, gates
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +493,24 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[args.command](cfg, out_dir, args.seed, threads)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: "
+                              f"{exc.strerror or exc}") from None
+        try:
+            audit, payload, gates = _COMMANDS[args.command](
+                cfg, out_dir, args.seed, threads)
+        except AuditFailure as exc:     # the audit, and no result
+            audit, payload, gates = exc.report, {
+                "audit": exc.report.to_dict(), args.command: None}, []
+        return write_certificate(out_dir, args.command, audit, payload, gates)
     except (ConfigError, AssemblyBudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except sp.InconclusivePositivityError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE
-    return code
 
 
 if __name__ == "__main__":

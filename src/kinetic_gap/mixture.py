@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hermite import HermiteBasis
-from .quadrature import hermite_rule_3d
+from .hermite import HermiteBasis, multi_indices
 
 __all__ = [
     "Mixture", "ProjectionCoefficients",
@@ -53,97 +52,53 @@ class Mixture:
 
 
 # ---------------------------------------------------------------------------
-# embedding polynomials into the discrete basis
+# the invariant subspaces in Hermite coefficients
 # ---------------------------------------------------------------------------
 
-def _default_rule(basis: HermiteBasis):
-    # q = N + 2 integrates H_alpha * (degree <= 2 polynomial) exactly
-    return hermite_rule_3d(basis.N + 2)
-
-
-def _embed(mixture, basis, polys, rule, H) -> np.ndarray:
-    """Coefficients of f_i = M_i^{1/2} p_i for per-species polynomials p_i,
-    by the Gauss-Hermite ``rule`` with H the Hermite table of its nodes,
-    shape (m, nb).
-
-    ``polys`` maps a species index to a callable p_i(points) -> (m,) or None
-    (species absent).  Exact for polynomial degree <= N + 3 at the
-    :func:`_default_rule`.
-    """
-    out = np.zeros(basis.total_size)
-    for i in range(mixture.n):
-        p = polys(i) if callable(polys) else polys[i]
-        if p is None:
-            continue
-        vals = p(rule.nodes) * rule.weights
-        out[basis.species_slice(i)] = math.sqrt(mixture.rho_inf[i]) * (H.T @ vals)
-    return out
-
-
 def orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+    """Orthonormal basis of the columns' span, in order (Householder QR).
 
-    Columns of ``vectors`` are orthonormalized in the Euclidean (= discrete
-    L^2_v) inner product; a column whose residual falls below tol times its
-    original norm flags rank deficiency.
+    Column k of the result is the k-th column of ``vectors`` with its
+    components along the earlier ones removed, normalized: the signs of
+    Gram-Schmidt, so diag(Q^T V) > 0.  A column whose residual falls below
+    tol times its original norm flags rank deficiency.
     """
-    V = np.array(vectors, dtype=float)
-    m = V.shape[1]
-    for k in range(m):
-        col = V[:, k]
-        base = np.linalg.norm(col)
-        for _pass in range(2):
-            for j in range(k):
-                col -= (V[:, j] @ col) * V[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm <= tol * base:
-            raise ValueError(f"column {k} is linearly dependent on its "
-                             "predecessors; cannot orthonormalize")
-        V[:, k] = col / nrm
-    return V
+    V = np.asarray(vectors, dtype=float)
+    Q, R = np.linalg.qr(V)
+    r = np.diag(R)
+    dependent = np.flatnonzero(np.abs(r) <= tol * np.linalg.norm(V, axis=0))
+    if dependent.size:
+        raise ValueError(f"column {dependent[0]} is linearly dependent on its "
+                         "predecessors; cannot orthonormalize")
+    return Q * np.sign(r)
 
 
-def _poly_one(points):
-    return np.ones(points.shape[0])
-
-
-def _poly_axis(axis):
-    def p(points):
-        return points[:, axis]
-    return p
-
-
-def _poly_speed_sq(points):
-    return np.sum(points * points, axis=1)
+def _invariant_coefficients(N: int) -> np.ndarray:
+    """Hermite coefficients of 1, v_x, v_y, v_z and |v|^2, shape (nb, 5):
+    1 = H_0, v_a = H_{e_a} and |v|^2 = 3 H_0 + sqrt(2) sum_a H_{2 e_a}
+    (h_1 = x, h_2 = (x^2 - 1) / sqrt(2))."""
+    row = {alpha: k for k, alpha in enumerate(map(tuple, multi_indices(N)))}
+    P = np.zeros((len(row), 5))
+    P[0, 0] = 1.0
+    P[0, 4] = 3.0
+    for a, e in enumerate(np.eye(3, dtype=int)):
+        P[row[tuple(e)], 1 + a] = 1.0
+        P[row[tuple(2 * e)], 4] = math.sqrt(2.0)
+    return P
 
 
 @lru_cache(maxsize=None)
 def _cached_bases(rho_inf: tuple, N: int):
-    mixture = Mixture(rho_inf)
-    basis = HermiteBasis(N, len(rho_inf))
-    rule = _default_rule(basis)
-    H = basis.eval_polynomials(rule.nodes)
-    n = mixture.n
-
-    def embed(polys):
-        return _embed(mixture, basis, polys, rule, H)
-
-    def only(i, p):
-        return lambda j: (p if j == i else None)
-
-    raw_L = [embed(only(i, _poly_one)) for i in range(n)]
-    raw_L += [embed(lambda j, ax=ax: _poly_axis(ax)) for ax in range(3)]
-    raw_L.append(embed(lambda j: _poly_speed_sq))
-    ker_L = orthonormalize(np.stack(raw_L, axis=1))
-
     # unnormalized moment functionals of Lemma-style moments:
-    #   m0_i = (f, M_i^{1/2} 1), mk_i = (f, M_i^{1/2} v_k), m4_i = (f, M_i^{1/2}|v|^2)
-    moments = np.stack(
-        [embed(only(i, p))
-         for i in range(n)
-         for p in (_poly_one, _poly_axis(0), _poly_axis(1), _poly_axis(2),
-                   _poly_speed_sq)], axis=1)
-    # ker(L^m) is spanned by the same 5 n embeddings
+    #   m0_i = (f, M_i^{1/2} 1), mk_i = (f, M_i^{1/2} v_k), m4_i = (f, M_i^{1/2}|v|^2);
+    # f_i = M_i^{1/2} p_i has rho_i^{1/2} times the coefficients of p_i
+    n = len(rho_inf)
+    moments = np.kron(np.diag(np.sqrt(rho_inf)), _invariant_coefficients(N))
+    # ker(L^m) is spanned by the 5 n moment embeddings; ker(L) by the n
+    # species masses and the momentum and energy summed over species
+    per_kind = moments.reshape(-1, n, 5)
+    ker_L = orthonormalize(np.hstack([per_kind[:, :, 0],
+                                      per_kind[:, :, 1:].sum(axis=1)]))
     ker_Lm = orthonormalize(moments)
 
     ker_L.setflags(write=False)
@@ -155,8 +110,8 @@ def _cached_bases(rho_inf: tuple, N: int):
 def ker_L_basis(mixture: Mixture, basis: HermiteBasis) -> np.ndarray:
     """Orthonormal basis of the embedded ker(L), shape (total_size, n+4).
 
-    Requires N >= 2 so that 1, v_k and |v|^2 are representable.  Computed by
-    numerical Gram-Schmidt on the embedded span and cached per
+    Requires N >= 2 so that 1, v_k and |v|^2 are representable.  The span's
+    Hermite coefficients are exact; the basis is its QR factor, cached per
     (mixture, discretization).
     """
     if basis.N < 2:

@@ -36,7 +36,7 @@ from .quadrature import CollisionSampler, hermite_rule_3d, post_collision
 __all__ = [
     "GapError", "InconclusivePositivityError", "generalized_eigs",
     "complement_basis", "complement_spectrum", "generalized_gap",
-    "SpectralReport", "kernel_count", "spectral_report", "compute_Cm",
+    "SpectralReport", "kernel_count", "spectral_report",
     "DbEstimate", "compute_Db", "compute_Ck", "explicit_lambda",
     "ConstantsReport", "constants_report", "LemmaCheck", "form_check",
     "step_lemma_forms", "verify_step_lemmas", "HypothesisReport", "h12_forms",
@@ -153,12 +153,6 @@ def spectral_report(ops: OperatorSet) -> SpectralReport:
                           l_spectrum_range=(float(we[0]), float(we[-1])))
 
 
-def compute_Cm(ops: OperatorSet) -> float:
-    """Mono-species coercivity constant: certified generalized gap of -L^m
-    against the H-Gram on the complement of ker(L^m)."""
-    return generalized_gap(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
-
-
 # ---------------------------------------------------------------------------
 # D^b: Monte-Carlo estimate
 # ---------------------------------------------------------------------------
@@ -269,9 +263,6 @@ class ConstantsReport:
     lambda_numeric: float
     provenance: dict = field(default_factory=dict)
 
-    def gate_ok(self, tol: float = 0.05) -> bool:
-        return self.lambda_explicit <= self.lambda_numeric * (1.0 + tol)
-
     def to_dict(self) -> dict:
         return {
             "nu0": self.nu0, "nu_min": self.nu_min, "ell_b": self.ell_b,
@@ -291,8 +282,9 @@ def constants_report(ops: OperatorSet, seed: int = 0,
 
     ell_b = compute_ell_b(ops.family)
     C_b = compute_C_b(ops.family)
-    # C^m (:func:`compute_Cm`) is the first eigenvalue of its pencil; the
-    # eigensolver resolves no C^m below dim * eps * max mu from zero
+    # C^m, the generalized gap of -L^m against the H-Gram off ker(L^m), is
+    # the first eigenvalue of its pencil; the eigensolver resolves no C^m
+    # below dim * eps * max mu from zero
     mu = complement_spectrum(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
     C_m = float(mu[0])
     cm_floor = mu.size * np.finfo(float).eps * mu[-1]

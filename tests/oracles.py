@@ -18,8 +18,9 @@ decay measurements over all K modes of a real field (the functional,
 the certified pencils from each mode's generator, the search over both
 halves of the modes).  ``evaluate_B``, ``degree_mask``,
 ``collision_frequency`` and ``symmetry_defect`` are small helpers over the
-package's objects that only the tests use, as are
-``embed_species_polynomials``, ``audit_failures`` and ``all_positive``.
+package's objects that only the tests use, as are ``compute_Cm``,
+``audit_failures`` and ``all_positive``; the collision-invariant bases
+come from a quadrature embedding and modified Gram-Schmidt.
 """
 from __future__ import annotations
 
@@ -611,12 +612,58 @@ def degree_mask(basis, max_degree: int) -> np.ndarray:
 def embed_species_polynomials(mixture, basis, polys) -> np.ndarray:
     """Coefficients of f_i = M_i^{1/2} p_i for per-species polynomials p_i
     (``polys`` maps a species index to a callable p_i(points) -> (m,) or
-    None), by the package's embedding at its default Gauss-Hermite rule;
-    exact for polynomial degree <= N + 3."""
-    from kinetic_gap.mixture import _default_rule, _embed
-    rule = _default_rule(basis)
-    return _embed(mixture, basis, polys, rule,
-                  basis.eval_polynomials(rule.nodes))
+    None), by Gauss-Hermite quadrature at q = N + 2 nodes per axis; exact
+    for polynomial degree <= N + 3."""
+    from kinetic_gap.quadrature import hermite_rule_3d
+    rule = hermite_rule_3d(basis.N + 2)
+    H = basis.eval_polynomials(rule.nodes)
+    out = np.zeros(basis.total_size)
+    for i in range(mixture.n):
+        p = polys(i) if callable(polys) else polys[i]
+        if p is not None:
+            out[basis.species_slice(i)] = math.sqrt(mixture.rho_inf[i]) \
+                * (H.T @ (p(rule.nodes) * rule.weights))
+    return out
+
+
+def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with one reorthogonalization pass."""
+    V = np.array(vectors, dtype=float)
+    for k in range(V.shape[1]):
+        col = V[:, k]
+        for _pass in range(2):
+            for j in range(k):
+                col -= (V[:, j] @ col) * V[:, j]
+        V[:, k] = col / np.linalg.norm(col)
+    return V
+
+
+def quadrature_bases(mixture, basis):
+    """(ker_L, ker_Lm, moments) as the package's ``mixture._cached_bases``
+    lays them out: the invariants 1, v_a and |v|^2 embedded by quadrature
+    (:func:`embed_species_polynomials`), orthonormalized by
+    :func:`gram_schmidt`."""
+    one = lambda p: np.ones(len(p))                         # noqa: E731
+    speed_sq = lambda p: np.sum(p * p, axis=1)              # noqa: E731
+    polys = [one] + [lambda p, a=a: p[:, a] for a in range(3)] + [speed_sq]
+
+    def embed(species, p):
+        return embed_species_polynomials(
+            mixture, basis, lambda j: p if j in species else None)
+
+    every = range(mixture.n)
+    moments = np.stack([embed({i}, p) for i in every for p in polys], axis=1)
+    raw_L = [embed({i}, one) for i in every] \
+        + [embed(every, p) for p in polys[1:]]
+    return (gram_schmidt(np.stack(raw_L, axis=1)), gram_schmidt(moments),
+            moments)
+
+
+def compute_Cm(ops) -> float:
+    """Mono-species coercivity constant: the generalized gap of -L^m
+    against the H-Gram on the complement of ker(L^m)."""
+    from kinetic_gap.spectra import generalized_gap
+    return generalized_gap(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
 
 
 def audit_failures(report) -> list:

@@ -23,8 +23,8 @@ from kinetic_gap.mixture import Mixture, project_onto
 from kinetic_gap.quadrature import hermite_rule_3d, post_collision
 
 from conftest import hard_sphere_family, maxwell_family, power_family
-from oracles import (all_positive, quadrature_Db, sturm_eigvalsh,
-                     symmetry_defect)
+from oracles import (all_positive, compute_Cm, quadrature_Db,
+                     sturm_eigvalsh, symmetry_defect)
 from test_cli import hard_sphere_config, write_config
 
 
@@ -35,7 +35,7 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def ref_constants(ops_ref):
-    C_m = sp.compute_Cm(ops_ref)
+    C_m = compute_Cm(ops_ref)
     db = sp.compute_Db(ops_ref.mixture, ops_ref.family, seed=101,
                        count=100_000)
     C_k, _ = sp.compute_Ck(ops_ref.mixture, ops_ref.hgram.matrix,
@@ -120,7 +120,7 @@ def test_criterion_5_gap_theorem_gate(ops_maxwell1, ops_ref, ops_mixed2,
         if ops is ops_ref:
             C_m, db, C_k, lam_num = ref_constants
         else:
-            C_m = sp.compute_Cm(ops)
+            C_m = compute_Cm(ops)
             db = sp.compute_Db(ops.mixture, ops.family, seed=55,
                                count=100_000)
             C_k, _ = sp.compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
@@ -287,8 +287,8 @@ def test_db_quadrature_cross_check_spec_budget():
 
 
 def test_cm_stable_between_truncations(ops_ref, ops_ref_N3):
-    cm4 = sp.compute_Cm(ops_ref)
-    cm3 = sp.compute_Cm(ops_ref_N3)
+    cm4 = compute_Cm(ops_ref)
+    cm3 = compute_Cm(ops_ref_N3)
     assert abs(cm4 - cm3) <= 0.10 * cm3
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 from kinetic_gap import cli, galerkin
 from kinetic_gap.galerkin import build_operator_set
+
+from oracles import compute_Cm
 
 
 def hard_sphere_config(n=2, N=3, q=6, sphere="coarse", m_max=1, seed=11,
@@ -230,6 +233,18 @@ class TestValidation:
         assert err.startswith("config error: assembly needs at least")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unusable_out_dir_is_one_line_error(self, tmp_path, capsys, out):
+        # an existing file where the directory, or one of its parents, goes
+        (tmp_path / "afile").write_text("")
+        code = run_cli(["audit", "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: cannot create output directory ")
+        assert len(err.splitlines()) == 1
+
     def test_threads_validated(self, tmp_path):
         cfg = hard_sphere_config()
         code = run_cli(["audit", "--config", write_config(tmp_path, cfg),
@@ -407,7 +422,7 @@ class TestConstants:
         B = W.T @ ops.hgram.matrix @ W
         mu = cli.sp.generalized_eigs(0.5 * (A + A.T), 0.5 * (B + B.T))
         floor = mu.size * np.finfo(float).eps * np.max(np.abs(mu))
-        assert cli.sp.compute_Cm(ops) > 10.0 * floor
+        assert compute_Cm(ops) > 10.0 * floor
         code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
                         "--out", str(tmp_path / "out")])
         assert capsys.readouterr().err == ""
@@ -643,6 +658,80 @@ class TestSeedFree:
                 cfg["budgets"]["lemma_samples"] = value
             outputs.append(self.run(tmp_path, command, cfg, f"run{value}"))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# the step lemmas of the ledger, and how each gate compares its value with
+# its bound (README, "CLI")
+LEDGER = ("ortho", "bi_species", "differences", "full_chain",
+          "gap_lower_bound")
+GATE_TESTS = {"kernel_dim": operator.eq, "lambda_min_flat": operator.ge,
+              "lambda_ratio": operator.le, "H1.2": operator.le,
+              "kappa_certified": operator.gt,
+              "conserved_drift_per_unit_time": operator.lt,
+              "tau_fit": operator.gt, "r_squared": operator.ge,
+              "g_monotone": operator.eq,
+              **{f"lemma.{name}": operator.le for name in LEDGER}}
+GATE_NAMES = {
+    "spectrum": ["kernel_dim", "lambda_min_flat"],
+    "constants": ["kernel_dim", "lambda_ratio"]
+    + [f"lemma.{name}" for name in LEDGER] + ["H1.2"],
+    "decay": ["kappa_certified", "conserved_drift_per_unit_time", "tau_fit",
+              "r_squared", "g_monotone"],
+}
+# these pass whatever their value when the decay is trivial
+WAIVED_WHEN_TRIVIAL = {"tau_fit", "r_squared", "g_monotone"}
+
+
+def fail_a_gate(monkeypatch, command):
+    """Make one gate of ``command`` fail: one kernel dimension too many, an
+    (H1.2) violation, or a negative certified kappa."""
+    if command == "spectrum":
+        count = cli.sp.kernel_count
+        monkeypatch.setattr(cli.sp, "kernel_count", lambda mu: (
+            count(mu)[0] + 1, count(mu)[1]))
+    elif command == "constants":
+        verify = cli.sp.verify_H1_H3
+        monkeypatch.setattr(cli.sp, "verify_H1_H3", lambda *a, **k:
+                            dataclasses.replace(verify(*a, **k),
+                                                h12_violations=1))
+    else:
+        monkeypatch.setattr(cli.ev, "certify_coefficients",
+                            lambda *a, **k: -1.0)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("passing", cli.EXIT_OK), ("audit_failing", cli.EXIT_AUDIT),
+    ("gate_failing", cli.EXIT_GATE)])
+@pytest.mark.parametrize("command", ["spectrum", "constants", "decay"])
+def test_exit_code_is_the_verdict(tmp_path, monkeypatch, command, kind,
+                                  expected):
+    cfg = hard_sphere_config()
+    if kind == "audit_failing":     # an odd angular part fails A5
+        for i, j in ((0, 1), (1, 0)):
+            cfg["kernels"]["b"][i][j] = {"type": "poly", "coeffs": [1.0, 0.5]}
+    elif kind == "gate_failing":
+        fail_a_gate(monkeypatch, command)
+    out = tmp_path / "out"
+    code = run_cli([command, "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)])
+    payload = json.loads((out / f"{command}.json").read_text())
+    audit_passed = payload["audit"]["passed"]
+    gates = payload["verdict"]["gates"]
+    passed = [g["passed"] for g in gates]
+    derived = (cli.EXIT_AUDIT if not audit_passed
+               else cli.EXIT_OK if all(passed) else cli.EXIT_GATE)
+    assert code == derived == expected
+    assert payload["verdict"]["certified"] == (code == cli.EXIT_OK)
+    if kind == "audit_failing":
+        assert gates == [] and payload[command] is None
+        return
+    assert [g["name"] for g in gates] == GATE_NAMES[command]
+    trivial = command == "decay" and payload["decay"]["trivial_decay"]
+    for g in gates:
+        test = GATE_TESTS[g["name"]]
+        holds = g["value"] is not None and test(g["value"], g["bound"])
+        assert g["passed"] == (holds or (trivial and g["name"] in
+                                         WAIVED_WHEN_TRIVIAL)), g
 
 
 def test_cli_import_does_not_load_scipy_integrate():

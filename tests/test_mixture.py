@@ -6,7 +6,7 @@ from kinetic_gap.mixture import (Mixture, extract_coefficients, ker_L_basis,
                                  ker_Lm_basis, orthonormalize, project_onto)
 
 from oracles import (embed_species_polynomials, explicit_gram,
-                     maxwellian_moment)
+                     maxwellian_moment, quadrature_bases)
 
 
 class TestMaxwellianMoments:
@@ -77,6 +77,25 @@ class TestKernelBases:
         v = np.ones((4, 2))
         with pytest.raises(ValueError, match="dependent"):
             orthonormalize(v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_closed_form_bases_match_quadrature(self, n, N):
+        # the exact Hermite coefficients and QR against the quadrature
+        # embedding and modified Gram-Schmidt, signs included
+        from kinetic_gap.mixture import _cached_bases
+        mx = Mixture(tuple(0.5 + 0.7 * i for i in range(n)))
+        for got, ref in zip(_cached_bases(mx.rho_inf, N),
+                            quadrature_bases(mx, HermiteBasis(N, n))):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_orthonormalize_keeps_gram_schmidt_signs(self, rng):
+        v = rng.standard_normal((8, 4))
+        q = orthonormalize(v)
+        assert np.allclose(q.T @ q, np.eye(4), atol=1e-15)
+        assert np.all(np.diag(q.T @ v) > 0.0)
+        assert np.allclose(np.triu(q.T @ v), q.T @ v, atol=1e-14)
 
     def test_orthonormalize_rank_test_is_scale_free(self):
         # the residual is compared with the column's own norm, so tiny

@@ -8,6 +8,7 @@ import importlib
 import inspect
 
 import numpy as np
+import pytest
 
 from conftest import hard_sphere_family, load_perfbench
 from test_cli import hard_sphere_config, run_cli, write_config
@@ -91,12 +92,14 @@ def test_workload_radii_are_the_audited_range():
     assert (workloads.AUDIT_R_MIN, workloads.AUDIT_R_MAX) == AUDIT_RADII
 
 
-def test_constants_output_passes_benchmark_checks(tmp_path):
-    # the ledger, hypotheses and eigenvalue keys that checks.py reads
+@pytest.mark.parametrize("command", ["spectrum", "constants", "decay"])
+def test_output_passes_benchmark_checks(tmp_path, command):
+    # the spectrum, ledger, hypotheses, decay and eigenvalue keys that
+    # checks.py reads
     checks = load_perfbench("checks")
     out = tmp_path / "out"
-    code = run_cli(["constants", "--config",
+    code = run_cli([command, "--config",
                     write_config(tmp_path, hard_sphere_config()),
                     "--out", str(out)])
-    problems, _values = checks.check_request("constants", 2, code, out)
+    problems, _values = checks.check_request(command, 2, code, out)
     assert problems == []

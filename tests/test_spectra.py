@@ -12,9 +12,9 @@ from kinetic_gap.galerkin import build_operator_set
 from kinetic_gap.mixture import Mixture, project_onto
 
 from conftest import hard_sphere_family, maxwell_family
-from oracles import (all_positive, closed_form_Db, embed_species_polynomials,
-                     h12_loop, h12_margin, nu_bar_4, quadrature_Db,
-                     step_lemma_ledger_loop, step_lemma_margins,
+from oracles import (all_positive, closed_form_Db, compute_Cm,
+                     embed_species_polynomials, h12_loop, h12_margin, nu_bar_4,
+                     quadrature_Db, step_lemma_ledger_loop, step_lemma_margins,
                      sturm_eigvalsh)
 
 
@@ -94,13 +94,13 @@ class TestCm:
     def test_equals_gap_for_single_species(self, ops_maxwell1_small):
         ops = ops_maxwell1_small
         gap = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-        cm = sp.compute_Cm(ops)
+        cm = compute_Cm(ops)
         assert cm == pytest.approx(gap, abs=1e-10)
 
     def test_constants_report_takes_compute_Cm(self, ops_small):
         # the report's one complement solve gives C^m to the bit
         rep = sp.constants_report(ops_small, mc_samples=1000)
-        assert rep.C_m == sp.compute_Cm(ops_small)
+        assert rep.C_m == compute_Cm(ops_small)
 
     def test_identical_species_have_equal_blocks(self):
         ops = build_operator_set(Mixture((1.0, 1.0)), hard_sphere_family(2),
@@ -220,7 +220,7 @@ class TestExplicitLambda:
 @pytest.fixture(scope="module")
 def chain(ops_small):
     ops = ops_small
-    C_m = sp.compute_Cm(ops)
+    C_m = compute_Cm(ops)
     db = sp.compute_Db(ops.mixture, ops.family, seed=5, count=50_000)
     C_k, _ = sp.compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
     return ops, C_m, db.value, C_k
