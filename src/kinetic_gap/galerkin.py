@@ -6,7 +6,7 @@ velocities v', v'*, which is what makes the assembled quadratic forms carry
 the collision invariants exactly (the integrand of the H-theorem form
 vanishes pointwise on ker(L)).
 
-The quadratic form is accumulated per quadrature node as a rank-one update:
+The quadratic form is a sum of rank-one terms, one per quadrature node:
 
     -(f, L f) = 1/4 sum_ij rho_i rho_j E[ B_ij (d.c_i/sqrt(rho_i)
                                              + d*.c_j/sqrt(rho_j))^2 ],
@@ -27,6 +27,17 @@ entries whose two multi-indices differ in x- or z-parity, which the images
 cancel, are set to 0.  That is about a quarter of the (v, v*, sigma) rows.  The
 y-mirror maps the half sphere onto the other half, which the sigma -> -sigma
 completion already uses, so it cannot be folded as well.
+
+Each monomial's (T1, T12) is accumulated slab by slab as a Gram product
+X X^T with X = D sqrt(w), D the stacked differences (d, d*) of the slab's
+rows and w their quadrature weights.  The form is valid because every
+factor of w is nonnegative: Gauss-Hermite weights times mirror-image
+counts, r^gamma, the half-sphere weights and even powers of cos theta.
+numpy computes A @ A.T by the BLAS symmetric rank-k update, which does
+half the multiplications of a general product.  A slab holds at most
+``_ROWS_TARGET`` rows, so that D and X (2 nb doubles per row each, about
+3 MB at N = 3) stay within a core's cache while they are weighted and
+multiplied.
 
 The moments are linear in the kernel.  With B = C r^gamma sum_k c_2k
 cos^{2k} theta, (T1, T12) of B is C sum_k c_2k (T1, T12)_{gamma,2k}, where
@@ -61,7 +72,7 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP = 2 << 30        # bytes of scratch per assembly worker
-_ROWS_TARGET = 120_000              # quadrature rows per vectorized slab
+_ROWS_TARGET = 16_384               # quadrature rows per slab, cache-sized
 _MONOMIAL_CACHE_ENTRIES = 64        # monomial blocks kept, 2 nb^2 doubles each
 
 # (gamma, 2k, N, q, sphere_level, cv, cs) -> read-only (T1, T12) stacked as
@@ -197,7 +208,8 @@ def _slab_shape(Qv: int, Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
     nodes.  Raises :class:`AssemblyBudgetError` when the (nb, Qn) and
     (nb, Qv) Hermite tables at the nodes and one (v, v*) pair do not fit in
     ``memory_cap``."""
-    bytes_per_row = 8 * (14 + 6 * nb)       # geometry + two evals + D, E
+    # geometry, weights and cos powers, two Hermite evaluations, D and X
+    bytes_per_row = 8 * (14 + 6 * nb)
     table = 8 * nb * (Qn + Qv)               # H_alpha at all and at kept nodes
     need = table + ns * bytes_per_row        # one (v, v*) pair at least
     if need > memory_cap:
@@ -241,10 +253,12 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
     r^gamma cos^{2k} theta for each (gamma, 2k) in ``monomials``.
 
     One quadrature pass serves them all: the Hermite differences D of a slab
-    are evaluated once and weighted per monomial.  Each monomial's
-    accumulation does not depend on which others share the pass.  v runs
-    over the mirror-folded nodes of :func:`_mirror_fold` (see the module
-    docstring), v* over every tensor node and sigma over the half sphere.
+    are evaluated once and weighted per monomial, and each monomial adds
+    X X^T with X = D sqrt(w) (see the module docstring; every weight is
+    nonnegative).  Each monomial's accumulation does not depend on which
+    others share the pass.  v runs over the mirror-folded nodes of
+    :func:`_mirror_fold`, v* over every tensor node and sigma over the half
+    sphere.
     """
     nodes3, w3 = rule3.nodes, rule3.weights
     keep, images = _mirror_fold(nodes3)
@@ -255,25 +269,32 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
     by_gamma: dict = {}
     for m, (gamma, power) in enumerate(monomials):
         by_gamma.setdefault(gamma, []).append((m, power))
-    powers = sorted({power for _, power in monomials if power})
+    half_powers = max(power for _, power in monomials) // 2
 
     H3_T = hermite_table_3d(nodes3, basis.N).T    # (nb, Qn), C-contiguous
     Hv_T = H3_T[:, keep]                          # (nb, Qv) at the kept v
     nodes_v, w_v = nodes3[keep], w3[keep] * images
     sig, wsig = half.nodes, half.weights
+    # X = D sqrt(w) needs w >= 0: r^gamma and cos^{2k} theta are, and so
+    # must the rules' weights be
+    assert all(power % 2 == 0 for _, power in monomials)
+    assert (w3 >= 0.0).all() and (wsig >= 0.0).all()
+    root_wv, root_w3 = np.sqrt(w_v), np.sqrt(w3)
+    root_wsig = np.sqrt(wsig)
 
     def block(bi: int):
         i0, i1 = bi * cv, (bi + 1) * cv
         coords = np.empty((3, rows))
         D = np.empty((2 * nb, rows))
-        E = np.empty((2 * nb, rows))
-        wbuf = np.empty((cv, cs, ns))
-        wpow = np.empty((cv, cs, ns))
+        X = np.empty((2 * nb, rows))
+        root_w = np.empty((cv, cs, ns))
+        root_wpow = np.empty((cv, cs, ns))
+        ct_pow = np.empty((half_powers, cv, cs, ns))   # |cos theta|^(k+1)
         G = [np.zeros((2 * nb, 2 * nb)) for _ in monomials]
-        vb, wv = nodes_v[i0:i1], w_v[i0:i1]
+        vb = nodes_v[i0:i1]
         for j0 in range(0, Qn, cs):
             j1 = j0 + cs
-            vs, ws = nodes3[j0:j1], w3[j0:j1]
+            vs = nodes3[j0:j1]
             diff = vb[:, None, :] - vs[None, :, :]            # (cv, cs, 3)
             r = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
             rsafe = np.where(r > 0.0, r, 1.0)
@@ -296,19 +317,24 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
             vp_view -= Hv_T[:, i0:i1, None]
             vps_view = Dps.reshape(nb, cv, cs, ns)
             vps_view -= H3_T[:, None, j0:j1, None]
-            pair_w = wv[:, None] * ws[None, :]
+            root_pair = root_wv[i0:i1, None] * root_w3[None, j0:j1]
             grazing = r == 0.0
-            ct_pow = {power: np.power(ct, power) for power in powers}
+            if half_powers:
+                np.abs(ct, out=ct_pow[0])
+                for k in range(1, half_powers):
+                    np.multiply(ct_pow[k - 1], ct_pow[0], out=ct_pow[k])
             for gamma, members in by_gamma.items():
-                pw = pair_w * np.power(rsafe, gamma)
+                rpw = root_pair * np.power(rsafe, 0.5 * gamma)
                 if grazing.any():
-                    pw[grazing] = 0.0      # d = d* = 0 there anyway
-                np.multiply(pw[:, :, None], wsig[None, None, :], out=wbuf)
+                    rpw[grazing] = 0.0     # d = d* = 0 there anyway
+                np.multiply(rpw[:, :, None], root_wsig[None, None, :],
+                            out=root_w)
                 for m, power in members:
-                    w = wbuf if power == 0 else \
-                        np.multiply(wbuf, ct_pow[power], out=wpow)
-                    np.multiply(D, w.reshape(rows)[None, :], out=E)
-                    G[m] += E @ D.T
+                    rw = root_w if power == 0 else \
+                        np.multiply(root_w, ct_pow[power // 2 - 1],
+                                    out=root_wpow)
+                    np.multiply(D, rw.reshape(rows)[None, :], out=X)
+                    G[m] += X @ X.T        # symmetric rank-k update
         return G
 
     nblocks = Qv // cv

@@ -1,4 +1,4 @@
-"""Collision geometry, Gauss-Hermite / sphere quadrature, and seeded sampling.
+"""Gauss-Hermite, Gauss-Legendre and sphere quadrature rules.
 
 The Hermite rules integrate against the probabilists' weight
 (2*pi)^{-1/2} exp(-x^2/2) so that Maxwellian-weighted integrals carry no
@@ -16,8 +16,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "QuadratureRule", "post_collision", "hermite_rule_1d", "hermite_rule_3d",
-    "gauss_legendre", "sphere_rule", "CollisionSampler", "SPHERE_LEVELS",
+    "QuadratureRule", "hermite_rule_1d", "hermite_rule_3d", "gauss_legendre",
+    "sphere_rule", "SPHERE_LEVELS",
 ]
 
 SPHERE_LEVELS = {"coarse": (6, 12), "medium": (12, 24), "fine": (24, 48)}
@@ -37,33 +37,6 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# collision geometry
-# ---------------------------------------------------------------------------
-
-def post_collision(v, v_star, sigma, *, unit_tol: float = 1e-12):
-    """Map (v, v*, sigma) to the pre-collisional pair (v', v'*).
-
-    v'  = (v+v*)/2 + |v-v*|/2 * sigma
-    v'* = (v+v*)/2 - |v-v*|/2 * sigma
-
-    Momentum and kinetic energy are conserved identically; sigma must be a
-    unit vector within ``unit_tol``.  Accepts arrays of shape (..., 3).
-    """
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    norms = np.linalg.norm(sigma, axis=-1)
-    if np.any(np.abs(norms - 1.0) > unit_tol):
-        worst = float(np.max(np.abs(norms - 1.0)))
-        raise ValueError(f"sigma is not a unit vector: | |sigma|-1 | = {worst:.3e}")
-    center = 0.5 * (v + v_star)
-    half_r = 0.5 * np.linalg.norm(v - v_star, axis=-1)[..., None]
-    v_prime = center + half_r * sigma
-    v_prime_star = center - half_r * sigma
-    return v_prime, v_prime_star
 
 
 # ---------------------------------------------------------------------------
@@ -150,31 +123,3 @@ def half_sphere_rule(level: str = "medium") -> QuadratureRule:
     return QuadratureRule(full.nodes[keep].copy(), full.weights[keep].copy(),
                           "sphere_half", {"n_cos": n_cos, "n_phi": n_phi})
 
-
-# ---------------------------------------------------------------------------
-# seeded Monte-Carlo sampling over R^6 x S^2
-# ---------------------------------------------------------------------------
-
-class CollisionSampler:
-    """Deterministic sampler of (v, v*, sigma, weight) collision nodes.
-
-    v and v* are standard 3-D Gaussians so that M_i M_j^* / (rho_i rho_j) is
-    the sampling density; sigma is uniform on S^2 with the 1/(4*pi) folded
-    into the constant weight 4*pi.  The weighted sample mean is an unbiased
-    estimator of  integral g * M_1 M_1^* / rho^2 dv dv* dsigma.
-    """
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def draw(self, count: int):
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        v = self._rng.standard_normal((count, 3))
-        v_star = self._rng.standard_normal((count, 3))
-        raw = self._rng.standard_normal((count, 3))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        np.maximum(norms, 1e-300, out=norms)
-        sigma = raw / norms
-        weight = np.full(count, 4.0 * np.pi)
-        return v, v_star, sigma, weight

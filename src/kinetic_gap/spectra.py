@@ -31,7 +31,7 @@ from .eigen import eigvalsh
 from .galerkin import OperatorSet
 from .kernels import KernelFamily
 from .mixture import Mixture, extract_coefficients
-from .quadrature import CollisionSampler, hermite_rule_3d, post_collision
+from .quadrature import hermite_rule_3d
 
 __all__ = [
     "GapError", "InconclusivePositivityError", "generalized_eigs",
@@ -166,17 +166,34 @@ class DbEstimate:
     n_samples: int
 
 
+_DB_BATCH = 200_000      # samples per draw from the random stream
+_DB_CHUNK = 8_192        # samples per integrand evaluation, cache-sized
+
+
+def _unit_sigma(raw: np.ndarray) -> np.ndarray:
+    """Rows of ``raw`` scaled to unit length; a zero row has no direction
+    and raises ``ValueError``."""
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    if not norms.all():
+        raise ValueError("sigma is not a unit vector: a raw draw is zero")
+    return raw / norms
+
+
 def _db_integrand_parts(v, v_star, sigma):
-    """(r, cos_theta, third_u, third_e): pieces of min{|v-v'|^2/3, (|v'|^2-|v|^2)^2}."""
-    vp, _ = post_collision(v, v_star, sigma)
-    dvp = v - vp
-    u_term = np.einsum("ij,ij->i", dvp, dvp) / 3.0
-    e_diff = np.einsum("ij,ij->i", vp, vp) - np.einsum("ij,ij->i", v, v)
-    diff = v - v_star
-    r = np.linalg.norm(diff, axis=1)
-    rs = np.where(r > 0.0, r, 1.0)
-    cos_t = np.einsum("ij,ij->i", sigma, diff) / rs
-    return r, cos_t, u_term, e_diff * e_diff
+    """(r, cos_theta, third_u, third_e): pieces of min{|v-v'|^2/3, (|v'|^2-|v|^2)^2}.
+
+    In centre-of-mass form, with g = v - v*, c = (v + v*)/2, r = |g| and
+    v' = c + r sigma/2:  |v-v'|^2/3 = (r^2 - r sigma.g)/6 and
+    |v'|^2 - |v|^2 = r c.sigma - c.g.
+    """
+    g = v - v_star
+    c = 0.5 * (v + v_star)
+    r2 = np.einsum("ij,ij->i", g, g)
+    r = np.sqrt(r2)
+    sg = np.einsum("ij,ij->i", sigma, g)
+    e_diff = r * np.einsum("ij,ij->i", c, sigma) - np.einsum("ij,ij->i", c, g)
+    cos_t = sg / np.where(r > 0.0, r, 1.0)
+    return r, cos_t, (r2 - r * sg) / 6.0, e_diff * e_diff
 
 
 def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
@@ -184,6 +201,13 @@ def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
     """D^b = min_ij of the Monte-Carlo estimate of
 
         int B_ij min{|v-v'|^2/3, (|v'|^2-|v|^2)^2} M_i M_j^* dv dv* dsigma.
+
+    v and v* are standard 3-D Gaussians, so M_i M_j^* / (rho_i rho_j) is
+    the sampling density, and sigma is uniform on S^2 with the 1/(4 pi)
+    folded into the constant weight 4 pi.  Each batch of up to 200 000
+    samples is one draw of shape (3, batch, 3) from
+    ``numpy.random.default_rng(seed)``, (v, v*, raw sigma) in that order,
+    and is evaluated in cache-sized chunks.
 
     Raises :class:`InconclusivePositivityError` when the minimum is not
     positive at ``confidence_sigmas`` standard errors.
@@ -193,21 +217,22 @@ def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
     keys, pair_key = family.distinct_pairs()
     sums = np.zeros(len(keys))
     sq_sums = np.zeros(len(keys))
-    sampler = CollisionSampler(seed)
-    left = count
+    rng = np.random.default_rng(seed)
     # an overflow leaves inf or NaN, which the gate below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        while left > 0:
-            chunk = min(left, 200_000)
-            v, vs, sig, w = sampler.draw(chunk)
-            r, ct, ut, et = _db_integrand_parts(v, vs, sig)
-            base = w * np.minimum(ut, et)
-            for k, (phi_d, b_d) in enumerate(keys):
-                g = base * phi_d(np.where(r > 0, r, 1.0)) * b_d(ct)
-                g[r == 0.0] = 0.0
-                sums[k] += g.sum()
-                sq_sums[k] += (g * g).sum()
-            left -= chunk
+        for b0 in range(0, count, _DB_BATCH):
+            v, vs, raw = rng.standard_normal((3, min(_DB_BATCH, count - b0), 3))
+            for c0 in range(0, v.shape[0], _DB_CHUNK):
+                part = slice(c0, c0 + _DB_CHUNK)
+                r, ct, ut, et = _db_integrand_parts(v[part], vs[part],
+                                                    _unit_sigma(raw[part]))
+                base = 4.0 * math.pi * np.minimum(ut, et)
+                rs = np.where(r > 0.0, r, 1.0)
+                for k, (phi_d, b_d) in enumerate(keys):
+                    g = base * phi_d(rs) * b_d(ct)
+                    g[r == 0.0] = 0.0
+                    sums[k] += g.sum()
+                    sq_sums[k] += g @ g
 
         per_pair = {}
         for i in range(mixture.n):

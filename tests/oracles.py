@@ -3,9 +3,12 @@
 Nothing here calls the code paths under test: eigenvalues come from
 Householder + Sturm bisection, tensor Hermite values from row gathers of
 the 1-D tables, Gaussian moments from double factorials, the bi-species
-coercivity integral from its separable closed form and from a tensor
-quadrature, collision quadratic forms from the analytic relations of the
-collision geometry, collision frequencies from their 1-D radial
+coercivity integral from its separable closed form, from a tensor
+quadrature and from the one-pass Monte-Carlo estimator over
+:class:`CollisionSampler` draws and :func:`post_collision` (the
+package's chunked estimator draws the same stream), collision quadratic
+forms from the analytic relations of the collision geometry, collision
+frequencies from their 1-D radial
 reduction, the sampled certificate checks from a plain loop that
 evaluates one sample at a time, the kernel assumption audit from sampling
 grids, the assembly's block sum from a level-by-level pairwise sum, the
@@ -128,6 +131,58 @@ def maxwellian_moment(mixture, i: int, monomial: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# collision geometry and the seeded collision sampler
+# ---------------------------------------------------------------------------
+
+def post_collision(v, v_star, sigma, *, unit_tol: float = 1e-12):
+    """Map (v, v*, sigma) to the pre-collisional pair (v', v'*).
+
+    v'  = (v+v*)/2 + |v-v*|/2 * sigma
+    v'* = (v+v*)/2 - |v-v*|/2 * sigma
+
+    Momentum and kinetic energy are conserved identically; sigma must be a
+    unit vector within ``unit_tol``.  Accepts arrays of shape (..., 3).
+    """
+    v = np.asarray(v, dtype=float)
+    v_star = np.asarray(v_star, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    norms = np.linalg.norm(sigma, axis=-1)
+    if np.any(np.abs(norms - 1.0) > unit_tol):
+        worst = float(np.max(np.abs(norms - 1.0)))
+        raise ValueError(f"sigma is not a unit vector: | |sigma|-1 | = {worst:.3e}")
+    center = 0.5 * (v + v_star)
+    half_r = 0.5 * np.linalg.norm(v - v_star, axis=-1)[..., None]
+    v_prime = center + half_r * sigma
+    v_prime_star = center - half_r * sigma
+    return v_prime, v_prime_star
+
+
+class CollisionSampler:
+    """Deterministic sampler of (v, v*, sigma, weight) collision nodes.
+
+    v and v* are standard 3-D Gaussians so that M_i M_j^* / (rho_i rho_j) is
+    the sampling density; sigma is uniform on S^2 with the 1/(4*pi) folded
+    into the constant weight 4*pi.  The weighted sample mean is an unbiased
+    estimator of  integral g * M_1 M_1^* / rho^2 dv dv* dsigma.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def draw(self, count: int):
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        v = self._rng.standard_normal((count, 3))
+        v_star = self._rng.standard_normal((count, 3))
+        raw = self._rng.standard_normal((count, 3))
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        np.maximum(norms, 1e-300, out=norms)
+        sigma = raw / norms
+        weight = np.full(count, 4.0 * np.pi)
+        return v, v_star, sigma, weight
+
+
+# ---------------------------------------------------------------------------
 # the bi-species coercivity integral: closed form and tensor quadrature
 # ---------------------------------------------------------------------------
 
@@ -221,6 +276,43 @@ def quadrature_Db(mixture, family, q: int = 12,
         for j in range(mixture.n):
             out[(i, j)] = mixture.rho_inf[i] * mixture.rho_inf[j] \
                 * acc[pair_key[(i, j)]]
+    return out
+
+
+def single_pass_Db(mixture, family, seed: int, count: int) -> dict:
+    """Per-pair (mean, standard error) of the Monte-Carlo D^b integrals,
+    keyed by (i, j): :class:`CollisionSampler` draws batches of up to
+    200 000 samples, and each batch is evaluated in one pass through
+    :func:`post_collision` in the original coordinates."""
+    keys, pair_key = family.distinct_pairs()
+    sums = np.zeros(len(keys))
+    sq_sums = np.zeros(len(keys))
+    sampler = CollisionSampler(seed)
+    left = count
+    while left > 0:
+        chunk = min(left, 200_000)
+        v, vs, sig, w = sampler.draw(chunk)
+        vp, _ = post_collision(v, vs, sig)
+        dvp = v - vp
+        u_term = np.einsum("ij,ij->i", dvp, dvp) / 3.0
+        e_diff = np.einsum("ij,ij->i", vp, vp) - np.einsum("ij,ij->i", v, v)
+        diff = v - vs
+        r = np.linalg.norm(diff, axis=1)
+        rs = np.where(r > 0.0, r, 1.0)
+        ct = np.einsum("ij,ij->i", sig, diff) / rs
+        base = w * np.minimum(u_term, e_diff * e_diff)
+        for k, (phi_d, b_d) in enumerate(keys):
+            g = base * phi_d(rs) * b_d(ct)
+            g[r == 0.0] = 0.0
+            sums[k] += g.sum()
+            sq_sums[k] += (g * g).sum()
+        left -= chunk
+    out = {}
+    for (i, j), k in pair_key.items():
+        mean = sums[k] / count
+        se = math.sqrt(max(sq_sums[k] / count - mean * mean, 0.0) / count)
+        scale = mixture.rho_inf[i] * mixture.rho_inf[j]
+        out[(i, j)] = (scale * mean, scale * se)
     return out
 
 

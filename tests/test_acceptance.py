@@ -20,11 +20,11 @@ from kinetic_gap.galerkin import assemble_collision, build_operator_set
 from kinetic_gap.hermite import HermiteBasis
 from kinetic_gap.kernels import compute_ell_b
 from kinetic_gap.mixture import Mixture, project_onto
-from kinetic_gap.quadrature import hermite_rule_3d, post_collision
+from kinetic_gap.quadrature import hermite_rule_3d
 
 from conftest import hard_sphere_family, maxwell_family, power_family
-from oracles import (all_positive, compute_Cm, quadrature_Db,
-                     sturm_eigvalsh, symmetry_defect)
+from oracles import (all_positive, compute_Cm, post_collision,
+                     quadrature_Db, sturm_eigvalsh, symmetry_defect)
 from test_cli import hard_sphere_config, write_config
 
 

@@ -19,14 +19,14 @@ from kinetic_gap.hermite import HermiteBasis, hermite_table_3d
 from kinetic_gap.kernels import AngularPolynomial, KernelFamily, PowerLaw
 from kinetic_gap.mixture import Mixture, ker_L_basis, project_onto
 from kinetic_gap.quadrature import (half_sphere_rule, hermite_rule_3d,
-                                    post_collision, sphere_rule)
+                                    sphere_rule)
 
 from conftest import (hard_sphere_family, maxwell_family, mixed_gamma_family,
                       power_family)
 from oracles import (collision_form_moment_state, collision_frequency,
                      degree_mask, embed_species_polynomials,
-                     full_monomial_pass, pairwise_sum, radial_frequency,
-                     symmetry_defect)
+                     full_monomial_pass, pairwise_sum, post_collision,
+                     radial_frequency, symmetry_defect)
 
 
 class TestCollisionFrequency:
@@ -341,6 +341,39 @@ class TestMirrorFold:
         for tb, tr in zip(got, ref):
             assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
             assert np.all(tb[:, odd] == 0.0)
+
+    @pytest.mark.parametrize("q, N, level", [
+        (3, 3, "medium"), (6, 4, "coarse"), (8, 3, "coarse"),
+        (10, 4, "medium"), (10, 4, "fine")])
+    def test_slabs_fit_the_row_target(self, q, N, level):
+        Qn = q ** 3
+        Qv = galerkin._mirror_fold(hermite_rule_3d(q).nodes)[0].shape[0]
+        ns = len(half_sphere_rule(level))
+        cv, cs = galerkin._slab_shape(Qv, Qn, ns,
+                                      HermiteBasis(N, 1).per_species_size,
+                                      galerkin.DEFAULT_MEMORY_CAP)
+        assert Qv % cv == 0 and Qn % cs == 0
+        assert cv * cs * ns <= galerkin._ROWS_TARGET
+
+    def test_slab_size_does_not_move_the_blocks(self):
+        # the same pass in slabs of up to 120 000 rows, the size before
+        # slabs were cut to cache size
+        q, N, level = 6, 3, "coarse"
+        basis = HermiteBasis(N, 1)
+        rule3, half = hermite_rule_3d(q), half_sphere_rule(level)
+        Qn, ns = rule3.nodes.shape[0], len(half)
+        Qv = galerkin._mirror_fold(rule3.nodes)[0].shape[0]
+        cv, cs = galerkin._slab_shape(Qv, Qn, ns, basis.per_species_size,
+                                      galerkin.DEFAULT_MEMORY_CAP)
+        big_cs = max(d for d in range(1, Qn + 1)
+                     if Qn % d == 0 and cv * d * ns <= 120_000)
+        assert big_cs > cs
+        got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
+                                      cv, cs, threads=1)
+        big = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
+                                      cv, big_cs, threads=1)
+        for tb, tr in zip(got, big):
+            assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
 
     def test_quadrature_rows_count_the_folded_pass(self):
         L = assemble_collision(Mixture((1.0,)), maxwell_family(1),

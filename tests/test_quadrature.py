@@ -3,12 +3,11 @@ import time
 import numpy as np
 import pytest
 
-from kinetic_gap.quadrature import (SPHERE_LEVELS, CollisionSampler,
-                                    gauss_legendre, half_sphere_rule,
-                                    hermite_rule_1d, hermite_rule_3d,
-                                    post_collision, sphere_rule)
+from kinetic_gap.quadrature import (SPHERE_LEVELS, gauss_legendre,
+                                    half_sphere_rule, hermite_rule_1d,
+                                    hermite_rule_3d, sphere_rule)
 
-from oracles import gaussian_moment_1d
+from oracles import CollisionSampler, gaussian_moment_1d, post_collision
 
 
 class TestHermiteRules:

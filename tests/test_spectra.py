@@ -9,12 +9,14 @@ import scipy.linalg
 from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import build_operator_set
+from kinetic_gap.kernels import AngularPolynomial, KernelFamily, PowerLaw
 from kinetic_gap.mixture import Mixture, project_onto
 
 from conftest import hard_sphere_family, maxwell_family
-from oracles import (all_positive, closed_form_Db, compute_Cm,
-                     embed_species_polynomials, h12_loop, h12_margin, nu_bar_4,
-                     quadrature_Db, step_lemma_ledger_loop, step_lemma_margins,
+from oracles import (CollisionSampler, all_positive, closed_form_Db,
+                     compute_Cm, embed_species_polynomials, h12_loop,
+                     h12_margin, nu_bar_4, quadrature_Db, single_pass_Db,
+                     step_lemma_ledger_loop, step_lemma_margins,
                      sturm_eigvalsh)
 
 
@@ -116,7 +118,54 @@ class TestCm:
         assert gaps[0] == pytest.approx(gaps[1], abs=1e-8)
 
 
+def six_kernel_family() -> KernelFamily:
+    """n = 3 with a distinct C r^gamma b(cos theta) for each of the six
+    species pairs (declared constants unused)."""
+    kernels = {(0, 0): (1.0, 1.0, (1.0,)),
+               (1, 1): (0.8, 0.5, (0.9, 0.0, 0.4)),
+               (2, 2): (1.3, 0.0, (1.2,)),
+               (0, 1): (0.6, 0.7, (0.5, 0.0, 0.3, 0.0, 0.2)),
+               (0, 2): (1.1, 0.2, (1.0, 0.0, 0.8)),
+               (1, 2): (0.9, 1.0, (0.7, 0.0, 0.0, 0.0, 0.5))}
+    phi = [[None] * 3 for _ in range(3)]
+    b = [[None] * 3 for _ in range(3)]
+    for (i, j), (C, gamma, coeffs) in kernels.items():
+        phi[i][j] = phi[j][i] = PowerLaw(C, gamma)
+        b[i][j] = b[j][i] = AngularPolynomial(coeffs)
+    return KernelFamily(n=3, phi=phi, b=b, gamma=0.0, C1=0.1, C2=2.0,
+                        delta=0.5, C3=2.0, C4=2.0, beta=10.0)
+
+
 class TestDb:
+    @pytest.mark.parametrize("count", [10, 8_193, 200_003])
+    def test_chunks_match_the_single_pass_estimator(self, count):
+        # 8 193 crosses a chunk boundary, 200 003 a batch boundary
+        mx = Mixture((0.7, 1.0, 1.6))
+        fam = six_kernel_family()
+        est = sp.compute_Db(mx, fam, seed=9, count=count,
+                            confidence_sigmas=0.0)
+        ref = single_pass_Db(mx, fam, seed=9, count=count)
+        assert est.per_pair.keys() == ref.keys()
+        for pair, (value, se) in ref.items():
+            got_value, got_se = est.per_pair[pair]
+            assert got_value == pytest.approx(value, rel=1e-12)
+            assert got_se == pytest.approx(se, rel=1e-12)
+        assert (est.value, est.std_err) == est.per_pair[est.pair]
+        assert est.pair == min(ref, key=lambda pair: ref[pair][0])
+
+    def test_draw_is_the_sampler_stream(self):
+        # one (3, batch, 3) draw per batch is the sampler's v, v*, raw
+        # sigma in turn
+        v, vs, raw = np.random.default_rng(4).standard_normal((3, 1000, 3))
+        sv, svs, ssigma, _ = CollisionSampler(4).draw(1000)
+        assert np.array_equal(v, sv) and np.array_equal(vs, svs)
+        assert np.array_equal(sp._unit_sigma(raw), ssigma)
+
+    def test_zero_raw_draw_rejected(self):
+        raw = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="unit vector"):
+            sp._unit_sigma(raw)
+
     def test_integrand_vanishes_on_energy_shell(self, rng):
         from kinetic_gap.spectra import _db_integrand_parts
         v = rng.standard_normal((100, 3))
