@@ -30,24 +30,46 @@ A real field has f_{-m} = conj(f_m) and A_{-m} = conj(A_m), so the rows
 ``modes[:K // 2 + 1]`` of :func:`modes_up_to` (one mode of each pair +-m,
 then m = 0) decide everything: the decay run evolves and measures only
 these (:func:`independent_half`, :func:`real_field_mode_norms`,
-:func:`real_field_forms`), and the search and the certificate visit only
-these modes.
+:func:`real_field_forms`), and the search visits only these modes.
+
+The kernels are isotropic, so a signed axis permutation g, with
+(g m)_{pi(a)} = s_a m_a, maps A_m onto A_{g m} = U_g A_m U_g^T, U_g the
+signed permutation of the multi-indices, whenever U_g maps L onto itself;
+the transports and the velocity gradients map onto each other exactly.
+:func:`mode_symmetries` admits g only if
+max|U_g L U_g^T - L| <= T eps max|L|.  The x and z mirrors pass with a
+defect of exactly 0, since the mirror fold of the collision quadrature
+writes exact zeros.  The y mirror and the permutations hold only to the
+accuracy of the quadrature: to rounding on the benchmark families, but at
+N = 6, q = 8 on the coarse sphere only x <-> y passes and the other
+permutations are off by 8.3e-3.  Under the admitted maps and conjugation
+the modes fall into orbits (:func:`_orbits`); with all 48 maps the
+independent halves at M_max = 1, 2, 3 (14, 63 and 172 modes) are 4, 10
+and 20 orbits.  The certificate solves one pencil per orbit.
+:func:`evolve` computes one propagator per orbit and maps it onto the
+other modes of the orbit by exact signed row and column permutations,
+conjugated where the map negates m.  It raises the step propagator to
+the number of steps between two recorded states, so the modes advance by
+one stacked product per recorded state.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
 from .galerkin import OperatorSet
+from .hermite import HermiteBasis
 from .mixture import project_onto
 from .spectra import complement_basis, generalized_eigs
 
 __all__ = [
     "expm", "mode_generator", "TorusState", "Trajectory", "UnstableStepError",
-    "recorded_steps", "evolve", "h1_norm", "hypo_functional",
+    "recorded_steps", "mode_symmetries", "evolve", "h1_norm", "hypo_functional",
     "independent_half", "real_field_mode_norms", "real_field_forms",
     "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS", "fit_decay", "DecayReport",
     "search_coefficients", "SearchResult",
@@ -139,26 +161,157 @@ def recorded_steps(dt: float, t_end: float, record_every: int) -> list:
     return [*range(0, n_steps, record_every), n_steps]
 
 
-def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
-           t_end: float, scheme: str = "expm",
+# ---------------------------------------------------------------------------
+# symmetry orbits of the modes
+# ---------------------------------------------------------------------------
+
+# The 48 signed axis permutations g = (pi, s): axis a goes to axis pi[a]
+# with sign s[a], so (g m)_{pi[a]} = s[a] m_a.  Where several maps take a
+# mode to its representative, the first in this order is used: the x and
+# z mirrors, then the y mirror, then the permutations.
+_AXIS_MAPS = tuple((pi, (sx, sy, sz))
+                   for pi in itertools.permutations(range(3))
+                   for sy in (1, -1) for sx in (1, -1) for sz in (1, -1))
+_MODE_MAPS = np.array([np.eye(3, dtype=int)[:, pi] * s
+                       for pi, s in _AXIS_MAPS])       # g m = _MODE_MAPS[g] m
+
+
+@lru_cache(maxsize=None)
+def _coefficient_maps(basis: HermiteBasis) -> tuple:
+    """(q, sigma), each (48, T): the signed permutation U_g of the
+    coefficients, e_alpha -> prod_a s_a^alpha_a e_beta with
+    beta_{pi[a]} = alpha_a in every species block, acts on a matrix as
+    U_g^T X U_g = sigma sigma^T * X[q][:, q]."""
+    idx = basis.indices
+    n = basis.n_species
+    pos = {a: k for k, a in enumerate(map(tuple, idx.tolist()))}
+    offsets = len(idx) * np.arange(n)[:, None]
+    q, sigma = [], []
+    for pi, s in _AXIS_MAPS:
+        beta = np.empty_like(idx)
+        beta[:, pi] = idx
+        q.append((offsets + [pos[b] for b in map(tuple, beta.tolist())]).ravel())
+        sigma.append(np.tile(np.prod(np.power(s, idx), axis=1), n))
+    return np.array(q), np.array(sigma, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _parity_classes(basis: HermiteBasis) -> tuple:
+    """(gather, starts, signs) for :func:`mode_symmetries`.
+
+    Entry (i, j) of sigma sigma^T (:func:`_coefficient_maps`) is
+    prod_a s_a^c_a, c the parity of alpha_i + alpha_j, so it depends only
+    on the parity class c.  Row p of ``gather`` (6, T * T) takes the
+    entries of X[q][:, q] for the p-th permutation out of the flattened
+    X, sorted by class (row 0 is the identity); each present class starts
+    at ``starts``, and ``signs`` (8, classes) holds the sign of each class
+    under the eight sign patterns s of ``_AXIS_MAPS``.
+    """
+    par = np.tile(basis.indices % 2, (basis.n_species, 1))
+    code = ((par[:, None, :] ^ par[None, :, :]) @ [4, 2, 1]).ravel()
+    order = np.argsort(code, kind="stable")
+    present, starts = np.unique(code[order], return_index=True)
+    patterns = np.array([s for _, s in _AXIS_MAPS[:8]])
+    signs = np.prod(patterns[:, None, :]
+                    ** ((present[:, None] >> np.arange(2, -1, -1)) & 1),
+                    axis=-1)
+    q = _coefficient_maps(basis)[0][::len(patterns)]    # one per permutation
+    gather = (q[:, :, None] * len(par) + q[:, None, :]).reshape(len(q), -1)
+    return gather[:, order], starts, signs
+
+
+def mode_symmetries(L: np.ndarray, basis: HermiteBasis) -> np.ndarray:
+    """Indices into ``_AXIS_MAPS`` of the maps g that L admits:
+    max|U_g L U_g^T - L| <= T eps max|L|.
+
+    The transports and the velocity gradients map as V_a -> s_a V_{pi(a)}
+    and G_a -> s_a G_{pi(a)} exactly, so each admitted g gives
+    A_{g m} = U_g A_m U_g^T, the same for the pencils, and the
+    propagator of g m from that of m by a signed permutation.  The x and
+    z mirrors hold exactly; the other maps hold only as well as the
+    quadrature that assembled L, so each is checked.  Entry by entry,
+    U_g^T L U_g - L is X - L or -(X + L), X = L[q][:, q] the permuted L,
+    by the parity class of the entry (:func:`_parity_classes`), so the
+    eight maps that share a permutation share the class maxima of
+    |X - L| and |X + L|.
+    """
+    if len(L) != basis.total_size:
+        raise ValueError("operator dimensions disagree")
+    gather, starts, signs = _parity_classes(basis)
+    X = L.ravel()[gather]                       # (6, T * T), by class
+    same = np.maximum.reduceat(np.abs(X - X[0]), starts, axis=1)
+    flipped = np.maximum.reduceat(np.abs(X + X[0]), starts, axis=1)
+    defect = np.where(signs > 0, same[:, None], flipped[:, None]).max(axis=2)
+    tol = len(L) * np.finfo(float).eps * np.max(np.abs(L))
+    return np.flatnonzero(defect.ravel() <= tol)
+
+
+def _orbits(modes, symmetries) -> tuple:
+    """(reps (r, 3), which (k,), g (k,), conj (k,)) of the modes (k, 3)
+    under the admitted ``symmetries`` and conjugation, A_{-m} = conj(A_m).
+
+    Mode k's representative is reps[which[k]], the lexicographically
+    smallest mode of its orbit, reached from m~ = m or -m, whichever comes
+    first in :func:`modes_up_to`, by the map _AXIS_MAPS[g[k]] and a
+    negation: A_m = U_g^T A_rep U_g, conjugated where conj[k].  All of it
+    is a function of the mode and the admitted maps alone, so m and -m
+    share g and differ in conj.
+    """
+    modes = np.asarray(modes, dtype=int)
+    k = len(modes)
+    lead = modes[np.arange(k), np.argmax(modes != 0, axis=1)]
+    flip = lead > 0
+    base = np.where(flip[:, None], -modes, modes)
+    # a mode as a number in balanced radix keeps the lexicographic order:
+    # key[2 i] is that of g_i m~, key[2 i + 1] that of -g_i m~
+    radix = 2 * max(int(np.max(np.abs(modes), initial=0)), 1) + 1
+    place = np.array([radix * radix, radix, 1])
+    key = (place @ _MODE_MAPS[symmetries]) @ base.T
+    key = np.stack([key, -key], axis=1).reshape(-1, k)
+    best = np.argmin(key, axis=0)               # first minimum
+    _, first, which = np.unique(key[best, np.arange(k)], return_index=True,
+                                return_inverse=True)
+    g, negate = symmetries[best // 2], best % 2 == 1
+    reps = (_MODE_MAPS[g[first]] @ base[first, :, None])[..., 0]
+    reps[negate[first]] *= -1
+    return reps, which, g, flip ^ negate
+
+
+def _map_propagators(P, basis: HermiteBasis, which, g, conj) -> np.ndarray:
+    """The propagators (k, T, T) of the modes from those of their
+    representatives P (r, T, T), by :func:`_orbits`; exact."""
+    q, sigma = (x[g] for x in _coefficient_maps(basis))
+    T = P.shape[1]
+    out = P.ravel()[(which[:, None, None] * T + q[:, :, None]) * T
+                    + q[:, None, :]]
+    out *= sigma[:, :, None] * sigma[:, None, :]
+    np.conjugate(out, out=out, where=conj[:, None, None])
+    return out
+
+
+def evolve(state: TorusState, L: np.ndarray, transports, basis: HermiteBasis,
+           dt: float, t_end: float, scheme: str = "expm",
            record_every: int = 1) -> Trajectory:
     """Advance every mode independently and record the trajectory at the
     :func:`recorded_steps` of the schedule.
 
-    ``expm`` builds one propagator e^{dt A_m} per mode with
-    ``scipy.linalg.expm`` (semigroup-exact to rounding); ``midpoint`` is the
-    implicit midpoint rule, second order; it raises
-    :class:`UnstableStepError` when dt * ||A_m|| > 1e3 for some mode.
-    The propagators form one (K, T, T) stack, so a step advances all modes
-    with one stacked product.
+    ``expm`` builds the propagator e^{dt A_m} with ``scipy.linalg.expm``
+    (semigroup-exact to rounding); ``midpoint`` is the implicit midpoint
+    rule, second order; it raises :class:`UnstableStepError` when
+    dt * ||A_m|| > 1e3 for some mode.  Only the representative of each
+    orbit (:func:`mode_symmetries`, :func:`_orbits`) gets its own
+    propagator.  Between two recorded states the step propagator is
+    raised to the number of steps between them, mapped onto every mode,
+    and the modes advance with one stacked product per recorded state.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     if scheme not in ("expm", "midpoint"):
         raise ValueError(f"unknown scheme {scheme!r}")
     K, T = state.coeffs.shape
-    P = np.empty((K, T, T), dtype=complex)
-    for k, m in enumerate(state.modes):
+    reps, *maps = _orbits(state.modes, mode_symmetries(L, basis))
+    P = np.empty((len(reps), T, T), dtype=complex)
+    for k, m in enumerate(reps):
         A = mode_generator(L, transports, m)
         if scheme == "expm":
             P[k] = expm(dt * A)
@@ -174,10 +327,13 @@ def evolve(state: TorusState, L: np.ndarray, transports, dt: float,
     coeffs = np.empty((len(steps), K, T), dtype=complex)
     coeffs[0] = state.coeffs
     X = coeffs[0, ..., None]
-    for r, (done, k) in enumerate(zip(steps, steps[1:]), 1):
-        for _ in range(k - done):
-            X = np.matmul(P, X)
-        coeffs[r] = X[..., 0]
+    r = 1
+    for j, run in itertools.groupby(np.diff(steps)):
+        Pj = _map_propagators(np.linalg.matrix_power(P, j), basis, *maps)
+        for _ in run:
+            X = np.matmul(Pj, X)
+            coeffs[r] = X[..., 0]
+            r += 1
     return Trajectory(state.time + np.array(steps) * dt, coeffs)
 
 
@@ -500,17 +656,18 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
 
     (the pencils of :func:`_pencils`, assembled from the :func:`_blocks`
     formed once per call), restricted, at m = 0, to the complement of ker(L).
-    A_{-m} = conj(A_m) gives the conjugate pencil and the same kappa_m, so
-    only the modes of :func:`independent_half` are solved.  Since
-    <s, H s> = -(dG/dt)/2, the returned min_m kappa_m certifies
+    An admitted map g gives the congruent pencil U_g (H, N) U_g^T at g m,
+    and A_{-m} = conj(A_m) the conjugate one, each with the same kappa_m,
+    so only the representative of each orbit (:func:`_orbits`) is solved.
+    Since <s, H s> = -(dG/dt)/2, the returned min_m kappa_m certifies
     dG/dt <= -2 kappa ||f||_{H1}^2, whereas the kappa of
     :func:`search_coefficients` is the best kappa in
     dG/dt <= -kappa ||f||_{H1}^2 over its state bases only.
     """
     _check_coeffs(*c)
     W = complement_basis(ops.ker_L, ops.total_size)
-    modes = modes_up_to(m_max)
-    modes = modes[:len(modes) // 2 + 1]
+    modes = _orbits(modes_up_to(m_max),
+                    mode_symmetries(ops.L.matrix, ops.basis))[0]
     kappa = math.inf
     for m, H, N in zip(modes, *_pencils(ops, c, modes)):
         if not m.any():

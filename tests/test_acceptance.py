@@ -182,7 +182,7 @@ def test_criterion_8_hypocoercive_decay(ops_ref):
     par_L = project_onto(ops_ref.ker_L, c0.real)
     assert np.linalg.norm(par - par_L) > 1e-4
 
-    traj = ev.evolve(f_I, ops_ref.L.matrix, ops_ref.transports,
+    traj = ev.evolve(f_I, ops_ref.L.matrix, ops_ref.transports, ops_ref.basis,
                      dt=0.1, t_end=8.0)
     kproj0 = ops_ref.ker_L.T @ f_I.coeffs[zero]
     h1_dist, g_vals, drift = [], [], 0.0
@@ -236,12 +236,12 @@ def test_criterion_9_numerical_infrastructure(ops_small):
     c = rng.standard_normal(ops.total_size) \
         + 1j * rng.standard_normal(ops.total_size)
     st = ev.TorusState(np.array([(1, 0, 0)]), c[None, :])
-    ref_state = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.05,
-                          t_end=1.0, scheme="expm").coeffs[-1]
+    ref_state = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                          dt=0.05, t_end=1.0, scheme="expm").coeffs[-1]
     errs = []
     for dt in (0.05, 0.025):
-        got = ev.evolve(st, ops.L.matrix, ops.transports, dt=dt, t_end=1.0,
-                        scheme="midpoint").coeffs[-1]
+        got = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                        dt=dt, t_end=1.0, scheme="midpoint").coeffs[-1]
         errs.append(np.linalg.norm(got[0] - ref_state[0]))
     ratio = errs[0] / errs[1]
     ratio_ok = 3.5 <= ratio <= 4.5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -82,7 +83,8 @@ class TestEvolve:
         ops = ops_small
         coeff = ops.ker_L @ np.arange(1.0, ops.ker_L.shape[1] + 1.0)
         st = one_mode((0, 0, 0), coeff.astype(complex))
-        traj = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.1, t_end=1.0)
+        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                         dt=0.1, t_end=1.0)
         drift = np.max(np.abs(traj.coeffs[-1, 0] - coeff))
         assert drift <= 1e-10 * np.max(np.abs(coeff))
 
@@ -90,7 +92,8 @@ class TestEvolve:
         ops = ops_small
         st = ev.random_physical_state(rng, ops.total_size, m_max=1)
         zero = np.zeros_like(ops.L.matrix)
-        traj = ev.evolve(st, zero, ops.transports, dt=0.05, t_end=1.0)
+        traj = ev.evolve(st, zero, ops.transports, ops.basis,
+                         dt=0.05, t_end=1.0)
         n0 = norm_sq(st.coeffs)
         assert abs(norm_sq(traj.coeffs[-1]) - n0) <= 1e-9 * n0
 
@@ -99,12 +102,12 @@ class TestEvolve:
         c = rng.standard_normal(ops.total_size) \
             + 1j * rng.standard_normal(ops.total_size)
         st = one_mode((1, 0, 0), c)
-        ref = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.05, t_end=1.0,
-                        scheme="expm").coeffs[-1, 0]
+        ref = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                        dt=0.05, t_end=1.0, scheme="expm").coeffs[-1, 0]
         errs = []
         for dt in (0.05, 0.025):
-            got = ev.evolve(st, ops.L.matrix, ops.transports, dt=dt,
-                            t_end=1.0, scheme="midpoint").coeffs[-1]
+            got = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                            dt=dt, t_end=1.0, scheme="midpoint").coeffs[-1]
             errs.append(np.linalg.norm(got[0] - ref))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
@@ -113,16 +116,17 @@ class TestEvolve:
         ops = ops_small
         st = one_mode((0, 0, 0), np.ones(ops.total_size, dtype=complex))
         with pytest.raises(ValueError, match="1e3"):
-            ev.evolve(st, ops.L.matrix, ops.transports, dt=1e4, t_end=2e4,
-                      scheme="midpoint")
+            ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                      dt=1e4, t_end=2e4, scheme="midpoint")
 
     def test_mode_decoupling(self, ops_small, rng):
         ops = ops_small
         st = ev.random_physical_state(rng, ops.total_size, m_max=1)
-        full = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.1, t_end=0.5)
+        full = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                         dt=0.1, t_end=0.5)
         for k, m in enumerate(st.modes):
             single = ev.evolve(one_mode(m, st.coeffs[k]), ops.L.matrix,
-                               ops.transports, dt=0.1, t_end=0.5)
+                               ops.transports, ops.basis, dt=0.1, t_end=0.5)
             dev = np.max(np.abs(full.coeffs[-1, k] - single.coeffs[-1, 0]))
             assert dev <= 1e-12 * max(1.0, np.max(np.abs(st.coeffs[k])))
 
@@ -130,10 +134,10 @@ class TestEvolve:
         st = one_mode((0, 0, 0), np.ones(ops_small.total_size, dtype=complex))
         with pytest.raises(ValueError):
             ev.evolve(st, ops_small.L.matrix, ops_small.transports,
-                      dt=-0.1, t_end=1.0)
+                      ops_small.basis, dt=-0.1, t_end=1.0)
         with pytest.raises(ValueError, match="scheme"):
             ev.evolve(st, ops_small.L.matrix, ops_small.transports,
-                      dt=0.1, t_end=1.0, scheme="rk9")
+                      ops_small.basis, dt=0.1, t_end=1.0, scheme="rk9")
 
 
 class TestNorms:
@@ -317,8 +321,8 @@ class TestFitDecay:
         w, v = jacobi_eigh(ops.lam.matrix)
         c = v[:, 0] + 0.05 * rng.standard_normal(ops.total_size)
         st = one_mode((0, 0, 0), c.astype(complex))
-        traj = ev.evolve(st, -ops.lam.matrix, ops.transports, dt=0.02,
-                         t_end=1.2)
+        traj = ev.evolve(st, -ops.lam.matrix, ops.transports, ops.basis,
+                         dt=0.02, t_end=1.2)
         vals = np.array([math.sqrt(norm_sq(X)) for X in traj.coeffs])
         rep = ev.fit_decay(traj.times, vals, transient_frac=0.4)
         assert rep.tau_fit == pytest.approx(w[0], rel=0.02)
@@ -333,8 +337,8 @@ class TestFitDecay:
         # horizon scaled to the mode rate so the series stays above the floor
         t_end = 6.0 / mu
         st = one_mode((0, 0, 0), (1e-3 * v[:, k]).astype(complex))
-        traj = ev.evolve(st, ops.L.matrix, ops.transports, dt=t_end / 60.0,
-                         t_end=t_end)
+        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                         dt=t_end / 60.0, t_end=t_end)
         vals = np.array([math.sqrt(norm_sq(X)) for X in traj.coeffs])
         rep = ev.fit_decay(traj.times, vals)
         assert rep.tau_fit == pytest.approx(mu, rel=0.02)
@@ -481,16 +485,167 @@ class TestModeArray:
                                       ops.total_size, m_max)
         ref = dict_random_physical_state(np.random.default_rng(7),
                                          ops.total_size, m_max)
-        traj = ev.evolve(st, ops.L.matrix, ops.transports, dt=0.05,
+        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis, dt=0.05,
                          t_end=1.0, scheme=scheme, record_every=3)
         times, states = dict_evolve(ref, ops.L.matrix, ops.transports,
                                     dt=0.05, t_end=1.0, scheme=scheme,
                                     record_every=3)
         assert np.array_equal(traj.times, times)
         assert traj.coeffs.shape == (len(states),) + st.coeffs.shape
+        # permutation maps and powers of the step propagator move the
+        # last bits
+        for X, state in zip(traj.coeffs, states):
+            ref = np.array([state[tuple(m)] for m in st.modes.tolist()])
+            assert np.max(np.abs(X - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme", ["expm", "midpoint"])
+    def test_sign_maps_match_per_mode_dict_bitwise(self, ops_small, scheme):
+        # the modes whose propagator is their representative's under x and
+        # z mirrors and conjugation alone, stepped one step at a time
+        ops = ops_small
+        st = ev.random_physical_state(np.random.default_rng(7),
+                                      ops.total_size, 1)
+        ref = dict_random_physical_state(np.random.default_rng(7),
+                                         ops.total_size, 1)
+        _, _, g, _ = ev._orbits(st.modes, ev.mode_symmetries(ops.L.matrix,
+                                                            ops.basis))
+        keep = [sign_map_only(k) for k in g]
+        assert 4 < sum(keep) < len(keep)
+        st = ev.TorusState(st.modes[keep], st.coeffs[keep])
+        ref = {tuple(m): ref[tuple(m)] for m in st.modes.tolist()}
+        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+                         dt=0.05, t_end=1.0, scheme=scheme, record_every=1)
+        _, states = dict_evolve(ref, ops.L.matrix, ops.transports, dt=0.05,
+                                t_end=1.0, scheme=scheme, record_every=1)
         for X, state in zip(traj.coeffs, states):
             for k, m in enumerate(st.modes.tolist()):
                 assert np.array_equal(X[k], state[tuple(m)])
+
+
+def sign_map_only(g) -> bool:
+    """Whether the map g of ``evolution._AXIS_MAPS`` is x and z mirrors
+    alone, which L admits exactly."""
+    pi, s = ev._AXIS_MAPS[g]
+    return pi == (0, 1, 2) and s[1] == 1
+
+
+def axis_map_matrix(basis, g) -> np.ndarray:
+    """U_g written out from the multi-indices: e_alpha ->
+    prod_a s_a^alpha_a e_beta, beta_{pi(a)} = alpha_a, in every species."""
+    pi, s = ev._AXIS_MAPS[g]
+    idx = [tuple(a) for a in basis.indices.tolist()]
+    nb = len(idx)
+    U = np.zeros((basis.total_size, basis.total_size))
+    for i in range(basis.n_species):
+        for col, alpha in enumerate(idx):
+            beta = [0, 0, 0]
+            for a in range(3):
+                beta[pi[a]] = alpha[a]
+            U[i * nb + idx.index(tuple(beta)), i * nb + col] = \
+                math.prod(s[a] ** alpha[a] for a in range(3))
+    return U
+
+
+class TestOrbits:
+    """One propagator and one pencil per orbit of modes under the signed
+    axis permutations that L admits, and conjugation."""
+
+    DT = 0.05
+
+    @pytest.mark.parametrize("ops_name", ["ops_small", "ops_mixed2"])
+    def test_mapped_propagators_match_expm(self, request, ops_name):
+        ops = request.getfixturevalue(ops_name)
+        L = ops.L.matrix
+        modes = ev.modes_up_to(2)
+        sym = ev.mode_symmetries(L, ops.basis)
+        assert len(sym) == 48
+        reps, which, g, conj = ev._orbits(modes, sym)
+        assert len(reps) == 10
+        P = np.array([ev.expm(self.DT * ev.mode_generator(L, ops.transports,
+                                                          m)) for m in reps])
+        mapped = ev._map_propagators(P, ops.basis, which, g, conj)
+        for k, m in enumerate(modes):
+            ref = ev.expm(self.DT * ev.mode_generator(L, ops.transports, m))
+            if sign_map_only(g[k]):
+                assert np.array_equal(mapped[k], ref)
+            else:
+                assert np.max(np.abs(mapped[k] - ref)) \
+                    <= 1e-13 * np.max(np.abs(ref))
+
+    def test_maps_are_the_axis_maps_of_the_basis(self, ops_small):
+        # each map sends the transports onto each other as V_a ->
+        # s_a V_pi(a), and agrees with U_g written out
+        ops = ops_small
+        q, sigma = ev._coefficient_maps(ops.basis)
+        V = [t.matrix for t in ops.transports]
+        for g, (pi, s) in enumerate(ev._AXIS_MAPS):
+            U = axis_map_matrix(ops.basis, g)
+            X = ops.L.matrix + np.arange(ops.total_size)[:, None]
+            assert np.array_equal(U.T @ X @ U, np.outer(sigma[g], sigma[g])
+                                  * X[np.ix_(q[g], q[g])])
+            for a in range(3):
+                assert np.array_equal(U @ V[a] @ U.T, s[a] * V[pi[a]])
+
+    def test_guard_rejects_broken_permutations(self, ops_small):
+        # L pushed off permutation symmetry on one symmetric entry pair:
+        # alpha = (2, 1, 0) and (0, 1, 2) keep their x and z parities, and
+        # only the maps that pass the check are used
+        ops = ops_small
+        idx = [tuple(a) for a in ops.basis.indices.tolist()]
+        i, j = idx.index((2, 1, 0)), idx.index((0, 1, 2))
+        L = ops.L.matrix.copy()
+        L[i, j] += 1e-6 * np.max(np.abs(L))
+        L[j, i] = L[i, j]
+        tol = len(L) * np.finfo(float).eps * np.max(np.abs(L))
+        passing = [g for g in range(len(ev._AXIS_MAPS))
+                   if np.max(np.abs(axis_map_matrix(ops.basis, g) @ L
+                                    @ axis_map_matrix(ops.basis, g).T - L))
+                   <= tol]
+        sym = ev.mode_symmetries(L, ops.basis)
+        assert sym.tolist() == passing
+        # the x and z mirrors, maps 0-3, hold exactly
+        assert {0, 1, 2, 3} <= set(passing) and len(passing) < 48
+        assert len(ev._orbits(ev.modes_up_to(1), sym)[0]) > 4
+
+        st = ev.random_physical_state(np.random.default_rng(7),
+                                      ops.total_size, 2)
+        ref = dict_random_physical_state(np.random.default_rng(7),
+                                         ops.total_size, 2)
+        traj = ev.evolve(st, L, ops.transports, ops.basis, dt=self.DT,
+                         t_end=1.0, record_every=3)
+        _, states = dict_evolve(ref, L, ops.transports, dt=self.DT,
+                                t_end=1.0, record_every=3)
+        for X, state in zip(traj.coeffs, states):
+            want = np.array([state[tuple(m)] for m in st.modes.tolist()])
+            assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
+
+        broken = dataclasses.replace(ops, L=dataclasses.replace(ops.L,
+                                                                matrix=L))
+        c = ev.search_coefficients(broken, m_max=2).c
+        assert ev.certify_coefficients(broken, c, m_max=2) == pytest.approx(
+            all_modes_certificate(broken, c, 2), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m_max,orbits", [(1, 4), (2, 10)])
+    def test_one_solve_per_orbit(self, ops_small, monkeypatch, m_max,
+                                 orbits):
+        ops = ops_small
+        calls = {"eigs": 0, "expm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ev, "generalized_eigs",
+                            counted("eigs", ev.generalized_eigs))
+        monkeypatch.setattr(ev, "expm", counted("expm", ev.expm))
+        ev.certify_coefficients(ops, (1.0, 2.0, 0.5, 0.6), m_max=m_max)
+        st = ev.random_physical_state(np.random.default_rng(1),
+                                      ops.total_size, m_max)
+        ev.evolve(st, ops.L.matrix, ops.transports, ops.basis, dt=self.DT,
+                  t_end=0.5, record_every=2)
+        assert calls == {"eigs": orbits, "expm": orbits}
 
 
 class TestIndependentHalf:
@@ -513,8 +668,8 @@ class TestIndependentHalf:
         f_inf = ev.equilibrium_state(st, ops.ker_L)
         half = ev.independent_half(st)
         kw = dict(dt=0.05, t_end=1.0, record_every=2)
-        full = ev.evolve(st, ops.L.matrix, ops.transports, **kw)
-        traj = ev.evolve(half, ops.L.matrix, ops.transports, **kw)
+        full = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis, **kw)
+        traj = ev.evolve(half, ops.L.matrix, ops.transports, ops.basis, **kw)
         assert np.array_equal(traj.times, full.times)
         assert np.array_equal(ev.real_field_mode_norms(traj.coeffs),
                               np.sqrt(np.vecdot(full.coeffs,
