@@ -322,11 +322,18 @@ def _audited_opset(cfg, seed_override, threads):
 def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1):
     mixture, disc, budgets, audit, ops = \
         _audited_opset(cfg, seed_override, threads)
-    report = sp.constants_report(ops, seed=budgets["seed"],
-                                 mc_samples=budgets["mc_samples"])
-    ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k)
-    mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
-    hyp = sp.verify_H1_H3(ops, report.lambda_numeric, mu)
+    seed, count = budgets["seed"], budgets["mc_samples"]
+    # with a second thread, the D^b samples are drawn while this thread
+    # computes all that does not depend on D^b; the pieces are then read
+    # in the order of the chain, so its first error is the one raised
+    with sp.db_draws(seed, count, ahead=threads > 1) as draws:
+        free = sp.db_free_chain(ops)
+        report = sp.constants_report(ops, seed=seed, mc_samples=count,
+                                     draws=draws, free=free)
+    ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k,
+                                   free=free)
+    mu = free.mu.result()
+    hyp = free.hypotheses.result()
     kernel_dim = sp.kernel_count(mu)[0]
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", mu)
     constants = report.to_dict()
@@ -384,8 +391,13 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1):
     rng = np.random.default_rng(budgets["seed"])
     m_max = disc["m_max"]
     lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-    search = ev.search_coefficients(ops, m_max=m_max)
-    kappa_cert = ev.certify_coefficients(ops, search.c, m_max=m_max)
+    # formed once: the search and the certificate share the rate blocks,
+    # the certificate and the evolution the symmetries of L
+    blocks = ev.rate_blocks(ops)
+    symmetries = ev.mode_symmetries(ops.L.matrix, ops.basis)
+    search = ev.search_coefficients(ops, m_max=m_max, blocks=blocks)
+    kappa_cert = ev.certify_coefficients(ops, search.c, m_max=m_max,
+                                         blocks=blocks, symmetries=symmetries)
 
     f_I = reference_initial_state(ops, rng, m_max, amplitude)
     if integration["initial"] == "equilibrium":
@@ -399,7 +411,8 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1):
         traj = ev.evolve(f_I, ops.L.matrix, ops.transports, ops.basis,
                          integration["dt"], integration["t_end"],
                          scheme=integration["scheme"],
-                         record_every=integration["record_every"])
+                         record_every=integration["record_every"],
+                         symmetries=symmetries)
     except ev.UnstableStepError as exc:
         raise ConfigError(f"decay.scheme midpoint is unstable at decay.dt = "
                           f"{integration['dt']:g} ({exc}); lower decay.dt or "
@@ -474,7 +487,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override budgets.seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="assembly thread budget (default: "
+                        help="compute threads: the collision assembly's "
+                             "workers, and for constants one thread that "
+                             "draws the D^b samples when >= 2 (default: "
                              "KINETIC_GAP_THREADS or physical cores)")
     args = parser.parse_args(argv)
 

@@ -21,7 +21,7 @@ Re <f_m, Q_m(c) f_m> with Q_m(c) = sum_j c_j Q_j,
 G_a the (real, skew) velocity-gradient matrices.  These Q_j are evaluated
 two ways.  The state forms Re <s, Q_j s> (:func:`_state_forms`) give the
 functional and the H^1 norm of recorded states.  The rate blocks
-(:func:`_blocks`, :func:`_weights`) give -(dG/dt)/2 along A_m as a
+(:func:`rate_blocks`, :func:`_weights`) give -(dG/dt)/2 along A_m as a
 weighted sum of real matrices that do not depend on m: the search scores
 its states on them and the certificate builds its pencils from them.  The
 tests check both against the flow of G.
@@ -72,7 +72,7 @@ __all__ = [
     "recorded_steps", "mode_symmetries", "evolve", "h1_norm", "hypo_functional",
     "independent_half", "real_field_mode_norms", "real_field_forms",
     "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS", "fit_decay", "DecayReport",
-    "search_coefficients", "SearchResult",
+    "rate_blocks", "search_coefficients", "SearchResult",
     "equilibrium_state", "modes_up_to", "random_physical_state",
 ]
 
@@ -291,7 +291,7 @@ def _map_propagators(P, basis: HermiteBasis, which, g, conj) -> np.ndarray:
 
 def evolve(state: TorusState, L: np.ndarray, transports, basis: HermiteBasis,
            dt: float, t_end: float, scheme: str = "expm",
-           record_every: int = 1) -> Trajectory:
+           record_every: int = 1, symmetries=None) -> Trajectory:
     """Advance every mode independently and record the trajectory at the
     :func:`recorded_steps` of the schedule.
 
@@ -303,13 +303,17 @@ def evolve(state: TorusState, L: np.ndarray, transports, basis: HermiteBasis,
     propagator.  Between two recorded states the step propagator is
     raised to the number of steps between them, mapped onto every mode,
     and the modes advance with one stacked product per recorded state.
+    ``symmetries`` are the :func:`mode_symmetries` of (L, basis), found
+    here when None.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     if scheme not in ("expm", "midpoint"):
         raise ValueError(f"unknown scheme {scheme!r}")
     K, T = state.coeffs.shape
-    reps, *maps = _orbits(state.modes, mode_symmetries(L, basis))
+    if symmetries is None:
+        symmetries = mode_symmetries(L, basis)
+    reps, *maps = _orbits(state.modes, symmetries)
     P = np.empty((len(reps), T, T), dtype=complex)
     for k, m in enumerate(reps):
         A = mode_generator(L, transports, m)
@@ -433,7 +437,7 @@ def real_field_forms(modes, coeffs, c, grad_ops) -> tuple:
     return _weigh(_H1, F), _weigh(c, F)
 
 
-def _blocks(ops: OperatorSet) -> tuple:
+def rate_blocks(ops: OperatorSet) -> tuple:
     """The real blocks, formed once, of which every rate form is a
     weighted sum: (sym (11, T, T), skew (9, T, T), Q_3).
 
@@ -469,7 +473,7 @@ def _blocks(ops: OperatorSet) -> tuple:
 
 def _weights(c, modes) -> tuple:
     """Weights (wr, wi, wn) of the modes (k, 3) at c = (c1, c2, c3, c4):
-    H_m = wr . sym + i wi . skew over the :func:`_blocks`, and
+    H_m = wr . sym + i wi . skew over the :func:`rate_blocks`, and
     N_m = wn I + Q_3 with <s, N_m s> = ||s||_{H1}^2.  wr is (k, 11) and
     wi (k, 9); a stack of tuples c of shape (n, 4) gives (n, k, 11) and
     (n, k, 9).  wn = 1 + |2 pi m|^2 is (k,)."""
@@ -485,11 +489,12 @@ def _weights(c, modes) -> tuple:
     return wr, wi, 1.0 + w2
 
 
-def _pencils(ops: OperatorSet, c, modes) -> tuple:
+def _pencils(ops: OperatorSet, c, modes, blocks=None) -> tuple:
     """Hermitian pencils (H, N), each (k, T, T), of the modes (k, 3):
     <s, H s> = -(dG/dt)/2 along A_m and <s, N s> = ||s||_{H1}^2, all from
-    the :func:`_blocks` by two products."""
-    real, imag, Q3 = _blocks(ops)
+    the :func:`rate_blocks` (``blocks``, formed here when None) by two
+    products."""
+    real, imag, Q3 = rate_blocks(ops) if blocks is None else blocks
     wr, wi, wn = _weights(c, modes)
     T = ops.total_size
     H = (wr @ real.reshape(11, T * T)
@@ -603,7 +608,8 @@ def _default_grid():
             for c2 in c2s for c3 in c3s for frac in fracs]
 
 
-def search_coefficients(ops: OperatorSet, m_max: int = 2) -> SearchResult:
+def search_coefficients(ops: OperatorSet, m_max: int = 2,
+                        blocks=None) -> SearchResult:
     """Grid search for (c1..c4) maximizing the kappa of
 
         dG/dt <= -kappa ||f||_{H1}^2
@@ -614,17 +620,18 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2) -> SearchResult:
     dissipation vanishes and only transport mixing helps.  These states
     are real, so the skew blocks drop out of <s, H_m s> = -(dG/dt)/2 and
     it is wr(c, m) . (s^T R_b s) over the eleven symmetric
-    :func:`_blocks` R_b (:func:`_weights`): the forms s^T R_b s are taken
+    :func:`rate_blocks` R_b (:func:`_weights`): the forms s^T R_b s are taken
     once per basis, and every candidate and mode is one weighted sum of
     them.  Since A_{-m} = conj(A_m), the forms at -m equal those at m:
     only the modes of :func:`independent_half` are scored, and
     ``n_states`` counts the states of both halves.  Returns the best
     tuple; ``success`` is False when no positive kappa exists.  This kappa
     is on the dG/dt scale above, a factor 2 from
-    :func:`certify_coefficients`.
+    :func:`certify_coefficients`.  ``blocks`` are the :func:`rate_blocks`
+    of ``ops``, formed here when None.
     """
     grid = np.asarray(_default_grid())
-    real, _, Q3 = _blocks(ops)
+    real, _, Q3 = rate_blocks(ops) if blocks is None else blocks
     modes = modes_up_to(m_max)
     K, k = len(modes), ops.ker_L.shape[1]
     modes = modes[:K // 2 + 1]
@@ -647,15 +654,16 @@ def search_coefficients(ops: OperatorSet, m_max: int = 2) -> SearchResult:
                         n_states=ops.total_size - k + (K - 1) * k)
 
 
-def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
+def certify_coefficients(ops: OperatorSet, c, m_max: int = 2, blocks=None,
+                         symmetries=None) -> float:
     """Eigenvalue-certified kappa for a fixed coefficient tuple.
 
     For each tracked mode, over ALL states,
 
         kappa_m = min eig of ( -(Q_m A_m + A_m^+ Q_m)/2, N_m )
 
-    (the pencils of :func:`_pencils`, assembled from the :func:`_blocks`
-    formed once per call), restricted, at m = 0, to the complement of ker(L).
+    (the pencils of :func:`_pencils`, assembled from the :func:`rate_blocks`
+    ``blocks``), restricted, at m = 0, to the complement of ker(L).
     An admitted map g gives the congruent pencil U_g (H, N) U_g^T at g m,
     and A_{-m} = conj(A_m) the conjugate one, each with the same kappa_m,
     so only the representative of each orbit (:func:`_orbits`) is solved.
@@ -663,13 +671,16 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2) -> float:
     dG/dt <= -2 kappa ||f||_{H1}^2, whereas the kappa of
     :func:`search_coefficients` is the best kappa in
     dG/dt <= -kappa ||f||_{H1}^2 over its state bases only.
+    ``blocks`` and ``symmetries`` are the :func:`rate_blocks` and the
+    :func:`mode_symmetries` of ``ops``, each formed here when None.
     """
     _check_coeffs(*c)
+    if symmetries is None:
+        symmetries = mode_symmetries(ops.L.matrix, ops.basis)
     W = complement_basis(ops.ker_L, ops.total_size)
-    modes = _orbits(modes_up_to(m_max),
-                    mode_symmetries(ops.L.matrix, ops.basis))[0]
+    modes = _orbits(modes_up_to(m_max), symmetries)[0]
     kappa = math.inf
-    for m, H, N in zip(modes, *_pencils(ops, c, modes)):
+    for m, H, N in zip(modes, *_pencils(ops, c, modes, blocks)):
         if not m.any():
             H, N = W.T @ H @ W, W.T @ N @ W
         kappa = min(kappa, float(generalized_eigs(H, N)[0]))

@@ -18,10 +18,16 @@ in the coefficient vector f, and (H1.2), is decided on the whole discrete
 space by one eigenvalue test (:func:`form_check`): f^T A f >= f^T R f for
 all f exactly when A - R is positive semidefinite.  The (H2) constants
 C(eps) are largest eigenvalues as well, so D^b is the only sampled value.
+Its samples can be drawn on a worker thread (:func:`db_draws`) while the
+part of the chain that does not depend on D^b is computed
+(:func:`db_free_chain`).
 """
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +43,11 @@ __all__ = [
     "GapError", "InconclusivePositivityError", "generalized_eigs",
     "complement_basis", "complement_spectrum", "generalized_gap",
     "SpectralReport", "kernel_count", "spectral_report",
-    "DbEstimate", "compute_Db", "compute_Ck", "explicit_lambda",
+    "DbEstimate", "db_stream", "db_draws", "compute_Db", "compute_Ck",
+    "explicit_lambda",
     "ConstantsReport", "constants_report", "LemmaCheck", "form_check",
     "step_lemma_forms", "verify_step_lemmas", "HypothesisReport", "h12_forms",
-    "verify_H1_H3",
+    "verify_H1_H3", "DbFreeChain", "db_free_chain",
 ]
 
 
@@ -166,48 +173,115 @@ class DbEstimate:
     n_samples: int
 
 
-_DB_BATCH = 200_000      # samples per draw from the random stream
+_DB_BATCH = 200_000      # samples per batch of the random stream
 _DB_CHUNK = 8_192        # samples per integrand evaluation, cache-sized
+_DB_AHEAD = -(-_DB_BATCH // _DB_CHUNK)    # the chunks of one batch
+_ONES3 = np.ones(3)
 
 
-def _unit_sigma(raw: np.ndarray) -> np.ndarray:
-    """Rows of ``raw`` scaled to unit length; a zero row has no direction
-    and raises ``ValueError``."""
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if not norms.all():
-        raise ValueError("sigma is not a unit vector: a raw draw is zero")
-    return raw / norms
+def db_stream(seed: int, count: int):
+    """The samples of :func:`compute_Db` chunk by chunk, as arrays
+    (v, v*, raw sigma) of shape (chunk, 3).
 
-
-def _db_integrand_parts(v, v_star, sigma):
-    """(r, cos_theta, third_u, third_e): pieces of min{|v-v'|^2/3, (|v'|^2-|v|^2)^2}.
-
-    In centre-of-mass form, with g = v - v*, c = (v + v*)/2, r = |g| and
-    v' = c + r sigma/2:  |v-v'|^2/3 = (r^2 - r sigma.g)/6 and
-    |v'|^2 - |v|^2 = r c.sigma - c.g.
+    ``numpy.random.default_rng(seed)`` is drawn in stream order: per batch
+    of up to 200 000 samples, v and then v* as (batch, 3) draws, then the
+    raw sigma in 8 192-row pieces.  The Generator fills sequentially, so
+    these are the numbers of one (3, batch, 3) draw: v, v* and raw sigma
+    in that order.
     """
+    rng = np.random.default_rng(seed)
+    for b0 in range(0, count, _DB_BATCH):
+        batch = min(_DB_BATCH, count - b0)
+        v = rng.standard_normal((batch, 3))
+        v_star = rng.standard_normal((batch, 3))
+        for c0 in range(0, batch, _DB_CHUNK):
+            c1 = min(c0 + _DB_CHUNK, batch)
+            yield v[c0:c1], v_star[c0:c1], rng.standard_normal((c1 - c0, 3))
+
+
+@contextlib.contextmanager
+def db_draws(seed: int, count: int, ahead: bool = False):
+    """The :func:`db_stream` of (seed, count) as an iterator.
+
+    With ``ahead`` one worker thread draws it, at most one batch of chunks
+    ahead of the reader, from the moment the context is entered; without,
+    each chunk is drawn when it is read.  The numbers are the same either
+    way.  On exit the draws not yet started are cancelled and the worker is
+    joined, so no thread outlives the context.
+    """
+    stream = db_stream(seed, count)
+    if not ahead:
+        yield stream
+        return
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="Db-draws")
+    try:
+        pending = collections.deque(pool.submit(next, stream, None)
+                                    for _ in range(_DB_AHEAD))
+
+        def read():
+            while (chunk := pending.popleft().result()) is not None:
+                pending.append(pool.submit(next, stream, None))
+                yield chunk
+
+        yield read()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _db_integrand(v, v_star, raw) -> tuple:
+    """(r, cos theta, 4 pi min{|v-v'|^2/3, (|v'|^2-|v|^2)^2}) per sample,
+    with r read as 1 and the weight as 0 where v = v*.
+
+    With g = v - v*, s = v + v* (twice the centre of mass), r = |g| and
+    sigma = raw/|raw|, v' = (s + r sigma)/2, so |v-v'|^2/3 =
+    (r^2 - r sigma.g)/6 and |v'|^2 - |v|^2 = (r s.sigma - s.g)/2.  Each
+    quantity is one pass over the chunk.  A zero raw row has no direction
+    and raises ``ValueError``.
+    """
+    def dot(a, b):                      # row-wise; faster than einsum here
+        return (a * b) @ _ONES3
+
+    inv = dot(raw, raw)
+    if not inv.all():
+        raise ValueError("sigma is not a unit vector: a raw draw is zero")
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)        # 1/|raw|
     g = v - v_star
-    c = 0.5 * (v + v_star)
-    r2 = np.einsum("ij,ij->i", g, g)
+    s = v + v_star
+    r2 = dot(g, g)
     r = np.sqrt(r2)
-    sg = np.einsum("ij,ij->i", sigma, g)
-    e_diff = r * np.einsum("ij,ij->i", c, sigma) - np.einsum("ij,ij->i", c, g)
-    cos_t = sg / np.where(r > 0.0, r, 1.0)
-    return r, cos_t, (r2 - r * sg) / 6.0, e_diff * e_diff
+    cos_t = dot(raw, g)
+    cos_t *= inv                        # sigma.g
+    e = dot(raw, s)
+    e *= inv
+    e *= r
+    e -= dot(s, g)
+    e *= e
+    e *= math.pi                        # 4 pi (|v'|^2 - |v|^2)^2
+    u = r * cos_t
+    np.subtract(r2, u, out=u)
+    u *= 2.0 * math.pi / 3.0            # 4 pi |v-v'|^2/3
+    w = np.minimum(u, e, out=u)
+    if not r.all():
+        at_rest = r == 0.0
+        w[at_rest] = 0.0
+        r[at_rest] = 1.0
+    cos_t /= r
+    return r, cos_t, w
 
 
 def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
-               count: int = 100_000, confidence_sigmas: float = 3.0) -> DbEstimate:
+               count: int = 100_000, confidence_sigmas: float = 3.0,
+               draws=None) -> DbEstimate:
     """D^b = min_ij of the Monte-Carlo estimate of
 
         int B_ij min{|v-v'|^2/3, (|v'|^2-|v|^2)^2} M_i M_j^* dv dv* dsigma.
 
     v and v* are standard 3-D Gaussians, so M_i M_j^* / (rho_i rho_j) is
     the sampling density, and sigma is uniform on S^2 with the 1/(4 pi)
-    folded into the constant weight 4 pi.  Each batch of up to 200 000
-    samples is one draw of shape (3, batch, 3) from
-    ``numpy.random.default_rng(seed)``, (v, v*, raw sigma) in that order,
-    and is evaluated in cache-sized chunks.
+    folded into the constant weight 4 pi.  The samples are the
+    :func:`db_stream` of (seed, count), read from ``draws`` when given
+    (:func:`db_draws`), and each chunk is evaluated as it arrives.
 
     Raises :class:`InconclusivePositivityError` when the minimum is not
     positive at ``confidence_sigmas`` standard errors.
@@ -217,22 +291,17 @@ def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
     keys, pair_key = family.distinct_pairs()
     sums = np.zeros(len(keys))
     sq_sums = np.zeros(len(keys))
-    rng = np.random.default_rng(seed)
+    if draws is None:
+        draws = db_stream(seed, count)
     # an overflow leaves inf or NaN, which the gate below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, count, _DB_BATCH):
-            v, vs, raw = rng.standard_normal((3, min(_DB_BATCH, count - b0), 3))
-            for c0 in range(0, v.shape[0], _DB_CHUNK):
-                part = slice(c0, c0 + _DB_CHUNK)
-                r, ct, ut, et = _db_integrand_parts(v[part], vs[part],
-                                                    _unit_sigma(raw[part]))
-                base = 4.0 * math.pi * np.minimum(ut, et)
-                rs = np.where(r > 0.0, r, 1.0)
-                for k, (phi_d, b_d) in enumerate(keys):
-                    g = base * phi_d(rs) * b_d(ct)
-                    g[r == 0.0] = 0.0
-                    sums[k] += g.sum()
-                    sq_sums[k] += g @ g
+        for v, v_star, raw in draws:
+            r, cos_t, w = _db_integrand(v, v_star, raw)
+            for k, (phi_d, b_d) in enumerate(keys):
+                g = w * phi_d(r)
+                g *= b_d(cos_t)
+                sums[k] += g.sum()
+                sq_sums[k] += g @ g
 
         per_pair = {}
         for i in range(mixture.n):
@@ -301,20 +370,24 @@ class ConstantsReport:
 
 
 def constants_report(ops: OperatorSet, seed: int = 0,
-                     mc_samples: int = 100_000) -> ConstantsReport:
-    """Assemble the full constant chain with provenance tags."""
+                     mc_samples: int = 100_000, draws=None,
+                     free=None) -> ConstantsReport:
+    """Assemble the full constant chain with provenance tags.
+
+    ``free`` is the :func:`db_free_chain` of ``ops``, computed here when not
+    given, and ``draws`` the D^b samples (:func:`compute_Db`).  The pieces
+    are read in the order of the chain, so its first error is the one
+    raised: C^m, D^b, C_k, their positivity, then lambda_numeric.
+    """
     from .kernels import compute_C_b, compute_ell_b
 
+    if free is None:
+        free = db_free_chain(ops)
     ell_b = compute_ell_b(ops.family)
     C_b = compute_C_b(ops.family)
-    # C^m, the generalized gap of -L^m against the H-Gram off ker(L^m), is
-    # the first eigenvalue of its pencil; the eigensolver resolves no C^m
-    # below dim * eps * max mu from zero
-    mu = complement_spectrum(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
-    C_m = float(mu[0])
-    cm_floor = mu.size * np.finfo(float).eps * mu[-1]
-    db = compute_Db(ops.mixture, ops.family, seed, mc_samples)
-    C_k, _ = compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
+    C_m, cm_floor = free.C_m.result()
+    db = compute_Db(ops.mixture, ops.family, seed, mc_samples, draws=draws)
+    C_k = free.C_k.result()
     for name, value, floor in (("C^m", C_m, cm_floor), ("D^b", db.value, 0.0),
                                ("C_k", C_k, 0.0)):
         if value <= floor:
@@ -322,7 +395,7 @@ def constants_report(ops: OperatorSet, seed: int = 0,
                 f"{name} = {value:.6e} is not above {floor:.1e}, so the "
                 "explicit rate lambda is undefined")
     eta, lam = explicit_lambda(C_m, db.value, C_k)
-    lam_num = generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
+    lam_num = free.lambda_numeric.result()
     prov = {
         "nu0": {"method": "analytic", "formula":
                 "2^(3g/2) C1 ell_b rho_total Gamma((g+3)/2)/sqrt(pi)"},
@@ -370,7 +443,8 @@ class LemmaCheck:
 
 
 def form_check(name: str, A: np.ndarray, R: np.ndarray, metric=None,
-               slack: float = 0.0, tol: float = 1e-8) -> LemmaCheck:
+               slack: float = 0.0, tol: float = 1e-8,
+               spectrum_A=None) -> LemmaCheck:
     """Decide f^T A f + slack |f|^2 >= f^T R f for every f at once.
 
     The inequality holds on the whole space exactly when A - R + slack I is
@@ -378,6 +452,7 @@ def form_check(name: str, A: np.ndarray, R: np.ndarray, metric=None,
     (the identity when None) is >= 0.  Both forms may vanish on a common
     subspace, so the gate is relative: lambda_min >= -tol * scale, with
     scale the larger spectral radius of A and R against the same metric.
+    ``spectrum_A``, when given, is that spectrum of A, ascending.
     """
     def spectrum(M):
         M = 0.5 * (M + M.T)
@@ -387,13 +462,14 @@ def form_check(name: str, A: np.ndarray, R: np.ndarray, metric=None,
     if not np.isfinite(M).all():
         raise InconclusivePositivityError(
             f"the quadratic forms of {name} overflow to inf or NaN")
-    wA, wR = spectrum(A), spectrum(R)
+    wA = spectrum(A) if spectrum_A is None else spectrum_A
+    wR = spectrum(R)
     lam_min = float(spectrum(M)[0])
     scale = max(abs(wA[0]), abs(wA[-1]), abs(wR[0]), abs(wR[-1]), 1e-300)
     return LemmaCheck(name, int(lam_min < -tol * scale), lam_min / scale)
 
 
-def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float,
+def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float | None,
                      C_k: float) -> dict:
     """{name: (A, R)}: the two sides f^T A f >= f^T R f of each operator
     inequality of the constructive-gap chain, as T x T matrices.
@@ -409,13 +485,13 @@ def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float,
 
     f_par = P f with P = Vm Vm^T the projection onto ker(L^m), and
     (u_i, e_i) = E f with E = extract_coefficients(..., I), so every side
-    is a quadratic form in f.
+    is a quadratic form in f.  With ``D_b`` None only the two forms free of
+    D^b are returned, ortho and differences.
     """
     L, Lb, H = ops.L.matrix, ops.Lb.matrix, ops.hgram.matrix
     VL, Vm = ops.ker_L, ops.ker_Lm
     I = np.eye(ops.total_size)
     eta_o = min(1.0, C_m / 8.0)
-    eta_t, lam = explicit_lambda(C_m, D_b, C_k)
 
     P = Vm @ Vm.T
     Q = I - P
@@ -429,20 +505,33 @@ def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float,
         (coeffs.u[:, None] - coeffs.u[None, :]).reshape(-1, ops.total_size),
         (coeffs.e[:, None] - coeffs.e[None, :]).reshape(-1, ops.total_size)])
     diffs = diff_rows.T @ diff_rows
+    ortho = (diss, (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross)
+    differences = (diffs, (h_tilde - 2.0 * h_perp) / C_k)
+    if D_b is None:
+        return {"ortho": ortho, "differences": differences}
+    eta_t, lam = explicit_lambda(C_m, D_b, C_k)
     return {
-        "ortho": (diss, (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross),
+        "ortho": ortho,
         "bi_species": (cross, 0.25 * D_b * diffs),
-        "differences": (diffs, (h_tilde - 2.0 * h_perp) / C_k),
+        "differences": differences,
         "full_chain": (diss, (C_m - 4.0 * eta_t - eta_t * D_b / (4.0 * C_k))
                        * h_perp + lam * h_tilde),
         "gap_lower_bound": (diss, lam * h_tilde),
     }
 
 
+# the forms of step_lemma_forms whose side A is -L
+_DISSIPATION_FORMS = ("ortho", "full_chain", "gap_lower_bound")
+
+
 def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
-                       tol: float = 1e-8) -> list:
+                       tol: float = 1e-8, free=None) -> list:
     """Certify each inequality of :func:`step_lemma_forms` on the whole
     discrete space with :func:`form_check` against the H-Gram.
+
+    ``free``, the :func:`db_free_chain` of ``ops``, supplies the ortho and
+    differences checks, made at the default tol, and the spectrum of the
+    -L side; its errors are raised in the order of the checks.
 
     The two Jensen steps of the proof need no check: for weights
     w_i >= 0 with sum_i w_i = 1,
@@ -453,7 +542,11 @@ def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
     since w_i w_j <= 1, and likewise for the e_i.
     """
     H = ops.hgram.matrix
-    return [form_check(name, A, R, H, tol=tol)
+    made = {} if free is None else free.checks
+    mu = None if free is None else _value_or_none(free.mu)
+    return [made[name].result() if name in made else
+            form_check(name, A, R, H, tol=tol,
+                       spectrum_A=mu if name in _DISSIPATION_FORMS else None)
             for name, (A, R) in step_lemma_forms(ops, C_m, D_b, C_k).items()]
 
 
@@ -554,3 +647,70 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
                             h2_pairs=pairs, h3_lambda=lambda_numeric,
                             h12_violations=h12.violations,
                             h12_worst_margin=h12.worst_margin)
+
+
+# ---------------------------------------------------------------------------
+# the part of the constants request that does not depend on D^b
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DbFreeChain:
+    """Every piece of the constants request that does not depend on D^b,
+    each a settled future: ``result()`` gives its value, or raises the
+    error its computation raised, when the chain reaches it."""
+    C_m: Future                      # (C^m, the eigensolver's floor)
+    C_k: Future
+    lambda_numeric: Future
+    mu: Future                       # generalized spectrum of (-L, H-Gram)
+    checks: dict                     # {name: LemmaCheck future}
+    hypotheses: Future               # HypothesisReport
+
+
+def _settled(fn, *args) -> Future:
+    """A future holding ``fn(*args)``, or the error it raised."""
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
+def _value_or_none(done: Future):
+    return None if done.exception() is not None else done.result()
+
+
+def _coercivity_m(ops: OperatorSet) -> tuple:
+    """(C^m, floor): C^m, the generalized gap of -L^m against the H-Gram
+    off ker(L^m), is the first eigenvalue of its pencil; the eigensolver
+    resolves no C^m below floor = dim * eps * max mu from zero."""
+    mu = complement_spectrum(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
+    return float(mu[0]), mu.size * np.finfo(float).eps * mu[-1]
+
+
+def db_free_chain(ops: OperatorSet) -> DbFreeChain:
+    """C^m, C_k, lambda_numeric, the spectrum mu of (-L, H-Gram), the
+    ortho and differences checks of :func:`verify_step_lemmas` (mu is
+    their -L side) and :func:`verify_H1_H3`: all that a constants request
+    computes without D^b, so it can run while the D^b samples are drawn.
+    Nothing is raised here; an overflow leaves inf or NaN for the
+    finiteness and positivity gates of the chain.
+    """
+    L, H = ops.L.matrix, ops.hgram.matrix
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        C_m = _settled(_coercivity_m, ops)
+        C_k = _settled(lambda: compute_Ck(ops.mixture, H, ops.ker_Lm)[0])
+        lam = _settled(generalized_gap, L, H, ops.ker_L)
+        mu = _settled(generalized_eigs, -L, H)
+        forms = _settled(lambda: step_lemma_forms(
+            ops, C_m.result()[0], None, C_k.result()))
+        checks = {
+            "ortho": _settled(lambda: form_check(
+                "ortho", *forms.result()["ortho"], H,
+                spectrum_A=_value_or_none(mu))),
+            "differences": _settled(lambda: form_check(
+                "differences", *forms.result()["differences"], H)),
+        }
+        hyp = _settled(lambda: verify_H1_H3(ops, lam.result(), mu.result()))
+    return DbFreeChain(C_m=C_m, C_k=C_k, lambda_numeric=lam, mu=mu,
+                       checks=checks, hypotheses=hyp)

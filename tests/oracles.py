@@ -6,7 +6,9 @@ the 1-D tables, Gaussian moments from double factorials, the bi-species
 coercivity integral from its separable closed form, from a tensor
 quadrature and from the one-pass Monte-Carlo estimator over
 :class:`CollisionSampler` draws and :func:`post_collision` (the
-package's chunked estimator draws the same stream), collision quadratic
+package's chunked estimator draws the same stream), its per-sample
+integrand from the normalise-sigma-first formula (:func:`db_integrand`),
+collision quadratic
 forms from the analytic relations of the collision geometry, collision
 frequencies from their 1-D radial
 reduction, the sampled certificate checks from a plain loop that
@@ -277,6 +279,29 @@ def quadrature_Db(mixture, family, q: int = 12,
             out[(i, j)] = mixture.rho_inf[i] * mixture.rho_inf[j] \
                 * acc[pair_key[(i, j)]]
     return out
+
+
+def db_integrand(v, v_star, raw) -> tuple:
+    """(r, cos theta, 4 pi min{|v-v'|^2/3, (|v'|^2-|v|^2)^2}) per sample,
+    r read as 1 and the weight as 0 where v = v*: the oracle of
+    ``spectra._db_integrand``.  sigma is normalised first; then, with
+    g = v - v*, c = (v + v*)/2 and r = |g|, |v-v'|^2/3 =
+    (r^2 - r sigma.g)/6 and |v'|^2 - |v|^2 = r c.sigma - c.g.  A zero raw
+    row raises ``ValueError``."""
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    if not norms.all():
+        raise ValueError("sigma is not a unit vector: a raw draw is zero")
+    sigma = raw / norms
+    g = v - v_star
+    c = 0.5 * (v + v_star)
+    r2 = np.einsum("ij,ij->i", g, g)
+    r = np.sqrt(r2)
+    sg = np.einsum("ij,ij->i", sigma, g)
+    e_diff = r * np.einsum("ij,ij->i", c, sigma) - np.einsum("ij,ij->i", c, g)
+    rs = np.where(r > 0.0, r, 1.0)
+    w = 4.0 * np.pi * np.minimum((r2 - r * sg) / 6.0, e_diff * e_diff)
+    w[r == 0.0] = 0.0
+    return rs, sg / rs, w
 
 
 def single_pass_Db(mixture, family, seed: int, count: int) -> dict:

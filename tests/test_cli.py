@@ -5,6 +5,7 @@ import operator
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,28 @@ def patch_Cm(monkeypatch, value):
     spectrum = cli.sp.complement_spectrum
     monkeypatch.setattr(cli.sp, "complement_spectrum",
                         lambda *a: np.concatenate([[value], spectrum(*a)[1:]]))
+
+
+def constants_gate_failure(tmp_path, cfg, threads: str, capsys) -> str:
+    """Run ``constants`` on ``cfg`` at ``--threads threads`` on a helper
+    thread joined with a timeout; check that it ends in a gate failure
+    with one line on stderr, writes no file and leaves no thread behind,
+    and return that line."""
+    out = tmp_path / "out"
+    argv = ["constants", "--config", write_config(tmp_path, cfg),
+            "--out", str(out), "--threads", threads]
+    before = threading.active_count()
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+    runner.start()
+    runner.join(timeout=300)
+    assert not runner.is_alive()
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert codes == [cli.EXIT_GATE]
+    assert len(err.splitlines()) == 1
+    assert list(out.iterdir()) == []
+    return err
 
 
 MALFORMED = [
@@ -385,30 +408,25 @@ class TestConstants:
         assert payload["hypotheses"]["nu_bar_3"] == 0.5
         assert payload["kernel_dim"] == payload["expected_kernel_dim"] == 6
 
-    def test_tiny_density_ends_in_a_documented_exit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_tiny_density_ends_in_a_documented_exit(self, tmp_path, capsys,
+                                                    threads):
         # at rho_inf = 1e-30 C^m is roundoff-sized (-1.9e-16 with reference
         # OpenBLAS, against a largest eigenvalue 0.83 of the same pencil),
         # so it fails the gate at dim * eps * max|mu| whatever its sign
         cfg = hard_sphere_config()
         cfg["mixture"]["species"][0]["rho_inf"] = 1e-30
-        code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
-                        "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_GATE
+        err = constants_gate_failure(tmp_path, cfg, threads, capsys)
         assert err.startswith("gate failure: C^m = ")
-        assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_roundoff_sized_positive_Cm_is_gate_failure(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, threads):
         # the other sign of the roundoff above: 1e-16 is below the floor
         patch_Cm(monkeypatch, 1e-16)
-        code = run_cli(["constants", "--config",
-                        write_config(tmp_path, hard_sphere_config()),
-                        "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_GATE
+        err = constants_gate_failure(tmp_path, hard_sphere_config(), threads,
+                                     capsys)
         assert err.startswith("gate failure: C^m = 1.000000e-16 ")
-        assert len(err.splitlines()) == 1
 
     def test_small_density_is_resolved(self, tmp_path, capsys):
         # at rho_inf = 1e-12 C^m (2.5e-13) is well above the floor (5.5e-15)
@@ -428,9 +446,10 @@ class TestConstants:
         assert capsys.readouterr().err == ""
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("constant", ["C_m", "D_b", "C_k"])
     def test_nonpositive_constant_is_one_line_gate_failure(
-            self, tmp_path, capsys, monkeypatch, constant):
+            self, tmp_path, capsys, monkeypatch, constant, threads):
         if constant == "C_m":
             patch_Cm(monkeypatch, -2.7e-16)
         elif constant == "D_b":
@@ -439,15 +458,14 @@ class TestConstants:
         else:
             monkeypatch.setattr(cli.sp, "compute_Ck",
                                 lambda *a: (0.0, None))
-        code = run_cli(["constants", "--config",
-                        write_config(tmp_path, hard_sphere_config()),
-                        "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_GATE
-        assert err.startswith("gate failure: ")
-        assert len(err.splitlines()) == 1
+        err = constants_gate_failure(tmp_path, hard_sphere_config(), threads,
+                                     capsys)
+        name = {"C_m": "C^m", "D_b": "D^b", "C_k": "C_k"}[constant]
+        assert err.startswith(f"gate failure: {name} = ")
 
-    def test_overflowing_forms_end_in_a_gate_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_forms_end_in_a_gate_failure(self, tmp_path, capsys,
+                                                     threads):
         # at self-collision phi C = 1e300 the operators are finite, but
         # |grad nu|^2 in nu_bar_4, and so the (H1.2) forms, overflow; the
         # cross kernel keeps C = 1, so the smallest D^b (the cross pair)
@@ -456,34 +474,30 @@ class TestConstants:
         cfg["kernels"].update(C2=1e300)
         for i, row in enumerate(cfg["kernels"]["phi"]):
             row[i] = {"type": "power", "C": 1e300, "gamma": 1.0}
-        code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
-                        "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_GATE
+        err = constants_gate_failure(tmp_path, cfg, threads, capsys)
         assert err.startswith("gate failure: the quadratic forms of H1.2")
-        assert len(err.splitlines()) == 1
 
-    def test_overflowing_Db_ends_in_a_gate_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_Db_ends_in_a_gate_failure(self, tmp_path, capsys,
+                                                   threads):
         # at phi C = 1e300 in every pair the D^b sum of squares overflows
-        # and its standard error is NaN, which must fail the D^b gate
+        # and its standard error is NaN, which must fail the D^b gate; the
+        # (H1.2) forms overflow too, but D^b comes first in the chain
         cfg = hard_sphere_config()
         cfg["kernels"].update(C1=1e300, C2=1e300)
         for row in cfg["kernels"]["phi"]:
             row[:] = [{"type": "power", "C": 1e300, "gamma": 1.0}] * len(row)
-        code = run_cli(["constants", "--config", write_config(tmp_path, cfg),
-                        "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_GATE
+        err = constants_gate_failure(tmp_path, cfg, threads, capsys)
         assert err.startswith("gate failure: D^b estimate")
-        assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("overflow, code, message", [
         ("every_kernel", cli.EXIT_GATE, "gate failure: D^b estimate"),
         ("self_kernels", cli.EXIT_GATE,
          "gate failure: the quadratic forms of H1.2"),
         ("rho_inf", cli.EXIT_CONFIG, "config error: the collision operators")])
     def test_overflow_prints_one_line_in_a_fresh_process(
-            self, tmp_path, overflow, code, message):
+            self, tmp_path, overflow, code, message, threads):
         # pytest captures numpy's RuntimeWarnings in-process; only a fresh
         # interpreter shows every line that reaches stderr
         cfg = hard_sphere_config()
@@ -497,14 +511,16 @@ class TestConstants:
                 for j in range(len(row)):
                     if overflow == "every_kernel" or i == j:
                         row[j] = {"type": "power", "C": 1e300, "gamma": 1.0}
+        out = tmp_path / "out"
         done = subprocess.run(
             [sys.executable, "-m", "kinetic_gap.cli", "constants",
-             "--config", write_config(tmp_path, cfg),
-             "--out", str(tmp_path / "out")],
-            env=cli_env(), capture_output=True, text=True)
+             "--config", write_config(tmp_path, cfg), "--out", str(out),
+             "--threads", threads],
+            env=cli_env(), capture_output=True, text=True, timeout=300)
         assert done.returncode == code
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith(message)
+        assert list(out.iterdir()) == []
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = hard_sphere_config(seed=77)

@@ -103,3 +103,22 @@ def test_output_passes_benchmark_checks(tmp_path, command):
                     "--out", str(out)])
     problems, _values = checks.check_request(command, 2, code, out)
     assert problems == []
+
+
+def test_tracer_sees_Db_and_the_ledger_on_the_request_thread(tmp_path):
+    # the D^b samples may be drawn on a second thread, but compute_Db and
+    # verify_step_lemmas run on the request thread, the one the tracer
+    # records; otherwise their layer metrics would silently read 0
+    tracing = load_perfbench("tracing")
+    cfg = hard_sphere_config()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = tracer.request(0, run_cli, [
+            "constants", "--config", write_config(tmp_path, cfg),
+            "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert code == 0
+    db = [s for s in tracer.spans if s.name == "spectra.compute_Db"]
+    assert [s.counters for s in db] \
+        == [{"samples": cfg["budgets"]["mc_samples"]}]
+    assert [s.name for s in tracer.spans].count(
+        "spectra.verify_step_lemmas") == 1

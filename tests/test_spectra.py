@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -14,10 +16,10 @@ from kinetic_gap.mixture import Mixture, project_onto
 
 from conftest import hard_sphere_family, maxwell_family
 from oracles import (CollisionSampler, all_positive, closed_form_Db,
-                     compute_Cm, embed_species_polynomials, h12_loop,
-                     h12_margin, nu_bar_4, quadrature_Db, single_pass_Db,
-                     step_lemma_ledger_loop, step_lemma_margins,
-                     sturm_eigvalsh)
+                     compute_Cm, db_integrand, embed_species_polynomials,
+                     h12_loop, h12_margin, nu_bar_4, quadrature_Db,
+                     single_pass_Db, step_lemma_ledger_loop,
+                     step_lemma_margins, sturm_eigvalsh)
 
 
 class TestSymmetricEigen:
@@ -153,26 +155,93 @@ class TestDb:
         assert (est.value, est.std_err) == est.per_pair[est.pair]
         assert est.pair == min(ref, key=lambda pair: ref[pair][0])
 
+    @pytest.mark.parametrize("seed", [0, 4, 123])
+    def test_stream_is_one_draw_per_batch(self, seed):
+        # v, then v*, then the raw sigma chunk by chunk are the numbers of
+        # one (3, batch, 3) draw per batch; 450 001 spans three batches
+        count = 450_001
+        rng = np.random.default_rng(seed)
+        whole = np.concatenate(
+            [rng.standard_normal((3, min(sp._DB_BATCH, count - b0), 3))
+             for b0 in range(0, count, sp._DB_BATCH)], axis=1)
+        chunks = list(sp.db_stream(seed, count))
+        assert all(len(c[0]) <= sp._DB_CHUNK for c in chunks)
+        for k in range(3):
+            assert np.array_equal(np.concatenate([c[k] for c in chunks]),
+                                  whole[k])
+
+    @pytest.mark.parametrize("count", [10, 8_193, 200_003, 450_001])
+    def test_drawn_ahead_is_bitwise_inline(self, count):
+        # the worker thread draws the same numbers in the same order
+        mx = Mixture((0.7, 1.0, 1.6))
+        fam = six_kernel_family()
+        inline = sp.compute_Db(mx, fam, seed=9, count=count,
+                               confidence_sigmas=0.0)
+        with sp.db_draws(9, count, ahead=True) as draws:
+            ahead = sp.compute_Db(mx, fam, seed=9, count=count,
+                                  confidence_sigmas=0.0, draws=draws)
+        assert ahead.per_pair == inline.per_pair
+        assert (ahead.value, ahead.std_err, ahead.pair) \
+            == (inline.value, inline.std_err, inline.pair)
+
+    def test_draws_ahead_at_most_one_batch(self, monkeypatch):
+        # the worker runs one batch of chunks ahead of the reader and no
+        # further, and leaving the context cancels the rest and joins it
+        produced = []
+        stream = sp.db_stream
+
+        def counted(seed, count):
+            for chunk in stream(seed, count):
+                produced.append(len(chunk[0]))
+                yield chunk
+
+        monkeypatch.setattr(sp, "db_stream", counted)
+        before = threading.active_count()
+        with sp.db_draws(2, 3 * sp._DB_BATCH, ahead=True) as draws:
+            next(draws)
+            deadline = time.monotonic() + 60.0
+            while len(produced) <= sp._DB_AHEAD \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+            assert len(produced) == 1 + sp._DB_AHEAD
+            assert sum(produced) <= sp._DB_CHUNK + sp._DB_BATCH
+            assert threading.active_count() == before + 1
+        assert threading.active_count() == before
+
     def test_draw_is_the_sampler_stream(self):
-        # one (3, batch, 3) draw per batch is the sampler's v, v*, raw
-        # sigma in turn
-        v, vs, raw = np.random.default_rng(4).standard_normal((3, 1000, 3))
+        # the stream is the sampler's v, v*, raw sigma in turn
+        v, vs, raw = (np.concatenate(x) for x in zip(*sp.db_stream(4, 1000)))
         sv, svs, ssigma, _ = CollisionSampler(4).draw(1000)
         assert np.array_equal(v, sv) and np.array_equal(vs, svs)
-        assert np.array_equal(sp._unit_sigma(raw), ssigma)
+        assert np.array_equal(raw / np.linalg.norm(raw, axis=1,
+                                                   keepdims=True), ssigma)
 
     def test_zero_raw_draw_rejected(self):
         raw = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
+        v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="unit vector"):
-            sp._unit_sigma(raw)
+            sp._db_integrand(v, -v, raw)
+
+    def test_integrand_matches_the_oracle_formula(self, rng):
+        v, vs, raw = rng.standard_normal((3, 10_000, 3))
+        vs[7] = v[7]                     # v = v*: r reads 1, the weight 0
+        got = sp._db_integrand(v, vs, raw)
+        want = db_integrand(v, vs, raw)
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(w)))
+        assert (got[0][7], got[2][7]) == (1.0, 0.0)
+        for k in (1, 2):                 # what compute_Db sums
+            assert got[2] @ got[k] == pytest.approx(want[2] @ want[k],
+                                                    rel=1e-12)
 
     def test_integrand_vanishes_on_energy_shell(self, rng):
-        from kinetic_gap.spectra import _db_integrand_parts
         v = rng.standard_normal((100, 3))
         vs = rng.standard_normal((100, 3))
-        sigma = (v - vs) / np.linalg.norm(v - vs, axis=1, keepdims=True)
-        _, _, ut, et = _db_integrand_parts(v, vs, sigma)
-        assert np.max(np.minimum(ut, et)) <= 1e-12
+        raw = 2.5 * (v - vs)             # sigma = (v - v*)/|v - v*|
+        _, _, w = sp._db_integrand(v, vs, raw)
+        assert np.max(w) <= 1e-12
 
     def test_pair_symmetry(self):
         mx = Mixture((1.0, 1.0))
