@@ -324,18 +324,13 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1):
         _audited_opset(cfg, seed_override, threads)
     seed, count = budgets["seed"], budgets["mc_samples"]
     # with a second thread, the D^b samples are drawn while this thread
-    # computes all that does not depend on D^b; the pieces are then read
-    # in the order of the chain, so its first error is the one raised
+    # computes the steps of the chain that come before D^b
     with sp.db_draws(seed, count, ahead=threads > 1) as draws:
-        free = sp.db_free_chain(ops)
         report = sp.constants_report(ops, seed=seed, mc_samples=count,
-                                     draws=draws, free=free)
-    ledger = sp.verify_step_lemmas(ops, report.C_m, report.D_b, report.C_k,
-                                   free=free)
-    mu = free.mu.result()
-    hyp = free.hypotheses.result()
-    kernel_dim = sp.kernel_count(mu)[0]
-    write_eigenvalue_csv(out_dir, "eigenvalues.csv", mu)
+                                     draws=draws)
+    ledger, hyp = report.ledger, report.hypotheses
+    kernel_dim = sp.kernel_count(report.mu)[0]
+    write_eigenvalue_csv(out_dir, "eigenvalues.csv", report.mu)
     constants = report.to_dict()
     payload = {
         "audit": audit.to_dict(),
@@ -493,17 +488,18 @@ def main(argv=None) -> int:
                              "KINETIC_GAP_THREADS or physical cores)")
     args = parser.parse_args(argv)
 
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None:
-        env = os.environ.get("KINETIC_GAP_THREADS")
+        source = "KINETIC_GAP_THREADS"
+        env = os.environ.get(source)
         try:
             threads = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
-            print(f"error: KINETIC_GAP_THREADS must be an integer, got {env!r}",
+            print(f"error: {source} must be an integer, got {env!r}",
                   file=sys.stderr)
             return EXIT_CONFIG
     if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
+        print(f"error: {source} must be >= 1, got {threads}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

@@ -18,16 +18,16 @@ in the coefficient vector f, and (H1.2), is decided on the whole discrete
 space by one eigenvalue test (:func:`form_check`): f^T A f >= f^T R f for
 all f exactly when A - R is positive semidefinite.  The (H2) constants
 C(eps) are largest eigenvalues as well, so D^b is the only sampled value.
-Its samples can be drawn on a worker thread (:func:`db_draws`) while the
-part of the chain that does not depend on D^b is computed
-(:func:`db_free_chain`).
+Its samples can be drawn on a worker thread (:func:`db_draws`) while
+:func:`constants_report` computes the steps of the chain that come
+before D^b.
 """
 from __future__ import annotations
 
 import collections
 import contextlib
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +47,7 @@ __all__ = [
     "explicit_lambda",
     "ConstantsReport", "constants_report", "LemmaCheck", "form_check",
     "step_lemma_forms", "verify_step_lemmas", "HypothesisReport", "h12_forms",
-    "verify_H1_H3", "DbFreeChain", "db_free_chain",
+    "verify_H1_H3",
 ]
 
 
@@ -356,6 +356,10 @@ class ConstantsReport:
     lambda_explicit: float
     lambda_numeric: float
     provenance: dict = field(default_factory=dict)
+    # the rest of a constants request, outside to_dict
+    ledger: list = field(default_factory=list)     # verify_step_lemmas
+    hypotheses: HypothesisReport | None = None
+    mu: np.ndarray | None = None     # generalized spectrum of (-L, H-Gram)
 
     def to_dict(self) -> dict:
         return {
@@ -370,32 +374,55 @@ class ConstantsReport:
 
 
 def constants_report(ops: OperatorSet, seed: int = 0,
-                     mc_samples: int = 100_000, draws=None,
-                     free=None) -> ConstantsReport:
-    """Assemble the full constant chain with provenance tags.
+                     mc_samples: int = 100_000, draws=None) -> ConstantsReport:
+    """The constant chain with provenance tags, and with it the step-lemma
+    ledger, the (H1)-(H3) report and the spectrum mu of (-L, H-Gram).
 
-    ``free`` is the :func:`db_free_chain` of ``ops``, computed here when not
-    given, and ``draws`` the D^b samples (:func:`compute_Db`).  The pieces
-    are read in the order of the chain, so its first error is the one
-    raised: C^m, D^b, C_k, their positivity, then lambda_numeric.
+    The chain runs in this order, and its first failure is the one raised:
+
+      1. C^m and C_k, and their positivity;
+      2. lambda_numeric and mu;
+      3. the ortho and differences checks, then :func:`verify_H1_H3`;
+      4. D^b (:func:`compute_Db`, reading ``draws``) and its positivity;
+      5. eta and lambda, then :func:`verify_step_lemmas`.
+
+    Steps 1-3 do not read D^b, so its samples can be drawn meanwhile
+    (:func:`db_draws`).
     """
     from .kernels import compute_C_b, compute_ell_b
 
-    if free is None:
-        free = db_free_chain(ops)
-    ell_b = compute_ell_b(ops.family)
-    C_b = compute_C_b(ops.family)
-    C_m, cm_floor = free.C_m.result()
-    db = compute_Db(ops.mixture, ops.family, seed, mc_samples, draws=draws)
-    C_k = free.C_k.result()
-    for name, value, floor in (("C^m", C_m, cm_floor), ("D^b", db.value, 0.0),
-                               ("C_k", C_k, 0.0)):
+    def require_positive(name, value, floor=0.0):
         if value <= floor:
             raise InconclusivePositivityError(
                 f"{name} = {value:.6e} is not above {floor:.1e}, so the "
                 "explicit rate lambda is undefined")
+
+    ell_b = compute_ell_b(ops.family)
+    C_b = compute_C_b(ops.family)
+    L, H = ops.L.matrix, ops.hgram.matrix
+    # an overflow leaves inf or NaN for the gates of the chain
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # C^m, the generalized gap of -L^m against the H-Gram off ker(L^m),
+        # is the first eigenvalue of its pencil; the eigensolver resolves
+        # no C^m below dim * eps * max mu from zero
+        cm_mu = complement_spectrum(ops.Lm.matrix, H, ops.ker_Lm)
+        C_m = float(cm_mu[0])
+        C_k = compute_Ck(ops.mixture, H, ops.ker_Lm)[0]
+        require_positive("C^m", C_m,
+                         cm_mu.size * np.finfo(float).eps * cm_mu[-1])
+        require_positive("C_k", C_k)
+        lam_num = generalized_gap(L, H, ops.ker_L)
+        mu = generalized_eigs(-L, H)
+        forms = step_lemma_forms(ops, C_m, None, C_k)
+        made = {"ortho": form_check("ortho", *forms["ortho"], H,
+                                    spectrum_A=mu),
+                "differences": form_check("differences",
+                                          *forms["differences"], H)}
+        hyp = verify_H1_H3(ops, lam_num, mu)
+    db = compute_Db(ops.mixture, ops.family, seed, mc_samples, draws=draws)
+    require_positive("D^b", db.value)
     eta, lam = explicit_lambda(C_m, db.value, C_k)
-    lam_num = free.lambda_numeric.result()
+    ledger = verify_step_lemmas(ops, C_m, db.value, C_k, made=made, mu=mu)
     prov = {
         "nu0": {"method": "analytic", "formula":
                 "2^(3g/2) C1 ell_b rho_total Gamma((g+3)/2)/sqrt(pi)"},
@@ -420,7 +447,8 @@ def constants_report(ops: OperatorSet, seed: int = 0,
                            ell_b=ell_b, C_b=C_b, C_m=C_m,
                            D_b=db.value, D_b_std_err=db.std_err, C_k=C_k,
                            eta=eta, lambda_explicit=lam,
-                           lambda_numeric=lam_num, provenance=prov)
+                           lambda_numeric=lam_num, provenance=prov,
+                           ledger=ledger, hypotheses=hyp, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +553,13 @@ _DISSIPATION_FORMS = ("ortho", "full_chain", "gap_lower_bound")
 
 
 def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
-                       tol: float = 1e-8, free=None) -> list:
+                       tol: float = 1e-8, made=None, mu=None) -> list:
     """Certify each inequality of :func:`step_lemma_forms` on the whole
     discrete space with :func:`form_check` against the H-Gram.
 
-    ``free``, the :func:`db_free_chain` of ``ops``, supplies the ortho and
-    differences checks, made at the default tol, and the spectrum of the
-    -L side; its errors are raised in the order of the checks.
+    ``made`` holds checks already made, by name, which are taken as they
+    are; ``mu``, when given, is the spectrum of -L against the H-Gram, the
+    A side of the ortho, full_chain and gap_lower_bound forms.
 
     The two Jensen steps of the proof need no check: for weights
     w_i >= 0 with sum_i w_i = 1,
@@ -542,9 +570,8 @@ def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
     since w_i w_j <= 1, and likewise for the e_i.
     """
     H = ops.hgram.matrix
-    made = {} if free is None else free.checks
-    mu = None if free is None else _value_or_none(free.mu)
-    return [made[name].result() if name in made else
+    made = made or {}
+    return [made[name] if name in made else
             form_check(name, A, R, H, tol=tol,
                        spectrum_A=mu if name in _DISSIPATION_FORMS else None)
             for name, (A, R) in step_lemma_forms(ops, C_m, D_b, C_k).items()]
@@ -647,70 +674,3 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
                             h2_pairs=pairs, h3_lambda=lambda_numeric,
                             h12_violations=h12.violations,
                             h12_worst_margin=h12.worst_margin)
-
-
-# ---------------------------------------------------------------------------
-# the part of the constants request that does not depend on D^b
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DbFreeChain:
-    """Every piece of the constants request that does not depend on D^b,
-    each a settled future: ``result()`` gives its value, or raises the
-    error its computation raised, when the chain reaches it."""
-    C_m: Future                      # (C^m, the eigensolver's floor)
-    C_k: Future
-    lambda_numeric: Future
-    mu: Future                       # generalized spectrum of (-L, H-Gram)
-    checks: dict                     # {name: LemmaCheck future}
-    hypotheses: Future               # HypothesisReport
-
-
-def _settled(fn, *args) -> Future:
-    """A future holding ``fn(*args)``, or the error it raised."""
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
-
-
-def _value_or_none(done: Future):
-    return None if done.exception() is not None else done.result()
-
-
-def _coercivity_m(ops: OperatorSet) -> tuple:
-    """(C^m, floor): C^m, the generalized gap of -L^m against the H-Gram
-    off ker(L^m), is the first eigenvalue of its pencil; the eigensolver
-    resolves no C^m below floor = dim * eps * max mu from zero."""
-    mu = complement_spectrum(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
-    return float(mu[0]), mu.size * np.finfo(float).eps * mu[-1]
-
-
-def db_free_chain(ops: OperatorSet) -> DbFreeChain:
-    """C^m, C_k, lambda_numeric, the spectrum mu of (-L, H-Gram), the
-    ortho and differences checks of :func:`verify_step_lemmas` (mu is
-    their -L side) and :func:`verify_H1_H3`: all that a constants request
-    computes without D^b, so it can run while the D^b samples are drawn.
-    Nothing is raised here; an overflow leaves inf or NaN for the
-    finiteness and positivity gates of the chain.
-    """
-    L, H = ops.L.matrix, ops.hgram.matrix
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        C_m = _settled(_coercivity_m, ops)
-        C_k = _settled(lambda: compute_Ck(ops.mixture, H, ops.ker_Lm)[0])
-        lam = _settled(generalized_gap, L, H, ops.ker_L)
-        mu = _settled(generalized_eigs, -L, H)
-        forms = _settled(lambda: step_lemma_forms(
-            ops, C_m.result()[0], None, C_k.result()))
-        checks = {
-            "ortho": _settled(lambda: form_check(
-                "ortho", *forms.result()["ortho"], H,
-                spectrum_A=_value_or_none(mu))),
-            "differences": _settled(lambda: form_check(
-                "differences", *forms.result()["differences"], H)),
-        }
-        hyp = _settled(lambda: verify_H1_H3(ops, lam.result(), mu.result()))
-    return DbFreeChain(C_m=C_m, C_k=C_k, lambda_numeric=lam, mu=mu,
-                       checks=checks, hypotheses=hyp)

@@ -285,6 +285,8 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+        if value == "0":
+            assert err == "error: KINETIC_GAP_THREADS must be >= 1, got 0\n"
 
 
 class TestAudit:
@@ -480,19 +482,50 @@ class TestConstants:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_Db_ends_in_a_gate_failure(self, tmp_path, capsys,
                                                    threads):
-        # at phi C = 1e300 in every pair the D^b sum of squares overflows
-        # and its standard error is NaN, which must fail the D^b gate; the
-        # (H1.2) forms overflow too, but D^b comes first in the chain
+        # at phi C = 1e300 in every pair the D^b sum of squares overflows,
+        # but the (H1.2) forms overflow too, and (H1.2) comes first in the
+        # chain
         cfg = hard_sphere_config()
         cfg["kernels"].update(C1=1e300, C2=1e300)
         for row in cfg["kernels"]["phi"]:
             row[:] = [{"type": "power", "C": 1e300, "gamma": 1.0}] * len(row)
         err = constants_gate_failure(tmp_path, cfg, threads, capsys)
+        assert err.startswith("gate failure: the quadratic forms of H1.2")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_nonfinite_Db_is_one_line_gate_failure(self, tmp_path, capsys,
+                                                   monkeypatch, threads):
+        # weights of 1e300 leave every other gate as it is, but the sum of
+        # squares of the D^b samples overflows and its standard error is
+        # NaN, which must fail the D^b gate
+        integrand = cli.sp._db_integrand
+
+        def overflowing(*chunk):
+            r, cos_t, w = integrand(*chunk)
+            return r, cos_t, w * 1e300
+
+        monkeypatch.setattr(cli.sp, "_db_integrand", overflowing)
+        err = constants_gate_failure(tmp_path, hard_sphere_config(), threads,
+                                     capsys)
         assert err.startswith("gate failure: D^b estimate")
+        assert "is not finite" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_first_failure_in_chain_order_is_reported(
+            self, tmp_path, capsys, monkeypatch, threads):
+        # C_k comes before D^b in the chain, so of the two failures C_k's
+        # is the one reported
+        monkeypatch.setattr(cli.sp, "compute_Ck", lambda *a: (0.0, None))
+        monkeypatch.setattr(cli.sp, "compute_Db", lambda *a, **k:
+                            cli.sp.DbEstimate(0.0, 0.0, (0, 0), {}, 1))
+        err = constants_gate_failure(tmp_path, hard_sphere_config(), threads,
+                                     capsys)
+        assert err.startswith("gate failure: C_k = ")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("overflow, code, message", [
-        ("every_kernel", cli.EXIT_GATE, "gate failure: D^b estimate"),
+        ("every_kernel", cli.EXIT_GATE,
+         "gate failure: the quadratic forms of H1.2"),
         ("self_kernels", cli.EXIT_GATE,
          "gate failure: the quadratic forms of H1.2"),
         ("rho_inf", cli.EXIT_CONFIG, "config error: the collision operators")])

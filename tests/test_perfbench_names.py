@@ -122,3 +122,18 @@ def test_tracer_sees_Db_and_the_ledger_on_the_request_thread(tmp_path):
         == [{"samples": cfg["budgets"]["mc_samples"]}]
     assert [s.name for s in tracer.spans].count(
         "spectra.verify_step_lemmas") == 1
+    # the whole chain runs inside constants_report, so its layers are
+    # counted under it and not in the command's own time
+    def ancestors(i):
+        while (i := tracer.spans[i].parent) is not None:
+            yield i
+
+    report = [i for i, s in enumerate(tracer.spans)
+              if s.name == "spectra.constants_report"]
+    assert len(report) == 1
+    for name in ("compute_Db", "verify_step_lemmas", "verify_H1_H3",
+                 "generalized_gap"):
+        spans = [i for i, s in enumerate(tracer.spans)
+                 if s.name == f"spectra.{name}"]
+        assert spans, name
+        assert all(report[0] in ancestors(i) for i in spans), name
