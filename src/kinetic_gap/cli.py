@@ -12,6 +12,7 @@ not shown positive, which writes no report).
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import operator
@@ -188,27 +189,33 @@ def parse_decay(cfg: dict) -> dict:
            "initial": d.get("initial", "random"),
            "amplitude": _number(float, d.get("amplitude", 1e-2),
                                 "decay.amplitude")}
-    _require(out["dt"] > 0 and out["t_end"] > out["dt"],
-             "decay.dt/t_end invalid")
+    dt = out["dt"]
+    _require(dt > 0 and out["t_end"] > dt
+             and math.isfinite(out["t_end"] / dt), "decay.dt/t_end invalid")
     _require(out["record_every"] >= 1, "decay.record_every must be >= 1")
-    times = [k * out["dt"] for k in ev.recorded_steps(
-        out["dt"], out["t_end"], out["record_every"])]
-    kept = sum(t >= ev.FIT_TRANSIENT_FRAC * times[-1] for t in times)
-    _require(kept >= ev.FIT_MIN_POINTS,
-             f"the decay schedule records {kept} times at or after "
-             f"{ev.FIT_TRANSIENT_FRAC:g} t_end; the decay fit needs >= "
-             f"{ev.FIT_MIN_POINTS} (lower decay.record_every or raise "
-             "decay.t_end)")
+    # ev.recorded_steps, counted since a small dt makes it very long, is
+    # `steps` and then n_steps: R times
+    n_steps = int(round(out["t_end"] / dt))
+    steps = range(0, n_steps, out["record_every"])
+    R = (n_steps - 1) // out["record_every"] + 2
     # for each of the K // 2 + 1 independent modes of the K = (2 M_max + 1)^3,
     # evolve holds a complex T x T propagator and every recorded state, and
     # the forms pass then holds three copies of the recorded states
     disc = parse_discretization(cfg)
     T = parse_mixture(cfg).n * math.comb(disc["N"] + 3, 3)
-    R = len(times)
     need = 16 * ((2 * disc["m_max"] + 1) ** 3 // 2 + 1) * T * max(T + R, 3 * R)
     _require(need <= DEFAULT_MEMORY_CAP,
              f"decay at discretization.M_max = {disc['m_max']} needs about "
              f"{need / 2**30:.3g} GiB (cap {DEFAULT_MEMORY_CAP / 2**30:g} GiB)")
+    # k dt grows with k, so the times at or after the fit's cut are
+    # n_steps and a tail of `steps`, which the memory bound keeps short
+    cut = ev.FIT_TRANSIENT_FRAC * (n_steps * dt)
+    kept = R - bisect.bisect_left(steps, True, key=lambda k: k * dt >= cut)
+    _require(kept >= ev.FIT_MIN_POINTS,
+             f"the decay schedule records {kept} times at or after "
+             f"{ev.FIT_TRANSIENT_FRAC:g} t_end; the decay fit needs >= "
+             f"{ev.FIT_MIN_POINTS} (lower decay.record_every or raise "
+             "decay.t_end)")
     _require(out["scheme"] in ("expm", "midpoint"),
              "decay.scheme must be expm|midpoint")
     _require(out["initial"] in ("random", "equilibrium"),
@@ -220,7 +227,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _require(isinstance(cfg, dict), "config must be a JSON object")
     return cfg
@@ -244,21 +251,28 @@ def _jsonify(obj):
     return obj
 
 
+def _write_text(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8; a failed write is a
+    :class:`ConfigError` naming the path."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
+    return path
+
+
 def write_json(out_dir: Path, name: str, payload: dict) -> Path:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    path = out_dir / name
-    path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=2)
-                    + "\n", encoding="utf-8")
-    return path
+    return _write_text(out_dir / name, json.dumps(
+        _jsonify(payload), sort_keys=True, indent=2) + "\n")
 
 
 def write_eigenvalue_csv(out_dir: Path, name: str, values) -> Path:
-    path = out_dir / name
     lines = ["index,eigenvalue"]
     lines += [f"{i},{float(v)!r}" for i, v in enumerate(values)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_text(out_dir / name, "\n".join(lines) + "\n")
 
 
 def gate(name: str, value, test, bound, waived: bool = False) -> dict:
@@ -312,8 +326,7 @@ def _audited_opset(cfg, seed_override, threads):
     ops = build_operator_set(mixture, family, N=disc["N"], q=disc["q"],
                              sphere_level=disc["sphere_level"],
                              threads=threads)
-    _require(all(np.isfinite(m).all() for m in (ops.L.matrix,
-                                                ops.lam.matrix)),
+    _require(all(np.isfinite(m).all() for m in (ops.L, ops.hgram)),
              "the collision operators overflow to inf or NaN; lower "
              "rho_inf or the kernel constants")
     return mixture, disc, budgets, audit, ops
@@ -385,11 +398,11 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1):
 
     rng = np.random.default_rng(budgets["seed"])
     m_max = disc["m_max"]
-    lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
+    lam_num = sp.generalized_gap(ops.L, ops.hgram, ops.ker_L)
     # formed once: the search and the certificate share the rate blocks,
     # the certificate and the evolution the symmetries of L
     blocks = ev.rate_blocks(ops)
-    symmetries = ev.mode_symmetries(ops.L.matrix, ops.basis)
+    symmetries = ev.mode_symmetries(ops.L, ops.basis)
     search = ev.search_coefficients(ops, m_max=m_max, blocks=blocks)
     kappa_cert = ev.certify_coefficients(ops, search.c, m_max=m_max,
                                          blocks=blocks, symmetries=symmetries)
@@ -403,7 +416,7 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1):
     f_inf = ev.equilibrium_state(f_I, ops.ker_L)
 
     try:
-        traj = ev.evolve(f_I, ops.L.matrix, ops.transports, ops.basis,
+        traj = ev.evolve(f_I, ops.L, ops.transports, ops.basis,
                          integration["dt"], integration["t_end"],
                          scheme=integration["scheme"],
                          record_every=integration["record_every"],
@@ -436,8 +449,7 @@ def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1):
     for t, norms, h1, g in zip(traj.times.tolist(), mode_norms.tolist(),
                                h1_dist, g_vals):
         lines.append(",".join(map(repr, [t, *norms, h1, g])))
-    (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n",
-                                            encoding="utf-8")
+    _write_text(out_dir / "trajectory.csv", "\n".join(lines) + "\n")
 
     payload = {
         "audit": audit.to_dict(),

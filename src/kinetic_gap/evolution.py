@@ -82,12 +82,11 @@ def mode_generator(L: np.ndarray, transports, m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if len(transports) != 3:
         raise ValueError("need the three transport operators")
-    mats = [getattr(t, "matrix", t) for t in transports]
-    if any(t.shape != L.shape for t in mats):
+    if any(t.shape != L.shape for t in transports):
         raise ValueError("operator dimensions disagree")
     if not m.any():
         return L.astype(complex)
-    S = 2.0 * np.pi * sum(m[a] * mats[a] for a in range(3))
+    S = 2.0 * np.pi * sum(m[a] * transports[a] for a in range(3))
     return L - 1j * S
 
 
@@ -354,10 +353,6 @@ def _weigh(c, F):
     return sum(c[..., j, None] * F[j] for j in range(4))
 
 
-def _grad_mats(grad_ops):
-    return [getattr(g, "matrix", g) for g in grad_ops]
-
-
 def _state_forms(grads, m, S) -> np.ndarray:
     """Re <s_k, Q_j s_k> of the columns s_k of S (T, k) at the modes m
     (k, 3), stacked (4, k), without forming any Q_j S.
@@ -382,16 +377,16 @@ def _state_forms(grads, m, S) -> np.ndarray:
     return np.stack([n0, k2 * n0, nv, 2.0 * np.pi * mixed])
 
 
-def _functional(state: TorusState, c, grad_ops):
+def _functional(state: TorusState, c, grads):
     """sum_m Re <f_m, Q_m(c) f_m>, every mode in one pass."""
-    F = _state_forms(_grad_mats(grad_ops), state.modes, state.coeffs.T)
+    F = _state_forms(grads, state.modes, state.coeffs.T)
     return np.sum(_weigh(c, F))
 
 
-def h1_norm(state: TorusState, grad_ops) -> float:
+def h1_norm(state: TorusState, grads) -> float:
     """Squared H^1_{x,v} norm: ||f||^2 + sum_m ||2 pi m f_m||^2
     + sum_axis ||grad_v f||^2."""
-    return float(_functional(state, _H1, grad_ops))
+    return float(_functional(state, _H1, grads))
 
 
 def _check_coeffs(c1, c2, c3, c4):
@@ -404,11 +399,11 @@ def _check_coeffs(c1, c2, c3, c4):
 
 
 def hypo_functional(state: TorusState, c1: float, c2: float, c3: float,
-                    c4: float, grad_ops) -> float:
+                    c4: float, grads) -> float:
     """G[f] = c1 ||f||^2 + c2 ||grad_x f||^2 + c3 ||grad_v f||^2
     + c4 Re(grad_x f, grad_v f), summed over modes."""
     _check_coeffs(c1, c2, c3, c4)
-    return float(_functional(state, (c1, c2, c3, c4), grad_ops))
+    return float(_functional(state, (c1, c2, c3, c4), grads))
 
 
 def real_field_mode_norms(coeffs) -> np.ndarray:
@@ -420,7 +415,7 @@ def real_field_mode_norms(coeffs) -> np.ndarray:
     return np.concatenate([norms, np.flip(norms[:, :-1], axis=1)], axis=1)
 
 
-def real_field_forms(modes, coeffs, c, grad_ops) -> tuple:
+def real_field_forms(modes, coeffs, c, grads) -> tuple:
     """(||f||_{H1}^2, G[f] at c = (c1, c2, c3, c4)), each of shape (R,), of
     R real-field states given by their :func:`independent_half` rows
     ``coeffs`` (R, k, T) on ``modes`` (k, 3).
@@ -432,7 +427,7 @@ def real_field_forms(modes, coeffs, c, grad_ops) -> tuple:
     _check_coeffs(*c)
     R, k, T = coeffs.shape
     S = coeffs.reshape(R * k, T).T
-    F = _state_forms(_grad_mats(grad_ops), np.tile(modes, (R, 1)), S)
+    F = _state_forms(grads, np.tile(modes, (R, 1)), S)
     F = F.reshape(4, R, k) @ np.where(modes.any(axis=1), 2.0, 1.0)
     return _weigh(_H1, F), _weigh(c, F)
 
@@ -454,9 +449,7 @@ def rate_blocks(ops: OperatorSet) -> tuple:
     sym X = (X + X^T)/2, skew X = (X - X^T)/2, stacked in this order;
     :func:`_weights` gives the weights.
     """
-    L = ops.L.matrix
-    V = [getattr(t, "matrix", t) for t in ops.transports]
-    G = _grad_mats(ops.grads)
+    L, V, G = ops.L, ops.transports, ops.grads
     Q3 = sum(g.T @ g for g in G)
 
     def sym(X):
@@ -676,7 +669,7 @@ def certify_coefficients(ops: OperatorSet, c, m_max: int = 2, blocks=None,
     """
     _check_coeffs(*c)
     if symmetries is None:
-        symmetries = mode_symmetries(ops.L.matrix, ops.basis)
+        symmetries = mode_symmetries(ops.L, ops.basis)
     W = complement_basis(ops.ker_L, ops.total_size)
     modes = _orbits(modes_up_to(m_max), symmetries)[0]
     kappa = math.inf

@@ -1,4 +1,6 @@
-"""Quadrature assembly of the discrete collision, transport, and gradient operators.
+"""Quadrature assembly of the discrete operators: the collision matrices
+L = L^m + L^b, the nu-weighted H-Gram, and the transport and velocity-
+gradient matrices, bundled as plain arrays in :class:`OperatorSet`.
 
 Everything is Galerkin in the weighted Hermite basis of :mod:`.hermite`: the
 perturbation polynomial is evaluated exactly at the off-grid pre-collisional
@@ -51,9 +53,8 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import hyp1f1
@@ -66,7 +67,7 @@ from .quadrature import half_sphere_rule, hermite_rule_3d
 __all__ = [
     "DiscreteOperator", "FrequencyField", "AssemblyBudgetError",
     "frequency_field", "nu0_lower_bound",
-    "assemble_collision", "assemble_nu_gram", "assemble_lambda_k",
+    "assemble_collision", "assemble_lambda_k",
     "assemble_transport", "assemble_grad_v", "OperatorSet",
     "build_operator_set",
 ]
@@ -87,10 +88,11 @@ class AssemblyBudgetError(MemoryError):
 
 @dataclass
 class DiscreteOperator:
-    """Dense matrix of a bilinear form over the (species x Hermite) basis."""
-    role: str
+    """A collision matrix of :func:`assemble_collision` with the counts of
+    its assembly; the benchmark tracer (``perfbench/tracing.py``) reads
+    ``meta["quadrature_rows"]`` of the first."""
     matrix: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -400,7 +402,6 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
     ns = len(half)
     nb = basis.per_species_size
     cv, cs = _slab_shape(Qv, Qn, ns, nb, memory_cap)
-    t0 = time.perf_counter()
 
     n = mixture.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -446,49 +447,34 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
                 Qb[si, sj] += w * T12
                 Qb[sj, si] += w * T12.T
 
-    meta = {"N": basis.N, "hermite_q": q, "sphere_level": sphere_level,
-            "n_species": n, "threads": threads,
-            "quadrature_rows": Qv * Qn * ns,
-            "monomials": len(wanted), "monomials_computed": len(missing),
-            "assembly_seconds": round(time.perf_counter() - t0, 3)}
-    Lm = DiscreteOperator("Lm", _sym(-Qm), dict(meta))
-    Lb = DiscreteOperator("Lb", _sym(-Qb), dict(meta))
-    L = DiscreteOperator("L", Lm.matrix + Lb.matrix, dict(meta))
-    return L, Lm, Lb
+    meta = {"quadrature_rows": Qv * Qn * ns, "monomials": len(wanted),
+            "monomials_computed": len(missing)}
+    Lm, Lb = _sym(-Qm), _sym(-Qb)
+    return (DiscreteOperator(Lm + Lb, meta), DiscreteOperator(Lm, meta),
+            DiscreteOperator(Lb, meta))
 
 
-def assemble_nu_gram(mixture: Mixture, family: KernelFamily,
-                     basis: HermiteBasis, q: int = 10,
-                     freq: FrequencyField | None = None) -> DiscreteOperator:
-    """nu-weighted Gram matrix: the H-norm metric and the Lambda operator.
+def assemble_lambda_k(mixture: Mixture, family: KernelFamily,
+                      basis: HermiteBasis, q: int = 10,
+                      freq: FrequencyField | None = None) -> np.ndarray:
+    """The nu-weighted Gram matrix: the H-norm metric, which is also the
+    Lambda operator of the hypocoercivity hypotheses (K = L + Lambda).
 
     Block i has entries sum_nodes w nu_i(v) H_alpha(v) H_beta(v); positive
     definite with minimum generalized eigenvalue >= min_nodes nu_i >= nu0.
+    It keeps this name because the benchmark tracer
+    (``perfbench/tracing.py``) wraps it by name.
     """
     freq = freq or frequency_field(mixture, family)
     rule3 = hermite_rule_3d(q)
     H3 = basis.eval_polynomials(rule3.nodes)
     total = basis.total_size
     out = np.zeros((total, total))
-    node_min = math.inf
     for i in range(mixture.n):
         nu = freq.nu(i, rule3.nodes)
-        node_min = min(node_min, float(nu.min()))
         si = basis.species_slice(i)
         out[si, si] = _sym(H3.T @ (H3 * (rule3.weights * nu)[:, None]))
-    return DiscreteOperator("HGram", out,
-                            {"N": basis.N, "hermite_q": q,
-                             "nu_node_min": node_min, "nu0": freq.nu0})
-
-
-def assemble_lambda_k(mixture: Mixture, family: KernelFamily,
-                      basis: HermiteBasis, L: DiscreteOperator,
-                      q: int = 10, freq: FrequencyField | None = None):
-    """(Lambda, K) with Lambda the nu-weighted Gram and K := L + Lambda."""
-    hgram = assemble_nu_gram(mixture, family, basis, q, freq)
-    lam = DiscreteOperator("Lambda", hgram.matrix, dict(hgram.meta))
-    K = DiscreteOperator("K", L.matrix + lam.matrix, dict(hgram.meta))
-    return lam, K
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +510,15 @@ def _lowering(basis: HermiteBasis, axis: int) -> np.ndarray:
     return block
 
 
-def assemble_transport(basis: HermiteBasis, axis: int) -> DiscreteOperator:
+def assemble_transport(basis: HermiteBasis, axis: int) -> np.ndarray:
     """Matrix of f -> v_axis f via x h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1},
     truncated at degree N: A + A^T with A the lowering block.  Symmetric,
     identical per species."""
     A = _lowering(basis, axis)
-    return DiscreteOperator(f"Transport({axis})", _block_diag(basis, A + A.T),
-                            {"axis": axis, "N": basis.N})
+    return _block_diag(basis, A + A.T)
 
 
-def assemble_grad_v(basis: HermiteBasis, axis: int) -> DiscreteOperator:
+def assemble_grad_v(basis: HermiteBasis, axis: int) -> np.ndarray:
     """Matrix of f -> d/dv_axis f for f = M^{1/2} p.
 
     Uses d(M^{1/2} H_alpha) = M^{1/2} (dH_alpha - (v_axis/2) H_alpha), i.e.
@@ -541,18 +526,12 @@ def assemble_grad_v(basis: HermiteBasis, axis: int) -> DiscreteOperator:
         d e_alpha = (sqrt(k)/2) e_{alpha-1} - (sqrt(k+1)/2) e_{alpha+1},
 
     expanded to degree N+1 and truncated back to (A - A^T)/2, A the lowering
-    block; the Frobenius norm of the discarded degree-(N+1) block is
-    recorded in meta["truncation_norm"].  The retained matrix is exactly
+    block; :meth:`OperatorSet.grad_truncation_norm` is the Frobenius norm
+    of the discarded degree-(N+1) block.  The retained matrix is exactly
     skew-symmetric.
     """
     A = _lowering(basis, axis)
-    dropped = 0.0
-    for alpha in basis.indices:
-        if sum(alpha) == basis.N:
-            dropped += (int(alpha[axis]) + 1) / 4.0
-    return DiscreteOperator(f"GradV({axis})", _block_diag(basis, (A - A.T) / 2),
-                            {"axis": axis, "N": basis.N,
-                             "truncation_norm": math.sqrt(dropped)})
+    return _block_diag(basis, (A - A.T) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +540,18 @@ def assemble_grad_v(basis: HermiteBasis, axis: int) -> DiscreteOperator:
 
 @dataclass
 class OperatorSet:
-    """Everything a spectra / evolution run needs, assembled consistently."""
+    """Everything a spectra / evolution run needs, assembled consistently:
+    L = Lm + Lb, the H-Gram (also the Lambda operator), and the three
+    transports and velocity gradients, all dense (T, T) arrays."""
     mixture: Mixture
     family: KernelFamily
     basis: HermiteBasis
     q: int
-    sphere_level: str
     freq: FrequencyField
-    L: DiscreteOperator
-    Lm: DiscreteOperator
-    Lb: DiscreteOperator
-    lam: DiscreteOperator
-    K: DiscreteOperator
-    hgram: DiscreteOperator
+    L: np.ndarray
+    Lm: np.ndarray
+    Lb: np.ndarray
+    hgram: np.ndarray
     transports: tuple
     grads: tuple
     ker_L: np.ndarray
@@ -584,21 +562,25 @@ class OperatorSet:
         return self.basis.total_size
 
     def grad_truncation_norm(self) -> float:
-        return max(g.meta["truncation_norm"] for g in self.grads)
+        """Frobenius norm of the degree-(N+1) block that the truncation of
+        each velocity gradient drops.  The block maps e_alpha, |alpha| = N,
+        to -(sqrt(alpha_a + 1)/2) e_{alpha+1_a}, so its squared norm is
+        sum_{|alpha| = N} (alpha_a + 1)/4 = C(N+2, 2) (N+3) / 12 on every
+        axis a."""
+        N = self.basis.N
+        return math.sqrt(math.comb(N + 2, 2) * (N + 3) // 3 / 4)
 
 
 def build_operator_set(mixture: Mixture, family: KernelFamily, N: int = 4,
                        q: int = 10, sphere_level: str = "medium",
-                       threads: int = 1,
-                       memory_cap: int = DEFAULT_MEMORY_CAP) -> OperatorSet:
+                       threads: int = 1) -> OperatorSet:
     basis = HermiteBasis(N, mixture.n)
     freq = frequency_field(mixture, family)
-    L, Lm, Lb = assemble_collision(mixture, family, basis, q, sphere_level,
-                                   threads, memory_cap)
-    lam, K = assemble_lambda_k(mixture, family, basis, L, q, freq)
-    hgram = DiscreteOperator("HGram", lam.matrix, dict(lam.meta))
+    L, Lm, Lb = (op.matrix for op in assemble_collision(
+        mixture, family, basis, q, sphere_level, threads))
+    hgram = assemble_lambda_k(mixture, family, basis, q, freq)
     transports = tuple(assemble_transport(basis, ax) for ax in range(3))
     grads = tuple(assemble_grad_v(basis, ax) for ax in range(3))
-    return OperatorSet(mixture, family, basis, q, sphere_level, freq,
-                       L, Lm, Lb, lam, K, hgram, transports, grads,
-                       ker_L_basis(mixture, basis), ker_Lm_basis(mixture, basis))
+    return OperatorSet(mixture, family, basis, q, freq, L, Lm, Lb, hgram,
+                       transports, grads, ker_L_basis(mixture, basis),
+                       ker_Lm_basis(mixture, basis))

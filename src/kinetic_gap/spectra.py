@@ -46,8 +46,8 @@ __all__ = [
     "DbEstimate", "db_stream", "db_draws", "compute_Db", "compute_Ck",
     "explicit_lambda",
     "ConstantsReport", "constants_report", "LemmaCheck", "form_check",
-    "step_lemma_forms", "verify_step_lemmas", "HypothesisReport", "h12_forms",
-    "verify_H1_H3",
+    "lemma_sides", "step_lemma_forms", "verify_step_lemmas",
+    "HypothesisReport", "h12_forms", "verify_H1_H3",
 ]
 
 
@@ -146,11 +146,11 @@ def spectral_report(ops: OperatorSet) -> SpectralReport:
     and the surrogate essential-spectrum checks (Lambda spectrum >= nu0,
     L spectrum <= 0).
     """
-    L = ops.L.matrix
-    mu = generalized_eigs(-L, ops.hgram.matrix)
+    L = ops.L
+    mu = generalized_eigs(-L, ops.hgram)
     kernel_dim, threshold = kernel_count(mu)
-    gap = generalized_gap(L, ops.hgram.matrix, ops.ker_L)
-    wl = eigvalsh(ops.lam.matrix)
+    gap = generalized_gap(L, ops.hgram, ops.ker_L)
+    wl = eigvalsh(ops.hgram)
     we = eigvalsh(L)
     return SpectralReport(eigenvalues=mu, kernel_dim=kernel_dim,
                           gap_numeric=gap, essential_onset=ops.freq.nu0,
@@ -399,13 +399,13 @@ def constants_report(ops: OperatorSet, seed: int = 0,
 
     ell_b = compute_ell_b(ops.family)
     C_b = compute_C_b(ops.family)
-    L, H = ops.L.matrix, ops.hgram.matrix
+    L, H = ops.L, ops.hgram
     # an overflow leaves inf or NaN for the gates of the chain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # C^m, the generalized gap of -L^m against the H-Gram off ker(L^m),
         # is the first eigenvalue of its pencil; the eigensolver resolves
         # no C^m below dim * eps * max mu from zero
-        cm_mu = complement_spectrum(ops.Lm.matrix, H, ops.ker_Lm)
+        cm_mu = complement_spectrum(ops.Lm, H, ops.ker_Lm)
         C_m = float(cm_mu[0])
         C_k = compute_Ck(ops.mixture, H, ops.ker_Lm)[0]
         require_positive("C^m", C_m,
@@ -413,7 +413,8 @@ def constants_report(ops: OperatorSet, seed: int = 0,
         require_positive("C_k", C_k)
         lam_num = generalized_gap(L, H, ops.ker_L)
         mu = generalized_eigs(-L, H)
-        forms = step_lemma_forms(ops, C_m, None, C_k)
+        sides = lemma_sides(ops)
+        forms = step_lemma_forms(sides, C_m, None, C_k)
         made = {"ortho": form_check("ortho", *forms["ortho"], H,
                                     spectrum_A=mu),
                 "differences": form_check("differences",
@@ -422,7 +423,8 @@ def constants_report(ops: OperatorSet, seed: int = 0,
     db = compute_Db(ops.mixture, ops.family, seed, mc_samples, draws=draws)
     require_positive("D^b", db.value)
     eta, lam = explicit_lambda(C_m, db.value, C_k)
-    ledger = verify_step_lemmas(ops, C_m, db.value, C_k, made=made, mu=mu)
+    ledger = verify_step_lemmas(ops, sides, C_m, db.value, C_k, made=made,
+                                mu=mu)
     prov = {
         "nu0": {"method": "analytic", "formula":
                 "2^(3g/2) C1 ell_b rho_total Gamma((g+3)/2)/sqrt(pi)"},
@@ -497,7 +499,27 @@ def form_check(name: str, A: np.ndarray, R: np.ndarray, metric=None,
     return LemmaCheck(name, int(lam_min < -tol * scale), lam_min / scale)
 
 
-def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float | None,
+def lemma_sides(ops: OperatorSet) -> tuple:
+    """(-L, ||f_perp||_H^2, -(f_par, L^b f_par), ||f - Pi_L f||_H^2,
+    sum_ij (|u_i - u_j|^2 + (e_i - e_j)^2)) as T x T matrices: the forms
+    that :func:`step_lemma_forms` combines."""
+    L, Lb, H = ops.L, ops.Lb, ops.hgram
+    VL, Vm = ops.ker_L, ops.ker_Lm
+    I = np.eye(ops.total_size)
+    P = Vm @ Vm.T
+    Q = I - P
+    QL = I - VL @ VL.T
+    h_perp = Q.T @ H @ Q
+    cross = -P.T @ Lb @ P
+    h_tilde = QL.T @ H @ QL
+    coeffs = extract_coefficients(ops.mixture, ops.basis, I)
+    diff_rows = np.concatenate([
+        (coeffs.u[:, None] - coeffs.u[None, :]).reshape(-1, ops.total_size),
+        (coeffs.e[:, None] - coeffs.e[None, :]).reshape(-1, ops.total_size)])
+    return -L, h_perp, cross, h_tilde, diff_rows.T @ diff_rows
+
+
+def step_lemma_forms(sides: tuple, C_m: float, D_b: float | None,
                      C_k: float) -> dict:
     """{name: (A, R)}: the two sides f^T A f >= f^T R f of each operator
     inequality of the constructive-gap chain, as T x T matrices.
@@ -513,26 +535,12 @@ def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float | None,
 
     f_par = P f with P = Vm Vm^T the projection onto ker(L^m), and
     (u_i, e_i) = E f with E = extract_coefficients(..., I), so every side
-    is a quadratic form in f.  With ``D_b`` None only the two forms free of
-    D^b are returned, ortho and differences.
+    is a quadratic form in f, combined from the :func:`lemma_sides`
+    ``sides`` of the operator set.  With ``D_b`` None only the two forms
+    free of D^b are returned, ortho and differences.
     """
-    L, Lb, H = ops.L.matrix, ops.Lb.matrix, ops.hgram.matrix
-    VL, Vm = ops.ker_L, ops.ker_Lm
-    I = np.eye(ops.total_size)
+    diss, h_perp, cross, h_tilde, diffs = sides
     eta_o = min(1.0, C_m / 8.0)
-
-    P = Vm @ Vm.T
-    Q = I - P
-    QL = I - VL @ VL.T
-    diss = -L
-    h_perp = Q.T @ H @ Q
-    cross = -P.T @ Lb @ P
-    h_tilde = QL.T @ H @ QL
-    coeffs = extract_coefficients(ops.mixture, ops.basis, I)
-    diff_rows = np.concatenate([
-        (coeffs.u[:, None] - coeffs.u[None, :]).reshape(-1, ops.total_size),
-        (coeffs.e[:, None] - coeffs.e[None, :]).reshape(-1, ops.total_size)])
-    diffs = diff_rows.T @ diff_rows
     ortho = (diss, (C_m - 4.0 * eta_o) * h_perp + 0.5 * eta_o * cross)
     differences = (diffs, (h_tilde - 2.0 * h_perp) / C_k)
     if D_b is None:
@@ -552,10 +560,12 @@ def step_lemma_forms(ops: OperatorSet, C_m: float, D_b: float | None,
 _DISSIPATION_FORMS = ("ortho", "full_chain", "gap_lower_bound")
 
 
-def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
-                       tol: float = 1e-8, made=None, mu=None) -> list:
+def verify_step_lemmas(ops: OperatorSet, sides: tuple, C_m: float,
+                       D_b: float, C_k: float, tol: float = 1e-8, made=None,
+                       mu=None) -> list:
     """Certify each inequality of :func:`step_lemma_forms` on the whole
-    discrete space with :func:`form_check` against the H-Gram.
+    discrete space with :func:`form_check` against the H-Gram; ``sides``
+    are the :func:`lemma_sides` of ``ops``.
 
     ``made`` holds checks already made, by name, which are taken as they
     are; ``mu``, when given, is the spectrum of -L against the H-Gram, the
@@ -569,12 +579,12 @@ def verify_step_lemmas(ops: OperatorSet, C_m: float, D_b: float, C_k: float,
 
     since w_i w_j <= 1, and likewise for the e_i.
     """
-    H = ops.hgram.matrix
     made = made or {}
+    forms = step_lemma_forms(sides, C_m, D_b, C_k)
     return [made[name] if name in made else
-            form_check(name, A, R, H, tol=tol,
+            form_check(name, A, R, ops.hgram, tol=tol,
                        spectrum_A=mu if name in _DISSIPATION_FORMS else None)
-            for name, (A, R) in step_lemma_forms(ops, C_m, D_b, C_k).items()]
+            for name, (A, R) in forms.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +626,15 @@ def h12_forms(ops: OperatorSet, nu_bar_4: float) -> tuple:
             >= ||grad f||_H^2 / 2 - nu_bar_4 |f|^2,
 
     with A = sum_a G_a^T G_a Lambda, R = 1/2 sum_a G_a^T H G_a - nu_bar_4 I
-    and slack = trunc^2 max|Lambda| for the GradV truncation norm trunc.
+    and slack = trunc^2 max|Lambda| for the GradV truncation norm trunc,
+    where Lambda is the H-Gram H itself.
     """
-    lam_m, H = ops.lam.matrix, ops.hgram.matrix
-    grads = [g.matrix for g in ops.grads]
-    A = sum(g.T @ g @ lam_m for g in grads)
-    R = 0.5 * sum(g.T @ H @ g for g in grads) \
+    H = ops.hgram
+    A = sum(g.T @ g @ H for g in ops.grads)
+    R = 0.5 * sum(g.T @ H @ g for g in ops.grads) \
         - nu_bar_4 * np.eye(ops.total_size)
     trunc = ops.grad_truncation_norm()
-    return A, R, trunc * trunc * float(np.max(np.abs(lam_m)))
+    return A, R, trunc * trunc * float(np.max(np.abs(H)))
 
 
 def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
@@ -643,10 +653,7 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
     discrete space.  (H3) is the measured generalized gap.  Nothing is
     sampled: the report is a function of the operators alone.
     """
-    K = ops.K.matrix
-    grads = [g.matrix for g in ops.grads]
-
-    nu_bar_0 = float(eigvalsh(ops.lam.matrix)[0])
+    nu_bar_0 = float(eigvalsh(ops.hgram)[0])
     nodes = hermite_rule_3d(ops.q).nodes
     nu_bar_4 = 0.0
     # an overflow here is reported by form_check's finiteness gate
@@ -660,9 +667,10 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
     h12 = form_check("H1.2", A, R, slack=slack)
 
     # (H2): quadratic forms of (grad f, grad K f) vs eps ||grad f||^2 + C ||f||^2
-    A2 = sum(g.T @ (g @ K) for g in grads)
+    K = ops.L + ops.hgram
+    A2 = sum(g.T @ (g @ K) for g in ops.grads)
     A2 = 0.5 * (A2 + A2.T)
-    B2 = sum(g.T @ g for g in grads)
+    B2 = sum(g.T @ g for g in ops.grads)
     B2 = 0.5 * (B2 + B2.T)
 
     pairs = [(float(eps), max(float(eigvalsh(A2 - eps * B2)[-1]), 0.0))

@@ -516,7 +516,7 @@ def step_lemma_margins(ops, C_m, D_b, C_k, f):
     """{name: (margin, scale)} of the five operator inequalities of the
     constructive-gap chain at one coefficient vector f; the inequality is
     violated at f when margin < -tol * scale."""
-    L, Lb, H = ops.L.matrix, ops.Lb.matrix, ops.hgram.matrix
+    L, Lb, H = ops.L, ops.Lb, ops.hgram
     VL, Vm = ops.ker_L, ops.ker_Lm
     eta_o = min(1.0, C_m / 8.0)
     eta_t = min(1.0, 4.0 * C_m * C_k / (16.0 * C_k + D_b))
@@ -602,23 +602,24 @@ def h12_margin(ops, f, nu4):
             >= ||grad f||_H^2 / 2 - nu4 ||f||^2;
 
     the inequality is violated at f when margin < -1e-8 * scale."""
-    lam_m, H = ops.lam.matrix, ops.hgram.matrix
-    grads = [g.matrix for g in ops.grads]
+    H = ops.hgram                # the H-Gram is also Lambda
     trunc = ops.grad_truncation_norm()
-    lam_scale = float(np.max(np.abs(lam_m)))
-    lhs = sum(float((g @ f) @ (g @ (lam_m @ f))) for g in grads)
-    hgrad = sum(float((g @ f) @ (H @ (g @ f))) for g in grads)
+    lam_scale = float(np.max(np.abs(H)))
+    lhs = sum(float((g @ f) @ (g @ (H @ f))) for g in ops.grads)
+    hgrad = sum(float((g @ f) @ (H @ (g @ f))) for g in ops.grads)
     rhs = 0.5 * hgrad - nu4 * float(f @ f)
     slack = trunc * trunc * lam_scale * float(f @ f)
     return lhs - rhs + slack, max(1.0, abs(lhs), abs(rhs))
 
 
-def h12_loop(ops, n_samples, seed):
+def h12_loop(ops, n_samples, seed, mean=0.0):
     """(violations, worst relative margin) of :func:`h12_margin`, sample
-    after sample, from a fresh generator."""
+    after sample of f = mean + a standard Gaussian, from a fresh
+    generator."""
     rng = np.random.default_rng(seed)
     nu4 = nu_bar_4(ops)
-    margins = [h12_margin(ops, rng.standard_normal(ops.total_size), nu4)
+    margins = [h12_margin(ops, mean + rng.standard_normal(ops.total_size),
+                          nu4)
                for _ in range(n_samples)]
     return (sum(m < -1e-8 * s for m, s in margins),
             min(m / s for m, s in margins))
@@ -780,7 +781,7 @@ def compute_Cm(ops) -> float:
     """Mono-species coercivity constant: the generalized gap of -L^m
     against the H-Gram on the complement of ker(L^m)."""
     from kinetic_gap.spectra import generalized_gap
-    return generalized_gap(ops.Lm.matrix, ops.hgram.matrix, ops.ker_Lm)
+    return generalized_gap(ops.Lm, ops.hgram, ops.ker_Lm)
 
 
 def audit_failures(report) -> list:
@@ -806,9 +807,8 @@ def collision_frequency(mixture, family, i: int, v):
     return float(vals[0]) if single else vals
 
 
-def symmetry_defect(op) -> float:
-    """max |M - M^T| / max |M| of a DiscreteOperator's matrix M."""
-    m = op.matrix
+def symmetry_defect(m) -> float:
+    """max |M - M^T| / max |M| of a matrix M."""
     scale = np.max(np.abs(m)) or 1.0
     return float(np.max(np.abs(m - m.T)) / scale)
 
@@ -933,8 +933,8 @@ def rate_forms(ops, m, S):
     mode m, from the generator A_m, and their squared H^1 norms; along the
     generator dG/dt = 2 sum_j c_j R_j."""
     from kinetic_gap import evolution as ev
-    A = ev.mode_generator(ops.L.matrix, ops.transports, m)
-    grads = ev._grad_mats(ops.grads)
+    A = ev.mode_generator(ops.L, ops.transports, m)
+    grads = ops.grads
     return (forms(S, terms(grads, m, A @ S)),
             ev._weigh(ev._H1, forms(S, terms(grads, m, S))))
 
@@ -973,9 +973,9 @@ def sampled_search_coefficients(ops, m_max: int = 2, n_samples: int = 1000,
         cols.setdefault(m, []).append(k)
     AS = np.empty_like(S)
     for m, ks in cols.items():
-        AS[:, ks] = ev.mode_generator(ops.L.matrix, ops.transports, m) \
+        AS[:, ks] = ev.mode_generator(ops.L, ops.transports, m) \
             @ S[:, ks]
-    grads = ev._grad_mats(ops.grads)
+    grads = ops.grads
     per_col = np.array([m for m, _ in states], dtype=float)
     R = forms(S, terms(grads, per_col, AS))
     h1 = ev._weigh(ev._H1, forms(S, terms(grads, per_col, S)))
@@ -999,7 +999,7 @@ def all_modes_functional(state, c, grad_ops) -> np.ndarray:
     tuples c of shape (n, 4) gives n values."""
     from kinetic_gap import evolution as ev
     S = np.ascontiguousarray(state.coeffs.T)
-    F = forms(S, terms(ev._grad_mats(grad_ops), state.modes, S))
+    F = forms(S, terms(grad_ops, state.modes, S))
     return np.sum(ev._weigh(c, F), axis=-1)
 
 
@@ -1007,8 +1007,8 @@ def pencil(ops, c, m):
     """Hermitian pencil (H, N) of mode m built from its generator:
     M = sum_j c_j Q_j A_m, H = -(M + M^H)/2 and N = sum_{j<=3} Q_j."""
     from kinetic_gap import evolution as ev
-    grads = ev._grad_mats(ops.grads)
-    A = ev.mode_generator(ops.L.matrix, ops.transports, m)
+    grads = ops.grads
+    A = ev.mode_generator(ops.L, ops.transports, m)
     M = ev._weigh(c, terms(grads, m, A))
     N = ev._weigh(ev._H1, terms(grads, m, np.eye(ops.total_size)))
     return -(M + M.conj().T) / 2.0, N

@@ -38,9 +38,9 @@ def ref_constants(ops_ref):
     C_m = compute_Cm(ops_ref)
     db = sp.compute_Db(ops_ref.mixture, ops_ref.family, seed=101,
                        count=100_000)
-    C_k, _ = sp.compute_Ck(ops_ref.mixture, ops_ref.hgram.matrix,
+    C_k, _ = sp.compute_Ck(ops_ref.mixture, ops_ref.hgram,
                            ops_ref.ker_Lm)
-    lam_num = sp.generalized_gap(ops_ref.L.matrix, ops_ref.hgram.matrix,
+    lam_num = sp.generalized_gap(ops_ref.L, ops_ref.hgram,
                                  ops_ref.ker_L)
     return C_m, db, C_k, lam_num
 
@@ -66,7 +66,7 @@ def test_criterion_1_collision_geometry():
 
 def test_criterion_2_h_theorem_default_budget(ops_ref, timings):
     t0 = time.perf_counter()
-    w = jacobi_eigh(ops_ref.L.matrix)[0]
+    w = jacobi_eigh(ops_ref.L)[0]
     eig_seconds = time.perf_counter() - t0
     total = timings["ref_assembly_seconds"] + eig_seconds
     sym = symmetry_defect(ops_ref.L)
@@ -123,18 +123,18 @@ def test_criterion_5_gap_theorem_gate(ops_maxwell1, ops_ref, ops_mixed2,
             C_m = compute_Cm(ops)
             db = sp.compute_Db(ops.mixture, ops.family, seed=55,
                                count=100_000)
-            C_k, _ = sp.compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
-            lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix,
+            C_k, _ = sp.compute_Ck(ops.mixture, ops.hgram, ops.ker_Lm)
+            lam_num = sp.generalized_gap(ops.L, ops.hgram,
                                          ops.ker_L)
         assert db.value > 3.0 * db.std_err
         eta, lam = sp.explicit_lambda(C_m, db.value, C_k)
         gate = lam <= lam_num * 1.05
-        H = ops.hgram.matrix
+        H = ops.hgram
         worst = math.inf
         for _ in range(1000):
             f = rng.standard_normal(ops.total_size)
             ft = f - project_onto(ops.ker_L, f)
-            margin = -(f @ (ops.L.matrix @ f)) - lam * (ft @ (H @ ft))
+            margin = -(f @ (ops.L @ f)) - lam * (ft @ (H @ ft))
             worst = min(worst, margin)
         samples_ok = worst >= -1e-8
         ok = ok and gate and samples_ok
@@ -145,7 +145,8 @@ def test_criterion_5_gap_theorem_gate(ops_maxwell1, ops_ref, ops_mixed2,
 
 def test_criterion_6_step_lemma_ledger(ops_ref, ref_constants):
     C_m, db, C_k, _ = ref_constants
-    ledger = sp.verify_step_lemmas(ops_ref, C_m, db.value, C_k, tol=1e-8)
+    ledger = sp.verify_step_lemmas(ops_ref, sp.lemma_sides(ops_ref), C_m,
+                                   db.value, C_k, tol=1e-8)
     viol = {c.name: c.violations for c in ledger}
     ok = all(v == 0 for v in viol.values())
     worst = min(c.worst_margin for c in ledger)
@@ -154,7 +155,7 @@ def test_criterion_6_step_lemma_ledger(ops_ref, ref_constants):
 
 def test_criterion_7_hypotheses(ops_ref, ref_constants):
     _, _, _, lam_num = ref_constants
-    mu = sp.generalized_eigs(-ops_ref.L.matrix, ops_ref.hgram.matrix)
+    mu = sp.generalized_eigs(-ops_ref.L, ops_ref.hgram)
     rep = sp.verify_H1_H3(ops_ref, lam_num, mu)
     ok = (all_positive(rep) and rep.nu_bar_3 == 0.5
           and rep.h12_violations == 0
@@ -182,7 +183,7 @@ def test_criterion_8_hypocoercive_decay(ops_ref):
     par_L = project_onto(ops_ref.ker_L, c0.real)
     assert np.linalg.norm(par - par_L) > 1e-4
 
-    traj = ev.evolve(f_I, ops_ref.L.matrix, ops_ref.transports, ops_ref.basis,
+    traj = ev.evolve(f_I, ops_ref.L, ops_ref.transports, ops_ref.basis,
                      dt=0.1, t_end=8.0)
     kproj0 = ops_ref.ker_L.T @ f_I.coeffs[zero]
     h1_dist, g_vals, drift = [], [], 0.0
@@ -236,11 +237,11 @@ def test_criterion_9_numerical_infrastructure(ops_small):
     c = rng.standard_normal(ops.total_size) \
         + 1j * rng.standard_normal(ops.total_size)
     st = ev.TorusState(np.array([(1, 0, 0)]), c[None, :])
-    ref_state = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+    ref_state = ev.evolve(st, ops.L, ops.transports, ops.basis,
                           dt=0.05, t_end=1.0, scheme="expm").coeffs[-1]
     errs = []
     for dt in (0.05, 0.025):
-        got = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+        got = ev.evolve(st, ops.L, ops.transports, ops.basis,
                         dt=dt, t_end=1.0, scheme="midpoint").coeffs[-1]
         errs.append(np.linalg.norm(got[0] - ref_state[0]))
     ratio = errs[0] / errs[1]
@@ -302,9 +303,9 @@ def test_kappa_stable_between_truncations(ops_ref, ops_ref_N3):
 def test_generator_abscissa_negative_for_reference(ops_ref):
     # hypocoercivity: strictly negative spectral abscissa at m != 0
     # (general eigensolver used as a test-only oracle)
-    A = ev.mode_generator(ops_ref.L.matrix, ops_ref.transports, (1, 0, 0))
+    A = ev.mode_generator(ops_ref.L, ops_ref.transports, (1, 0, 0))
     eigs = np.linalg.eigvals(A)
     assert np.max(eigs.real) < -1e-3
-    A0 = ev.mode_generator(ops_ref.L.matrix, ops_ref.transports, (0, 0, 0))
+    A0 = ev.mode_generator(ops_ref.L, ops_ref.transports, (0, 0, 0))
     eigs0 = np.linalg.eigvals(A0)
     assert np.max(eigs0.real) <= 1e-8

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,10 @@ MALFORMED = [
     ("record_every_fractional", ("decay", "record_every"), 2.5),
     ("rho_inf_bool", ("mixture", "species", 0, "rho_inf"), True),
     ("seed_bool", ("budgets", "seed"), True),
+    # t_end / dt overflows to inf
+    ("decay_steps_overflow", ("decay",), {"dt": 1e-300, "t_end": 1e10}),
+    # 6e20 steps, more than a Python range can report as its length
+    ("decay_steps_beyond_ssize", ("decay",), {"dt": 1e-20, "t_end": 6.0}),
     # fewer than 20 recorded times at or after 0.2 t_end (17 and 7 here)
     ("decay_schedule_too_short", ("decay", "t_end"), 2.0),
     ("decay_schedule_too_sparse", ("decay", "record_every"), 10),
@@ -153,6 +158,16 @@ class TestValidation:
         code = run_cli(["audit", "--config", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
+
+    def test_non_utf8_config_is_one_line_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(b"\xff\xfe{}")
+        code = run_cli(["audit", "--config", str(config),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: cannot read config {config}: ")
+        assert len(err.splitlines()) == 1
 
     def test_negative_rho_rejected(self, tmp_path):
         cfg = hard_sphere_config()
@@ -222,6 +237,33 @@ class TestValidation:
             cli.parse_decay(hard_sphere_config(m_max=40))
         cli.parse_decay(hard_sphere_config(m_max=5))
 
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.03, 1.0 / 3.0, 0.07])
+    def test_decay_schedule_counts_match_recorded_steps(self, dt):
+        # parse_decay counts the schedule that evolve records; the fit
+        # window is the recorded times at or after 0.2 of the last one
+        cfg = hard_sphere_config()
+        for t_end in (1.0, 2.0, 2.9, 6.0):
+            for every in (1, 2, 3, 7):
+                cfg["decay"].update(dt=dt, t_end=t_end, record_every=every)
+                times = [k * dt for k in cli.ev.recorded_steps(dt, t_end,
+                                                               every)]
+                kept = sum(t >= 0.2 * times[-1] for t in times)
+                if kept >= cli.ev.FIT_MIN_POINTS:
+                    cli.parse_decay(cfg)
+                    continue
+                with pytest.raises(cli.ConfigError,
+                                   match=f"records {kept} times "):
+                    cli.parse_decay(cfg)
+
+    def test_tiny_decay_step_is_rejected_without_listing_steps(self):
+        # 6e12 steps: the memory bound rejects the schedule at once
+        cfg = hard_sphere_config()
+        cfg["decay"].update(dt=1e-12, t_end=6.0)
+        t0 = time.perf_counter()
+        with pytest.raises(cli.ConfigError, match="GiB"):
+            cli.parse_decay(cfg)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_decay_memory_bound_counts_independent_modes(self):
         # N = 4, n = 2 (T = 70), 41 recorded times: the K // 2 + 1 modes
         # that decay evolves fit the 2 GiB cap up to M_max = 15
@@ -266,6 +308,24 @@ class TestValidation:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: cannot create output directory ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command,name", [
+        ("audit", "audit.json"), ("spectrum", "spectrum.json"),
+        ("spectrum", "eigenvalues.csv"), ("constants", "constants.json"),
+        ("constants", "eigenvalues.csv"), ("decay", "decay.json"),
+        ("decay", "trajectory.csv")])
+    def test_failed_output_write_is_one_line_error(self, tmp_path, capsys,
+                                                   command, name):
+        # a directory where an output file goes
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code = run_cli([command, "--config",
+                        write_config(tmp_path, hard_sphere_config()),
+                        "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: cannot write {out / name}: ")
         assert len(err.splitlines()) == 1
 
     def test_threads_validated(self, tmp_path):
@@ -438,8 +498,8 @@ class TestConstants:
                                  cli.parse_family(cfg, 2), N=3, q=6,
                                  sphere_level="coarse")
         W = cli.sp.complement_basis(ops.ker_Lm, ops.total_size)
-        A = W.T @ -ops.Lm.matrix @ W
-        B = W.T @ ops.hgram.matrix @ W
+        A = W.T @ -ops.Lm @ W
+        B = W.T @ ops.hgram @ W
         mu = cli.sp.generalized_eigs(0.5 * (A + A.T), 0.5 * (B + B.T))
         floor = mu.size * np.finfo(float).eps * np.max(np.abs(mu))
         assert compute_Cm(ops) > 10.0 * floor

@@ -27,15 +27,15 @@ def norm_sq(coeffs) -> float:
 
 class TestModeGenerator:
     def test_zero_mode_is_L(self, ops_small):
-        A = ev.mode_generator(ops_small.L.matrix, ops_small.transports,
+        A = ev.mode_generator(ops_small.L, ops_small.transports,
                               (0, 0, 0))
-        assert np.array_equal(A.real, ops_small.L.matrix)
+        assert np.array_equal(A.real, ops_small.L)
         assert np.max(np.abs(A.imag)) == 0.0
 
     def test_negated_mode_is_conjugate(self, ops_small):
-        A = ev.mode_generator(ops_small.L.matrix, ops_small.transports,
+        A = ev.mode_generator(ops_small.L, ops_small.transports,
                               (1, -2, 0))
-        B = ev.mode_generator(ops_small.L.matrix, ops_small.transports,
+        B = ev.mode_generator(ops_small.L, ops_small.transports,
                               (-1, 2, 0))
         assert np.array_equal(B, np.conj(A))
 
@@ -46,7 +46,7 @@ class TestModeGenerator:
     def test_norm_nonincreasing_any_mode(self, ops_small, rng):
         # numerical abscissa <= 0: symmetric part of the generator is L + L^T
         m = (2, -1, 0)
-        A = ev.mode_generator(ops_small.L.matrix, ops_small.transports, m)
+        A = ev.mode_generator(ops_small.L, ops_small.transports, m)
         c = rng.standard_normal(ops_small.total_size) \
             + 1j * rng.standard_normal(ops_small.total_size)
         assert float(np.vdot(c, A @ c).real) <= 1e-10 * float(np.vdot(c, c).real)
@@ -83,7 +83,7 @@ class TestEvolve:
         ops = ops_small
         coeff = ops.ker_L @ np.arange(1.0, ops.ker_L.shape[1] + 1.0)
         st = one_mode((0, 0, 0), coeff.astype(complex))
-        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+        traj = ev.evolve(st, ops.L, ops.transports, ops.basis,
                          dt=0.1, t_end=1.0)
         drift = np.max(np.abs(traj.coeffs[-1, 0] - coeff))
         assert drift <= 1e-10 * np.max(np.abs(coeff))
@@ -91,7 +91,7 @@ class TestEvolve:
     def test_pure_transport_preserves_norm(self, ops_small, rng):
         ops = ops_small
         st = ev.random_physical_state(rng, ops.total_size, m_max=1)
-        zero = np.zeros_like(ops.L.matrix)
+        zero = np.zeros_like(ops.L)
         traj = ev.evolve(st, zero, ops.transports, ops.basis,
                          dt=0.05, t_end=1.0)
         n0 = norm_sq(st.coeffs)
@@ -102,11 +102,11 @@ class TestEvolve:
         c = rng.standard_normal(ops.total_size) \
             + 1j * rng.standard_normal(ops.total_size)
         st = one_mode((1, 0, 0), c)
-        ref = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+        ref = ev.evolve(st, ops.L, ops.transports, ops.basis,
                         dt=0.05, t_end=1.0, scheme="expm").coeffs[-1, 0]
         errs = []
         for dt in (0.05, 0.025):
-            got = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+            got = ev.evolve(st, ops.L, ops.transports, ops.basis,
                             dt=dt, t_end=1.0, scheme="midpoint").coeffs[-1]
             errs.append(np.linalg.norm(got[0] - ref))
         ratio = errs[0] / errs[1]
@@ -116,16 +116,16 @@ class TestEvolve:
         ops = ops_small
         st = one_mode((0, 0, 0), np.ones(ops.total_size, dtype=complex))
         with pytest.raises(ValueError, match="1e3"):
-            ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+            ev.evolve(st, ops.L, ops.transports, ops.basis,
                       dt=1e4, t_end=2e4, scheme="midpoint")
 
     def test_mode_decoupling(self, ops_small, rng):
         ops = ops_small
         st = ev.random_physical_state(rng, ops.total_size, m_max=1)
-        full = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+        full = ev.evolve(st, ops.L, ops.transports, ops.basis,
                          dt=0.1, t_end=0.5)
         for k, m in enumerate(st.modes):
-            single = ev.evolve(one_mode(m, st.coeffs[k]), ops.L.matrix,
+            single = ev.evolve(one_mode(m, st.coeffs[k]), ops.L,
                                ops.transports, ops.basis, dt=0.1, t_end=0.5)
             dev = np.max(np.abs(full.coeffs[-1, k] - single.coeffs[-1, 0]))
             assert dev <= 1e-12 * max(1.0, np.max(np.abs(st.coeffs[k])))
@@ -133,10 +133,10 @@ class TestEvolve:
     def test_invalid_inputs(self, ops_small):
         st = one_mode((0, 0, 0), np.ones(ops_small.total_size, dtype=complex))
         with pytest.raises(ValueError):
-            ev.evolve(st, ops_small.L.matrix, ops_small.transports,
+            ev.evolve(st, ops_small.L, ops_small.transports,
                       ops_small.basis, dt=-0.1, t_end=1.0)
         with pytest.raises(ValueError, match="scheme"):
-            ev.evolve(st, ops_small.L.matrix, ops_small.transports,
+            ev.evolve(st, ops_small.L, ops_small.transports,
                       ops_small.basis, dt=0.1, t_end=1.0, scheme="rk9")
 
 
@@ -188,7 +188,7 @@ class TestNorms:
         # reference: G and ||.||_H1 written out per mode and per axis
         st = ev.random_physical_state(rng, ops_small.total_size, m_max=2)
         c1, c2, c3, c4 = 1.0, 2.0, 0.5, 0.6
-        grads = [g.matrix for g in ops_small.grads]
+        grads = ops_small.grads
         g_ref = h1_ref = 0.0
         for m, c in zip(st.modes.tolist(), st.coeffs):
             k2 = (2.0 * np.pi) ** 2 * float(np.dot(m, m))
@@ -234,8 +234,8 @@ class TestNorms:
         ops = ops_small
         mask = degree_mask(ops.basis, ops.basis.N - 2)
         m = (1, 0, -1)
-        A = ev.mode_generator(ops.L.matrix, ops.transports, m)
-        grads = [g.matrix for g in ops.grads]
+        A = ev.mode_generator(ops.L, ops.transports, m)
+        grads = ops.grads
 
         def mixed(c):
             return sum(2.0 * np.pi * m[a] * float(np.vdot(c, grads[a] @ c).imag)
@@ -244,7 +244,7 @@ class TestNorms:
         def formula(c):
             gradx_sq = (2.0 * np.pi) ** 2 * float(np.dot(m, m)) \
                 * float(np.vdot(c, c).real)
-            lf = ops.L.matrix @ c
+            lf = ops.L @ c
             term = sum(2.0 * np.pi * m[a]
                        * float(np.vdot(1j * lf, grads[a] @ c).real
                                + np.vdot(1j * c, grads[a] @ lf).real)
@@ -276,7 +276,7 @@ class TestSharedDefinition:
                                    (0, 2, -1)])
     def test_consumers_agree_with_flow_of_functional(self, ops_small, rng, m):
         ops = ops_small
-        A = ev.mode_generator(ops.L.matrix, ops.transports, m)
+        A = ev.mode_generator(ops.L, ops.transports, m)
         s = rng.standard_normal(ops.total_size) \
             + 1j * rng.standard_normal(ops.total_size)
 
@@ -318,10 +318,10 @@ class TestFitDecay:
         # K zeroed: generator is -Lambda; late-time rate is the smallest
         # Lambda eigenvalue
         ops = ops_maxwell1_small
-        w, v = jacobi_eigh(ops.lam.matrix)
+        w, v = jacobi_eigh(ops.hgram)
         c = v[:, 0] + 0.05 * rng.standard_normal(ops.total_size)
         st = one_mode((0, 0, 0), c.astype(complex))
-        traj = ev.evolve(st, -ops.lam.matrix, ops.transports, ops.basis,
+        traj = ev.evolve(st, -ops.hgram, ops.transports, ops.basis,
                          dt=0.02, t_end=1.2)
         vals = np.array([math.sqrt(norm_sq(X)) for X in traj.coeffs])
         rep = ev.fit_decay(traj.times, vals, transient_frac=0.4)
@@ -329,7 +329,7 @@ class TestFitDecay:
 
     def test_gap_eigenvector_rate(self, ops_small):
         ops = ops_small
-        w, v = jacobi_eigh(ops.L.matrix)
+        w, v = jacobi_eigh(ops.L)
         scale = np.max(np.abs(w))
         nonzero = np.nonzero(-w > 1e-8 * scale)[0]
         k = nonzero[np.argmin(-w[nonzero])]
@@ -337,7 +337,7 @@ class TestFitDecay:
         # horizon scaled to the mode rate so the series stays above the floor
         t_end = 6.0 / mu
         st = one_mode((0, 0, 0), (1e-3 * v[:, k]).astype(complex))
-        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+        traj = ev.evolve(st, ops.L, ops.transports, ops.basis,
                          dt=t_end / 60.0, t_end=t_end)
         vals = np.array([math.sqrt(norm_sq(X)) for X in traj.coeffs])
         rep = ev.fit_decay(traj.times, vals)
@@ -422,7 +422,7 @@ class TestSearch:
         # state, dG/dt = -2 mu G, so its rate ratio is 2 mu G / ||.||_H1,
         # and the searched kappa stays below it
         ops = ops_small
-        w, v = jacobi_eigh(ops.L.matrix)
+        w, v = jacobi_eigh(ops.L)
         scale = np.max(np.abs(w))
         nonzero = np.nonzero(-w > 1e-8 * scale)[0]
         k = nonzero[np.argmin(-w[nonzero])]
@@ -485,9 +485,9 @@ class TestModeArray:
                                       ops.total_size, m_max)
         ref = dict_random_physical_state(np.random.default_rng(7),
                                          ops.total_size, m_max)
-        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis, dt=0.05,
+        traj = ev.evolve(st, ops.L, ops.transports, ops.basis, dt=0.05,
                          t_end=1.0, scheme=scheme, record_every=3)
-        times, states = dict_evolve(ref, ops.L.matrix, ops.transports,
+        times, states = dict_evolve(ref, ops.L, ops.transports,
                                     dt=0.05, t_end=1.0, scheme=scheme,
                                     record_every=3)
         assert np.array_equal(traj.times, times)
@@ -507,15 +507,15 @@ class TestModeArray:
                                       ops.total_size, 1)
         ref = dict_random_physical_state(np.random.default_rng(7),
                                          ops.total_size, 1)
-        _, _, g, _ = ev._orbits(st.modes, ev.mode_symmetries(ops.L.matrix,
+        _, _, g, _ = ev._orbits(st.modes, ev.mode_symmetries(ops.L,
                                                             ops.basis))
         keep = [sign_map_only(k) for k in g]
         assert 4 < sum(keep) < len(keep)
         st = ev.TorusState(st.modes[keep], st.coeffs[keep])
         ref = {tuple(m): ref[tuple(m)] for m in st.modes.tolist()}
-        traj = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis,
+        traj = ev.evolve(st, ops.L, ops.transports, ops.basis,
                          dt=0.05, t_end=1.0, scheme=scheme, record_every=1)
-        _, states = dict_evolve(ref, ops.L.matrix, ops.transports, dt=0.05,
+        _, states = dict_evolve(ref, ops.L, ops.transports, dt=0.05,
                                 t_end=1.0, scheme=scheme, record_every=1)
         for X, state in zip(traj.coeffs, states):
             for k, m in enumerate(st.modes.tolist()):
@@ -555,7 +555,7 @@ class TestOrbits:
     @pytest.mark.parametrize("ops_name", ["ops_small", "ops_mixed2"])
     def test_mapped_propagators_match_expm(self, request, ops_name):
         ops = request.getfixturevalue(ops_name)
-        L = ops.L.matrix
+        L = ops.L
         modes = ev.modes_up_to(2)
         sym = ev.mode_symmetries(L, ops.basis)
         assert len(sym) == 48
@@ -577,10 +577,10 @@ class TestOrbits:
         # s_a V_pi(a), and agrees with U_g written out
         ops = ops_small
         q, sigma = ev._coefficient_maps(ops.basis)
-        V = [t.matrix for t in ops.transports]
+        V = ops.transports
         for g, (pi, s) in enumerate(ev._AXIS_MAPS):
             U = axis_map_matrix(ops.basis, g)
-            X = ops.L.matrix + np.arange(ops.total_size)[:, None]
+            X = ops.L + np.arange(ops.total_size)[:, None]
             assert np.array_equal(U.T @ X @ U, np.outer(sigma[g], sigma[g])
                                   * X[np.ix_(q[g], q[g])])
             for a in range(3):
@@ -593,7 +593,7 @@ class TestOrbits:
         ops = ops_small
         idx = [tuple(a) for a in ops.basis.indices.tolist()]
         i, j = idx.index((2, 1, 0)), idx.index((0, 1, 2))
-        L = ops.L.matrix.copy()
+        L = ops.L.copy()
         L[i, j] += 1e-6 * np.max(np.abs(L))
         L[j, i] = L[i, j]
         tol = len(L) * np.finfo(float).eps * np.max(np.abs(L))
@@ -619,8 +619,7 @@ class TestOrbits:
             want = np.array([state[tuple(m)] for m in st.modes.tolist()])
             assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
 
-        broken = dataclasses.replace(ops, L=dataclasses.replace(ops.L,
-                                                                matrix=L))
+        broken = dataclasses.replace(ops, L=L)
         c = ev.search_coefficients(broken, m_max=2).c
         assert ev.certify_coefficients(broken, c, m_max=2) == pytest.approx(
             all_modes_certificate(broken, c, 2), rel=1e-12, abs=0.0)
@@ -643,7 +642,7 @@ class TestOrbits:
         ev.certify_coefficients(ops, (1.0, 2.0, 0.5, 0.6), m_max=m_max)
         st = ev.random_physical_state(np.random.default_rng(1),
                                       ops.total_size, m_max)
-        ev.evolve(st, ops.L.matrix, ops.transports, ops.basis, dt=self.DT,
+        ev.evolve(st, ops.L, ops.transports, ops.basis, dt=self.DT,
                   t_end=0.5, record_every=2)
         assert calls == {"eigs": orbits, "expm": orbits}
 
@@ -668,8 +667,8 @@ class TestIndependentHalf:
         f_inf = ev.equilibrium_state(st, ops.ker_L)
         half = ev.independent_half(st)
         kw = dict(dt=0.05, t_end=1.0, record_every=2)
-        full = ev.evolve(st, ops.L.matrix, ops.transports, ops.basis, **kw)
-        traj = ev.evolve(half, ops.L.matrix, ops.transports, ops.basis, **kw)
+        full = ev.evolve(st, ops.L, ops.transports, ops.basis, **kw)
+        traj = ev.evolve(half, ops.L, ops.transports, ops.basis, **kw)
         assert np.array_equal(traj.times, full.times)
         assert np.array_equal(ev.real_field_mode_norms(traj.coeffs),
                               np.sqrt(np.vecdot(full.coeffs,

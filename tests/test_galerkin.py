@@ -11,8 +11,7 @@ import sympy
 from kinetic_gap import galerkin
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import (AssemblyBudgetError, assemble_collision,
-                                  assemble_grad_v, assemble_lambda_k,
-                                  assemble_nu_gram, assemble_transport,
+                                  assemble_grad_v, assemble_transport,
                                   build_operator_set, frequency_field,
                                   nu0_lower_bound)
 from kinetic_gap.hermite import HermiteBasis, hermite_table_3d
@@ -181,32 +180,31 @@ class TestFrequencyClosedForm:
 class TestCollisionAssembly:
     def test_single_species_has_no_cross_part(self, ops_maxwell1_small):
         ops = ops_maxwell1_small
-        assert np.max(np.abs(ops.Lb.matrix)) <= 1e-12 * np.max(np.abs(ops.L.matrix))
-        assert np.max(np.abs(ops.L.matrix - ops.Lm.matrix)) <= 1e-12 * \
-            np.max(np.abs(ops.L.matrix))
+        assert np.max(np.abs(ops.Lb)) <= 1e-12 * np.max(np.abs(ops.L))
+        assert np.max(np.abs(ops.L - ops.Lm)) <= 1e-12 * \
+            np.max(np.abs(ops.L))
 
     def test_decomposition_L_eq_Lm_plus_Lb(self, ops_small):
         ops = ops_small
-        dev = np.max(np.abs(ops.L.matrix - ops.Lm.matrix - ops.Lb.matrix))
-        assert dev <= 1e-10 * np.max(np.abs(ops.L.matrix))
+        dev = np.max(np.abs(ops.L - ops.Lm - ops.Lb))
+        assert dev <= 1e-10 * np.max(np.abs(ops.L))
 
     def test_symmetry(self, ops_small):
-        for op in (ops_small.L, ops_small.Lm, ops_small.Lb, ops_small.lam,
-                   ops_small.K, ops_small.hgram):
+        for op in (ops_small.L, ops_small.Lm, ops_small.Lb, ops_small.hgram):
             assert symmetry_defect(op) <= 1e-10
 
     def test_collision_invariants_annihilated(self, ops_small):
         ops = ops_small
-        scale = np.max(np.abs(ops.L.matrix))
-        res = np.max(np.abs(ops.L.matrix @ ops.ker_L))
+        scale = np.max(np.abs(ops.L))
+        res = np.max(np.abs(ops.L @ ops.ker_L))
         assert res <= 1e-8 * scale
 
     def test_nonpositivity(self, ops_small):
-        w = jacobi_eigh(ops_small.L.matrix)[0]
+        w = jacobi_eigh(ops_small.L)[0]
         assert w[-1] <= 1e-8 * np.max(np.abs(w))
 
     def test_bispecies_form_nonnegative(self, ops_small, rng):
-        Lb = ops_small.Lb.matrix
+        Lb = ops_small.Lb
         for _ in range(100):
             f = rng.standard_normal(Lb.shape[0])
             assert -(f @ (Lb @ f)) >= -1e-10 * (f @ f) * np.max(np.abs(Lb))
@@ -221,8 +219,8 @@ class TestCollisionAssembly:
             mx, basis, [lambda p: 0.3 + p[:, 0] + 0.5 * np.sum(p * p, axis=1)
                         for _ in range(2)])
         fpar = project_onto(ops.ker_Lm, f)
-        val = fpar @ (ops.Lb.matrix @ fpar)
-        assert abs(val) <= 1e-9 * np.max(np.abs(ops.Lb.matrix)) * (fpar @ fpar)
+        val = fpar @ (ops.Lb @ fpar)
+        assert abs(val) <= 1e-9 * np.max(np.abs(ops.Lb)) * (fpar @ fpar)
 
     def test_velocity_difference_state_not_annihilated(self, ops_small):
         # per-species u_i differing across species: residual bounded away
@@ -234,9 +232,9 @@ class TestCollisionAssembly:
         f_diff = embed_species_polynomials(
             mx, basis, {0: lambda p: p[:, 0],
                         1: lambda p: -p[:, 0]}.get)
-        r_inv = np.linalg.norm(ops.L.matrix @ f_inv)
-        r_diff = np.linalg.norm(ops.L.matrix @ f_diff)
-        assert r_inv <= 1e-8 * np.max(np.abs(ops.L.matrix)) \
+        r_inv = np.linalg.norm(ops.L @ f_inv)
+        r_diff = np.linalg.norm(ops.L @ f_diff)
+        assert r_inv <= 1e-8 * np.max(np.abs(ops.L)) \
             * np.linalg.norm(f_inv)
         assert r_diff >= 10.0 * max(r_inv, 1e-14)
 
@@ -252,7 +250,7 @@ class TestCollisionAssembly:
             (lambda p, i=i: alpha[i] + p @ u[i] + e[i] * np.sum(p * p, axis=1))
             for i in range(2)]
         f = embed_species_polynomials(mx, basis, polys)
-        got = -(f @ (ops.L.matrix @ f))
+        got = -(f @ (ops.L @ f))
         ref, se = collision_form_moment_state(mx, ops.family, alpha, u, e,
                                               n_samples=400_000, seed=11)
         assert abs(got - ref) <= 4.0 * se + 5e-3 * abs(ref)
@@ -306,8 +304,8 @@ class TestCollisionAssembly:
         f_e = embed_species_polynomials(
             mx, basis, {0: lambda p: np.sum(p * p, axis=1),
                         1: lambda p: -np.sum(p * p, axis=1)}.get)
-        cross = f_u @ (ops.Lb.matrix @ f_e)
-        scale = np.max(np.abs(ops.Lb.matrix)) * np.linalg.norm(f_u) \
+        cross = f_u @ (ops.Lb @ f_e)
+        scale = np.max(np.abs(ops.Lb)) * np.linalg.norm(f_u) \
             * np.linalg.norm(f_e)
         assert abs(cross) <= 1e-9 * scale
 
@@ -529,17 +527,12 @@ class TestMonomialCache:
 
 class TestLambdaAndGram:
     def test_maxwell_lambda_is_4pi_identity(self, ops_maxwell1_small):
-        lam = ops_maxwell1_small.lam.matrix
+        lam = ops_maxwell1_small.hgram
         assert np.max(np.abs(lam - 4.0 * np.pi * np.eye(lam.shape[0]))) <= 1e-8
 
     def test_lambda_floor(self, ops_small):
-        w = jacobi_eigh(ops_small.lam.matrix)[0]
+        w = jacobi_eigh(ops_small.hgram)[0]
         assert w[0] >= ops_small.freq.nu0 - 1e-6
-
-    def test_K_definition_and_symmetry(self, ops_small):
-        ops = ops_small
-        assert np.array_equal(ops.K.matrix, ops.L.matrix + ops.lam.matrix)
-        assert symmetry_defect(ops.K) <= 1e-10
 
     def test_basis_gram_identity(self):
         basis = HermiteBasis(4, 1)
@@ -553,7 +546,7 @@ class TestTransport:
     def test_one_dimensional_analogue(self):
         # restrict to multi-indices (k, 0, 0): recurrence gives sqrt(k+1)
         basis = HermiteBasis(1, 1)
-        T = assemble_transport(basis, 0).matrix
+        T = assemble_transport(basis, 0)
         idx = [tuple(a) for a in basis.indices]
         i0, i1 = idx.index((0, 0, 0)), idx.index((1, 0, 0))
         sub = T[np.ix_([i0, i1], [i0, i1])]
@@ -561,19 +554,19 @@ class TestTransport:
 
     def test_first_moment_zero(self):
         basis = HermiteBasis(3, 1)
-        T = assemble_transport(basis, 0).matrix
+        T = assemble_transport(basis, 0)
         assert T[0, 0] == 0.0
 
     def test_symmetric(self):
         basis = HermiteBasis(4, 2)
         for ax in range(3):
-            T = assemble_transport(basis, ax).matrix
+            T = assemble_transport(basis, ax)
             assert np.array_equal(T, T.T)
 
     def test_commutator_vanishes_on_interior(self):
         basis = HermiteBasis(4, 1)
-        T1 = assemble_transport(basis, 0).matrix
-        T2 = assemble_transport(basis, 1).matrix
+        T1 = assemble_transport(basis, 0)
+        T2 = assemble_transport(basis, 1)
         comm = T1 @ T2 - T2 @ T1
         mask = degree_mask(basis, basis.N - 1)
         assert np.max(np.abs(comm[np.ix_(mask, mask)])) <= 1e-12
@@ -588,7 +581,7 @@ class TestGradV:
         # d/dv_a M^{1/2} = -(v_a/2) M^{1/2}
         mx = Mixture((1.0,))
         basis = HermiteBasis(4, 1)
-        D = assemble_grad_v(basis, 1).matrix
+        D = assemble_grad_v(basis, 1)
         f = embed_species_polynomials(mx, basis,
                                       [lambda p: np.ones(len(p))])
         expected = embed_species_polynomials(mx, basis,
@@ -609,7 +602,7 @@ class TestGradV:
                                       (x, -sympy.oo, sympy.oo))
                 expect[j, k] = float(sympy.simplify(val))
         basis = HermiteBasis(2, 1)
-        D = assemble_grad_v(basis, 0).matrix
+        D = assemble_grad_v(basis, 0)
         idx = [tuple(a) for a in basis.indices]
         sel = [idx.index((k, 0, 0)) for k in range(3)]
         got = D[np.ix_(sel, sel)]
@@ -621,20 +614,28 @@ class TestGradV:
         # retained matrix is exactly antisymmetric
         basis = HermiteBasis(4, 2)
         for ax in range(3):
-            D = assemble_grad_v(basis, ax).matrix
+            D = assemble_grad_v(basis, ax)
             assert np.max(np.abs(D + D.T)) == 0.0
 
-    def test_truncation_norm_recorded(self):
-        basis = HermiteBasis(3, 1)
-        op = assemble_grad_v(basis, 0)
-        expect = math.sqrt(sum((a[0] + 1) / 4.0 for a in basis.indices
-                               if a.sum() == 3))
-        assert op.meta["truncation_norm"] == pytest.approx(expect, rel=1e-12)
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_truncation_norm_closed_form(self, ops_small, N):
+        # the Frobenius norm of the dropped degree-(N+1) block, summed
+        # over the top-degree multi-indices, largest over the axes
+        basis = HermiteBasis(N, 2)
+        summed = max(math.sqrt(sum((int(a[ax]) + 1) / 4.0
+                                   for a in basis.indices if sum(a) == N))
+                     for ax in range(3))
+        ops = dataclasses.replace(ops_small, basis=basis)
+        assert ops.grad_truncation_norm() == summed
 
 
 class TestOperatorSet:
-    def test_hgram_is_lambda(self, ops_small):
-        assert np.array_equal(ops_small.hgram.matrix, ops_small.lam.matrix)
+    def test_matrices_are_plain_arrays(self, ops_small):
+        T = ops_small.total_size
+        mats = [ops_small.L, ops_small.Lm, ops_small.Lb, ops_small.hgram,
+                *ops_small.transports, *ops_small.grads]
+        assert len(mats) == 10
+        assert all(type(m) is np.ndarray and m.shape == (T, T) for m in mats)
 
     def test_species_mismatch_rejected(self):
         with pytest.raises(ValueError, match="species"):

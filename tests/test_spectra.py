@@ -39,17 +39,17 @@ class TestSymmetricEigen:
 class TestGeneralizedGap:
     def test_positive_gap_maxwell(self, ops_maxwell1_small):
         ops = ops_maxwell1_small
-        gap = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
+        gap = sp.generalized_gap(ops.L, ops.hgram, ops.ker_L)
         assert gap > 0.0
 
     def test_random_states_respect_gap(self, ops_small, rng):
         ops = ops_small
-        lam = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-        H = ops.hgram.matrix
+        lam = sp.generalized_gap(ops.L, ops.hgram, ops.ker_L)
+        H = ops.hgram
         for _ in range(1000):
             f = rng.standard_normal(ops.total_size)
             ft = f - project_onto(ops.ker_L, f)
-            lhs = -(f @ (ops.L.matrix @ f))
+            lhs = -(f @ (ops.L @ f))
             rhs = lam * (ft @ (H @ ft))
             assert lhs >= rhs - 1e-9 * max(1.0, abs(lhs))
 
@@ -60,7 +60,7 @@ class TestGeneralizedGap:
         for c in (0.5, 1.0, 2.0):
             ops = build_operator_set(Mixture((c * 1.0, c * 2.0)), fam,
                                      N=2, q=5, sphere_level="coarse")
-            gaps.append(sp.generalized_gap(ops.L.matrix, ops.hgram.matrix,
+            gaps.append(sp.generalized_gap(ops.L, ops.hgram,
                                            ops.ker_L))
         assert abs(gaps[0] - gaps[1]) <= 0.02 * gaps[1]
         assert abs(gaps[2] - gaps[1]) <= 0.02 * gaps[1]
@@ -68,7 +68,7 @@ class TestGeneralizedGap:
     def test_metric_must_be_positive(self, ops_small):
         bad = -np.eye(ops_small.total_size)
         with pytest.raises(sp.GapError, match="smallest eigenvalue"):
-            sp.generalized_eigs(ops_small.L.matrix, bad)
+            sp.generalized_eigs(ops_small.L, bad)
 
 
 class TestSpectralReport:
@@ -97,7 +97,7 @@ class TestSpectralReport:
 class TestCm:
     def test_equals_gap_for_single_species(self, ops_maxwell1_small):
         ops = ops_maxwell1_small
-        gap = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
+        gap = sp.generalized_gap(ops.L, ops.hgram, ops.ker_L)
         cm = compute_Cm(ops)
         assert cm == pytest.approx(gap, abs=1e-10)
 
@@ -113,8 +113,8 @@ class TestCm:
         gaps = []
         for i in range(2):
             sl = ops.basis.species_slice(i)
-            sub_ops_L = ops.Lm.matrix[sl, sl]
-            sub_H = ops.hgram.matrix[sl, sl]
+            sub_ops_L = ops.Lm[sl, sl]
+            sub_H = ops.hgram[sl, sl]
             kern = ops.ker_Lm[sl, 5 * i:5 * (i + 1)]
             gaps.append(sp.generalized_gap(sub_ops_L, sub_H, kern))
         assert gaps[0] == pytest.approx(gaps[1], abs=1e-8)
@@ -288,7 +288,7 @@ class TestDb:
 class TestCk:
     def test_maxwell_single_species_value(self, ops_maxwell1_small):
         ops = ops_maxwell1_small
-        ck, nug = sp.compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
+        ck, nug = sp.compute_Ck(ops.mixture, ops.hgram, ops.ker_Lm)
         assert np.max(np.abs(nug - 4.0 * np.pi * np.eye(5))) <= 1e-8
         assert ck == pytest.approx(60.0 * 1 * 1.0 * 4.0 * np.pi, rel=1e-8)
 
@@ -298,7 +298,7 @@ class TestCk:
         # though the max-entry value itself is basis-dependent
         ops = ops_small
         n = ops.mixture.n
-        H = ops.hgram.matrix
+        H = ops.hgram
         q, _ = np.linalg.qr(rng.standard_normal((5 * n, 5 * n)))
         remixed = ops.ker_Lm @ q
         values = []
@@ -312,7 +312,7 @@ class TestCk:
         assert all(v > 0 for v in values)
 
     def test_hard_sphere_positive_finite(self, ops_small):
-        ck, _ = sp.compute_Ck(ops_small.mixture, ops_small.hgram.matrix,
+        ck, _ = sp.compute_Ck(ops_small.mixture, ops_small.hgram,
                               ops_small.ker_Lm)
         assert 0.0 < ck < np.inf
 
@@ -340,14 +340,15 @@ def chain(ops_small):
     ops = ops_small
     C_m = compute_Cm(ops)
     db = sp.compute_Db(ops.mixture, ops.family, seed=5, count=50_000)
-    C_k, _ = sp.compute_Ck(ops.mixture, ops.hgram.matrix, ops.ker_Lm)
+    C_k, _ = sp.compute_Ck(ops.mixture, ops.hgram, ops.ker_Lm)
     return ops, C_m, db.value, C_k
 
 
 class TestStepLemmas:
     def test_zero_violations(self, chain):
         ops, C_m, D_b, C_k = chain
-        ledger = sp.verify_step_lemmas(ops, C_m, D_b, C_k, tol=1e-8)
+        ledger = sp.verify_step_lemmas(ops, sp.lemma_sides(ops), C_m, D_b,
+                                       C_k, tol=1e-8)
         for check in ledger:
             assert check.violations == 0, (check.name, check.worst_margin)
 
@@ -364,8 +365,8 @@ class TestStepLemmas:
         du = coeffs.u[:, None, :] - coeffs.u[None, :, :]
         de = coeffs.e[:, None] - coeffs.e[None, :]
         assert np.max(np.abs(du)) <= 1e-9 and np.max(np.abs(de)) <= 1e-9
-        cross = -(fpar @ (ops.Lb.matrix @ fpar))
-        assert abs(cross) <= 1e-9 * np.max(np.abs(ops.Lb.matrix)) \
+        cross = -(fpar @ (ops.Lb @ fpar))
+        assert abs(cross) <= 1e-9 * np.max(np.abs(ops.Lb)) \
             * (fpar @ fpar)
 
     def test_jensen_hand_case(self):
@@ -383,17 +384,16 @@ class TestStepLemmas:
     def test_full_chain_is_gap_bound(self, chain, rng):
         ops, C_m, D_b, C_k = chain
         eta, lam = sp.explicit_lambda(C_m, D_b, C_k)
-        H = ops.hgram.matrix
+        H = ops.hgram
         for _ in range(1000):
             f = rng.standard_normal(ops.total_size)
             ft = f - project_onto(ops.ker_L, f)
-            lhs = -(f @ (ops.L.matrix @ f))
+            lhs = -(f @ (ops.L @ f))
             assert lhs >= lam * (ft @ (H @ ft)) - 1e-8 * max(1.0, lhs)
 
 
 def _inflated_hgram(ops, factor):
-    return dataclasses.replace(ops, hgram=dataclasses.replace(
-        ops.hgram, matrix=factor * ops.hgram.matrix))
+    return dataclasses.replace(ops, hgram=factor * ops.hgram)
 
 
 def _least_eigenvector(A, R, metric=None, slack=0.0):
@@ -412,7 +412,8 @@ class TestEigenvalueCertificates:
 
     def test_true_constants_pass(self, chain):
         ops, C_m, D_b, C_k = chain
-        ledger = sp.verify_step_lemmas(ops, C_m, D_b, C_k)
+        ledger = sp.verify_step_lemmas(ops, sp.lemma_sides(ops), C_m, D_b,
+                                       C_k)
         assert [c.name for c in ledger] == LEDGER_NAMES
         ref = step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples=300,
                                      seed=4)
@@ -429,7 +430,9 @@ class TestEigenvalueCertificates:
         ops, C_m, D_b, C_k = chain
         ops = _inflated_hgram(ops, hgram_factor)
         C_m, D_b = chain_factor * C_m, chain_factor * D_b
-        ledger = {c.name: c for c in sp.verify_step_lemmas(ops, C_m, D_b, C_k)}
+        sides = sp.lemma_sides(ops)
+        ledger = {c.name: c for c in
+                  sp.verify_step_lemmas(ops, sides, C_m, D_b, C_k)}
         ref = step_lemma_ledger_loop(ops, C_m, D_b, C_k, n_samples=300,
                                      seed=4)
         sampled = [name for name in LEDGER_NAMES if ref[name][0] > 0]
@@ -437,25 +440,33 @@ class TestEigenvalueCertificates:
         for name in sampled:
             assert ledger[name].violations == 1, name
             assert ledger[name].worst_margin < -1e-8, name
-        forms = sp.step_lemma_forms(ops, C_m, D_b, C_k)
+        forms = sp.step_lemma_forms(sides, C_m, D_b, C_k)
         for name, check in ledger.items():
             if check.violations:
-                x = _least_eigenvector(*forms[name], ops.hgram.matrix)
+                x = _least_eigenvector(*forms[name], ops.hgram)
                 margin, scale = step_lemma_margins(ops, C_m, D_b, C_k,
                                                    x)[name]
                 assert margin < -1e-8 * scale, name
 
-    @pytest.mark.parametrize("factor", [1.0, 12.0])
-    def test_h12_against_loop(self, ops_small, factor):
-        # an inflated H-Gram raises the right side ||grad f||_H^2 / 2 of
-        # (H1.2) past its left side
-        ops = _inflated_hgram(ops_small, factor)
-        mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+    @pytest.mark.parametrize("spike", [0.0, 1e5])
+    def test_h12_against_loop(self, ops_small, spike):
+        # a large rank-one part spike u u^T, u = 1 / sqrt(T), of the
+        # H-Gram, which is Lambda too, adds spike (G_a f . G_a u)(u . f) to
+        # the left side of (H1.2) and spike/2 (u . G_a f)^2 to the right.
+        # Gaussian f gain more on the left, so the samples are centred on
+        # m = sum_a G_a^T u, where u . m = 0 and only the right side gains
+        T = ops_small.total_size
+        u = np.full(T, 1 / np.sqrt(T))
+        m = sum(g.T @ u for g in ops_small.grads)
+        ops = dataclasses.replace(
+            ops_small, hgram=ops_small.hgram + spike * np.outer(u, u))
+        mu = sp.generalized_eigs(-ops.L, ops.hgram)
         rep = sp.verify_H1_H3(ops, 1.0, mu)
-        violations, _ = h12_loop(ops, n_samples=300, seed=6)
-        assert (violations > 0) == (factor > 1.0)
+        violations, _ = h12_loop(ops, n_samples=300, seed=6,
+                                 mean=3.0 * np.sqrt(T) * m / np.linalg.norm(m))
+        assert (violations > 0) == (spike > 0.0)
         assert rep.h12_violations == int(violations > 0)
-        assert (rep.h12_worst_margin < 0.0) == (factor > 1.0)
+        assert (rep.h12_worst_margin < 0.0) == (spike > 0.0)
         if rep.h12_violations:
             A, R, slack = sp.h12_forms(ops, rep.nu_bar_4)
             x = _least_eigenvector(A, R, slack=slack)
@@ -465,7 +476,7 @@ class TestEigenvalueCertificates:
     def test_forms_match_loop_margins(self, chain, rng):
         # f^T (A - R) f is the margin the loops compute, term by term
         ops, C_m, D_b, C_k = chain
-        forms = sp.step_lemma_forms(ops, C_m, D_b, C_k)
+        forms = sp.step_lemma_forms(sp.lemma_sides(ops), C_m, D_b, C_k)
         assert list(forms) == LEDGER_NAMES
         nu4 = nu_bar_4(ops)
         A, R, slack = sp.h12_forms(ops, nu4)
@@ -484,13 +495,12 @@ class TestEigenvalueCertificates:
 class TestHypotheses:
     def test_maxwell_h_ratio_and_nu4(self, ops_maxwell1_small):
         ops = ops_maxwell1_small
-        lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-        mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+        lam_num = sp.generalized_gap(ops.L, ops.hgram, ops.ker_L)
+        mu = sp.generalized_eigs(-ops.L, ops.hgram)
         rep = sp.verify_H1_H3(ops, lam_num, mu)
         # the H-Gram is Lambda itself, so (Lambda, H) has only the eigenvalue 1
-        assert ops.hgram.matrix is ops.lam.matrix
         assert rep.nu_bar_1 == rep.nu_bar_2 == 1.0
-        wL = sp.generalized_eigs(ops.L.matrix, ops.hgram.matrix)
+        wL = sp.generalized_eigs(ops.L, ops.hgram)
         assert rep.C_L == pytest.approx(np.max(np.abs(wL)), rel=1e-12)
         assert rep.nu_bar_4 <= 1e-10
         assert all_positive(rep)
@@ -499,8 +509,8 @@ class TestHypotheses:
 
     def test_hard_sphere_hypotheses(self, ops_small):
         ops = ops_small
-        lam_num = sp.generalized_gap(ops.L.matrix, ops.hgram.matrix, ops.ker_L)
-        mu = sp.generalized_eigs(-ops.L.matrix, ops.hgram.matrix)
+        lam_num = sp.generalized_gap(ops.L, ops.hgram, ops.ker_L)
+        mu = sp.generalized_eigs(-ops.L, ops.hgram)
         rep = sp.verify_H1_H3(ops, lam_num, mu)
         assert rep.nu_bar_3 == 0.5
         assert rep.nu_bar_4 > 0.0
