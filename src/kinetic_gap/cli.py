@@ -153,15 +153,12 @@ def parse_discretization(cfg: dict) -> dict:
     d = _block(cfg, "discretization")
     out = {"N": _number(int, d.get("N", 4), "discretization.N"),
            "q": _number(int, d.get("hermite_q", 10), "discretization.hermite_q"),
-           "sphere_level": d.get("sphere_level", "medium"),
            "m_max": _number(int, d.get("M_max", 2), "discretization.M_max")}
     _require(out["N"] >= 2, "discretization.N must be >= 2")
     # below N + 1 nodes the H-Gram of the degree-N basis is singular
     _require(out["N"] + 1 <= out["q"] <= 64,
              f"discretization.hermite_q must be in [N + 1, 64] = "
              f"[{out['N'] + 1}, 64], got {out['q']}")
-    _require(out["sphere_level"] in ("coarse", "medium", "fine"),
-             "sphere_level must be coarse|medium|fine")
     _require(out["m_max"] >= 0, "M_max must be >= 0")
     return out
 
@@ -324,7 +321,6 @@ def _audited_opset(cfg, seed_override, threads):
     if not audit.passed:
         raise AuditFailure(audit)
     ops = build_operator_set(mixture, family, N=disc["N"], q=disc["q"],
-                             sphere_level=disc["sphere_level"],
                              threads=threads)
     _require(all(np.isfinite(m).all() for m in (ops.L, ops.hgram)),
              "the collision operators overflow to inf or NaN; lower "

@@ -40,9 +40,9 @@ the transports and the velocity gradients map onto each other exactly.
 max|U_g L U_g^T - L| <= T eps max|L|.  The x and z mirrors pass with a
 defect of exactly 0, since the mirror fold of the collision quadrature
 writes exact zeros.  The y mirror and the permutations hold only to the
-accuracy of the quadrature: to rounding on the benchmark families, but at
-N = 6, q = 8 on the coarse sphere only x <-> y passes and the other
-permutations are off by 8.3e-3.  Under the admitted maps and conjugation
+accuracy of the quadrature, whose sphere rule is sized to be exact: all
+48 pass on the benchmark families and at N = 6, q = 7 for one
+hard-sphere species.  Under the admitted maps and conjugation
 the modes fall into orbits (:func:`_orbits`); with all 48 maps the
 independent halves at M_max = 1, 2, 3 (14, 63 and 172 modes) are 4, 10
 and 20 orbits.  The certificate solves one pencil per orbit.

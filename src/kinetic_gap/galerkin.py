@@ -46,7 +46,7 @@ cos^{2k} theta, (T1, T12) of B is C sum_k c_2k (T1, T12)_{gamma,2k}, where
 the monomial blocks belong to r^gamma cos^{2k} theta and depend on neither
 rho, C nor c.  The quadrature therefore runs per monomial, and the blocks
 are kept for the life of the process in ``_monomial_blocks``, keyed by
-(gamma, 2k, N, q, sphere_level) and the slab shape; requests that share a
+(gamma, 2k, N, q, sphere degree) and the slab shape; requests that share a
 monomial reuse the stored arrays bit for bit.
 """
 from __future__ import annotations
@@ -62,7 +62,7 @@ from scipy.special import hyp1f1
 from .hermite import HermiteBasis, hermite_table_3d
 from .kernels import KernelFamily, compute_ell_b
 from .mixture import Mixture, ker_L_basis, ker_Lm_basis
-from .quadrature import half_sphere_rule, hermite_rule_3d
+from .quadrature import half_sphere_rule, hermite_rule_3d, sphere_counts
 
 __all__ = [
     "DiscreteOperator", "FrequencyField", "AssemblyBudgetError",
@@ -75,8 +75,11 @@ __all__ = [
 DEFAULT_MEMORY_CAP = 2 << 30        # bytes of scratch per assembly worker
 _ROWS_TARGET = 16_384               # quadrature rows per slab, cache-sized
 _MONOMIAL_CACHE_ENTRIES = 64        # monomial blocks kept, 2 nb^2 doubles each
+# the 6 x 12 sphere rule serves degrees <= 11: at N = 3, q = 8 the 5 x 10
+# rule of degree 8 gets slabs of 12 800 rows, not 9 216, and more memory
+_MIN_SPHERE_DEGREE = 11
 
-# (gamma, 2k, N, q, sphere_level, cv, cs) -> read-only (T1, T12) stacked as
+# (gamma, 2k, N, q, sphere degree, cv, cs) -> read-only (T1, T12) stacked as
 # (2, nb, nb); least recently used first
 _monomial_blocks: dict = {}
 _monomial_lock = threading.Lock()
@@ -217,7 +220,7 @@ def _slab_shape(Qv: int, Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
     if need > memory_cap:
         raise AssemblyBudgetError(
             f"assembly needs at least {need} bytes of scratch "
-            f"(cap {memory_cap}); lower discretization.N or hermite_q")
+            f"(cap {memory_cap}); lower discretization.N, hermite_q or deg b")
     rows_step = max(ns, min(_ROWS_TARGET,
                             (memory_cap - table) // bytes_per_row))
 
@@ -372,8 +375,7 @@ def _kernel_blocks(phi, b, blocks: dict, nb: int) -> np.ndarray:
 
 
 def assemble_collision(mixture: Mixture, family: KernelFamily,
-                       basis: HermiteBasis, q: int = 10,
-                       sphere_level: str = "medium", threads: int = 1,
+                       basis: HermiteBasis, q: int = 10, threads: int = 1,
                        memory_cap: int = DEFAULT_MEMORY_CAP):
     """Assemble (L, Lm, Lb) by collision quadrature.
 
@@ -395,19 +397,22 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
     if not family.all_even():
         raise ValueError("assembly requires even angular kernels (A5)")
 
-    rule3 = hermite_rule_3d(q)
-    half = half_sphere_rule(sphere_level)
-    Qn = rule3.nodes.shape[0]
-    Qv = _mirror_fold(rule3.nodes)[0].shape[0]
-    ns = len(half)
-    nb = basis.per_species_size
-    cv, cs = _slab_shape(Qv, Qn, ns, nb, memory_cap)
-
     n = mixture.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
     wanted = sorted({(family.phi[i][j].gamma, power) for i, j in pairs
                      for power in _even_powers(family.b[i][j])})
-    shape = (basis.N, q, sphere_level, cv, cs)
+    # the sigma-integrand has degree 2N + the top power of cos theta in b
+    degree = max(2 * basis.N + max((p for _, p in wanted), default=0),
+                 _MIN_SPHERE_DEGREE)
+
+    rule3 = hermite_rule_3d(q)
+    Qn = rule3.nodes.shape[0]
+    Qv = _mirror_fold(rule3.nodes)[0].shape[0]
+    ns = math.prod(sphere_counts(degree)) // 2       # the half-sphere nodes
+    nb = basis.per_species_size
+    cv, cs = _slab_shape(Qv, Qn, ns, nb, memory_cap)
+    half = half_sphere_rule(degree)
+    shape = (basis.N, q, degree, cv, cs)
     blocks = {}
     with _monomial_lock:
         for mono in wanted:
@@ -572,12 +577,11 @@ class OperatorSet:
 
 
 def build_operator_set(mixture: Mixture, family: KernelFamily, N: int = 4,
-                       q: int = 10, sphere_level: str = "medium",
-                       threads: int = 1) -> OperatorSet:
+                       q: int = 10, threads: int = 1) -> OperatorSet:
     basis = HermiteBasis(N, mixture.n)
     freq = frequency_field(mixture, family)
     L, Lm, Lb = (op.matrix for op in assemble_collision(
-        mixture, family, basis, q, sphere_level, threads))
+        mixture, family, basis, q, threads))
     hgram = assemble_lambda_k(mixture, family, basis, q, freq)
     transports = tuple(assemble_transport(basis, ax) for ax in range(3))
     grads = tuple(assemble_grad_v(basis, ax) for ax in range(3))

@@ -8,7 +8,7 @@ Gauss-Legendre nodes and weights come from ``numpy.polynomial``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,19 +17,15 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureRule", "hermite_rule_1d", "hermite_rule_3d", "gauss_legendre",
-    "sphere_rule", "SPHERE_LEVELS",
+    "sphere_counts", "sphere_rule", "half_sphere_rule",
 ]
-
-SPHERE_LEVELS = {"coarse": (6, 12), "medium": (12, 24), "fine": (24, 48)}
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Immutable node/weight set tagged by kind."""
+    """Immutable node/weight set."""
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -54,8 +50,7 @@ def hermite_rule_1d(q: int) -> QuadratureRule:
     if not 1 <= q <= 64:
         raise ValueError(f"hermite_rule_1d: q must be in [1, 64], got {q}")
     nodes, weights = hermegauss(q)
-    return QuadratureRule(nodes, weights / math.sqrt(2.0 * math.pi),
-                          "hermite_1d", {"q": q})
+    return QuadratureRule(nodes, weights / math.sqrt(2.0 * math.pi))
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +61,7 @@ def hermite_rule_3d(q: int) -> QuadratureRule:
     X0, X1, X2 = np.meshgrid(x, x, x, indexing="ij")
     nodes = np.stack([X0.ravel(), X1.ravel(), X2.ravel()], axis=1)
     weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    return QuadratureRule(nodes, weights, "hermite_3d_tensor", {"q": q})
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -76,10 +71,30 @@ def gauss_legendre(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError("gauss_legendre: n must be >= 1")
     nodes, weights = leggauss(n)
-    return QuadratureRule(nodes, weights, "legendre_1d", {"n": n})
+    return QuadratureRule(nodes, weights)
 
 
-def _product_sphere(n_cos: int, n_phi: int) -> QuadratureRule:
+def sphere_counts(degree: int) -> tuple:
+    """(n_cos, n_phi) of the smallest product rule exact on S^2 to
+    ``degree``.  A monomial of degree d <= ``degree`` in sigma is a degree-d
+    trigonometric polynomial in phi, exact on n_phi >= d + 1 uniform nodes,
+    times, where its phi mean is not 0, a degree-d polynomial in cos theta,
+    exact on n_cos Gauss-Legendre nodes when 2 n_cos - 1 >= d.  n_phi is
+    rounded up to even for the half-sphere split: 2 n_cos."""
+    if degree < 0:
+        raise ValueError(f"sphere rule degree must be >= 0, got {degree}")
+    n_cos = degree // 2 + 1
+    return n_cos, 2 * n_cos
+
+
+@lru_cache(maxsize=None)
+def sphere_rule(degree: int) -> QuadratureRule:
+    """Product Gauss-Legendre(cos theta) x uniform(phi) rule on S^2 with the
+    counts of :func:`sphere_counts` (6 x 12 at degree 11, 12 x 24 at 23).
+    Weights sum to 4*pi and the node set is exactly antipodally symmetric
+    (even phi count, symmetric Legendre nodes).
+    """
+    n_cos, n_phi = sphere_counts(degree)
     gl = gauss_legendre(n_cos)
     t, wt = gl.nodes, gl.weights
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -90,25 +105,10 @@ def _product_sphere(n_cos: int, n_phi: int) -> QuadratureRule:
     nodes[:, 1] = np.outer(st, np.sin(phi)).ravel()
     nodes[:, 2] = np.outer(t, np.ones(n_phi)).ravel()
     weights = np.repeat(wt * wphi, n_phi)
-    return QuadratureRule(nodes, weights, "sphere",
-                          {"n_cos": n_cos, "n_phi": n_phi})
+    return QuadratureRule(nodes, weights)
 
 
-@lru_cache(maxsize=None)
-def sphere_rule(level: str = "medium") -> QuadratureRule:
-    """Product Gauss-Legendre(cos theta) x uniform(phi) rule on S^2.
-
-    Levels: coarse 6x12, medium 12x24, fine 24x48.  Weights sum to 4*pi and
-    the node set is exactly antipodally symmetric (even phi count, symmetric
-    Legendre nodes).
-    """
-    if level not in SPHERE_LEVELS:
-        raise ValueError(f"unknown sphere level {level!r}; "
-                         f"choose from {sorted(SPHERE_LEVELS)}")
-    return _product_sphere(*SPHERE_LEVELS[level])
-
-
-def half_sphere_rule(level: str = "medium") -> QuadratureRule:
+def half_sphere_rule(degree: int) -> QuadratureRule:
     """Half of the sphere rule (phi < pi); the antipodal image is the rest.
 
     Used by operator assembly together with the sigma -> -sigma symmetry of
@@ -117,9 +117,7 @@ def half_sphere_rule(level: str = "medium") -> QuadratureRule:
     map the half onto itself, to rounding, with equal weights; the assembly
     folds its v nodes by these two mirrors.
     """
-    n_cos, n_phi = SPHERE_LEVELS[level]
-    full = sphere_rule(level)
+    n_cos, n_phi = sphere_counts(degree)
+    full = sphere_rule(degree)
     keep = np.tile(np.arange(n_phi) < n_phi // 2, n_cos)
-    return QuadratureRule(full.nodes[keep].copy(), full.weights[keep].copy(),
-                          "sphere_half", {"n_cos": n_cos, "n_phi": n_phi})
-
+    return QuadratureRule(full.nodes[keep].copy(), full.weights[keep].copy())

@@ -89,23 +89,23 @@ def timings():
 def ops_small():
     """Fast n=2 set for unit-level operator checks."""
     return build_operator_set(Mixture((1.0, 2.0)), hard_sphere_family(2),
-                              N=3, q=6, sphere_level="coarse")
+                              N=3, q=6)
 
 
 @pytest.fixture(scope="session")
 def ops_maxwell1_small():
     return build_operator_set(Mixture((1.0,)), maxwell_family(1),
-                              N=3, q=6, sphere_level="coarse")
+                              N=3, q=6)
 
 
 @pytest.fixture(scope="session")
 def ops_ref(timings):
     """Reference configuration: n=2 hard spheres at the default budgets
-    (N=4, Hermite q=10, medium sphere rule).  Assembled once, single
+    (N=4, Hermite q=10).  Assembled once, single
     thread; wall time recorded for the acceptance gate."""
     t0 = time.perf_counter()
     ops = build_operator_set(Mixture((1.0, 1.5)), hard_sphere_family(2),
-                             N=4, q=10, sphere_level="medium", threads=1)
+                             N=4, q=10, threads=1)
     timings["ref_assembly_seconds"] = time.perf_counter() - t0
     return ops
 
@@ -114,25 +114,25 @@ def ops_ref(timings):
 def ops_ref_N3():
     """Reference kernels at N = 3 (same quadrature) for refinement studies."""
     return build_operator_set(Mixture((1.0, 1.5)), hard_sphere_family(2),
-                              N=3, q=10, sphere_level="medium", threads=1)
+                              N=3, q=10, threads=1)
 
 
 @pytest.fixture(scope="session")
 def ops_maxwell1():
     return build_operator_set(Mixture((1.0,)), maxwell_family(1),
-                              N=4, q=8, sphere_level="medium")
+                              N=4, q=8)
 
 
 @pytest.fixture(scope="session")
 def ops_mixed2():
     return build_operator_set(Mixture((1.0, 1.5)), mixed_gamma_family(),
-                              N=4, q=8, sphere_level="medium")
+                              N=4, q=8)
 
 
 @pytest.fixture(scope="session")
 def ops_n3():
     return build_operator_set(Mixture((1.0, 1.5, 0.7)), hard_sphere_family(3),
-                              N=4, q=6, sphere_level="coarse")
+                              N=4, q=6)
 
 
 @pytest.fixture()

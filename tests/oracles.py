@@ -221,8 +221,7 @@ def closed_form_Db(rho_i: float, rho_j: float, C: float, gamma: float,
     return rho_i * rho_j * 4.0 * math.pi * radial * angular * min_sq_gaussian()
 
 
-def quadrature_Db(mixture, family, q: int = 12,
-                  sphere_level: str = "fine") -> dict:
+def quadrature_Db(mixture, family, q: int = 12, degree: int = 47) -> dict:
     """Deterministic tensor-quadrature evaluation of the D^b integrals.
 
     Serves as the independent cross-check for ``spectra.compute_Db``; the
@@ -231,7 +230,7 @@ def quadrature_Db(mixture, family, q: int = 12,
     """
     from kinetic_gap.quadrature import hermite_rule_3d, sphere_rule
     rule3 = hermite_rule_3d(q)
-    sph = sphere_rule(sphere_level)
+    sph = sphere_rule(degree)
     nodes, w3 = rule3.nodes, rule3.weights
     Qn = nodes.shape[0]
     ns = sph.nodes.shape[0]
@@ -637,17 +636,31 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(ga * i), r * np.sin(ga * i), z], axis=1)
 
 
+def product_sphere_rule(n_cos: int, n_phi: int) -> tuple:
+    """(nodes, weights) of the n_cos x n_phi product Gauss-Legendre(cos
+    theta) x uniform(phi) rule on S^2, built as the former fixed sphere
+    levels were (coarse 6 x 12, medium 12 x 24, fine 24 x 48)."""
+    from kinetic_gap.quadrature import gauss_legendre
+    t, wt = gauss_legendre(n_cos).nodes, gauss_legendre(n_cos).weights
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    st = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    nodes = np.empty((n_cos * n_phi, 3))
+    nodes[:, 0] = np.outer(st, np.cos(phi)).ravel()
+    nodes[:, 1] = np.outer(st, np.sin(phi)).ravel()
+    nodes[:, 2] = np.outer(t, np.ones(n_phi)).ravel()
+    return nodes, np.repeat(wt * (2.0 * np.pi / n_phi), n_phi)
+
+
 def grid_C_b(family) -> float:
     """min_i min over 32 x 32 direction pairs (s1, s2) of the 110-node
     sphere quadrature of min{b_ii(s1.s3), b_ii(s2.s3)} ds3."""
-    from kinetic_gap.quadrature import _product_sphere
-    s3 = _product_sphere(5, 22)
+    s3_nodes, s3_weights = product_sphere_rule(5, 22)
     dirs = _fibonacci_directions(32)
     best = math.inf
     for i in range(family.n):
-        vals = family.b[i][i](dirs @ s3.nodes.T)
+        vals = family.b[i][i](dirs @ s3_nodes.T)
         for a in range(dirs.shape[0]):
-            integrals = np.minimum(vals[a][None, :], vals) @ s3.weights
+            integrals = np.minimum(vals[a][None, :], vals) @ s3_weights
             best = min(best, float(integrals.min()))
     return best
 
@@ -817,15 +830,14 @@ def symmetry_defect(m) -> float:
 # collision monomial blocks on the full (v, v*) tensor grid
 # ---------------------------------------------------------------------------
 
-def full_monomial_pass(monomials: list, basis, q: int,
-                       sphere_level: str) -> list:
+def full_monomial_pass(monomials: list, basis, q: int, degree: int) -> list:
     """(T1, T12), stacked as (2, nb, nb), of each monomial kernel
     r^gamma cos^{2k} theta in ``monomials``, by the collision pass without
     the mirror fold: v and v* both run over every tensor Hermite node, one
     v node per slab, and sigma over the half sphere."""
     from kinetic_gap.hermite import hermite_table_3d
     from kinetic_gap.quadrature import half_sphere_rule, hermite_rule_3d
-    rule3, half = hermite_rule_3d(q), half_sphere_rule(sphere_level)
+    rule3, half = hermite_rule_3d(q), half_sphere_rule(degree)
     nodes, w = rule3.nodes, rule3.weights
     sig, wsig = half.nodes, half.weights
     Qn, ns, nb = nodes.shape[0], len(half), basis.per_species_size

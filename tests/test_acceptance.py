@@ -270,7 +270,6 @@ def test_criterion_10_determinism(tmp_path):
     for threads in (1, 4):
         galerkin._monomial_blocks.clear()
         Ls.append(assemble_collision(mx, fam, basis, q=6,
-                                     sphere_level="coarse",
                                      threads=threads)[0].matrix)
     same = bool(np.array_equal(*Ls))
     ok = identical and same
@@ -279,11 +278,12 @@ def test_criterion_10_determinism(tmp_path):
 
 
 def test_db_quadrature_cross_check_spec_budget():
-    # deterministic oracle at the stated budget: Hermite q=12 x fine sphere
+    # deterministic oracle at the stated budget: Hermite q=12 x a sphere
+    # rule exact to degree 47
     mx = Mixture((1.0, 1.0))
     fam = maxwell_family(2)
     est = sp.compute_Db(mx, fam, seed=42, count=100_000)
-    quad = quadrature_Db(mx, fam, q=12, sphere_level="fine")[(0, 1)]
+    quad = quadrature_Db(mx, fam, q=12, degree=47)[(0, 1)]
     assert abs(est.value - quad) <= 3.0 * est.std_err
 
 

@@ -18,7 +18,7 @@ from kinetic_gap.galerkin import build_operator_set
 from oracles import compute_Cm
 
 
-def hard_sphere_config(n=2, N=3, q=6, sphere="coarse", m_max=1, seed=11,
+def hard_sphere_config(n=2, N=3, q=6, m_max=1, seed=11,
                        mc=20_000, **extra):
     phi = [[{"type": "power", "C": 1.0, "gamma": 1.0}] * n for _ in range(n)]
     b = [[{"type": "constant", "c": 1.0}] * n for _ in range(n)]
@@ -26,8 +26,7 @@ def hard_sphere_config(n=2, N=3, q=6, sphere="coarse", m_max=1, seed=11,
         "mixture": {"species": [{"rho_inf": 1.0 + 0.5 * i} for i in range(n)]},
         "kernels": {"gamma": 1.0, "C1": 1.0, "C2": 1.0, "delta": 0.5,
                     "C3": 1.0, "C4": 1.0, "beta": 1.0, "phi": phi, "b": b},
-        "discretization": {"N": N, "hermite_q": q, "sphere_level": sphere,
-                           "M_max": m_max},
+        "discretization": {"N": N, "hermite_q": q, "M_max": m_max},
         "budgets": {"mc_samples": mc, "seed": seed, "audit_samples": 1000},
         "decay": {"dt": 0.05, "t_end": 4.0, "record_every": 2,
                   "amplitude": 0.01},
@@ -217,6 +216,37 @@ class TestValidation:
                                                  "lemma_samples": 0}})
         assert budgets == {"mc_samples": 100_000, "seed": 0}
 
+    def spectrum_bytes(self, tmp_path, cfg, name):
+        out = tmp_path / name
+        assert run_cli(["spectrum", "--config",
+                        write_config(tmp_path, cfg, f"{name}.json"),
+                        "--out", str(out)]) == cli.EXIT_OK
+        return [(out / f).read_bytes()
+                for f in ("spectrum.json", "eigenvalues.csv")]
+
+    def test_sphere_level_is_ignored(self, tmp_path):
+        # the sphere rule is sized from N and b, so the former knob is
+        # read like any unknown key, whatever its value
+        outputs = []
+        for level in ("fine", "ultra", None):
+            cfg = hard_sphere_config()
+            if level is not None:
+                cfg["discretization"]["sphere_level"] = level
+            outputs.append(self.spectrum_bytes(tmp_path, cfg, str(level)))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b"sphere_level" not in outputs[0][0]
+
+    def test_trailing_zero_coefficients_change_no_byte(self, tmp_path):
+        # zero coefficients do not raise the degree of b, nor the rule's
+        outputs = []
+        for coeffs in ([1.0], [1.0, 0.0, 0.0, 0.0]):
+            cfg = hard_sphere_config()
+            cfg["kernels"]["b"] = [[{"type": "poly", "coeffs": coeffs}] * 2
+                                   for _ in range(2)]
+            outputs.append(self.spectrum_bytes(tmp_path, cfg,
+                                               f"b{len(coeffs)}"))
+        assert outputs[0] == outputs[1]
+
     def test_unstable_midpoint_step_is_one_line_error(self, tmp_path, capsys):
         # at rho_inf = 1000 the midpoint step has dt ||A|| ~ 1.7e4 > 1e3
         cfg = hard_sphere_config()
@@ -292,6 +322,25 @@ class TestValidation:
         monkeypatch.setattr(galerkin, "hermite_table_3d", no_table)
         code = run_cli(["spectrum", "--config",
                         write_config(tmp_path, hard_sphere_config(N=30, q=64)),
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: assembly needs at least")
+        assert len(err.splitlines()) == 1
+
+    def test_high_degree_b_exits_before_the_sphere_rule(
+            self, tmp_path, capsys, monkeypatch):
+        # b = 1 + t^800 / 1000 passes the audit; at N = 12 the sphere rule
+        # exact to degree 824 has 413 x 826 nodes, and one (v, v*) pair of
+        # its half needs 3.7 GB of scratch
+        def no_rule(*args, **kwargs):
+            pytest.fail("an over-budget assembly built its sphere rule")
+        monkeypatch.setattr(galerkin, "half_sphere_rule", no_rule)
+        cfg = hard_sphere_config(n=1, N=12, q=13)
+        cfg["kernels"]["b"] = [[{"type": "poly",
+                                 "coeffs": [1.0] + [0.0] * 799 + [1e-3]}]]
+        cfg["kernels"]["C3"] = 2.0
+        code = run_cli(["spectrum", "--config", write_config(tmp_path, cfg),
                         "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
@@ -495,8 +544,7 @@ class TestConstants:
         cfg = hard_sphere_config()
         cfg["mixture"]["species"][0]["rho_inf"] = 1e-12
         ops = build_operator_set(cli.parse_mixture(cfg),
-                                 cli.parse_family(cfg, 2), N=3, q=6,
-                                 sphere_level="coarse")
+                                 cli.parse_family(cfg, 2), N=3, q=6)
         W = cli.sp.complement_basis(ops.ker_Lm, ops.total_size)
         A = W.T @ -ops.Lm @ W
         B = W.T @ ops.hgram @ W

@@ -7,8 +7,11 @@ import pytest
 from kinetic_gap import evolution as ev
 from kinetic_gap import spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
-from kinetic_gap.mixture import project_onto
+from kinetic_gap.galerkin import assemble_collision
+from kinetic_gap.hermite import HermiteBasis
+from kinetic_gap.mixture import Mixture, project_onto
 
+from conftest import hard_sphere_family
 from oracles import (all_modes_certificate, all_modes_functional,
                      both_halves_search, degree_mask, dict_evolve,
                      dict_random_physical_state, embed_species_polynomials,
@@ -571,6 +574,14 @@ class TestOrbits:
             else:
                 assert np.max(np.abs(mapped[k] - ref)) \
                     <= 1e-13 * np.max(np.abs(ref))
+
+    def test_sized_sphere_rule_admits_every_map_at_N6(self):
+        # degree 2N = 12 is one above the 6 x 12 rule, which admitted 16
+        # of the 48 maps here; the sized 7 x 14 rule is exact
+        basis = HermiteBasis(6, 1)
+        L = assemble_collision(Mixture((1.0,)), hard_sphere_family(1), basis,
+                               q=7, threads=2)[0].matrix
+        assert len(ev.mode_symmetries(L, basis)) == 48
 
     def test_maps_are_the_axis_maps_of_the_basis(self, ops_small):
         # each map sends the transports onto each other as V_a ->

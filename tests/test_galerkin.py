@@ -212,8 +212,7 @@ class TestCollisionAssembly:
     def test_shared_motion_in_lb_kernel(self):
         # n = 2 equal species: u1 = u2, e1 = e2 lies in ker(L^b)
         mx = Mixture((1.0, 1.0))
-        ops = build_operator_set(mx, hard_sphere_family(2), N=3, q=6,
-                                 sphere_level="coarse")
+        ops = build_operator_set(mx, hard_sphere_family(2), N=3, q=6)
         basis = ops.basis
         f = embed_species_polynomials(
             mx, basis, [lambda p: 0.3 + p[:, 0] + 0.5 * np.sum(p * p, axis=1)
@@ -259,7 +258,31 @@ class TestCollisionAssembly:
         mx = Mixture((1.0,))
         with pytest.raises(AssemblyBudgetError, match="bytes"):
             assemble_collision(mx, maxwell_family(1), HermiteBasis(2, 1),
-                               q=4, sphere_level="coarse", memory_cap=10_000)
+                               q=4, memory_cap=10_000)
+
+    def test_sphere_rule_budgeted_before_it_is_built(self, monkeypatch):
+        # b of degree 4000 at N = 3: the rule exact to degree 4006 has
+        # 2004 x 4008 nodes, and the budget fails on that count alone
+        def no_rule(*args, **kwargs):
+            pytest.fail("an over-budget assembly built its sphere rule")
+        monkeypatch.setattr(galerkin, "half_sphere_rule", no_rule)
+        b = AngularPolynomial((1.0,) + (0.0,) * 3999 + (1e-3,))
+        fam = dataclasses.replace(maxwell_family(1), b=((b,),))
+        with pytest.raises(AssemblyBudgetError, match="deg b"):
+            assemble_collision(Mixture((1.0,)), fam, HermiteBasis(3, 1), q=4)
+
+    @pytest.mark.parametrize("N, coeffs, ns", [
+        (2, (1.0,), 36), (5, (1.0,), 36), (4, (1.0, 0.0, 0.5), 36),
+        (4, (1.0, 0.0, 0.0, 0.0, 0.5), 49), (6, (1.0,), 49),
+        (6, (1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), 81)])
+    def test_sphere_rule_is_sized_from_N_and_b(self, N, coeffs, ns):
+        # half of the rule exact to max(2N + p, 11): 6 x 12 up to degree 11,
+        # 7 x 14 at 12, 9 x 18 at 16; trailing zeros do not count
+        fam = dataclasses.replace(maxwell_family(1), b=(
+            (AngularPolynomial(coeffs),),))
+        L = assemble_collision(Mixture((1.0,)), fam, HermiteBasis(N, 1),
+                               q=3)[0]
+        assert L.meta["quadrature_rows"] == 12 * 27 * ns
 
     def test_determinism_across_runs_and_threads(self):
         # q = 5 folds to Qv = 45 v nodes, 9 blocks of 5, with nodes on the
@@ -271,7 +294,6 @@ class TestCollisionAssembly:
         def cold(threads, q):
             galerkin._monomial_blocks.clear()
             return assemble_collision(mx, fam, basis, q=q,
-                                      sphere_level="coarse",
                                       threads=threads)[0].matrix
 
         for q in (4, 5):
@@ -317,13 +339,12 @@ _FOLD_MONOMIALS = [(gamma, power) for gamma in (0.0, 0.5, 1.0)
 class TestMirrorFold:
     """The collision pass sums v over the x- and z-mirror-folded nodes."""
 
-    @pytest.mark.parametrize("q, N, level", [
-        (3, 3, "medium"), (3, 2, "coarse"), (4, 2, "medium"),
-        (4, 3, "coarse"), (5, 3, "coarse"), (5, 2, "medium"),
-        (6, 2, "coarse"), (6, 3, "coarse")])
-    def test_folded_blocks_match_the_full_grid(self, q, N, level):
+    @pytest.mark.parametrize("q, N, degree", [
+        (3, 3, 23), (3, 2, 11), (4, 2, 23), (4, 3, 11), (5, 3, 11),
+        (5, 2, 23), (6, 2, 11), (6, 3, 11), (4, 3, 12)])
+    def test_folded_blocks_match_the_full_grid(self, q, N, degree):
         basis = HermiteBasis(N, 1)
-        rule3, half = hermite_rule_3d(q), half_sphere_rule(level)
+        rule3, half = hermite_rule_3d(q), half_sphere_rule(degree)
         Qn = rule3.nodes.shape[0]
         Qv = galerkin._mirror_fold(rule3.nodes)[0].shape[0]
         assert Qv == (q + 1) // 2 * ((q + 1) // 2) * q
@@ -332,7 +353,7 @@ class TestMirrorFold:
                                       galerkin.DEFAULT_MEMORY_CAP)
         got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
                                       cv, cs, threads=1)
-        ref = full_monomial_pass(_FOLD_MONOMIALS, basis, q, level)
+        ref = full_monomial_pass(_FOLD_MONOMIALS, basis, q, degree)
         idx = basis.indices
         odd = ((idx[:, None, 0] + idx[None, :, 0]) % 2 == 1) \
             | ((idx[:, None, 2] + idx[None, :, 2]) % 2 == 1)
@@ -340,13 +361,13 @@ class TestMirrorFold:
             assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
             assert np.all(tb[:, odd] == 0.0)
 
-    @pytest.mark.parametrize("q, N, level", [
-        (3, 3, "medium"), (6, 4, "coarse"), (8, 3, "coarse"),
-        (10, 4, "medium"), (10, 4, "fine")])
-    def test_slabs_fit_the_row_target(self, q, N, level):
+    @pytest.mark.parametrize("q, N, degree", [
+        (3, 3, 23), (6, 4, 11), (8, 3, 11), (10, 4, 23), (10, 4, 47),
+        (8, 6, 12)])
+    def test_slabs_fit_the_row_target(self, q, N, degree):
         Qn = q ** 3
         Qv = galerkin._mirror_fold(hermite_rule_3d(q).nodes)[0].shape[0]
-        ns = len(half_sphere_rule(level))
+        ns = len(half_sphere_rule(degree))
         cv, cs = galerkin._slab_shape(Qv, Qn, ns,
                                       HermiteBasis(N, 1).per_species_size,
                                       galerkin.DEFAULT_MEMORY_CAP)
@@ -356,9 +377,9 @@ class TestMirrorFold:
     def test_slab_size_does_not_move_the_blocks(self):
         # the same pass in slabs of up to 120 000 rows, the size before
         # slabs were cut to cache size
-        q, N, level = 6, 3, "coarse"
+        q, N = 6, 3
         basis = HermiteBasis(N, 1)
-        rule3, half = hermite_rule_3d(q), half_sphere_rule(level)
+        rule3, half = hermite_rule_3d(q), half_sphere_rule(11)
         Qn, ns = rule3.nodes.shape[0], len(half)
         Qv = galerkin._mirror_fold(rule3.nodes)[0].shape[0]
         cv, cs = galerkin._slab_shape(Qv, Qn, ns, basis.per_species_size,
@@ -375,8 +396,7 @@ class TestMirrorFold:
 
     def test_quadrature_rows_count_the_folded_pass(self):
         L = assemble_collision(Mixture((1.0,)), maxwell_family(1),
-                               HermiteBasis(2, 1), q=5,
-                               sphere_level="coarse")[0]
+                               HermiteBasis(2, 1), q=5)[0]
         assert L.meta["quadrature_rows"] == 45 * 125 * 36
 
 
@@ -393,7 +413,7 @@ def polynomial_mixed_gamma_family() -> KernelFamily:
                         C2=2.0, delta=0.5, C3=2.0, C4=2.0, beta=10.0)
 
 
-def brute_force_form(mx, fam, basis, f, q, sphere_level):
+def brute_force_form(mx, fam, basis, f, q, degree):
     """-(f, L f) = 1/4 sum_ij rho_i rho_j sum w B_ij (d.c_i/sqrt(rho_i)
     + d*.c_j/sqrt(rho_j))^2 over the full sphere rule, kernel by kernel."""
     rule = hermite_rule_3d(q)
@@ -405,7 +425,7 @@ def brute_force_form(mx, fam, basis, f, q, sphere_level):
     r = np.linalg.norm(v - vs, axis=1)
     rho = mx.rho_array()
     c = [f[basis.species_slice(i)] / math.sqrt(rho[i]) for i in range(mx.n)]
-    sph = sphere_rule(sphere_level)
+    sph = sphere_rule(degree)
     total = 0.0
     for sigma, wsig in zip(sph.nodes, sph.weights):
         vp, vps = post_collision(v, vs, np.broadcast_to(sigma, v.shape))
@@ -423,7 +443,7 @@ def brute_force_form(mx, fam, basis, f, q, sphere_level):
 
 class TestMonomialCache:
     """Collision blocks are cached per (gamma, cos^{2k} theta) monomial."""
-    kw = dict(q=4, sphere_level="coarse")
+    kw = dict(q=4)
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -521,7 +541,8 @@ class TestMonomialCache:
         basis = HermiteBasis(3, 2)
         L = assemble_collision(mx, fam, basis, **self.kw)[0].matrix
         f = np.random.default_rng(7).standard_normal(basis.total_size)
-        ref = brute_force_form(mx, fam, basis, f, **self.kw)
+        # the rule the assembly sizes: degree max(2 N + 4, 11) = 11
+        ref = brute_force_form(mx, fam, basis, f, degree=11, **self.kw)
         assert abs(-(f @ (L @ f)) - ref) <= 1e-12 * abs(ref)
 
 
@@ -640,4 +661,4 @@ class TestOperatorSet:
     def test_species_mismatch_rejected(self):
         with pytest.raises(ValueError, match="species"):
             build_operator_set(Mixture((1.0,)), hard_sphere_family(2), N=2,
-                               q=4, sphere_level="coarse")
+                               q=4)

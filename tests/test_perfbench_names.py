@@ -80,7 +80,7 @@ def test_assembly_meta_has_quadrature_rows():
     from kinetic_gap.hermite import HermiteBasis
     from kinetic_gap.mixture import Mixture
     L = assemble_collision(Mixture((1.0,)), hard_sphere_family(1),
-                           HermiteBasis(2, 1), q=3, sphere_level="coarse")[0]
+                           HermiteBasis(2, 1), q=3)[0]
     assert "quadrature_rows" in L.meta
     assert L.meta["quadrature_rows"] > 0
 

@@ -1,13 +1,15 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
-from kinetic_gap.quadrature import (SPHERE_LEVELS, gauss_legendre,
-                                    half_sphere_rule, hermite_rule_1d,
-                                    hermite_rule_3d, sphere_rule)
+from kinetic_gap.quadrature import (gauss_legendre, half_sphere_rule,
+                                    hermite_rule_1d, hermite_rule_3d,
+                                    sphere_counts, sphere_rule)
 
-from oracles import CollisionSampler, gaussian_moment_1d, post_collision
+from oracles import (CollisionSampler, gaussian_moment_1d, post_collision,
+                     product_sphere_rule)
 
 
 class TestHermiteRules:
@@ -49,6 +51,15 @@ class TestHermiteRules:
         assert abs(val - 1.0) <= 1e-12
 
 
+def sphere_moment(a: int, b: int, c: int) -> float:
+    """int over S^2 of sigma_x^a sigma_y^b sigma_z^c, in closed form."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    g = math.gamma
+    return 2.0 * g((a + 1) / 2) * g((b + 1) / 2) * g((c + 1) / 2) \
+        / g((a + b + c + 3) / 2)
+
+
 class TestMirrorSymmetry:
     """The premise of the collision pass's x- and z-mirror fold."""
 
@@ -58,10 +69,11 @@ class TestMirrorSymmetry:
             assert np.array_equal(r.nodes, -r.nodes[::-1])
             assert np.array_equal(r.weights, r.weights[::-1])
 
-    @pytest.mark.parametrize("level", sorted(SPHERE_LEVELS))
+    # degree 12 has 7 Legendre nodes, one of them on the equator
+    @pytest.mark.parametrize("degree", [2, 11, 12, 13, 23, 47])
     @pytest.mark.parametrize("axis", [0, 2])
-    def test_half_sphere_maps_onto_itself(self, level, axis):
-        r = half_sphere_rule(level)
+    def test_half_sphere_maps_onto_itself(self, degree, axis):
+        r = half_sphere_rule(degree)
         image = r.nodes.copy()
         image[:, axis] *= -1.0
         dist = np.max(np.abs(image[:, None, :] - r.nodes[None, :, :]), axis=2)
@@ -72,25 +84,48 @@ class TestMirrorSymmetry:
 
 
 class TestSphereRule:
-    def test_levels(self):
-        for level, count in [("coarse", 72), ("medium", 288), ("fine", 1152)]:
-            r = sphere_rule(level)
-            assert len(r) == count
-            assert abs(r.weights.sum() - 4.0 * np.pi) <= 1e-12
+    @pytest.mark.parametrize("degree", range(25))
+    def test_exact_to_its_degree(self, degree):
+        r = sphere_rule(degree)
+        x, y, z = r.nodes.T
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                for c in range(degree + 1 - a - b):
+                    val = (x ** a * y ** b * z ** c) @ r.weights
+                    assert abs(val - sphere_moment(a, b, c)) <= 1e-13
 
-    def test_odd_component_vanishes(self):
-        r = sphere_rule("medium")
-        assert abs(r.nodes[:, 2] @ r.weights) <= 1e-12
+    @pytest.mark.parametrize("degree", [1, 5, 11, 23])
+    def test_smallest_at_odd_degree(self, degree):
+        # one degree up, the Legendre count misses z^(d+1) and the phi
+        # count aliases Re (x + i y)^(d+1) = sin^(d+1) cos((d+1) phi)
+        r = sphere_rule(degree)
+        x, y, z = r.nodes.T
+        assert abs(z ** (degree + 1) @ r.weights
+                   - sphere_moment(0, 0, degree + 1)) >= 1e-6
+        assert abs(((x + 1j * y) ** (degree + 1)).real @ r.weights) >= 1e-6
 
-    def test_second_moment(self):
-        # int sigma_z^2 dsigma = 4 pi / 3
-        r = sphere_rule("coarse")
-        val = (r.nodes[:, 2] ** 2) @ r.weights
-        assert abs(val - 4.0 * np.pi / 3.0) <= 1e-10
+    @pytest.mark.parametrize("degree, counts", [
+        (0, (1, 2)), (1, (1, 2)), (11, (6, 12)), (12, (7, 14)),
+        (23, (12, 24)), (47, (24, 48))])
+    def test_counts(self, degree, counts):
+        assert sphere_counts(degree) == counts
+        r = sphere_rule(degree)
+        assert len(r) == counts[0] * counts[1]
+        assert len(half_sphere_rule(degree)) == len(r) // 2
+        assert abs(r.weights.sum() - 4.0 * np.pi) <= 1e-12
 
-    def test_unknown_level(self):
-        with pytest.raises(ValueError):
-            sphere_rule("ultra")
+    @pytest.mark.parametrize("degree, counts", [
+        (11, (6, 12)), (23, (12, 24)), (47, (24, 48))])
+    def test_former_levels_bit_for_bit(self, degree, counts):
+        nodes, weights = product_sphere_rule(*counts)
+        r = sphere_rule(degree)
+        assert np.array_equal(r.nodes, nodes)
+        assert np.array_equal(r.weights, weights)
+
+    def test_negative_degree_rejected(self):
+        for rule in (sphere_rule, half_sphere_rule, sphere_counts):
+            with pytest.raises(ValueError, match="degree"):
+                rule(-1)
 
     def test_gauss_legendre_exactness(self):
         r = gauss_legendre(6)

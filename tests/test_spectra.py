@@ -59,7 +59,7 @@ class TestGeneralizedGap:
         gaps = []
         for c in (0.5, 1.0, 2.0):
             ops = build_operator_set(Mixture((c * 1.0, c * 2.0)), fam,
-                                     N=2, q=5, sphere_level="coarse")
+                                     N=2, q=5)
             gaps.append(sp.generalized_gap(ops.L, ops.hgram,
                                            ops.ker_L))
         assert abs(gaps[0] - gaps[1]) <= 0.02 * gaps[1]
@@ -108,7 +108,7 @@ class TestCm:
 
     def test_identical_species_have_equal_blocks(self):
         ops = build_operator_set(Mixture((1.0, 1.0)), hard_sphere_family(2),
-                                 N=3, q=6, sphere_level="coarse")
+                                 N=3, q=6)
         nb = ops.basis.per_species_size
         gaps = []
         for i in range(2):
@@ -259,12 +259,12 @@ class TestDb:
         assert abs(est.value - exact) <= 3.0 * est.std_err
 
     def test_against_quadrature_oracle(self):
-        # moderate deterministic budget here; the q=12 x fine oracle run
-        # is in the acceptance module
+        # moderate deterministic budget here; the q=12 x degree-47 oracle
+        # run is in the acceptance module
         mx = Mixture((1.0, 1.0))
         est = sp.compute_Db(mx, maxwell_family(2), seed=42, count=50_000)
         quad = quadrature_Db(mx, maxwell_family(2), q=8,
-                             sphere_level="medium")[(0, 1)]
+                             degree=23)[(0, 1)]
         assert abs(est.value - quad) <= 3.0 * est.std_err + 0.01 * quad
 
     def test_inconclusive_budget_raises(self):
