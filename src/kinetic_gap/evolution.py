@@ -71,8 +71,8 @@ __all__ = [
     "expm", "mode_generator", "TorusState", "Trajectory", "UnstableStepError",
     "recorded_steps", "mode_symmetries", "evolve", "h1_norm", "hypo_functional",
     "independent_half", "real_field_mode_norms", "real_field_forms",
-    "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS", "fit_decay", "DecayReport",
-    "rate_blocks", "search_coefficients", "SearchResult",
+    "FIT_TRANSIENT_FRAC", "FIT_MIN_POINTS", "FIT_FLOOR", "fit_decay",
+    "DecayReport", "rate_blocks", "search_coefficients", "SearchResult",
     "equilibrium_state", "modes_up_to", "random_physical_state",
 ]
 
@@ -106,8 +106,7 @@ class TorusState:
     time: float = 0.0
 
 
-def random_physical_state(rng, total_size: int, m_max: int = 1,
-                          amplitude: float = 1.0) -> TorusState:
+def random_physical_state(rng, total_size: int, m_max: int = 1) -> TorusState:
     """Random state of a real field: coeffs(-m) = conj(coeffs(m)), real at m=0.
 
     The first half of :func:`modes_up_to` is drawn (real, then imaginary
@@ -116,8 +115,8 @@ def random_physical_state(rng, total_size: int, m_max: int = 1,
     modes = modes_up_to(m_max)
     half = len(modes) // 2
     z = rng.standard_normal((half, 2, total_size))
-    c = amplitude * (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2)
-    c0 = amplitude * rng.standard_normal(total_size).astype(complex)
+    c = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2)
+    c0 = rng.standard_normal(total_size).astype(complex)
     return TorusState(modes, np.concatenate([c, c0[None], np.conj(c[::-1])]))
 
 
@@ -506,7 +505,6 @@ class DecayReport:
     r_squared: float | None
     window: tuple
     n_points: int
-    trivial_decay: bool = False
     tau_reference: float | None = None
 
     def to_dict(self) -> dict:
@@ -514,18 +512,23 @@ class DecayReport:
                 "r_squared": self.r_squared,
                 "window": [float(x) for x in self.window],
                 "n_points": self.n_points,
-                "trivial_decay": self.trivial_decay,
+                # a unit initial distance is never at the floor, so no
+                # decay is trivial; the key stays for the benchmark's
+                # checks until they are refreshed (ROADMAP item 5)
+                "trivial_decay": False,
                 "tau_reference": self.tau_reference}
 
 
-# fit_decay discards the first FIT_TRANSIENT_FRAC of the horizon and needs
-# FIT_MIN_POINTS samples after it
+# fit_decay fits the samples above FIT_FLOOR that come before the first one
+# at or below it, discards the first FIT_TRANSIENT_FRAC of their horizon,
+# and needs FIT_MIN_POINTS samples after that.  The floor is absolute, so
+# it is relative to the unit H1 distance at which the decay run starts.
 FIT_TRANSIENT_FRAC = 0.2
 FIT_MIN_POINTS = 20
+FIT_FLOOR = 1e-13
 
 
 def fit_decay(times, values, transient_frac: float = FIT_TRANSIENT_FRAC,
-              floor: float = 1e-13, min_points: int = FIT_MIN_POINTS,
               tau_reference: float | None = None) -> DecayReport:
     """Exponential envelope C e^{-tau t} of a decaying observable.
 
@@ -533,33 +536,24 @@ def fit_decay(times, values, transient_frac: float = FIT_TRANSIENT_FRAC,
     smallest constant that makes C e^{-tau t} an upper envelope of every
     sample in the fit window, max(values * e^{tau t}); the least-squares
     intercept would cut through the samples instead of bounding them.
-    The transient (first ``transient_frac`` of the horizon) is discarded;
-    if the observable reaches the numerical floor the fit is restricted to
-    the pre-floor window.  A series entirely at the floor is reported as
-    trivial decay rather than fitted.
+    The fit window holds the samples before the observable first reaches
+    ``FIT_FLOOR``, the numerical floor, less the transient: those before
+    ``transient_frac`` of the time of the last of them (the pre-floor
+    horizon).  With fewer than ``FIT_MIN_POINTS`` samples in the window
+    nothing is fitted: ``tau_fit``, ``C_fit`` and ``r_squared`` are None.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ValueError("times and values must have the same shape")
-    horizon = times[-1]
-    mask = times >= transient_frac * horizon
-    above = values > floor
-    if not np.any(mask & above):
-        return DecayReport(None, None, None, (horizon, horizon), 0,
-                           trivial_decay=True, tau_reference=tau_reference)
-    # restrict to the contiguous pre-floor window
-    cut = len(values)
-    below = np.nonzero(~above)[0]
-    if below.size:
-        cut = int(below[0])
-    sel = mask.copy()
-    sel[cut:] = False
-    if np.sum(sel) < min_points:
-        raise ValueError(
-            f"only {int(np.sum(sel))} usable samples after the transient; "
-            f"need >= {min_points}")
+    sel = np.logical_and.accumulate(values > FIT_FLOOR)
+    if sel.any():
+        sel &= times >= transient_frac * times[sel][-1]
     t = times[sel]
+    window = (t[0], t[-1]) if t.size else (times[0], times[0])
+    if t.size < FIT_MIN_POINTS:
+        return DecayReport(None, None, None, window, int(t.size),
+                           tau_reference=tau_reference)
     y = np.log(values[sel])
     A = np.stack([t, np.ones_like(t)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -570,8 +564,8 @@ def fit_decay(times, values, transient_frac: float = FIT_TRANSIENT_FRAC,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayReport(tau_fit=float(-slope),
                        C_fit=float(np.exp(np.max(y - slope * t))),
-                       r_squared=r2, window=(float(t[0]), float(t[-1])),
-                       n_points=int(np.sum(sel)), tau_reference=tau_reference)
+                       r_squared=r2, window=window, n_points=int(t.size),
+                       tau_reference=tau_reference)
 
 
 # ---------------------------------------------------------------------------

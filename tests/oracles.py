@@ -867,8 +867,7 @@ def full_monomial_pass(monomials: list, basis, q: int, degree: int) -> list:
 # torus evolution with the modes in a dict keyed by mode tuples
 # ---------------------------------------------------------------------------
 
-def dict_random_physical_state(rng, total_size: int, m_max: int = 1,
-                               amplitude: float = 1.0) -> dict:
+def dict_random_physical_state(rng, total_size: int, m_max: int = 1) -> dict:
     """{mode: coefficients} of a random real field, each mode drawn on
     first sight and its negation set to the conjugate."""
     rng_m = range(-m_max, m_max + 1)
@@ -877,10 +876,10 @@ def dict_random_physical_state(rng, total_size: int, m_max: int = 1,
         if m in modes or tuple(-x for x in m) in modes:
             continue
         if m == (0, 0, 0):
-            modes[m] = amplitude * rng.standard_normal(total_size).astype(complex)
+            modes[m] = rng.standard_normal(total_size).astype(complex)
         else:
-            c = amplitude * (rng.standard_normal(total_size)
-                             + 1j * rng.standard_normal(total_size)) / math.sqrt(2)
+            c = (rng.standard_normal(total_size)
+                 + 1j * rng.standard_normal(total_size)) / math.sqrt(2)
             modes[m] = c
             modes[tuple(-x for x in m)] = np.conj(c)
     return modes

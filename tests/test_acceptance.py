@@ -174,7 +174,7 @@ def test_criterion_8_hypocoercive_decay(ops_ref):
     m_max = 2
     search = ev.search_coefficients(ops_ref, m_max=m_max)
     kappa_cert = ev.certify_coefficients(ops_ref, search.c, m_max=m_max)
-    f_I = cli.reference_initial_state(ops_ref, rng, m_max, amplitude=1e-2)
+    f_I = cli.reference_initial_state(ops_ref, rng, m_max)
     f_inf = ev.equilibrium_state(f_I, ops_ref.ker_L)
     # nonzero ker(L^m) \ ker(L) content at m = 0
     zero = len(f_I.modes) // 2          # m = 0 in modes_up_to order

@@ -28,8 +28,7 @@ def hard_sphere_config(n=2, N=3, q=6, m_max=1, seed=11,
                     "C3": 1.0, "C4": 1.0, "beta": 1.0, "phi": phi, "b": b},
         "discretization": {"N": N, "hermite_q": q, "M_max": m_max},
         "budgets": {"mc_samples": mc, "seed": seed, "audit_samples": 1000},
-        "decay": {"dt": 0.05, "t_end": 4.0, "record_every": 2,
-                  "amplitude": 0.01},
+        "decay": {"dt": 0.05, "t_end": 4.0, "record_every": 2},
     }
     cfg.update(extra)
     return cfg
@@ -58,6 +57,13 @@ def cli_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+def trajectory_column(out_dir, name) -> list:
+    """The column ``name`` of ``out_dir/trajectory.csv`` as floats."""
+    header, *rows = (out_dir / "trajectory.csv").read_text().splitlines()
+    k = header.split(",").index(name)
+    return [float(r.split(",")[k]) for r in rows]
 
 
 def with_value(cfg, path, value):
@@ -113,10 +119,9 @@ MALFORMED = [
     ("decay_dt_string", ("decay", "dt"), "fast"),
     ("hermite_q_not_above_N", ("discretization", "hermite_q"), 3),  # N = 3
     ("negative_seed", ("budgets", "seed"), -1),
-    ("initial_state_typo", ("decay", "initial"), "equilibrum"),
     # JSON as read by Python admits NaN and Infinity
-    ("amplitude_nan", ("decay", "amplitude"), math.nan),
-    ("amplitude_nan_string", ("decay", "amplitude"), "nan"),
+    ("dt_nan", ("decay", "dt"), math.nan),
+    ("dt_nan_string", ("decay", "dt"), "nan"),
     ("t_end_infinite", ("decay", "t_end"), math.inf),
     ("N_infinite", ("discretization", "N"), math.inf),
     ("seed_infinite", ("budgets", "seed"), math.inf),
@@ -132,6 +137,10 @@ MALFORMED = [
     ("record_every_fractional", ("decay", "record_every"), 2.5),
     ("rho_inf_bool", ("mixture", "species", 0, "rho_inf"), True),
     ("seed_bool", ("budgets", "seed"), True),
+    # nor are strings, even those that spell one
+    ("N_numeric_string", ("discretization", "N"), "3"),
+    ("dt_numeric_string", ("decay", "dt"), "0.05"),
+    ("seed_numeric_string", ("budgets", "seed"), "7"),
     # t_end / dt overflows to inf
     ("decay_steps_overflow", ("decay",), {"dt": 1e-300, "t_end": 1e10}),
     # 6e20 steps, more than a Python range can report as its length
@@ -247,18 +256,28 @@ class TestValidation:
                                                f"b{len(coeffs)}"))
         assert outputs[0] == outputs[1]
 
-    def test_unstable_midpoint_step_is_one_line_error(self, tmp_path, capsys):
-        # at rho_inf = 1000 the midpoint step has dt ||A|| ~ 1.7e4 > 1e3
-        cfg = hard_sphere_config()
-        cfg["mixture"]["species"] = [{"rho_inf": 1000.0}] * 2
-        cfg["decay"]["scheme"] = "midpoint"
-        code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
-                        "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert err.startswith("config error: ")
-        assert "decay.dt" in err and "decay.scheme: expm" in err
-        assert len(err.splitlines()) == 1
+    def test_removed_decay_keys_are_ignored(self, tmp_path, capsys):
+        # a decay run starts at unit H1 distance from a random state and
+        # integrates with expm propagators, so the former decay.amplitude,
+        # decay.initial and decay.scheme are read like any unknown key
+        removed = [{}] \
+            + [{"amplitude": a} for a in (1e-14, 1e-2, 1e5, 1e200)] \
+            + [{"initial": "equilibrium"}, {"scheme": "midpoint"},
+               {"scheme": "rk9"}]
+        outputs = []
+        for i, keys in enumerate(removed):
+            cfg = hard_sphere_config()
+            cfg["decay"].update(keys)
+            out = tmp_path / f"out{i}"
+            assert run_cli(["decay", "--config",
+                            write_config(tmp_path, cfg, f"run{i}.json"),
+                            "--out", str(out)]) == cli.EXIT_OK, keys
+            outputs.append([(out / f).read_bytes()
+                            for f in ("decay.json", "trajectory.csv")])
+        assert all(o == outputs[0] for o in outputs)
+        assert capsys.readouterr().err == ""
+        echo = json.loads(outputs[0][0])["integration"]
+        assert echo == {"dt": 0.05, "t_end": 4.0, "record_every": 2}
 
     def test_decay_memory_bound_is_a_parse_error(self):
         # three copies of the recorded states of (2 M_max + 1)^3 // 2 + 1
@@ -729,6 +748,49 @@ class TestDecay:
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert rows[0].startswith("t,mode_")
         assert rows[0].endswith("h1_distance,G")
+        # the initial state is scaled to unit H1 distance
+        assert abs(trajectory_column(out, "h1_distance")[0] - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("t_end", [195.0, 203.0, 250.0])
+    def test_fit_window_ends_at_the_floor(self, tmp_path, t_end):
+        # the H1 distance reaches the fit floor near t = 39, long before
+        # t_end; the transient is a fraction of that pre-floor horizon
+        cfg = hard_sphere_config(seed=3)
+        cfg["decay"]["t_end"] = t_end
+        out = tmp_path / "out"
+        code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
+                        "--out", str(out)])
+        assert code == cli.EXIT_OK
+        d = json.loads((out / "decay.json").read_text())["decay"]
+        assert math.isfinite(d["tau_fit"]) and d["tau_fit"] > 0.0
+        assert d["r_squared"] >= 0.99
+        start, end = d["window"]
+        assert end < t_end
+        times = trajectory_column(out, "t")
+        h1 = trajectory_column(out, "h1_distance")
+        after = times.index(end) + 1
+        assert h1[after] <= cli.ev.FIT_FLOOR < min(h1[:after])
+        assert start == min(t for t in times
+                            if t >= cli.ev.FIT_TRANSIENT_FRAC * end)
+
+    def test_too_few_samples_before_the_floor_fail_the_fit(self, tmp_path):
+        # one record every 2.0: the floor near t = 39 leaves the samples
+        # at 8, 10, ..., 38, fewer than the fit needs
+        cfg = hard_sphere_config(seed=3)
+        cfg["decay"].update(record_every=40, t_end=100.0)
+        out = tmp_path / "out"
+        code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
+                        "--out", str(out)])
+        assert code == cli.EXIT_GATE
+        payload = json.loads((out / "decay.json").read_text())
+        d = payload["decay"]
+        assert (d["tau_fit"], d["C_fit"], d["r_squared"]) == (None,) * 3
+        assert d["n_points"] == 16 < cli.ev.FIT_MIN_POINTS
+        assert d["window"] == [8.0, 38.0]
+        gates = {g["name"]: g for g in payload["verdict"]["gates"]}
+        assert gates["tau_fit"]["value"] is None
+        assert not gates["tau_fit"]["passed"]
+        assert not gates["r_squared"]["passed"]
 
     def test_nonpositive_kappa_gates(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.ev, "certify_coefficients",
@@ -760,16 +822,6 @@ class TestDecay:
         assert payload["conserved_drift_per_unit_time"] >= 1e-9
         assert payload["kappa_certified"] > 0.0
         assert payload["decay"]["r_squared"] >= 0.99 and payload["g_monotone"]
-
-    def test_equilibrium_initial_data_is_trivial(self, tmp_path):
-        cfg = hard_sphere_config()
-        cfg["decay"]["initial"] = "equilibrium"
-        out = tmp_path / "out"
-        code = run_cli(["decay", "--config", write_config(tmp_path, cfg),
-                        "--out", str(out)])
-        assert code == cli.EXIT_OK
-        payload = json.loads((out / "decay.json").read_text())
-        assert payload["decay"]["trivial_decay"] is True
 
     def test_outputs_stay_in_out_dir(self, tmp_path):
         cfg = hard_sphere_config()
@@ -835,8 +887,6 @@ GATE_NAMES = {
     "decay": ["kappa_certified", "conserved_drift_per_unit_time", "tau_fit",
               "r_squared", "g_monotone"],
 }
-# these pass whatever their value when the decay is trivial
-WAIVED_WHEN_TRIVIAL = {"tau_fit", "r_squared", "g_monotone"}
 
 
 def fail_a_gate(monkeypatch, command):
@@ -883,12 +933,10 @@ def test_exit_code_is_the_verdict(tmp_path, monkeypatch, command, kind,
         assert gates == [] and payload[command] is None
         return
     assert [g["name"] for g in gates] == GATE_NAMES[command]
-    trivial = command == "decay" and payload["decay"]["trivial_decay"]
     for g in gates:
         test = GATE_TESTS[g["name"]]
         holds = g["value"] is not None and test(g["value"], g["bound"])
-        assert g["passed"] == (holds or (trivial and g["name"] in
-                                         WAIVED_WHEN_TRIVIAL)), g
+        assert g["passed"] == holds, g
 
 
 def test_cli_import_does_not_load_scipy_integrate():

@@ -1,17 +1,21 @@
 """The benchmark tracer (perfbench/tracing.py) wraps package functions by
 name, the workload generator (perfbench/workloads.py) declares kernel
 constants for the audited radius range, and the output checks
-(perfbench/checks.py) read keys of the written reports.  A rename or a new
-range in the package must fail here, not in a benchmark run.
+(perfbench/checks.py) read keys of the written reports and compare the
+headline numbers with perfbench/reference.json.  A rename, a new range or
+a moved reference value in the package must fail here, not in a benchmark
+run.
 """
 import importlib
 import inspect
+import json
 
 import numpy as np
 import pytest
 
-from conftest import hard_sphere_family, load_perfbench
-from test_cli import hard_sphere_config, run_cli, write_config
+from conftest import PERFBENCH, hard_sphere_family, load_perfbench
+from test_cli import (hard_sphere_config, run_cli, trajectory_column,
+                      write_config)
 
 
 def test_traced_names_resolve():
@@ -103,6 +107,26 @@ def test_output_passes_benchmark_checks(tmp_path, command):
                     "--out", str(out)])
     problems, _values = checks.check_request(command, 2, code, out)
     assert problems == []
+
+
+def test_decay_modes_match_the_reference(tmp_path):
+    # the benchmark's decay requests at its reference seed, checked as
+    # perfbench/run.py checks them
+    workloads = load_perfbench("workloads")
+    checks = load_perfbench("checks")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    expected = reference["workloads"]["decay-modes"]
+    assert len(expected) == 6
+    for rid, values in expected.items():
+        req = workloads.decay_modes(reference["seed"], int(rid))
+        out = tmp_path / f"out{rid}"
+        code = run_cli([req.command, "--config",
+                        write_config(tmp_path, req.config, f"run{rid}.json"),
+                        "--out", str(out), "--threads", "1"])
+        problems, got = checks.check_request(req.command, req.n, code, out)
+        assert problems == [], rid
+        assert checks.check_reference(got, values) == [], rid
+        assert abs(trajectory_column(out, "h1_distance")[0] - 1.0) <= 1e-15
 
 
 def test_tracer_sees_Db_and_the_ledger_on_the_request_thread(tmp_path):
