@@ -1,6 +1,6 @@
 """Configuration-driven entry point: audit | constants | spectrum | decay.
 
-Every command is a pure function of (config, seed): reports are JSON with
+Every command is a pure function of its config: reports are JSON with
 sorted keys plus plot-ready CSV, so identical inputs give byte-identical
 outputs.  Each command returns its report and a list of gates, each
 ``{"name", "value", "bound", "passed"}``; :func:`write_certificate` writes
@@ -25,7 +25,8 @@ import numpy as np
 from . import evolution as ev
 from . import spectra as sp
 from .galerkin import (DEFAULT_MEMORY_CAP, AssemblyBudgetError,
-                       build_operator_set)
+                       assembly_plan, build_operator_set)
+from .hermite import HermiteBasis
 from .kernels import (AngularPolynomial, KernelFamily, PowerLaw,
                       audit_assumptions)
 from .mixture import Mixture, project_onto
@@ -101,10 +102,9 @@ def parse_mixture(cfg: dict) -> Mixture:
     for s in species:
         _require(isinstance(s, dict),
                  f"mixture.species entries must be objects, got {s!r}")
-        r = s.get("rho_inf")
-        _require(isinstance(r, (int, float)) and r > 0,
-                 f"rho_inf must be positive, got {r!r}")
-        rho.append(_number(float, r, "rho_inf"))
+        r = _number(float, s.get("rho_inf"), "rho_inf")
+        _require(r > 0, f"rho_inf must be positive, got {r!r}")
+        rho.append(r)
     return Mixture(tuple(rho))
 
 
@@ -165,20 +165,13 @@ def parse_discretization(cfg: dict) -> dict:
     return out
 
 
-def parse_budgets(cfg: dict, seed_override=None) -> dict:
-    b = _block(cfg, "budgets")
-    defaults = {"mc_samples": 100_000, "seed": 0}
-    out = {key: _number(int, b.get(key, v), f"budgets.{key}")
-           for key, v in defaults.items()}
-    if seed_override is not None:
-        out["seed"] = int(seed_override)
-    _require(out["seed"] >= 0,
-             f"the seed (budgets.seed or --seed) must be >= 0, got {out['seed']}")
-    _require(out["mc_samples"] >= 1, "budgets.mc_samples must be >= 1")
-    return out
+def parse_budgets(cfg: dict) -> dict:
+    seed = _number(int, _block(cfg, "budgets").get("seed", 0), "budgets.seed")
+    _require(seed >= 0, f"budgets.seed must be >= 0, got {seed}")
+    return {"seed": seed}
 
 
-def parse_decay(cfg: dict) -> dict:
+def parse_decay(cfg: dict, n: int, disc: dict) -> dict:
     d = _block(cfg, "decay")
     out = {"dt": _number(float, d.get("dt", 0.05), "decay.dt"),
            "t_end": _number(float, d.get("t_end", 6.0), "decay.t_end"),
@@ -196,8 +189,7 @@ def parse_decay(cfg: dict) -> dict:
     # for each of the K // 2 + 1 independent modes of the K = (2 M_max + 1)^3,
     # evolve holds a complex T x T propagator and every recorded state, and
     # the forms pass then holds three copies of the recorded states
-    disc = parse_discretization(cfg)
-    T = parse_mixture(cfg).n * math.comb(disc["N"] + 3, 3)
+    T = HermiteBasis(disc["N"], n).total_size
     need = 16 * ((2 * disc["m_max"] + 1) ** 3 // 2 + 1) * T * max(T + R, 3 * R)
     _require(need <= DEFAULT_MEMORY_CAP,
              f"decay at discretization.M_max = {disc['m_max']} needs about "
@@ -291,26 +283,26 @@ def write_certificate(out_dir: Path, command: str, audit, payload: dict,
 # commands: each returns (audit report, payload, gates) for write_certificate
 # ---------------------------------------------------------------------------
 
-def _prepare(cfg, seed_override):
+def _prepare(cfg):
     mixture = parse_mixture(cfg)
-    family = parse_family(cfg, mixture.n)
-    disc = parse_discretization(cfg)
-    budgets = parse_budgets(cfg, seed_override)
-    return mixture, family, disc, budgets
+    return (mixture, parse_family(cfg, mixture.n),
+            parse_discretization(cfg), parse_budgets(cfg))
 
 
-def cmd_audit(cfg: dict, out_dir: Path, seed_override=None, threads=1):
-    mixture, family, _disc, _budgets = _prepare(cfg, seed_override)
+def cmd_audit(cfg: dict, out_dir: Path, threads: int):
+    mixture, family, _disc, _budgets = _prepare(cfg)
     report = audit_assumptions(family)
     payload = report.to_dict()
     payload["mixture"] = {"n": mixture.n, "rho_inf": list(mixture.rho_inf)}
     return report, payload, []
 
 
-def _audited_opset(cfg, seed_override, threads):
-    """The parsed request and its operators; raises :class:`AuditFailure`
-    before any assembly when the kernel family fails the audit."""
-    mixture, family, disc, budgets = _prepare(cfg, seed_override)
+def _audited_opset(mixture, family, disc, threads):
+    """The audit and the operators of a parsed request.  An assembly over
+    its memory budget raises :class:`AssemblyBudgetError` before the audit,
+    whose root finding can take minutes at a high degree of b; a failed
+    audit raises :class:`AuditFailure` before any assembly."""
+    assembly_plan(family, HermiteBasis(disc["N"], mixture.n), disc["q"])
     audit = audit_assumptions(family)
     if not audit.passed:
         raise AuditFailure(audit)
@@ -319,18 +311,17 @@ def _audited_opset(cfg, seed_override, threads):
     _require(all(np.isfinite(m).all() for m in (ops.L, ops.hgram)),
              "the collision operators overflow to inf or NaN; lower "
              "rho_inf or the kernel constants")
-    return mixture, disc, budgets, audit, ops
+    return audit, ops
 
 
-def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1):
-    mixture, disc, budgets, audit, ops = \
-        _audited_opset(cfg, seed_override, threads)
-    seed, count = budgets["seed"], budgets["mc_samples"]
+def cmd_constants(cfg: dict, out_dir: Path, threads: int):
+    mixture, family, disc, budgets = _prepare(cfg)
+    audit, ops = _audited_opset(mixture, family, disc, threads)
+    seed = budgets["seed"]
     # with a second thread, the D^b samples are drawn while this thread
     # computes the steps of the chain that come before D^b
-    with sp.db_draws(seed, count, ahead=threads > 1) as draws:
-        report = sp.constants_report(ops, seed=seed, mc_samples=count,
-                                     draws=draws)
+    with sp.db_draws(seed, sp.DB_SAMPLES, ahead=threads > 1) as draws:
+        report = sp.constants_report(ops, seed=seed, draws=draws)
     ledger, hyp = report.ledger, report.hypotheses
     kernel_dim = sp.kernel_count(report.mu)[0]
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", report.mu)
@@ -354,9 +345,9 @@ def cmd_constants(cfg: dict, out_dir: Path, seed_override=None, threads=1):
     return audit, payload, gates
 
 
-def cmd_spectrum(cfg: dict, out_dir: Path, seed_override=None, threads=1):
-    mixture, disc, budgets, audit, ops = \
-        _audited_opset(cfg, seed_override, threads)
+def cmd_spectrum(cfg: dict, out_dir: Path, threads: int):
+    mixture, family, disc, _budgets = _prepare(cfg)
+    audit, ops = _audited_opset(mixture, family, disc, threads)
     report = sp.spectral_report(ops)
     write_eigenvalue_csv(out_dir, "eigenvalues.csv", report.eigenvalues)
     payload = {"audit": audit.to_dict(), "spectrum": report.to_dict(),
@@ -386,10 +377,10 @@ def reference_initial_state(ops, rng, m_max: int):
     return state
 
 
-def cmd_decay(cfg: dict, out_dir: Path, seed_override=None, threads=1):
-    integration = parse_decay(cfg)
-    mixture, disc, budgets, audit, ops = \
-        _audited_opset(cfg, seed_override, threads)
+def cmd_decay(cfg: dict, out_dir: Path, threads: int):
+    mixture, family, disc, budgets = _prepare(cfg)
+    integration = parse_decay(cfg, mixture.n, disc)
+    audit, ops = _audited_opset(mixture, family, disc, threads)
 
     rng = np.random.default_rng(budgets["seed"])
     m_max = disc["m_max"]
@@ -475,27 +466,15 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override budgets.seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="compute threads: the collision assembly's "
                              "workers, and for constants one thread that "
                              "draws the D^b samples when >= 2 (default: "
-                             "KINETIC_GAP_THREADS or physical cores)")
+                             "the logical CPUs, os.cpu_count())")
     args = parser.parse_args(argv)
-
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        source = "KINETIC_GAP_THREADS"
-        env = os.environ.get(source)
-        try:
-            threads = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            print(f"error: {source} must be an integer, got {env!r}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-    if threads < 1:
-        print(f"error: {source} must be >= 1, got {threads}", file=sys.stderr)
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
     try:
@@ -508,7 +487,7 @@ def main(argv=None) -> int:
                               f"{exc.strerror or exc}") from None
         try:
             audit, payload, gates = _COMMANDS[args.command](
-                cfg, out_dir, args.seed, threads)
+                cfg, out_dir, args.threads)
         except AuditFailure as exc:     # the audit, and no result
             audit, payload, gates = exc.report, {
                 "audit": exc.report.to_dict(), args.command: None}, []

@@ -67,7 +67,7 @@ from .quadrature import half_sphere_rule, hermite_rule_3d, sphere_counts
 __all__ = [
     "DiscreteOperator", "FrequencyField", "AssemblyBudgetError",
     "frequency_field", "nu0_lower_bound",
-    "assemble_collision", "assemble_lambda_k",
+    "assembly_plan", "assemble_collision", "assemble_lambda_k",
     "assemble_transport", "assemble_grad_v", "OperatorSet",
     "build_operator_set",
 ]
@@ -374,6 +374,27 @@ def _kernel_blocks(phi, b, blocks: dict, nb: int) -> np.ndarray:
     return phi.C * acc
 
 
+def assembly_plan(family: KernelFamily, basis: HermiteBasis, q: int = 10,
+                  memory_cap: int = DEFAULT_MEMORY_CAP) -> tuple:
+    """(sorted monomials (gamma, 2k), sphere degree, cv, cs, quadrature
+    rows) of :func:`assemble_collision`, counted without building a rule;
+    raises :class:`AssemblyBudgetError` as :func:`_slab_shape` does."""
+    n = family.n
+    wanted = sorted({(family.phi[i][j].gamma, power)
+                     for i in range(n) for j in range(n)
+                     for power in _even_powers(family.b[i][j])})
+    # the sigma-integrand has degree 2N + the top power of cos theta in b
+    degree = max(2 * basis.N + max((p for _, p in wanted), default=0),
+                 _MIN_SPHERE_DEGREE)
+    Qn = q ** 3
+    # :func:`_mirror_fold` keeps (q + 1) // 2 nodes per folded axis: the
+    # Gauss-Hermite rule is symmetric, with the node 0 at odd q
+    Qv = q * ((q + 1) // 2) ** 2
+    ns = math.prod(sphere_counts(degree)) // 2       # the half-sphere nodes
+    cv, cs = _slab_shape(Qv, Qn, ns, basis.per_species_size, memory_cap)
+    return wanted, degree, cv, cs, Qv * Qn * ns
+
+
 def assemble_collision(mixture: Mixture, family: KernelFamily,
                        basis: HermiteBasis, q: int = 10, threads: int = 1,
                        memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -399,19 +420,11 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
 
     n = mixture.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    wanted = sorted({(family.phi[i][j].gamma, power) for i, j in pairs
-                     for power in _even_powers(family.b[i][j])})
-    # the sigma-integrand has degree 2N + the top power of cos theta in b
-    degree = max(2 * basis.N + max((p for _, p in wanted), default=0),
-                 _MIN_SPHERE_DEGREE)
-
+    wanted, degree, cv, cs, rows = assembly_plan(family, basis, q,
+                                                 memory_cap)
     rule3 = hermite_rule_3d(q)
-    Qn = rule3.nodes.shape[0]
-    Qv = _mirror_fold(rule3.nodes)[0].shape[0]
-    ns = math.prod(sphere_counts(degree)) // 2       # the half-sphere nodes
-    nb = basis.per_species_size
-    cv, cs = _slab_shape(Qv, Qn, ns, nb, memory_cap)
     half = half_sphere_rule(degree)
+    nb = basis.per_species_size
     shape = (basis.N, q, degree, cv, cs)
     blocks = {}
     with _monomial_lock:
@@ -452,7 +465,7 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
                 Qb[si, sj] += w * T12
                 Qb[sj, si] += w * T12.T
 
-    meta = {"quadrature_rows": Qv * Qn * ns, "monomials": len(wanted),
+    meta = {"quadrature_rows": rows, "monomials": len(wanted),
             "monomials_computed": len(missing)}
     Lm, Lb = _sym(-Qm), _sym(-Qb)
     return (DiscreteOperator(Lm + Lb, meta), DiscreteOperator(Lm, meta),

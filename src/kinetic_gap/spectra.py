@@ -173,6 +173,7 @@ class DbEstimate:
     n_samples: int
 
 
+DB_SAMPLES = 100_000     # the Monte-Carlo budget of D^b
 _DB_BATCH = 200_000      # samples per batch of the random stream
 _DB_CHUNK = 8_192        # samples per integrand evaluation, cache-sized
 _DB_AHEAD = -(-_DB_BATCH // _DB_CHUNK)    # the chunks of one batch
@@ -271,7 +272,7 @@ def _db_integrand(v, v_star, raw) -> tuple:
 
 
 def compute_Db(mixture: Mixture, family: KernelFamily, seed: int,
-               count: int = 100_000, confidence_sigmas: float = 3.0,
+               count: int = DB_SAMPLES, confidence_sigmas: float = 3.0,
                draws=None) -> DbEstimate:
     """D^b = min_ij of the Monte-Carlo estimate of
 
@@ -374,7 +375,7 @@ class ConstantsReport:
 
 
 def constants_report(ops: OperatorSet, seed: int = 0,
-                     mc_samples: int = 100_000, draws=None) -> ConstantsReport:
+                     draws=None) -> ConstantsReport:
     """The constant chain with provenance tags, and with it the step-lemma
     ledger, the (H1)-(H3) report and the spectrum mu of (-L, H-Gram).
 
@@ -420,7 +421,7 @@ def constants_report(ops: OperatorSet, seed: int = 0,
                 "differences": form_check("differences",
                                           *forms["differences"], H)}
         hyp = verify_H1_H3(ops, lam_num, mu)
-    db = compute_Db(ops.mixture, ops.family, seed, mc_samples, draws=draws)
+    db = compute_Db(ops.mixture, ops.family, seed, DB_SAMPLES, draws=draws)
     require_positive("D^b", db.value)
     eta, lam = explicit_lambda(C_m, db.value, C_k)
     ledger = verify_step_lemmas(ops, sides, C_m, db.value, C_k, made=made,
@@ -457,6 +458,9 @@ def constants_report(ops: OperatorSet, seed: int = 0,
 # step-lemma ledger
 # ---------------------------------------------------------------------------
 
+FORM_TOL = 1e-8          # the relative tolerance of form_check
+
+
 @dataclass
 class LemmaCheck:
     name: str
@@ -473,14 +477,13 @@ class LemmaCheck:
 
 
 def form_check(name: str, A: np.ndarray, R: np.ndarray, metric=None,
-               slack: float = 0.0, tol: float = 1e-8,
-               spectrum_A=None) -> LemmaCheck:
+               slack: float = 0.0, spectrum_A=None) -> LemmaCheck:
     """Decide f^T A f + slack |f|^2 >= f^T R f for every f at once.
 
     The inequality holds on the whole space exactly when A - R + slack I is
     positive semidefinite, i.e. when its least eigenvalue against ``metric``
     (the identity when None) is >= 0.  Both forms may vanish on a common
-    subspace, so the gate is relative: lambda_min >= -tol * scale, with
+    subspace, so the gate is relative: lambda_min >= -FORM_TOL * scale, with
     scale the larger spectral radius of A and R against the same metric.
     ``spectrum_A``, when given, is that spectrum of A, ascending.
     """
@@ -496,7 +499,7 @@ def form_check(name: str, A: np.ndarray, R: np.ndarray, metric=None,
     wR = spectrum(R)
     lam_min = float(spectrum(M)[0])
     scale = max(abs(wA[0]), abs(wA[-1]), abs(wR[0]), abs(wR[-1]), 1e-300)
-    return LemmaCheck(name, int(lam_min < -tol * scale), lam_min / scale)
+    return LemmaCheck(name, int(lam_min < -FORM_TOL * scale), lam_min / scale)
 
 
 def lemma_sides(ops: OperatorSet) -> tuple:
@@ -561,8 +564,7 @@ _DISSIPATION_FORMS = ("ortho", "full_chain", "gap_lower_bound")
 
 
 def verify_step_lemmas(ops: OperatorSet, sides: tuple, C_m: float,
-                       D_b: float, C_k: float, tol: float = 1e-8, made=None,
-                       mu=None) -> list:
+                       D_b: float, C_k: float, made=None, mu=None) -> list:
     """Certify each inequality of :func:`step_lemma_forms` on the whole
     discrete space with :func:`form_check` against the H-Gram; ``sides``
     are the :func:`lemma_sides` of ``ops``.
@@ -582,7 +584,7 @@ def verify_step_lemmas(ops: OperatorSet, sides: tuple, C_m: float,
     made = made or {}
     forms = step_lemma_forms(sides, C_m, D_b, C_k)
     return [made[name] if name in made else
-            form_check(name, A, R, ops.hgram, tol=tol,
+            form_check(name, A, R, ops.hgram,
                        spectrum_A=mu if name in _DISSIPATION_FORMS else None)
             for name, (A, R) in forms.items()]
 
@@ -590,6 +592,9 @@ def verify_step_lemmas(ops: OperatorSet, sides: tuple, C_m: float,
 # ---------------------------------------------------------------------------
 # hypotheses (H1)-(H3)
 # ---------------------------------------------------------------------------
+
+H2_EPS = (1e-1, 1e-2, 1e-3)      # the eps of the (H2) pairs (eps, C(eps))
+
 
 @dataclass
 class HypothesisReport:
@@ -637,8 +642,8 @@ def h12_forms(ops: OperatorSet, nu_bar_4: float) -> tuple:
     return A, R, trunc * trunc * float(np.max(np.abs(H)))
 
 
-def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
-                 eps_list=(1e-1, 1e-2, 1e-3)) -> HypothesisReport:
+def verify_H1_H3(ops: OperatorSet, lambda_numeric: float,
+                 mu: np.ndarray) -> HypothesisReport:
     """Verify the hypocoercivity hypotheses on the assembled operators.
 
     ``mu`` is the generalized spectrum of (-L, H-Gram), so
@@ -650,7 +655,7 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
     with the GradV truncation norm as slack.  (H2) certifies
     C(eps) = max(lambda_max(A2 - eps B2), 0), so that
     (grad f, grad K f) <= eps ||grad f||^2 + C(eps) |f|^2 on the whole
-    discrete space.  (H3) is the measured generalized gap.  Nothing is
+    discrete space, for each eps of ``H2_EPS``.  (H3) is the measured generalized gap.  Nothing is
     sampled: the report is a function of the operators alone.
     """
     nu_bar_0 = float(eigvalsh(ops.hgram)[0])
@@ -674,7 +679,7 @@ def verify_H1_H3(ops: OperatorSet, lambda_numeric: float, mu: np.ndarray,
     B2 = 0.5 * (B2 + B2.T)
 
     pairs = [(float(eps), max(float(eigvalsh(A2 - eps * B2)[-1]), 0.0))
-             for eps in eps_list]
+             for eps in H2_EPS]
 
     return HypothesisReport(nu_bar_0=nu_bar_0, nu_bar_1=1.0, nu_bar_2=1.0,
                             nu_bar_3=0.5, nu_bar_4=nu_bar_4,

@@ -146,7 +146,7 @@ def test_criterion_5_gap_theorem_gate(ops_maxwell1, ops_ref, ops_mixed2,
 def test_criterion_6_step_lemma_ledger(ops_ref, ref_constants):
     C_m, db, C_k, _ = ref_constants
     ledger = sp.verify_step_lemmas(ops_ref, sp.lemma_sides(ops_ref), C_m,
-                                   db.value, C_k, tol=1e-8)
+                                   db.value, C_k)
     viol = {c.name: c.violations for c in ledger}
     ok = all(v == 0 for v in viol.values())
     worst = min(c.worst_margin for c in ledger)

@@ -18,8 +18,7 @@ from kinetic_gap.galerkin import build_operator_set
 from oracles import compute_Cm
 
 
-def hard_sphere_config(n=2, N=3, q=6, m_max=1, seed=11,
-                       mc=20_000, **extra):
+def hard_sphere_config(n=2, N=3, q=6, m_max=1, seed=11, **extra):
     phi = [[{"type": "power", "C": 1.0, "gamma": 1.0}] * n for _ in range(n)]
     b = [[{"type": "constant", "c": 1.0}] * n for _ in range(n)]
     cfg = {
@@ -27,7 +26,7 @@ def hard_sphere_config(n=2, N=3, q=6, m_max=1, seed=11,
         "kernels": {"gamma": 1.0, "C1": 1.0, "C2": 1.0, "delta": 0.5,
                     "C3": 1.0, "C4": 1.0, "beta": 1.0, "phi": phi, "b": b},
         "discretization": {"N": N, "hermite_q": q, "M_max": m_max},
-        "budgets": {"mc_samples": mc, "seed": seed, "audit_samples": 1000},
+        "budgets": {"seed": seed},
         "decay": {"dt": 0.05, "t_end": 4.0, "record_every": 2},
     }
     cfg.update(extra)
@@ -64,6 +63,13 @@ def trajectory_column(out_dir, name) -> list:
     header, *rows = (out_dir / "trajectory.csv").read_text().splitlines()
     k = header.split(",").index(name)
     return [float(r.split(",")[k]) for r in rows]
+
+
+def parse_decay(cfg) -> dict:
+    """:func:`cli.parse_decay` of ``cfg`` at its parsed mixture and
+    discretization."""
+    return cli.parse_decay(cfg, cli.parse_mixture(cfg).n,
+                           cli.parse_discretization(cfg))
 
 
 def with_value(cfg, path, value):
@@ -113,7 +119,7 @@ MALFORMED = [
     ("mixture_null", ("mixture",), None),
     ("phi_entry_not_object", ("kernels", "phi", 0, 0), "power"),
     ("top_level_list", (), [1, 2]),
-    ("budget_string", ("budgets", "mc_samples"), "many"),
+    ("budget_string", ("budgets", "seed"), "many"),
     ("poly_coefficient_string", ("kernels", "b", 0, 0),
      {"type": "poly", "coeffs": ["one"]}),
     ("decay_dt_string", ("decay", "dt"), "fast"),
@@ -136,11 +142,13 @@ MALFORMED = [
     ("seed_fractional", ("budgets", "seed"), 1.5),
     ("record_every_fractional", ("decay", "record_every"), 2.5),
     ("rho_inf_bool", ("mixture", "species", 0, "rho_inf"), True),
+    ("rho_inf_missing", ("mixture", "species", 0), {}),
     ("seed_bool", ("budgets", "seed"), True),
     # nor are strings, even those that spell one
     ("N_numeric_string", ("discretization", "N"), "3"),
     ("dt_numeric_string", ("decay", "dt"), "0.05"),
     ("seed_numeric_string", ("budgets", "seed"), "7"),
+    ("rho_inf_numeric_string", ("mixture", "species", 0, "rho_inf"), "1"),
     # t_end / dt overflows to inf
     ("decay_steps_overflow", ("decay",), {"dt": 1e-300, "t_end": 1e10}),
     # 6e20 steps, more than a Python range can report as its length
@@ -203,14 +211,21 @@ class TestValidation:
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
 
-    def test_negative_seed_override_is_one_line_error(self, tmp_path, capsys):
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
         code = run_cli(["decay", "--config",
-                        write_config(tmp_path, hard_sphere_config()),
-                        "--out", str(tmp_path / "out"), "--seed", "-1"])
+                        write_config(tmp_path, hard_sphere_config(seed=-1)),
+                        "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert err.startswith("config error: ")
-        assert len(err.splitlines()) == 1
+        assert err == "config error: budgets.seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("value", ["1", None])
+    def test_rho_inf_must_be_a_number(self, value):
+        cfg = hard_sphere_config()
+        cfg["mixture"]["species"][0]["rho_inf"] = value
+        with pytest.raises(cli.ConfigError,
+                           match=f"^rho_inf must be a number, got {value!r}$"):
+            cli.parse_mixture(cfg)
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = hard_sphere_config()
@@ -223,7 +238,28 @@ class TestValidation:
         # but D^b; these keys are read like any unknown one
         budgets = cli.parse_budgets({"budgets": {"audit_samples": 5,
                                                  "lemma_samples": 0}})
-        assert budgets == {"mc_samples": 100_000, "seed": 0}
+        assert budgets == {"seed": 0}
+
+    def test_mc_samples_is_ignored(self, tmp_path, capsys):
+        # D^b always draws DB_SAMPLES samples, so the former budget is read
+        # like any unknown key, whatever its value
+        outputs = []
+        for i, value in enumerate((None, 1, 1e12, "many")):
+            cfg = hard_sphere_config()
+            if value is not None:
+                cfg["budgets"]["mc_samples"] = value
+            out = tmp_path / f"out{i}"
+            assert run_cli(["constants", "--config",
+                            write_config(tmp_path, cfg, f"run{i}.json"),
+                            "--out", str(out)]) == cli.EXIT_OK, value
+            outputs.append([(out / f).read_bytes()
+                            for f in ("constants.json", "eigenvalues.csv")])
+        assert all(o == outputs[0] for o in outputs)
+        assert capsys.readouterr().err == ""
+        payload = json.loads(outputs[0][0])
+        assert payload["budgets"] == {"seed": 11}
+        assert payload["constants"]["provenance"]["D_b"]["n_samples"] \
+            == cli.sp.DB_SAMPLES
 
     def spectrum_bytes(self, tmp_path, cfg, name):
         out = tmp_path / name
@@ -283,8 +319,8 @@ class TestValidation:
         # three copies of the recorded states of (2 M_max + 1)^3 // 2 + 1
         # modes, T = 40 and 41 recorded times: about 19 GiB
         with pytest.raises(cli.ConfigError, match="M_max = 40"):
-            cli.parse_decay(hard_sphere_config(m_max=40))
-        cli.parse_decay(hard_sphere_config(m_max=5))
+            parse_decay(hard_sphere_config(m_max=40))
+        parse_decay(hard_sphere_config(m_max=5))
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.03, 1.0 / 3.0, 0.07])
     def test_decay_schedule_counts_match_recorded_steps(self, dt):
@@ -298,11 +334,11 @@ class TestValidation:
                                                                every)]
                 kept = sum(t >= 0.2 * times[-1] for t in times)
                 if kept >= cli.ev.FIT_MIN_POINTS:
-                    cli.parse_decay(cfg)
+                    parse_decay(cfg)
                     continue
                 with pytest.raises(cli.ConfigError,
                                    match=f"records {kept} times "):
-                    cli.parse_decay(cfg)
+                    parse_decay(cfg)
 
     def test_tiny_decay_step_is_rejected_without_listing_steps(self):
         # 6e12 steps: the memory bound rejects the schedule at once
@@ -310,15 +346,15 @@ class TestValidation:
         cfg["decay"].update(dt=1e-12, t_end=6.0)
         t0 = time.perf_counter()
         with pytest.raises(cli.ConfigError, match="GiB"):
-            cli.parse_decay(cfg)
+            parse_decay(cfg)
         assert time.perf_counter() - t0 < 1.0
 
     def test_decay_memory_bound_counts_independent_modes(self):
         # N = 4, n = 2 (T = 70), 41 recorded times: the K // 2 + 1 modes
         # that decay evolves fit the 2 GiB cap up to M_max = 15
-        cli.parse_decay(hard_sphere_config(N=4, m_max=15))
+        parse_decay(hard_sphere_config(N=4, m_max=15))
         with pytest.raises(cli.ConfigError, match="M_max = 16"):
-            cli.parse_decay(hard_sphere_config(N=4, m_max=16))
+            parse_decay(hard_sphere_config(N=4, m_max=16))
 
     def test_over_budget_decay_exits_before_assembly(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -366,6 +402,30 @@ class TestValidation:
         assert err.startswith("config error: assembly needs at least")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_high_degree_b_exits_before_the_audit(
+            self, tmp_path, capsys, monkeypatch, odd):
+        # b = 1 + t^4000 / 1000: the audit's root finding at degree 4000
+        # takes minutes, and at N = 2 the sphere rule exact to degree 4004
+        # is over the assembly budget, which is checked first; with an odd
+        # term the audit would fail as well, and the budget still decides
+        def no_audit(*args, **kwargs):
+            pytest.fail("an over-budget request ran the audit")
+        monkeypatch.setattr(cli, "audit_assumptions", no_audit)
+        coeffs = [1.0, 0.5 if odd else 0.0] + [0.0] * 3998 + [1e-3]
+        cfg = hard_sphere_config(N=2)
+        cfg["kernels"]["b"] = [[{"type": "poly", "coeffs": coeffs}] * 2
+                               for _ in range(2)]
+        cfg["kernels"].update(C3=2.0, C4=5.0)
+        t0 = time.perf_counter()
+        code = run_cli(["spectrum", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - t0 < 10.0
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: assembly needs at least")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     def test_unusable_out_dir_is_one_line_error(self, tmp_path, capsys, out):
         # an existing file where the directory, or one of its parents, goes
@@ -402,19 +462,6 @@ class TestValidation:
                         "--out", str(tmp_path / "out"), "--threads", "0"])
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_threads_env_validated(self, tmp_path, capsys, monkeypatch,
-                                   value):
-        monkeypatch.setenv("KINETIC_GAP_THREADS", value)
-        code = run_cli(["audit", "--config",
-                        write_config(tmp_path, hard_sphere_config()),
-                        "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert err.startswith("error: ")
-        assert len(err.splitlines()) == 1
-        if value == "0":
-            assert err == "error: KINETIC_GAP_THREADS must be >= 1, got 0\n"
 
 
 class TestAudit:
@@ -721,13 +768,12 @@ class TestConstants:
         assert payload["constants"]["lambda_explicit"] <= \
             1.05 * payload["constants"]["lambda_numeric"]
 
-    def test_seed_override_changes_mc(self, tmp_path):
-        cfg = hard_sphere_config(seed=1)
-        path = write_config(tmp_path, cfg)
+    def test_seed_changes_Db(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_cli(["constants", "--config", path, "--out", str(out1)])
-        run_cli(["constants", "--config", path, "--out", str(out2),
-                 "--seed", "2"])
+        for seed, out in ((1, out1), (2, out2)):
+            run_cli(["constants", "--config", write_config(
+                tmp_path, hard_sphere_config(seed=seed), f"run{seed}.json"),
+                     "--out", str(out)])
         a = json.loads((out1 / "constants.json").read_text())
         b = json.loads((out2 / "constants.json").read_text())
         assert a["constants"]["D_b"] != b["constants"]["D_b"]
@@ -837,20 +883,20 @@ class TestSeedFree:
     """Only the Monte-Carlo D^b and the decay's initial state are drawn from
     the seed; the (H2) constants and the coefficient search are not."""
 
-    def run(self, tmp_path, command, cfg, name, *extra):
+    def run(self, tmp_path, command, cfg, name):
         out = tmp_path / name
         path = write_config(tmp_path, cfg, f"{name}.json")
-        assert run_cli([command, "--config", path, "--out", str(out),
-                        *extra]) == cli.EXIT_OK
+        assert run_cli([command, "--config", path, "--out", str(out)]) \
+            == cli.EXIT_OK
         return (out / f"{command}.json").read_text()
 
     def test_seed_moves_only_the_drawn_values(self, tmp_path):
-        cfg = hard_sphere_config()
         for command, fixed in (("constants", ("hypotheses",)),
                                ("decay", ("coefficients", "kappa_certified"))):
-            a, b = (json.loads(self.run(tmp_path, command, cfg,
-                                        f"{command}{seed}", "--seed", seed))
-                    for seed in ("1", "2"))
+            a, b = (json.loads(self.run(tmp_path, command,
+                                        hard_sphere_config(seed=seed),
+                                        f"{command}{seed}"))
+                    for seed in (1, 2))
             for key in fixed:
                 assert json.dumps(a[key], sort_keys=True) \
                     == json.dumps(b[key], sort_keys=True), (command, key)

@@ -284,6 +284,18 @@ class TestCollisionAssembly:
                                q=3)[0]
         assert L.meta["quadrature_rows"] == 12 * 27 * ns
 
+    def test_plan_counts_the_rules_it_does_not_build(self):
+        # assembly_plan counts the folded v nodes and the half-sphere
+        # nodes without building the rules; the counts must be theirs
+        fam = dataclasses.replace(maxwell_family(1), b=(
+            (AngularPolynomial((1.0, 0.0, 0.5)),),))
+        for q in range(1, 65):
+            _, degree, _, _, rows = galerkin.assembly_plan(
+                fam, HermiteBasis(2, 1), q=q)
+            nodes = hermite_rule_3d.__wrapped__(q).nodes    # not cached
+            assert rows == (len(galerkin._mirror_fold(nodes)[0])
+                            * len(nodes) * len(half_sphere_rule(degree))), q
+
     def test_determinism_across_runs_and_threads(self):
         # q = 5 folds to Qv = 45 v nodes, 9 blocks of 5, with nodes on the
         # mirror planes

@@ -13,6 +13,8 @@ import json
 import numpy as np
 import pytest
 
+from kinetic_gap import galerkin, spectra
+
 from conftest import PERFBENCH, hard_sphere_family, load_perfbench
 from test_cli import (hard_sphere_config, run_cli, trajectory_column,
                       write_config)
@@ -109,24 +111,33 @@ def test_output_passes_benchmark_checks(tmp_path, command):
     assert problems == []
 
 
-def test_decay_modes_match_the_reference(tmp_path):
-    # the benchmark's decay requests at its reference seed, checked as
-    # perfbench/run.py checks them
+@pytest.mark.parametrize("workload, threads", [
+    ("density-sweep", "1"), ("density-sweep", "2"), ("kernel-sweep", "2"),
+    ("decay-modes", "1")])
+def test_requests_match_the_reference(tmp_path, workload, threads):
+    # the benchmark's requests at its reference seed, assembled cold at the
+    # start of each run, checked as perfbench/run.py checks them; at one
+    # thread constants draws the D^b samples inline, at two ahead
     workloads = load_perfbench("workloads")
     checks = load_perfbench("checks")
     reference = json.loads((PERFBENCH / "reference.json").read_text())
-    expected = reference["workloads"]["decay-modes"]
-    assert len(expected) == 6
+    expected = reference["workloads"][workload]
+    assert len(expected) == {"density-sweep": 6, "kernel-sweep": 4,
+                             "decay-modes": 6}[workload]
+    galerkin._monomial_blocks.clear()
     for rid, values in expected.items():
-        req = workloads.decay_modes(reference["seed"], int(rid))
+        req = workloads.WORKLOADS[workload].generate(reference["seed"],
+                                                     int(rid))
         out = tmp_path / f"out{rid}"
         code = run_cli([req.command, "--config",
                         write_config(tmp_path, req.config, f"run{rid}.json"),
-                        "--out", str(out), "--threads", "1"])
+                        "--out", str(out), "--threads", threads])
         problems, got = checks.check_request(req.command, req.n, code, out)
         assert problems == [], rid
         assert checks.check_reference(got, values) == [], rid
-        assert abs(trajectory_column(out, "h1_distance")[0] - 1.0) <= 1e-15
+        if req.command == "decay":
+            assert abs(trajectory_column(out, "h1_distance")[0] - 1.0) \
+                <= 1e-15
 
 
 def test_tracer_sees_Db_and_the_ledger_on_the_request_thread(tmp_path):
@@ -142,8 +153,7 @@ def test_tracer_sees_Db_and_the_ledger_on_the_request_thread(tmp_path):
             "--out", str(tmp_path / "out"), "--threads", "2"])
     assert code == 0
     db = [s for s in tracer.spans if s.name == "spectra.compute_Db"]
-    assert [s.counters for s in db] \
-        == [{"samples": cfg["budgets"]["mc_samples"]}]
+    assert [s.counters for s in db] == [{"samples": spectra.DB_SAMPLES}]
     assert [s.name for s in tracer.spans].count(
         "spectra.verify_step_lemmas") == 1
     # the whole chain runs inside constants_report, so its layers are

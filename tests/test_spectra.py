@@ -103,7 +103,7 @@ class TestCm:
 
     def test_constants_report_takes_compute_Cm(self, ops_small):
         # the report's one complement solve gives C^m to the bit
-        rep = sp.constants_report(ops_small, mc_samples=1000)
+        rep = sp.constants_report(ops_small)
         assert rep.C_m == compute_Cm(ops_small)
 
     def test_identical_species_have_equal_blocks(self):
@@ -348,7 +348,7 @@ class TestStepLemmas:
     def test_zero_violations(self, chain):
         ops, C_m, D_b, C_k = chain
         ledger = sp.verify_step_lemmas(ops, sp.lemma_sides(ops), C_m, D_b,
-                                       C_k, tol=1e-8)
+                                       C_k)
         for check in ledger:
             assert check.violations == 0, (check.name, check.worst_margin)
 
