@@ -37,10 +37,11 @@ The kernels are isotropic, so a signed axis permutation g, with
 signed permutation of the multi-indices, whenever U_g maps L onto itself;
 the transports and the velocity gradients map onto each other exactly.
 :func:`mode_symmetries` admits g only if
-max|U_g L U_g^T - L| <= T eps max|L|.  The x and z mirrors pass with a
-defect of exactly 0, since the mirror fold of the collision quadrature
-writes exact zeros.  The y mirror and the permutations hold only to the
-accuracy of the quadrature, whose sphere rule is sized to be exact: all
+max|U_g L U_g^T - L| <= T eps max|L|.  The 16 maps made of the three
+mirrors and the x <-> y swap pass with a defect of exactly 0, since the
+fold of the collision quadrature writes exact zeros and rebuilds its
+blocks by the swap.  The other 32 maps hold only to the accuracy of
+the quadrature, whose sphere rule is sized to be exact: all
 48 pass on the benchmark families and at N = 6, q = 7 for one
 hard-sphere species.  Under the admitted maps and conjugation
 the modes fall into orbits (:func:`_orbits`); with all 48 maps the
@@ -225,9 +226,10 @@ def mode_symmetries(L: np.ndarray, basis: HermiteBasis) -> np.ndarray:
     The transports and the velocity gradients map as V_a -> s_a V_{pi(a)}
     and G_a -> s_a G_{pi(a)} exactly, so each admitted g gives
     A_{g m} = U_g A_m U_g^T, the same for the pencils, and the
-    propagator of g m from that of m by a signed permutation.  The x and
-    z mirrors hold exactly; the other maps hold only as well as the
-    quadrature that assembled L, so each is checked.  Entry by entry,
+    propagator of g m from that of m by a signed permutation.  The 16
+    maps made of the three mirrors and the x <-> y swap hold exactly; the
+    other maps hold only as well as the quadrature that assembled L, so
+    each is checked.  Entry by entry,
     U_g^T L U_g - L is X - L or -(X + L), X = L[q][:, q] the permuted L,
     by the parity class of the entry (:func:`_parity_classes`), so the
     eight maps that share a permutation share the class maxima of

@@ -16,30 +16,43 @@ The quadratic form is a sum of rank-one terms, one per quadrature node:
 with d = H(v') - H(v), d* = H(v'*) - H(v*), so only the three block moments
 T1 = E[B d d^T], T2 = E[B d* d*^T], T12 = E[B d d*^T] are needed per distinct
 kernel.  Evenness of b (A5) makes the integrand invariant under
-sigma -> -sigma, which swaps d and d*; assembly therefore runs over half the
-sphere rule and completes T1 = T2 = G11 + G22, T12 = G12 + G12^T.
+(v, v*, sigma) -> (v*, v, -sigma), which swaps d and d*; assembly therefore
+runs over the half sphere sigma_z > 0 and completes T1 = T2 = G11 + G22,
+T12 = G12 + G12^T.
 
-The kernels are isotropic, so the mirrors v_x -> -v_x and v_z -> -v_z,
-applied to v, v* and sigma together, keep r and cos theta and map the half
-sphere (sigma_y > 0) onto itself; they multiply d and d* entrywise by the
-signs (-1)^{alpha_x} and (-1)^{alpha_z}.  The Gauss-Hermite and sphere rules
-are mirror-symmetric, so v runs over the tensor nodes with v_x >= 0 and
-v_z >= 0 only, each weighted by its number of mirror images, and the
-entries whose two multi-indices differ in x- or z-parity, which the images
-cancel, are set to 0.  That is about a quarter of the (v, v*, sigma) rows.  The
-y-mirror maps the half sphere onto the other half, which the sigma -> -sigma
-completion already uses, so it cannot be folded as well.
+The kernels are isotropic, so a signed axis permutation g applied to v, v*
+and sigma together keeps r and cos theta and maps d and d* to P_g d and
+P_g d*, P_g the signed permutation of the multi-indices.  The pass folds
+two groups of such maps, under which its discrete rules are invariant
+(the tensor Gauss-Hermite rule exactly, the half sphere to rounding):
+
+* D4, generated by the x-mirror, the y-mirror and the x <-> y swap.  v runs
+  over the tensor nodes with v_x >= v_y >= 0 only, each weighted by half
+  its number of images, and each block T is rebuilt as T + P_s T P_s^T,
+  P_s the swap of alpha_x and alpha_y.
+* J: (v, v*, sigma) -> (R_z v*, R_z v, -R_z sigma), R_z the z-mirror.  It
+  keeps sigma_z, swaps the roles of v and v* and maps (T1, T12) to
+  P_z (T1, T12) P_z.  Only the pairs with v_z + v*_z >= 0 are summed, at
+  half weight where the sum is 0, and the result is doubled (the 2 is
+  folded into the v weights).
+
+J commutes with D4 and fixes no row.  The entries whose two multi-indices
+differ in x-, y- or z-parity, 7/8 of them, cancel over the images and are
+set to 0.  With h = ceil(q/2), a pass evaluates h(h+1)/2 q(q+1)/2 q^2 ns
+rows: h(h+1)/2 kept v nodes and q^2 v* nodes per z level, and the
+q(q+1)/2 level pairs with z + z* >= 0.
 
 Each monomial's (T1, T12) is accumulated slab by slab as a Gram product
 X X^T with X = D sqrt(w), D the stacked differences (d, d*) of the slab's
 rows and w their quadrature weights.  The form is valid because every
-factor of w is nonnegative: Gauss-Hermite weights times mirror-image
-counts, r^gamma, the half-sphere weights and even powers of cos theta.
+factor of w is nonnegative: Gauss-Hermite weights times image counts,
+r^gamma, the half-sphere weights and even powers of cos theta.
 numpy computes A @ A.T by the BLAS symmetric rank-k update, which does
-half the multiplications of a general product.  A slab holds at most
+half the multiplications of a general product.  A slab holds cv kept v
+nodes of one z level and cs v* nodes of one z level, at most
 ``_ROWS_TARGET`` rows, so that D and X (2 nb doubles per row each, about
 3 MB at N = 3) stay within a core's cache while they are weighted and
-multiplied.
+multiplied; a slab whose levels sum below 0 is skipped whole.
 
 The moments are linear in the kernel.  With B = C r^gamma sum_k c_2k
 cos^{2k} theta, (T1, T12) of B is C sum_k c_2k (T1, T12)_{gamma,2k}, where
@@ -73,10 +86,11 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP = 2 << 30        # bytes of scratch per assembly worker
-_ROWS_TARGET = 16_384               # quadrature rows per slab, cache-sized
+_ROWS_TARGET = 9_216                # quadrature rows per slab, cache-sized
 _MONOMIAL_CACHE_ENTRIES = 64        # monomial blocks kept, 2 nb^2 doubles each
-# the 6 x 12 sphere rule serves degrees <= 11: at N = 3, q = 8 the 5 x 10
-# rule of degree 8 gets slabs of 12 800 rows, not 9 216, and more memory
+# every degree <= 11 gets the 6 x 12 sphere rule.  The floor binds only
+# below degree 8 (N <= 3 and b of degree 0), where the 4 x 8 rule would be
+# exact too but would move those operators beyond rounding
 _MIN_SPHERE_DEGREE = 11
 
 # (gamma, 2k, N, q, sphere degree, cv, cs) -> read-only (T1, T12) stacked as
@@ -207,15 +221,18 @@ def _fold(partials) -> list:
     return acc
 
 
-def _slab_shape(Qv: int, Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
-    """(cv, cs): v and v* nodes per slab, so every slab has cv * cs * ns
-    quadrature rows; cv divides the Qv folded v nodes, cs the Qn tensor
-    nodes.  Raises :class:`AssemblyBudgetError` when the (nb, Qn) and
-    (nb, Qv) Hermite tables at the nodes and one (v, v*) pair do not fit in
-    ``memory_cap``."""
+def _slab_shape(q: int, ns: int, nb: int, memory_cap: int) -> tuple:
+    """(cv, cs): kept v nodes and v* nodes per slab, each of one z level,
+    so every slab has cv * cs * ns quadrature rows; cv divides the
+    h(h+1)/2 kept v nodes of a level, h = ceil(q/2), and cs the q^2 tensor
+    nodes of a level.  Raises :class:`AssemblyBudgetError` when the
+    Hermite tables at the kept and at all nodes and one (v, v*) pair do
+    not fit in ``memory_cap``."""
+    h = (q + 1) // 2
+    per_level = h * (h + 1) // 2
     # geometry, weights and cos powers, two Hermite evaluations, D and X
     bytes_per_row = 8 * (14 + 6 * nb)
-    table = 8 * nb * (Qn + Qv)               # H_alpha at all and at kept nodes
+    table = 8 * nb * q * (q * q + per_level)
     need = table + ns * bytes_per_row        # one (v, v*) pair at least
     if need > memory_cap:
         raise AssemblyBudgetError(
@@ -230,26 +247,38 @@ def _slab_shape(Qv: int, Qn: int, ns: int, nb: int, memory_cap: int) -> tuple:
             d -= 1
         return d
 
-    cv = divisor_at_most(Qv, max(1, min(8, rows_step // ns)))
-    cs = divisor_at_most(Qn, max(1, rows_step // (cv * ns)))
+    cv = divisor_at_most(per_level, max(1, min(8, rows_step // ns)))
+    cs = divisor_at_most(q * q, max(1, rows_step // (cv * ns)))
     return cv, cs
 
 
 def _mirror_fold(nodes3: np.ndarray) -> tuple:
-    """(keep, images): indices of the tensor nodes with v_x >= 0 and
-    v_z >= 0, and for each the number of its x- and z-mirror images,
-    2^(number of nonzero entries among v_x, v_z)."""
-    keep = np.flatnonzero((nodes3[:, 0] >= 0.0) & (nodes3[:, 2] >= 0.0))
-    nonzero = (nodes3[keep][:, [0, 2]] != 0.0).sum(axis=1)
-    return keep, np.ldexp(1.0, nonzero)
+    """(keep, images, star) for the q^3 tensor nodes: ``keep`` indexes the
+    nodes with v_x >= v_y >= 0 and ``star`` all nodes, both level by level
+    in ascending v_z; ``images`` is the number of D4 images of each kept
+    node: 1 at the origin of its level, 4 on a mirror plane or the
+    diagonal v_x = v_y, 8 elsewhere."""
+    star = np.argsort(nodes3[:, 2], kind="stable")
+    x, y = nodes3[star, 0], nodes3[star, 1]
+    keep = star[(x >= y) & (y >= 0.0)]
+    x, y = nodes3[keep, 0], nodes3[keep, 1]
+    images = np.where(x == 0.0, 1.0,
+                      np.where((y == 0.0) | (x == y), 4.0, 8.0))
+    return keep, images, star
 
 
 def _parity_mismatch(basis: HermiteBasis) -> np.ndarray:
-    """(nb, nb) mask of the multi-index pairs that differ in x- or
+    """(nb, nb) mask of the multi-index pairs that differ in x-, y- or
     z-parity."""
-    idx = basis.indices
-    cls = 2 * (idx[:, 0] % 2) + idx[:, 2] % 2
+    cls = (basis.indices % 2) @ np.array([4, 2, 1])
     return cls[:, None] != cls[None, :]
+
+
+def _swap_xy(basis: HermiteBasis) -> np.ndarray:
+    """The permutation of the multi-indices that swaps alpha_x and
+    alpha_y."""
+    pos = {tuple(alpha): p for p, alpha in enumerate(basis.indices.tolist())}
+    return np.array([pos[b, a, c] for a, b, c in basis.indices.tolist()])
 
 
 def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
@@ -261,13 +290,15 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
     are evaluated once and weighted per monomial, and each monomial adds
     X X^T with X = D sqrt(w) (see the module docstring; every weight is
     nonnegative).  Each monomial's accumulation does not depend on which
-    others share the pass.  v runs over the mirror-folded nodes of
-    :func:`_mirror_fold`, v* over every tensor node and sigma over the half
-    sphere.
+    others share the pass.  v runs over the nodes kept by
+    :func:`_mirror_fold`, v* over the tensor nodes whose z level sums with
+    v's to 0 or more, and sigma over the half sphere.
     """
     nodes3, w3 = rule3.nodes, rule3.weights
-    keep, images = _mirror_fold(nodes3)
-    Qn, Qv = nodes3.shape[0], keep.shape[0]
+    keep, images, star = _mirror_fold(nodes3)
+    levels = np.unique(nodes3[:, 2])              # ascending, symmetric
+    Qv, q = keep.shape[0], len(levels)
+    per_level, per_star = Qv // q, q * q
     ns = len(half)
     nb = basis.per_species_size
     rows = cv * cs * ns
@@ -276,19 +307,24 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
         by_gamma.setdefault(gamma, []).append((m, power))
     half_powers = max(power for _, power in monomials) // 2
 
-    H3_T = hermite_table_3d(nodes3, basis.N).T    # (nb, Qn), C-contiguous
-    Hv_T = H3_T[:, keep]                          # (nb, Qv) at the kept v
-    nodes_v, w_v = nodes3[keep], w3[keep] * images
+    nodes_v, nodes_s = nodes3[keep], nodes3[star]
+    Hs_T = hermite_table_3d(nodes_s, basis.N).T   # (nb, Qn), C-contiguous
+    Hv_T = hermite_table_3d(nodes_v, basis.N).T   # (nb, Qv) at the kept v
     sig, wsig = half.nodes, half.weights
     # X = D sqrt(w) needs w >= 0: r^gamma and cos^{2k} theta are, and so
     # must the rules' weights be
     assert all(power % 2 == 0 for _, power in monomials)
     assert (w3 >= 0.0).all() and (wsig >= 0.0).all()
-    root_wv, root_w3 = np.sqrt(w_v), np.sqrt(w3)
+    # the kept v stand for their images and the pairs with z + z* > 0 for
+    # their J-images too; a pair with z + z* = 0 is its own J-class
+    w_v = w3[keep] * images
+    root_wv, root_wv_half = np.sqrt(w_v), np.sqrt(0.5 * w_v)
+    root_ws = np.sqrt(w3[star])
     root_wsig = np.sqrt(wsig)
 
     def block(bi: int):
         i0, i1 = bi * cv, (bi + 1) * cv
+        zv = levels[i0 // per_level]
         coords = np.empty((3, rows))
         D = np.empty((2 * nb, rows))
         X = np.empty((2 * nb, rows))
@@ -297,9 +333,13 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
         ct_pow = np.empty((half_powers, cv, cs, ns))   # |cos theta|^(k+1)
         G = [np.zeros((2 * nb, 2 * nb)) for _ in monomials]
         vb = nodes_v[i0:i1]
-        for j0 in range(0, Qn, cs):
+        # the v* slabs of the levels that sum with v's level to 0 or more
+        slabs = [(j0, root_wv_half if zv + zs == 0.0 else root_wv)
+                 for lvl, zs in enumerate(levels) if zv + zs >= 0.0
+                 for j0 in range(lvl * per_star, (lvl + 1) * per_star, cs)]
+        for j0, root_wb in slabs:
             j1 = j0 + cs
-            vs = nodes3[j0:j1]
+            vs = nodes_s[j0:j1]
             diff = vb[:, None, :] - vs[None, :, :]            # (cv, cs, 3)
             r = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
             rsafe = np.where(r > 0.0, r, 1.0)
@@ -321,8 +361,8 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
             vp_view = Dp.reshape(nb, cv, cs * ns)
             vp_view -= Hv_T[:, i0:i1, None]
             vps_view = Dps.reshape(nb, cv, cs, ns)
-            vps_view -= H3_T[:, None, j0:j1, None]
-            root_pair = root_wv[i0:i1, None] * root_w3[None, j0:j1]
+            vps_view -= Hs_T[:, None, j0:j1, None]
+            root_pair = root_wb[i0:i1, None] * root_ws[None, j0:j1]
             grazing = r == 0.0
             if half_powers:
                 np.abs(ct, out=ct_pow[0])
@@ -342,19 +382,22 @@ def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
                     G[m] += X @ X.T        # symmetric rank-k update
         return G
 
-    nblocks = Qv // cv
+    # the top levels pair with the most levels: start them first
+    order = range(Qv // cv - 1, -1, -1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = _fold(pool.map(block, range(nblocks)))
+            sums = _fold(pool.map(block, order))
     else:
-        sums = _fold(map(block, range(nblocks)))
+        sums = _fold(map(block, order))
     odd = _parity_mismatch(basis)
+    swap = _swap_xy(basis)
     out = []
     for G in sums:
-        # half-sphere completion, exact under sigma -> -sigma symmetry
+        # half-sphere completion, exact under (v, v*, sigma) -> (v*, v, -sigma)
         tb = np.stack([G[:nb, :nb] + G[nb:, nb:],
                        G[:nb, nb:] + G[:nb, nb:].T])
-        tb[:, odd] = 0.0           # the mirror images cancel these
+        tb += tb[:, swap][:, :, swap]      # the x <-> y swap
+        tb[:, odd] = 0.0                   # the mirror images cancel these
         out.append(tb)
     return out
 
@@ -386,13 +429,14 @@ def assembly_plan(family: KernelFamily, basis: HermiteBasis, q: int = 10,
     # the sigma-integrand has degree 2N + the top power of cos theta in b
     degree = max(2 * basis.N + max((p for _, p in wanted), default=0),
                  _MIN_SPHERE_DEGREE)
-    Qn = q ** 3
-    # :func:`_mirror_fold` keeps (q + 1) // 2 nodes per folded axis: the
-    # Gauss-Hermite rule is symmetric, with the node 0 at odd q
-    Qv = q * ((q + 1) // 2) ** 2
     ns = math.prod(sphere_counts(degree)) // 2       # the half-sphere nodes
-    cv, cs = _slab_shape(Qv, Qn, ns, basis.per_species_size, memory_cap)
-    return wanted, degree, cv, cs, Qv * Qn * ns
+    cv, cs = _slab_shape(q, ns, basis.per_species_size, memory_cap)
+    # :func:`_mirror_fold` keeps h(h+1)/2 nodes of each of the q z levels,
+    # the Gauss-Hermite rule being symmetric with the node 0 at odd q, and
+    # q(q+1)/2 ordered level pairs sum to 0 or more
+    h = (q + 1) // 2
+    rows = h * (h + 1) // 2 * (q * (q + 1) // 2) * q * q * ns
+    return wanted, degree, cv, cs, rows
 
 
 def assemble_collision(mixture: Mixture, family: KernelFamily,

@@ -76,23 +76,26 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 def sphere_counts(degree: int) -> tuple:
     """(n_cos, n_phi) of the smallest product rule exact on S^2 to
-    ``degree``.  A monomial of degree d <= ``degree`` in sigma is a degree-d
-    trigonometric polynomial in phi, exact on n_phi >= d + 1 uniform nodes,
-    times, where its phi mean is not 0, a degree-d polynomial in cos theta,
-    exact on n_cos Gauss-Legendre nodes when 2 n_cos - 1 >= d.  n_phi is
-    rounded up to even for the half-sphere split: 2 n_cos."""
+    ``degree`` that the collision assembly can fold.  A monomial of degree
+    d <= ``degree`` in sigma is a degree-d trigonometric polynomial in phi,
+    exact on n_phi >= d + 1 uniform nodes, times, where its phi mean is not
+    0, a degree-d polynomial in cos theta, exact on n_cos Gauss-Legendre
+    nodes when 2 n_cos - 1 >= d.  n_cos is rounded up to even, so that no
+    node lies on the equator, and n_phi = 2 n_cos is then a multiple of 4
+    (see :func:`half_sphere_rule`)."""
     if degree < 0:
         raise ValueError(f"sphere rule degree must be >= 0, got {degree}")
     n_cos = degree // 2 + 1
+    n_cos += n_cos % 2
     return n_cos, 2 * n_cos
 
 
 @lru_cache(maxsize=None)
 def sphere_rule(degree: int) -> QuadratureRule:
     """Product Gauss-Legendre(cos theta) x uniform(phi) rule on S^2 with the
-    counts of :func:`sphere_counts` (6 x 12 at degree 11, 12 x 24 at 23).
-    Weights sum to 4*pi and the node set is exactly antipodally symmetric
-    (even phi count, symmetric Legendre nodes).
+    counts of :func:`sphere_counts` (6 x 12 at degree 11, 8 x 16 at 12,
+    12 x 24 at 23).  Weights sum to 4*pi and the node set is exactly
+    antipodally symmetric (even phi count, symmetric Legendre nodes).
     """
     n_cos, n_phi = sphere_counts(degree)
     gl = gauss_legendre(n_cos)
@@ -109,15 +112,18 @@ def sphere_rule(degree: int) -> QuadratureRule:
 
 
 def half_sphere_rule(degree: int) -> QuadratureRule:
-    """Half of the sphere rule (phi < pi); the antipodal image is the rest.
+    """The nodes of the sphere rule with sigma_z > 0; their antipodal
+    images are the rest.
 
     Used by operator assembly together with the sigma -> -sigma symmetry of
-    even angular kernels, halving the collision quadrature work.  The
-    mirrors x -> -x (phi -> pi - phi) and z -> -z (symmetric Legendre nodes)
-    map the half onto itself, to rounding, with equal weights; the assembly
-    folds its v nodes by these two mirrors.
+    even angular kernels, halving the collision quadrature work.  The even
+    Legendre count puts no node on the equator, and with n_phi a multiple
+    of 4 the x-mirror (phi -> pi - phi), the y-mirror (phi -> -phi) and the
+    x <-> y swap (phi -> pi/2 - phi) map the half onto itself, to rounding,
+    with equal weights; the assembly folds its v nodes by these three
+    maps.
     """
     n_cos, n_phi = sphere_counts(degree)
     full = sphere_rule(degree)
-    keep = np.tile(np.arange(n_phi) < n_phi // 2, n_cos)
+    keep = np.repeat(gauss_legendre(n_cos).nodes > 0.0, n_phi)
     return QuadratureRule(full.nodes[keep].copy(), full.weights[keep].copy())

@@ -585,8 +585,8 @@ class TestOrbits:
                     <= 1e-13 * np.max(np.abs(ref))
 
     def test_sized_sphere_rule_admits_every_map_at_N6(self):
-        # degree 2N = 12 is one above the 6 x 12 rule, which admitted 16
-        # of the 48 maps here; the sized 7 x 14 rule is exact
+        # degree 2N = 12 is one above the 6 x 12 rule; the sized 8 x 16
+        # rule is exact
         basis = HermiteBasis(6, 1)
         L = assemble_collision(Mixture((1.0,)), hard_sphere_family(1), basis,
                                q=7, threads=2)[0].matrix

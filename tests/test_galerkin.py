@@ -273,19 +273,21 @@ class TestCollisionAssembly:
 
     @pytest.mark.parametrize("N, coeffs, ns", [
         (2, (1.0,), 36), (5, (1.0,), 36), (4, (1.0, 0.0, 0.5), 36),
-        (4, (1.0, 0.0, 0.0, 0.0, 0.5), 49), (6, (1.0,), 49),
-        (6, (1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), 81)])
+        (4, (1.0, 0.0, 0.0, 0.0, 0.5), 64), (6, (1.0,), 64),
+        (6, (1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), 100)])
     def test_sphere_rule_is_sized_from_N_and_b(self, N, coeffs, ns):
-        # half of the rule exact to max(2N + p, 11): 6 x 12 up to degree 11,
-        # 7 x 14 at 12, 9 x 18 at 16; trailing zeros do not count
+        # half of the rule exact to max(2N + p, 11), with an even Legendre
+        # count: 6 x 12 up to degree 11, 8 x 16 at 12, 10 x 20 at 16;
+        # trailing zeros do not count
         fam = dataclasses.replace(maxwell_family(1), b=(
             (AngularPolynomial(coeffs),),))
         L = assemble_collision(Mixture((1.0,)), fam, HermiteBasis(N, 1),
                                q=3)[0]
-        assert L.meta["quadrature_rows"] == 12 * 27 * ns
+        # q = 3: 3 kept v nodes per level, 6 level pairs, 9 v* per level
+        assert L.meta["quadrature_rows"] == 3 * 6 * 9 * ns
 
     def test_plan_counts_the_rules_it_does_not_build(self):
-        # assembly_plan counts the folded v nodes and the half-sphere
+        # assembly_plan counts the folded (v, v*) pairs and the half-sphere
         # nodes without building the rules; the counts must be theirs
         fam = dataclasses.replace(maxwell_family(1), b=(
             (AngularPolynomial((1.0, 0.0, 0.5)),),))
@@ -293,12 +295,16 @@ class TestCollisionAssembly:
             _, degree, _, _, rows = galerkin.assembly_plan(
                 fam, HermiteBasis(2, 1), q=q)
             nodes = hermite_rule_3d.__wrapped__(q).nodes    # not cached
-            assert rows == (len(galerkin._mirror_fold(nodes)[0])
-                            * len(nodes) * len(half_sphere_rule(degree))), q
+            keep, _, star = galerkin._mirror_fold(nodes)
+            z_star = nodes[star, 2]                          # ascending
+            pairs = (len(star) - np.searchsorted(z_star, -nodes[keep, 2],
+                                                 side="left")).sum()
+            assert rows == pairs * len(half_sphere_rule(degree)), q
 
     def test_determinism_across_runs_and_threads(self):
-        # q = 5 folds to Qv = 45 v nodes, 9 blocks of 5, with nodes on the
-        # mirror planes
+        # q = 5 keeps 6 v nodes per z level, 5 blocks of 6 with nodes on
+        # the mirror planes, the diagonal and the origin, and pairs of
+        # levels that sum to 0
         mx = Mixture((1.0, 2.0))
         fam = hard_sphere_family(2)
         basis = HermiteBasis(2, 2)
@@ -348,68 +354,109 @@ _FOLD_MONOMIALS = [(gamma, power) for gamma in (0.0, 0.5, 1.0)
                    for power in (0, 2, 4)]
 
 
-class TestMirrorFold:
-    """The collision pass sums v over the x- and z-mirror-folded nodes."""
+def _default_slabs(q: int, N: int, degree: int) -> tuple:
+    return galerkin._slab_shape(q, len(half_sphere_rule(degree)),
+                                HermiteBasis(N, 1).per_species_size,
+                                galerkin.DEFAULT_MEMORY_CAP)
 
+
+def _parity_differs(basis: HermiteBasis) -> np.ndarray:
+    idx = basis.indices
+    return ((idx[:, None, :] + idx[None, :, :]) % 2 == 1).any(axis=2)
+
+
+class TestMirrorFold:
+    """The collision pass sums v over the D4-folded nodes of each z level
+    and only the (v, v*) pairs with v_z + v*_z >= 0."""
+
+    # odd q puts nodes on the mirror planes and at the origin of a level;
+    # every q has nodes on the diagonal v_x = v_y and level pairs that sum
+    # to 0; degree 12 is the 8 x 16 rule, its Legendre count rounded up
     @pytest.mark.parametrize("q, N, degree", [
-        (3, 3, 23), (3, 2, 11), (4, 2, 23), (4, 3, 11), (5, 3, 11),
-        (5, 2, 23), (6, 2, 11), (6, 3, 11), (4, 3, 12)])
+        (3, 3, 23), (3, 2, 11), (4, 2, 23), (4, 3, 11), (4, 3, 12),
+        (5, 3, 11), (5, 2, 23), (6, 2, 11), (6, 3, 11), (7, 2, 11),
+        (8, 2, 11)])
     def test_folded_blocks_match_the_full_grid(self, q, N, degree):
         basis = HermiteBasis(N, 1)
         rule3, half = hermite_rule_3d(q), half_sphere_rule(degree)
-        Qn = rule3.nodes.shape[0]
-        Qv = galerkin._mirror_fold(rule3.nodes)[0].shape[0]
-        assert Qv == (q + 1) // 2 * ((q + 1) // 2) * q
-        cv, cs = galerkin._slab_shape(Qv, Qn, len(half),
-                                      basis.per_species_size,
-                                      galerkin.DEFAULT_MEMORY_CAP)
+        cv, cs = _default_slabs(q, N, degree)
         got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
                                       cv, cs, threads=1)
         ref = full_monomial_pass(_FOLD_MONOMIALS, basis, q, degree)
-        idx = basis.indices
-        odd = ((idx[:, None, 0] + idx[None, :, 0]) % 2 == 1) \
-            | ((idx[:, None, 2] + idx[None, :, 2]) % 2 == 1)
         for tb, tr in zip(got, ref):
             assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
+
+    @pytest.mark.parametrize("q, N", [(3, 3), (4, 2), (5, 4)])
+    def test_mismatched_parities_are_exact_zeros(self, q, N):
+        basis = HermiteBasis(N, 1)
+        cv, cs = _default_slabs(q, N, 11)
+        got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis,
+                                      hermite_rule_3d(q), half_sphere_rule(11),
+                                      cv, cs, threads=1)
+        odd = _parity_differs(basis)
+        assert odd.mean() > 0.75       # 7/8 of the entries as N grows
+        swap = galerkin._swap_xy(basis)
+        for tb in got:
             assert np.all(tb[:, odd] == 0.0)
+            # the x <-> y swap maps each block onto itself, bit for bit
+            assert np.array_equal(tb[:, swap][:, :, swap], tb)
 
     @pytest.mark.parametrize("q, N, degree", [
         (3, 3, 23), (6, 4, 11), (8, 3, 11), (10, 4, 23), (10, 4, 47),
         (8, 6, 12)])
     def test_slabs_fit_the_row_target(self, q, N, degree):
-        Qn = q ** 3
-        Qv = galerkin._mirror_fold(hermite_rule_3d(q).nodes)[0].shape[0]
+        h = (q + 1) // 2
         ns = len(half_sphere_rule(degree))
-        cv, cs = galerkin._slab_shape(Qv, Qn, ns,
-                                      HermiteBasis(N, 1).per_species_size,
-                                      galerkin.DEFAULT_MEMORY_CAP)
-        assert Qv % cv == 0 and Qn % cs == 0
+        cv, cs = _default_slabs(q, N, degree)
+        assert (h * (h + 1) // 2) % cv == 0 and (q * q) % cs == 0
         assert cv * cs * ns <= galerkin._ROWS_TARGET
 
     def test_slab_size_does_not_move_the_blocks(self):
-        # the same pass in slabs of up to 120 000 rows, the size before
-        # slabs were cut to cache size
+        # the default slab at q = 6 is one whole level pair; the same pass
+        # in slabs of one v node and one row of v* nodes, and of 3 x 12
         q, N = 6, 3
         basis = HermiteBasis(N, 1)
         rule3, half = hermite_rule_3d(q), half_sphere_rule(11)
-        Qn, ns = rule3.nodes.shape[0], len(half)
-        Qv = galerkin._mirror_fold(rule3.nodes)[0].shape[0]
-        cv, cs = galerkin._slab_shape(Qv, Qn, ns, basis.per_species_size,
-                                      galerkin.DEFAULT_MEMORY_CAP)
-        big_cs = max(d for d in range(1, Qn + 1)
-                     if Qn % d == 0 and cv * d * ns <= 120_000)
-        assert big_cs > cs
-        got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
+        cv, cs = _default_slabs(q, N, 11)
+        ref = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
                                       cv, cs, threads=1)
-        big = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
-                                      cv, big_cs, threads=1)
-        for tb, tr in zip(got, big):
-            assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
+        for shape in ((1, q), (3, 12)):
+            assert shape != (cv, cs)
+            got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3,
+                                          half, *shape, threads=1)
+            for tb, tr in zip(got, ref):
+                assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
+
+    def test_plan_counts_the_rows_the_pass_evaluates(self, monkeypatch):
+        # every row is one Hermite evaluation at v' and one at v'*, after
+        # the tables at the tensor nodes and at the kept v nodes
+        fam = dataclasses.replace(maxwell_family(1), b=(
+            (AngularPolynomial((1.0, 0.0, 0.5)),),))
+        basis = HermiteBasis(2, 1)
+        points = []
+        table = galerkin.hermite_table_3d
+
+        def counting(pts, N, out=None):
+            points.append(len(pts))
+            return table(pts, N, out=out)
+
+        monkeypatch.setattr(galerkin, "hermite_table_3d", counting)
+        for q in range(1, 9):
+            wanted, degree, cv, cs, rows = galerkin.assembly_plan(
+                fam, basis, q=q)
+            points.clear()
+            galerkin._monomial_pass(wanted, basis, hermite_rule_3d(q),
+                                    half_sphere_rule(degree), cv, cs,
+                                    threads=1)
+            h = (q + 1) // 2
+            assert points[:2] == [q ** 3, q * h * (h + 1) // 2]
+            assert sum(points[2:]) == 2 * rows, q
 
     def test_quadrature_rows_count_the_folded_pass(self):
+        # q = 5: 6 kept v nodes and 25 v* nodes per level, 15 level pairs
         L = assemble_collision(Mixture((1.0,)), maxwell_family(1),
                                HermiteBasis(2, 1), q=5)[0]
-        assert L.meta["quadrature_rows"] == 45 * 125 * 36
+        assert L.meta["quadrature_rows"] == 6 * 15 * 25 * 36
 
 
 def polynomial_mixed_gamma_family() -> KernelFamily:

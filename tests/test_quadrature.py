@@ -60,8 +60,17 @@ def sphere_moment(a: int, b: int, c: int) -> float:
         / g((a + b + c + 3) / 2)
 
 
+# the maps that the collision pass folds by, applied to sigma
+_HALF_SPHERE_MAPS = {
+    "x-mirror": lambda s: s * [-1.0, 1.0, 1.0],
+    "y-mirror": lambda s: s * [1.0, -1.0, 1.0],
+    "xy-swap": lambda s: s[:, [1, 0, 2]],
+}
+
+
 class TestMirrorSymmetry:
-    """The premise of the collision pass's x- and z-mirror fold."""
+    """The premise of the collision pass's fold by the x- and y-mirrors
+    and the x <-> y swap."""
 
     def test_hermite_rule_is_exactly_symmetric(self):
         for q in range(1, 65):
@@ -69,18 +78,27 @@ class TestMirrorSymmetry:
             assert np.array_equal(r.nodes, -r.nodes[::-1])
             assert np.array_equal(r.weights, r.weights[::-1])
 
-    # degree 12 has 7 Legendre nodes, one of them on the equator
+    # degrees 2 and 12 round their Legendre count up to even
     @pytest.mark.parametrize("degree", [2, 11, 12, 13, 23, 47])
-    @pytest.mark.parametrize("axis", [0, 2])
-    def test_half_sphere_maps_onto_itself(self, degree, axis):
+    @pytest.mark.parametrize("name", sorted(_HALF_SPHERE_MAPS))
+    def test_half_sphere_maps_onto_itself(self, degree, name):
         r = half_sphere_rule(degree)
-        image = r.nodes.copy()
-        image[:, axis] *= -1.0
+        assert np.all(r.nodes[:, 2] > 0.0)
+        image = _HALF_SPHERE_MAPS[name](r.nodes)
         dist = np.max(np.abs(image[:, None, :] - r.nodes[None, :, :]), axis=2)
         match = np.argmin(dist, axis=1)
         assert np.max(dist[np.arange(len(r)), match]) <= 1e-15
         assert sorted(match) == list(range(len(r)))
         assert np.array_equal(r.weights[match], r.weights)
+
+    @pytest.mark.parametrize("degree", [2, 12, 23])
+    def test_half_sphere_and_its_antipodes_are_the_rule(self, degree):
+        half, full = half_sphere_rule(degree), sphere_rule(degree)
+        both = np.concatenate([half.nodes, -half.nodes])
+        assert sorted(map(tuple, np.round(both, 12))) \
+            == sorted(map(tuple, np.round(full.nodes, 12)))
+        assert 2.0 * half.weights.sum() == pytest.approx(4.0 * np.pi,
+                                                         rel=1e-14)
 
 
 class TestSphereRule:
@@ -94,7 +112,8 @@ class TestSphereRule:
                     val = (x ** a * y ** b * z ** c) @ r.weights
                     assert abs(val - sphere_moment(a, b, c)) <= 1e-13
 
-    @pytest.mark.parametrize("degree", [1, 5, 11, 23])
+    # the odd degrees whose Legendre count d // 2 + 1 is already even
+    @pytest.mark.parametrize("degree", [3, 7, 11, 23])
     def test_smallest_at_odd_degree(self, degree):
         # one degree up, the Legendre count misses z^(d+1) and the phi
         # count aliases Re (x + i y)^(d+1) = sin^(d+1) cos((d+1) phi)
@@ -105,8 +124,8 @@ class TestSphereRule:
         assert abs(((x + 1j * y) ** (degree + 1)).real @ r.weights) >= 1e-6
 
     @pytest.mark.parametrize("degree, counts", [
-        (0, (1, 2)), (1, (1, 2)), (11, (6, 12)), (12, (7, 14)),
-        (23, (12, 24)), (47, (24, 48))])
+        (0, (2, 4)), (1, (2, 4)), (5, (4, 8)), (11, (6, 12)),
+        (12, (8, 16)), (23, (12, 24)), (47, (24, 48))])
     def test_counts(self, degree, counts):
         assert sphere_counts(degree) == counts
         r = sphere_rule(degree)
