@@ -36,31 +36,48 @@ two groups of such maps, under which its discrete rules are invariant
   half weight where the sum is 0, and the result is doubled (the 2 is
   folded into the v weights).
 
-J commutes with D4 and fixes no row.  The entries whose two multi-indices
-differ in x-, y- or z-parity, 7/8 of them, cancel over the images and are
-set to 0.  With h = ceil(q/2), a pass evaluates h(h+1)/2 q(q+1)/2 q^2 ns
-rows: h(h+1)/2 kept v nodes and q^2 v* nodes per z level, and the
-q(q+1)/2 level pairs with z + z* >= 0.
+J commutes with D4 and fixes no row.  With h = ceil(q/2), a pass keeps
+h(h+1)/2 v nodes and q^2 v* nodes per z level, and the q(q+1)/2 level
+pairs with z + z* >= 0; the pairs with v = v* have v' = v and add
+nothing, so they are dropped: (h(h+1)/2 (q(q+1)/2 q^2 - h)) ns rows.
 
-Each monomial's (T1, T12) is accumulated slab by slab as a Gram product
-X X^T with X = D sqrt(w), D the stacked differences (d, d*) of the slab's
-rows and w their quadrature weights.  The form is valid because every
-factor of w is nonnegative: Gauss-Hermite weights times image counts,
-r^gamma, the half-sphere weights and even powers of cos theta.
-numpy computes A @ A.T by the BLAS symmetric rank-k update, which does
-half the multiplications of a general product.  A slab holds cv kept v
-nodes of one z level and cs v* nodes of one z level, at most
-``_ROWS_TARGET`` rows, so that D and X (2 nb doubles per row each, about
-3 MB at N = 3) stay within a core's cache while they are weighted and
-multiplied; a slab whose levels sum below 0 is skipped whole.
+The kernels are B = C r^gamma b(cos theta), and the moments are linear in
+the kernel: with b = sum_k c_2k cos^{2k} theta, (T1, T12) of B is
+C sum_k c_2k (T1, T12)_{gamma,2k}, the blocks of the monomials
+r^gamma cos^{2k} theta, which depend on neither rho, C nor c.  On the
+tensor rule r = |v - v*| takes finitely many values, so the pass sorts
+the kept (v, v*) pairs into bins of equal gaps {|dx|, |dy|, |dz|}: a bin
+has one radius, and every D4 and J image of its pairs has its gaps.  The
+pass sums each bin with r^gamma left out, once for each cos^{2k} theta,
+and
 
-The moments are linear in the kernel.  With B = C r^gamma sum_k c_2k
-cos^{2k} theta, (T1, T12) of B is C sum_k c_2k (T1, T12)_{gamma,2k}, where
-the monomial blocks belong to r^gamma cos^{2k} theta and depend on neither
-rho, C nor c.  The quadrature therefore runs per monomial, and the blocks
-are kept for the life of the process in ``_monomial_blocks``, keyed by
-(gamma, 2k, N, q, sphere degree) and the slab shape; requests that share a
-monomial reuse the stored arrays bit for bit.
+    T_{gamma,2k} = sum_b r_b^gamma T_{b,2k},
+
+so the quadrature does not depend on gamma.  The images cancel every entry
+of T_{b,2k} whose two multi-indices differ in x-, y- or z-parity, 7/8 of
+them, so a bin keeps only the upper triangles of the eight parity-class
+blocks of T1 and T12, 2K numbers, and a power's bins form one
+(bins, 2K) table: 968 x 88 doubles per power at N = 3, q = 8.  A call
+forms r_b^gamma @ table, adds it over the kernel's powers, unpacks the
+triangles and completes by the x <-> y swap, T + P_s T P_s^T.
+
+Each bin's (T1, T12) is the Gram product X X^T over the bin's rows, with
+X = D sqrt(w), D the stacked differences (d, d*) of the rows and w their
+quadrature weights.  The form is valid because every factor of w is
+nonnegative: Gauss-Hermite weights times image counts, the half-sphere
+weights and even powers of cos theta.  numpy computes A @ A.T by the BLAS
+symmetric rank-k update, which does half the multiplications of a general
+product.  A slab holds whole bins, at most ``_ROWS_TARGET`` rows unless
+one bin alone has more, so that D and X (2 nb doubles per row each, about
+1.8 MB at N = 3) stay within a core's cache while they are weighted and
+multiplied.  Each bin is summed in one product in one slab, so neither
+the slab size nor the thread count moves a bit.
+
+The tables are kept for the life of the process in ``_monomial_blocks``,
+keyed by (N, q, sphere degree, 2k) and bounded by
+``_MONOMIAL_CACHE_BYTES`` (a larger table is used but not kept); every
+request at a cos power seen before, whatever its gamma, rho, C or c,
+reuses the stored arrays bit for bit.
 """
 from __future__ import annotations
 
@@ -68,6 +85,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import hyp1f1
@@ -75,7 +93,8 @@ from scipy.special import hyp1f1
 from .hermite import HermiteBasis, hermite_table_3d
 from .kernels import KernelFamily, compute_ell_b
 from .mixture import Mixture, ker_L_basis, ker_Lm_basis
-from .quadrature import half_sphere_rule, hermite_rule_3d, sphere_counts
+from .quadrature import (half_sphere_rule, hermite_rule_1d, hermite_rule_3d,
+                         sphere_counts)
 
 __all__ = [
     "DiscreteOperator", "FrequencyField", "AssemblyBudgetError",
@@ -86,15 +105,15 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP = 2 << 30        # bytes of scratch per assembly worker
-_ROWS_TARGET = 9_216                # quadrature rows per slab, cache-sized
-_MONOMIAL_CACHE_ENTRIES = 64        # monomial blocks kept, 2 nb^2 doubles each
+_ROWS_TARGET = 5_760                # quadrature rows per slab, cache-sized
+_MONOMIAL_CACHE_BYTES = 128 << 20   # bytes of cos^{2k} theta tables kept
 # every degree <= 11 gets the 6 x 12 sphere rule.  The floor binds only
 # below degree 8 (N <= 3 and b of degree 0), where the 4 x 8 rule would be
 # exact too but would move those operators beyond rounding
 _MIN_SPHERE_DEGREE = 11
 
-# (gamma, 2k, N, q, sphere degree, cv, cs) -> read-only (T1, T12) stacked as
-# (2, nb, nb); least recently used first
+# (N, q, sphere degree, 2k) -> read-only (bins, 2K) table of cos^{2k} theta;
+# least recently used first
 _monomial_blocks: dict = {}
 _monomial_lock = threading.Lock()
 
@@ -202,56 +221,6 @@ def frequency_field(mixture: Mixture, family: KernelFamily) -> FrequencyField:
 # collision-operator assembly
 # ---------------------------------------------------------------------------
 
-def _fold(partials) -> list:
-    """Sum an iterable of equal-length lists of arrays, list entry by list
-    entry, in the tree of a level-by-level pairwise sum: the sums of equal
-    block counts merge as they complete (a binary counter), the rest fold
-    from the right.  At most about log2(count) sums are alive at once."""
-    stack = []                               # (blocks covered, sums)
-    for p in partials:
-        n = 1
-        while stack and stack[-1][0] == n:
-            covered, left = stack.pop()
-            p = [a + b for a, b in zip(left, p)]
-            n += covered
-        stack.append((n, p))
-    acc = stack.pop()[1]
-    while stack:
-        acc = [a + b for a, b in zip(stack.pop()[1], acc)]
-    return acc
-
-
-def _slab_shape(q: int, ns: int, nb: int, memory_cap: int) -> tuple:
-    """(cv, cs): kept v nodes and v* nodes per slab, each of one z level,
-    so every slab has cv * cs * ns quadrature rows; cv divides the
-    h(h+1)/2 kept v nodes of a level, h = ceil(q/2), and cs the q^2 tensor
-    nodes of a level.  Raises :class:`AssemblyBudgetError` when the
-    Hermite tables at the kept and at all nodes and one (v, v*) pair do
-    not fit in ``memory_cap``."""
-    h = (q + 1) // 2
-    per_level = h * (h + 1) // 2
-    # geometry, weights and cos powers, two Hermite evaluations, D and X
-    bytes_per_row = 8 * (14 + 6 * nb)
-    table = 8 * nb * q * (q * q + per_level)
-    need = table + ns * bytes_per_row        # one (v, v*) pair at least
-    if need > memory_cap:
-        raise AssemblyBudgetError(
-            f"assembly needs at least {need} bytes of scratch "
-            f"(cap {memory_cap}); lower discretization.N, hermite_q or deg b")
-    rows_step = max(ns, min(_ROWS_TARGET,
-                            (memory_cap - table) // bytes_per_row))
-
-    def divisor_at_most(n, target):
-        d = max(1, min(n, target))
-        while n % d:
-            d -= 1
-        return d
-
-    cv = divisor_at_most(per_level, max(1, min(8, rows_step // ns)))
-    cs = divisor_at_most(q * q, max(1, rows_step // (cv * ns)))
-    return cv, cs
-
-
 def _mirror_fold(nodes3: np.ndarray) -> tuple:
     """(keep, images, star) for the q^3 tensor nodes: ``keep`` indexes the
     nodes with v_x >= v_y >= 0 and ``star`` all nodes, both level by level
@@ -267,139 +236,301 @@ def _mirror_fold(nodes3: np.ndarray) -> tuple:
     return keep, images, star
 
 
-def _parity_mismatch(basis: HermiteBasis) -> np.ndarray:
-    """(nb, nb) mask of the multi-index pairs that differ in x-, y- or
-    z-parity."""
-    cls = (basis.indices % 2) @ np.array([4, 2, 1])
-    return cls[:, None] != cls[None, :]
+@dataclass(frozen=True)
+class _PairBins:
+    """The folded (v, v*) pairs of the q-point tensor rule with v != v*,
+    sorted by bin (see the module docstring).  ``keep`` and ``star`` are
+    :func:`_mirror_fold`'s; pair p joins the nodes ``keep[v[p]]`` and
+    ``star[star_of[p]]`` with quadrature weight ``root_w[p]**2``, and bin
+    b holds the pairs ``bounds[b]:bounds[b + 1]``, all at radius
+    ``_bin_radius(q)[b]``."""
+    keep: np.ndarray
+    star: np.ndarray
+    v: np.ndarray
+    star_of: np.ndarray
+    root_w: np.ndarray
+    bounds: np.ndarray
 
 
-def _swap_xy(basis: HermiteBasis) -> np.ndarray:
-    """The permutation of the multi-indices that swaps alpha_x and
-    alpha_y."""
-    pos = {tuple(alpha): p for p, alpha in enumerate(basis.indices.tolist())}
-    return np.array([pos[b, a, c] for a, b, c in basis.indices.tolist()])
+@lru_cache(maxsize=None)
+def _gaps(q: int) -> tuple:
+    """(gaps, gap_of): the ascending distinct gaps |x_i - x_j| of the
+    q-point Hermite nodes x, 0 first, and the (q, q) int32 table of the
+    index of each gap."""
+    x = hermite_rule_1d(q).nodes
+    gaps, gap_of = np.unique(np.abs(x[:, None] - x[None, :]),
+                             return_inverse=True)
+    gap_of = gap_of.reshape(q, q).astype(np.int32)
+    gaps.setflags(write=False)
+    gap_of.setflags(write=False)
+    return gaps, gap_of
 
 
-def _monomial_pass(monomials: list, basis: HermiteBasis, rule3, half,
-                   cv: int, cs: int, threads: int) -> list:
-    """Blocks (T1, T12), stacked as (2, nb, nb), of the monomial kernels
-    r^gamma cos^{2k} theta for each (gamma, 2k) in ``monomials``.
-
-    One quadrature pass serves them all: the Hermite differences D of a slab
-    are evaluated once and weighted per monomial, and each monomial adds
-    X X^T with X = D sqrt(w) (see the module docstring; every weight is
-    nonnegative).  Each monomial's accumulation does not depend on which
-    others share the pass.  v runs over the nodes kept by
-    :func:`_mirror_fold`, v* over the tensor nodes whose z level sums with
-    v's to 0 or more, and sigma over the half sphere.
-    """
+def _pair_bins(q: int) -> _PairBins:
+    rule3 = hermite_rule_3d(q)
     nodes3, w3 = rule3.nodes, rule3.weights
     keep, images, star = _mirror_fold(nodes3)
-    levels = np.unique(nodes3[:, 2])              # ascending, symmetric
-    Qv, q = keep.shape[0], len(levels)
-    per_level, per_star = Qv // q, q * q
-    ns = len(half)
-    nb = basis.per_species_size
-    rows = cv * cs * ns
-    by_gamma: dict = {}
-    for m, (gamma, power) in enumerate(monomials):
-        by_gamma.setdefault(gamma, []).append((m, power))
-    half_powers = max(power for _, power in monomials) // 2
+    zv, zs = nodes3[keep, 2], nodes3[star, 2]
+    v, star_of = np.nonzero(zv[:, None] + zs[None, :] >= 0.0)
+    # a pair's bin: its three gap indices, sorted, as one integer
+    gaps, gap_of = _gaps(q)
+    m = len(gaps)
+    at = np.searchsorted(hermite_rule_1d(q).nodes, nodes3).astype(np.int32)
+    gx, gy, gz = (gap_of[at[keep, ax][v], at[star, ax][star_of]]
+                  for ax in range(3))
+    lo = np.minimum(np.minimum(gx, gy), gz)
+    hi = np.maximum(np.maximum(gx, gy), gz)
+    key = (lo.astype(np.int64) * m + (gx + gy + gz - lo - hi)) * m + hi
+    del gx, gy, gz, lo, hi
+    moving = key > 0                   # v' = v at v = v*: no rows there
+    v, star_of, key = v[moving], star_of[moving], key[moving]
+    # the kept v stand for their D4 images and the pairs with z + z* > 0
+    # for their J-images too; a pair with z + z* = 0 is its own J-class
+    w_v = w3[keep] * images
+    own = zv[v] + zs[star_of] == 0.0
+    root_w = (np.where(own, np.sqrt(0.5 * w_v)[v], np.sqrt(w_v)[v])
+              * np.sqrt(w3[star])[star_of])
+    # every multiset of gaps but {0, 0, 0} has pairs (see _bin_counts),
+    # so the ascending keys are the bins of _bin_radius in order
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.concatenate(
+        (_bin_keys(q), [m ** 3])))
+    return _PairBins(keep, star, v[order], star_of[order], root_w[order],
+                     bounds)
 
-    nodes_v, nodes_s = nodes3[keep], nodes3[star]
+
+def _bin_keys(q: int) -> np.ndarray:
+    """The bins' keys (lo m + mid) m + hi, ascending: every sorted triple
+    lo <= mid <= hi of the m gap indices but (0, 0, 0)."""
+    m = len(_gaps(q)[0])
+    keys = []
+    for lo in range(m):
+        mid, hi = np.triu_indices(m - lo)
+        keys.append((lo * m + lo + mid) * m + lo + hi)
+    return np.concatenate(keys)[1:]
+
+
+@lru_cache(maxsize=8)
+def _bin_radius(q: int) -> np.ndarray:
+    """The radius of each bin, in the order of :func:`_pair_bins`."""
+    gaps = _gaps(q)[0]
+    m = len(gaps)
+    key = _bin_keys(q)
+    a, b, c = gaps[key // m // m], gaps[key // m % m], gaps[key % m]
+    radius = np.sqrt(a * a + b * b + c * c)
+    radius.setflags(write=False)
+    return radius
+
+
+@lru_cache(maxsize=None)
+def _bin_counts(q: int) -> tuple:
+    """(bins, an upper bound on the pairs of one bin, folded pairs) of
+    :func:`_pair_bins`, counted from the 1-D rule.
+
+    With m distinct gaps (0 included), every multiset of three gaps but
+    {0, 0, 0} is one bin: C(m + 2, 3) - 1 bins.  A bin's pairs have
+    v_x, v_y >= 0 and z + z* >= 0, so over the axis assignments of its
+    gaps {a, b, c} there are at most sum P(a_x) P(a_y) Z(a_z) of them,
+    P(a) the 1-D pairs at gap a with x_i >= 0, Z(a) those with
+    x_i + x_j >= 0.  P(0) = Z(0) = h, h = ceil(q/2), and with p, z the
+    largest P, Z at a gap > 0 the sum is at most the bound returned.
+    """
+    x = hermite_rule_1d(q).nodes
+    gaps, gap_of = _gaps(q)
+    P = np.bincount(gap_of[x >= 0.0].ravel(), minlength=len(gaps))
+    Z = np.bincount(gap_of[x[:, None] + x[None, :] >= 0.0],
+                    minlength=len(gaps))
+    h = (q + 1) // 2
+    p, z = int(P[1:].max(initial=0)), int(Z[1:].max(initial=0))
+    largest = max(h * h * (z + 2 * p), 2 * h * p * (2 * z + p), 6 * p * p * z)
+    # v = v* leaves h(h+1)/2 pairs on each of the h levels with z >= 0
+    pairs = h * (h + 1) // 2 * (q * (q + 1) // 2 * q * q - h)
+    return math.comb(len(gaps) + 2, 3) - 1, largest, pairs
+
+
+def _packed_size(basis: HermiteBasis) -> int:
+    """2K: the upper triangles of the parity-class blocks of T1 and T12."""
+    counts = np.bincount((basis.indices % 2) @ np.array([4, 2, 1]))
+    return int((counts * (counts + 1)).sum())
+
+
+def _slab_shape(q: int, ns: int, basis: HermiteBasis, tables: int,
+                memory_cap: int) -> int:
+    """The (v, v*) pairs per slab, ns quadrature rows each; a bin larger
+    than that is one slab.  Raises :class:`AssemblyBudgetError` when the
+    Hermite tables at the kept and at all nodes, the folded pairs, the
+    ``tables`` tables of (bins, 2K) doubles and the rows of the largest
+    bin do not fit in ``memory_cap``."""
+    nb = basis.per_species_size
+    bins, largest, pairs = _bin_counts(q)
+    h = (q + 1) // 2
+    # geometry, weights and cos powers, two Hermite evaluations, D and X
+    bytes_per_row = 8 * (14 + 6 * nb)
+    # a pair takes 10 doubles while the pairs are sorted into bins, 3 after
+    fixed = 8 * (nb * q * (q * q + h * (h + 1) // 2) + 10 * pairs
+                 + tables * bins * _packed_size(basis))
+    need = fixed + largest * ns * bytes_per_row
+    if need > memory_cap:
+        raise AssemblyBudgetError(
+            f"assembly needs at least {need} bytes of scratch "
+            f"(cap {memory_cap}); lower discretization.N, hermite_q or deg b")
+    return max(1, min(_ROWS_TARGET, (memory_cap - fixed) // bytes_per_row)
+               // ns)
+
+
+@lru_cache(maxsize=None)
+def _packing(N: int) -> tuple:
+    """(first, second, spread) for the Hermite basis of degree N.
+
+    A packed (T1, T12) holds, for each, the entries (r, c), r <= c, of
+    equal x-, y- and z-parity in row-major order.  ``first`` and
+    ``second`` are the flat indices into a (2 nb, 2 nb) Gram G of the two
+    terms of T1 = G11 + G22 and of T12 = G12 + G12^T at those entries,
+    T1's first.  ``spread`` (2, nb, nb) indexes a packed half with a 0
+    appended: its first plane gives the symmetric block, its second the
+    image under P_s, the swap of alpha_x and alpha_y.
+    """
+    indices = HermiteBasis(N, 1).indices
+    nb = len(indices)
+    cls = (indices % 2) @ np.array([4, 2, 1])
+    rows, cols = np.nonzero(np.triu(cls[:, None] == cls[None, :]))
+    width = 2 * nb                      # G11[r, c] is G.flat[r * width + c]
+    first = np.concatenate([rows * width + cols, rows * width + nb + cols])
+    second = np.concatenate([(nb + rows) * width + nb + cols,
+                             cols * width + nb + rows])
+    slot = np.full((nb, nb), len(rows))          # the appended 0
+    slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
+    pos = {tuple(alpha): p for p, alpha in enumerate(indices.tolist())}
+    swap = np.array([pos[b, a, c] for a, b, c in indices.tolist()])
+    spread = np.stack([slot, slot[swap][:, swap]])
+    for arr in (first, second, spread):
+        arr.setflags(write=False)
+    return first, second, spread
+
+
+def _unpack(packed: np.ndarray, N: int) -> np.ndarray:
+    """(T1, T12), stacked as (2, nb, nb), from their packed triangles,
+    completed by the x <-> y swap: T + P_s T P_s^T."""
+    spread = _packing(N)[2]
+    halves = np.zeros((2, len(packed) // 2 + 1))
+    halves[:, :-1] = packed.reshape(2, -1)
+    return (np.take(halves, spread[0], axis=1)
+            + np.take(halves, spread[1], axis=1))
+
+
+def _slabs(bounds: np.ndarray, slab_pairs: int) -> list:
+    """(first bin, end bin) of each slab: consecutive whole bins of at most
+    ``slab_pairs`` pairs together, or one bin that alone has more."""
+    slabs, b0 = [], 0
+    while b0 < len(bounds) - 1:
+        b1 = int(np.searchsorted(bounds, bounds[b0] + slab_pairs, "right"))
+        slabs.append((b0, max(b1 - 1, b0 + 1)))
+        b0 = slabs[-1][1]
+    return slabs
+
+
+def _monomial_pass(powers: list, basis: HermiteBasis, q: int, half,
+                   slab_pairs: int, threads: int) -> list:
+    """The (bins, 2K) table of each cos^{2k} theta, 2k in ``powers``: row
+    b holds the packed (T1, T12) of the kernel cos^{2k} theta summed over
+    bin b of :func:`_pair_bins`, before the x <-> y swap.
+
+    One quadrature pass serves them all: the Hermite differences D of a slab
+    are evaluated once and weighted per power, and each bin of the slab
+    adds X X^T with X = D sqrt(w) over its own rows (see the module
+    docstring; every weight is nonnegative).  Each power's table does not
+    depend on which others share the pass, on the slab size or on
+    ``threads``.
+    """
+    bins = _pair_bins(q)
+    nodes3 = hermite_rule_3d(q).nodes
+    nodes_v, nodes_s = nodes3[bins.keep], nodes3[bins.star]
     Hs_T = hermite_table_3d(nodes_s, basis.N).T   # (nb, Qn), C-contiguous
     Hv_T = hermite_table_3d(nodes_v, basis.N).T   # (nb, Qv) at the kept v
     sig, wsig = half.nodes, half.weights
-    # X = D sqrt(w) needs w >= 0: r^gamma and cos^{2k} theta are, and so
-    # must the rules' weights be
-    assert all(power % 2 == 0 for _, power in monomials)
-    assert (w3 >= 0.0).all() and (wsig >= 0.0).all()
-    # the kept v stand for their images and the pairs with z + z* > 0 for
-    # their J-images too; a pair with z + z* = 0 is its own J-class
-    w_v = w3[keep] * images
-    root_wv, root_wv_half = np.sqrt(w_v), np.sqrt(0.5 * w_v)
-    root_ws = np.sqrt(w3[star])
+    # X = D sqrt(w) needs w >= 0: cos^{2k} theta is, and so must the
+    # rules' weights be
+    assert all(power % 2 == 0 for power in powers)
+    assert (bins.root_w >= 0.0).all() and (wsig >= 0.0).all()
     root_wsig = np.sqrt(wsig)
+    ns, nb = len(half), basis.per_species_size
+    first, second, _ = _packing(basis.N)
+    half_powers = max(powers) // 2
+    bounds = bins.bounds
+    tables = [np.empty((len(bins.bounds) - 1, len(first))) for _ in powers]
 
-    def block(bi: int):
-        i0, i1 = bi * cv, (bi + 1) * cv
-        zv = levels[i0 // per_level]
-        coords = np.empty((3, rows))
-        D = np.empty((2 * nb, rows))
-        X = np.empty((2 * nb, rows))
-        root_w = np.empty((cv, cs, ns))
-        root_wpow = np.empty((cv, cs, ns))
-        ct_pow = np.empty((half_powers, cv, cs, ns))   # |cos theta|^(k+1)
-        G = [np.zeros((2 * nb, 2 * nb)) for _ in monomials]
-        vb = nodes_v[i0:i1]
-        # the v* slabs of the levels that sum with v's level to 0 or more
-        slabs = [(j0, root_wv_half if zv + zs == 0.0 else root_wv)
-                 for lvl, zs in enumerate(levels) if zv + zs >= 0.0
-                 for j0 in range(lvl * per_star, (lvl + 1) * per_star, cs)]
-        for j0, root_wb in slabs:
-            j1 = j0 + cs
-            vs = nodes_s[j0:j1]
-            diff = vb[:, None, :] - vs[None, :, :]            # (cv, cs, 3)
-            r = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
-            rsafe = np.where(r > 0.0, r, 1.0)
-            ct = np.einsum("abk,sk->abs", diff, sig)
-            ct /= rsafe[:, :, None]
-            center = 0.5 * (vb[:, None, :] + vs[None, :, :])
+    slabs = _slabs(bounds, slab_pairs)
+    rows = ns * max((bounds[b1] - bounds[b0] for b0, b1 in slabs), default=0)
+    todo, todo_lock = iter(slabs), threading.Lock()
+
+    def work():
+        # scratch for the largest slab, once per worker; each slab takes
+        # C-contiguous views of its size
+        coords_buf, D_buf = np.empty(3 * rows), np.empty(2 * nb * rows)
+        # the last power weights D in place, the others a copy X
+        X_buf = np.empty(2 * nb * rows if len(powers) > 1 else 0)
+        G = np.empty((2 * nb, 2 * nb))
+        w_buf, wpow_buf = np.empty(rows), np.empty(rows)
+        ct_buf = np.empty(half_powers * rows)
+        while True:
+            with todo_lock:
+                slab = next(todo, None)
+            if slab is None:
+                return
+            b0, b1 = slab
+            p0, p1 = bounds[b0], bounds[b1]
+            n, m = p1 - p0, (p1 - p0) * ns
+            iv, js = bins.v[p0:p1], bins.star_of[p0:p1]
+            vb, vs = nodes_v[iv], nodes_s[js]
+            diff = vb - vs
+            r = np.sqrt(np.einsum("pk,pk->p", diff, diff))
+            ct = np.einsum("pk,sk->ps", diff, sig)
+            ct /= r[:, None]
+            center = 0.5 * (vb + vs)
+            coords = coords_buf[:3 * m].reshape(3, m)
             for ax in range(3):
-                buf = coords[ax].reshape(cv, cs, ns)
-                np.multiply((0.5 * r)[:, :, None], sig[None, None, :, ax],
-                            out=buf)
-                buf += center[:, :, ax, None]
+                buf = coords[ax].reshape(n, ns)
+                np.multiply((0.5 * r)[:, None], sig[None, :, ax], out=buf)
+                buf += center[:, ax, None]
+            D = D_buf[:2 * nb * m].reshape(2 * nb, m)
             Dp, Dps = D[:nb], D[nb:]
             hermite_table_3d(coords.T, basis.N, out=Dp.T)
             for ax in range(3):
-                buf = coords[ax].reshape(cv, cs, ns)
-                np.subtract(2.0 * center[:, :, ax, None], buf, out=buf)
+                buf = coords[ax].reshape(n, ns)
+                np.subtract(2.0 * center[:, ax, None], buf, out=buf)
             hermite_table_3d(coords.T, basis.N, out=Dps.T)
             # subtract H(v) and H(v*)
-            vp_view = Dp.reshape(nb, cv, cs * ns)
-            vp_view -= Hv_T[:, i0:i1, None]
-            vps_view = Dps.reshape(nb, cv, cs, ns)
-            vps_view -= Hs_T[:, None, j0:j1, None]
-            root_pair = root_wb[i0:i1, None] * root_ws[None, j0:j1]
-            grazing = r == 0.0
-            if half_powers:
+            vp_view = Dp.reshape(nb, n, ns)
+            vp_view -= Hv_T[:, iv, None]
+            vps_view = Dps.reshape(nb, n, ns)
+            vps_view -= Hs_T[:, js, None]
+            root_w = w_buf[:m].reshape(n, ns)
+            np.multiply(bins.root_w[p0:p1, None], root_wsig[None, :],
+                        out=root_w)
+            ct_pow = ct_buf[:half_powers * m].reshape(half_powers, n, ns)
+            if half_powers:                        # |cos theta|^(k+1)
                 np.abs(ct, out=ct_pow[0])
                 for k in range(1, half_powers):
                     np.multiply(ct_pow[k - 1], ct_pow[0], out=ct_pow[k])
-            for gamma, members in by_gamma.items():
-                rpw = root_pair * np.power(rsafe, 0.5 * gamma)
-                if grazing.any():
-                    rpw[grazing] = 0.0     # d = d* = 0 there anyway
-                np.multiply(rpw[:, :, None], root_wsig[None, None, :],
-                            out=root_w)
-                for m, power in members:
-                    rw = root_w if power == 0 else \
-                        np.multiply(root_w, ct_pow[power // 2 - 1],
-                                    out=root_wpow)
-                    np.multiply(D, rw.reshape(rows)[None, :], out=X)
-                    G[m] += X @ X.T        # symmetric rank-k update
-        return G
+            cuts = (bounds[b0:b1 + 1] - p0) * ns
+            for power, table in zip(powers, tables):
+                rw = root_w if power == 0 else np.multiply(
+                    root_w, ct_pow[power // 2 - 1],
+                    out=wpow_buf[:m].reshape(n, ns))
+                X = D if power == powers[-1] else \
+                    X_buf[:2 * nb * m].reshape(2 * nb, m)
+                np.multiply(D, rw.reshape(1, m), out=X)
+                for b, s, e in zip(range(b0, b1), cuts[:-1], cuts[1:]):
+                    np.matmul(X[:, s:e], X[:, s:e].T, out=G)   # syrk
+                    np.add(G.take(first), G.take(second), out=table[b])
 
-    # the top levels pair with the most levels: start them first
-    order = range(Qv // cv - 1, -1, -1)
-    if threads > 1:
+    if threads > 1 and len(slabs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = _fold(pool.map(block, order))
+            for done in [pool.submit(work) for _ in range(threads)]:
+                done.result()
     else:
-        sums = _fold(map(block, order))
-    odd = _parity_mismatch(basis)
-    swap = _swap_xy(basis)
-    out = []
-    for G in sums:
-        # half-sphere completion, exact under (v, v*, sigma) -> (v*, v, -sigma)
-        tb = np.stack([G[:nb, :nb] + G[nb:, nb:],
-                       G[:nb, nb:] + G[:nb, nb:].T])
-        tb += tb[:, swap][:, :, swap]      # the x <-> y swap
-        tb[:, odd] = 0.0                   # the mirror images cancel these
-        out.append(tb)
-    return out
+        work()
+    return tables
 
 
 def _even_powers(b) -> list:
@@ -408,35 +539,31 @@ def _even_powers(b) -> list:
             if power % 2 == 0 and c != 0.0]
 
 
-def _kernel_blocks(phi, b, blocks: dict, nb: int) -> np.ndarray:
+def _kernel_blocks(phi, b, packed: dict, N: int) -> np.ndarray:
     """(T1, T12) of B = C r^gamma b(cos theta) as C sum_k c_2k T_{gamma,2k},
-    summed in ascending k."""
-    acc = np.zeros((2, nb, nb))
+    summed in ascending k on the packed triangles."""
+    acc = np.zeros(len(_packing(N)[0]))
     for power in _even_powers(b):
-        acc += b.coeffs[power] * blocks[(phi.gamma, power)]
-    return phi.C * acc
+        acc += b.coeffs[power] * packed[(phi.gamma, power)]
+    return _unpack(phi.C * acc, N)
 
 
 def assembly_plan(family: KernelFamily, basis: HermiteBasis, q: int = 10,
                   memory_cap: int = DEFAULT_MEMORY_CAP) -> tuple:
-    """(sorted monomials (gamma, 2k), sphere degree, cv, cs, quadrature
-    rows) of :func:`assemble_collision`, counted without building a rule;
-    raises :class:`AssemblyBudgetError` as :func:`_slab_shape` does."""
+    """(sorted monomials (gamma, 2k), sphere degree, pairs per slab,
+    quadrature rows) of :func:`assemble_collision`, counted without
+    building a rule of v or of sigma; raises :class:`AssemblyBudgetError`
+    as :func:`_slab_shape` does."""
     n = family.n
     wanted = sorted({(family.phi[i][j].gamma, power)
                      for i in range(n) for j in range(n)
                      for power in _even_powers(family.b[i][j])})
+    powers = {power for _, power in wanted}
     # the sigma-integrand has degree 2N + the top power of cos theta in b
-    degree = max(2 * basis.N + max((p for _, p in wanted), default=0),
-                 _MIN_SPHERE_DEGREE)
+    degree = max(2 * basis.N + max(powers, default=0), _MIN_SPHERE_DEGREE)
     ns = math.prod(sphere_counts(degree)) // 2       # the half-sphere nodes
-    cv, cs = _slab_shape(q, ns, basis.per_species_size, memory_cap)
-    # :func:`_mirror_fold` keeps h(h+1)/2 nodes of each of the q z levels,
-    # the Gauss-Hermite rule being symmetric with the node 0 at odd q, and
-    # q(q+1)/2 ordered level pairs sum to 0 or more
-    h = (q + 1) // 2
-    rows = h * (h + 1) // 2 * (q * (q + 1) // 2) * q * q * ns
-    return wanted, degree, cv, cs, rows
+    slab_pairs = _slab_shape(q, ns, basis, len(powers), memory_cap)
+    return wanted, degree, slab_pairs, _bin_counts(q)[2] * ns
 
 
 def assemble_collision(mixture: Mixture, family: KernelFamily,
@@ -446,12 +573,14 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
 
     Returns three :class:`DiscreteOperator` with L = L^m + L^b, all symmetric
     and with -L positive semidefinite up to roundoff.  The quadrature runs
-    only for monomial blocks missing from the process cache (see the module
-    docstring); every kernel and the rho weighting are combined from them on
-    each call.  Deterministic: block boundaries and the pairwise reduction
-    order are independent of the thread count, and cached blocks are the
-    arrays a cold pass would compute, so results do not depend on which
-    calls ran before.
+    only for the cos^{2k} theta tables missing from the process cache (see
+    the module docstring); every r^gamma, kernel and the rho weighting are
+    combined from them on each call.  ``meta`` counts the rows of a pass,
+    the tables the call uses (``monomials``) and those it computed
+    (``monomials_computed``).  Deterministic: each bin is summed by one
+    product in one slab, whatever the slab size and the thread count, and
+    cached tables are the arrays a cold pass would compute, so results do
+    not depend on which calls ran before.
     """
     if basis.N < 2:
         raise ValueError("collision assembly requires N >= 2")
@@ -464,29 +593,38 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
 
     n = mixture.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    wanted, degree, cv, cs, rows = assembly_plan(family, basis, q,
-                                                 memory_cap)
-    rule3 = hermite_rule_3d(q)
-    half = half_sphere_rule(degree)
-    nb = basis.per_species_size
-    shape = (basis.N, q, degree, cv, cs)
-    blocks = {}
+    wanted, degree, slab_pairs, rows = assembly_plan(family, basis, q,
+                                                     memory_cap)
+    powers = sorted({power for _, power in wanted})
+    key = (basis.N, q, degree)
+    tables = {}
     with _monomial_lock:
-        for mono in wanted:
-            hit = _monomial_blocks.pop(mono + shape, None)
+        for power in powers:
+            hit = _monomial_blocks.pop(key + (power,), None)
             if hit is not None:
-                blocks[mono] = _monomial_blocks[mono + shape] = hit
-    missing = [mono for mono in wanted if mono not in blocks]
+                tables[power] = _monomial_blocks[key + (power,)] = hit
+    missing = [power for power in powers if power not in tables]
     if missing:
-        fresh = _monomial_pass(missing, basis, rule3, half, cv, cs, threads)
+        fresh = _monomial_pass(missing, basis, q, half_sphere_rule(degree),
+                               slab_pairs, threads)
         with _monomial_lock:
-            for mono, tb in zip(missing, fresh):
-                tb.setflags(write=False)
-                blocks[mono] = _monomial_blocks[mono + shape] = tb
-            while len(_monomial_blocks) > _MONOMIAL_CACHE_ENTRIES:
-                del _monomial_blocks[next(iter(_monomial_blocks))]
+            for power, table in zip(missing, fresh):
+                table.setflags(write=False)
+                tables[power] = table
+                if table.nbytes <= _MONOMIAL_CACHE_BYTES:
+                    _monomial_blocks.pop(key + (power,), None)
+                    _monomial_blocks[key + (power,)] = table
+            kept = sum(t.nbytes for t in _monomial_blocks.values())
+            while kept > _MONOMIAL_CACHE_BYTES:
+                kept -= _monomial_blocks.pop(
+                    next(iter(_monomial_blocks))).nbytes
 
-    T = {(i, j): _kernel_blocks(family.phi[i][j], family.b[i][j], blocks, nb)
+    radius = _bin_radius(q)
+    scale = {gamma: np.power(radius, gamma) for gamma, _ in wanted}
+    packed = {(gamma, power): scale[gamma] @ tables[power]
+              for gamma, power in wanted}
+    T = {(i, j): _kernel_blocks(family.phi[i][j], family.b[i][j], packed,
+                                basis.N)
          for i, j in pairs}
     rho = mixture.rho_array()
     total = basis.total_size
@@ -509,7 +647,7 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
                 Qb[si, sj] += w * T12
                 Qb[sj, si] += w * T12.T
 
-    meta = {"quadrature_rows": rows, "monomials": len(wanted),
+    meta = {"quadrature_rows": rows, "monomials": len(powers),
             "monomials_computed": len(missing)}
     Lm, Lb = _sym(-Qm), _sym(-Qb)
     return (DiscreteOperator(Lm + Lb, meta), DiscreteOperator(Lm, meta),

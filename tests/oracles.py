@@ -705,18 +705,68 @@ def grid_audit(fam):
 
 
 # ---------------------------------------------------------------------------
-# collision-assembly block sum
+# Maxwell molecules: the spectrum of L in closed form
 # ---------------------------------------------------------------------------
 
-def pairwise_sum(mats: list) -> np.ndarray:
-    """Sum of the arrays by levels: adjacent pairs are added, an odd last
-    one is carried to the next level."""
-    while len(mats) > 1:
-        nxt = [mats[k] + mats[k + 1] for k in range(0, len(mats) - 1, 2)]
-        if len(mats) % 2:
-            nxt.append(mats[-1])
-        mats = nxt
-    return mats[0]
+def maxwell_blocks(mixture, family, N: int) -> dict:
+    """{(r, l): (A, A^m, A^b)} for a gamma = 0 family with polynomial b:
+    the n x n blocks of L, L^m and L^b on the Burnett functions of radial
+    index r and angular degree l, 2r + l <= N.  Each block stands for its
+    2l + 1 orders m, so the spectrum of -L is that of the -A_rl, each
+    repeated 2l + 1 times (Wang Chang & Uhlenbeck 1952).
+
+    With I^c_rl[b] = 2 pi int_0^pi b(cos t) c^{2r+l} P_l(c) sin t dt for
+    c = cos(t/2), I^s_rl[b] the same with c = sin(t/2), and
+    l[b] = 2 pi int_0^pi b sin t dt:
+
+        (A_rl)_ii = sum_j C_ij rho_j (I^c_rl[b_ij] - l[b_ij])
+                    + rho_i C_ii (I^s_rl[b_ii] - [rl = 00] l[b_ii]),
+        (A_rl)_ij = sqrt(rho_i rho_j) C_ij (I^s_rl[b_ij] - [rl = 00] l[b_ij]),
+
+    j != i; A^m holds the j = i terms and A^b the rest.  The integrands
+    are polynomials in cos t, which a 64-node Gauss-Legendre rule
+    integrates exactly for the degrees used here.
+    """
+    from numpy.polynomial.legendre import Legendre, leggauss
+    if any(phi.gamma != 0.0 for row in family.phi for phi in row):
+        raise ValueError("maxwell_blocks needs gamma = 0 for every pair")
+    n, rho = mixture.n, mixture.rho_array()
+    t, w = leggauss(64)
+    halves = {"c": np.sqrt(0.5 * (1.0 + t)), "s": np.sqrt(0.5 * (1.0 - t))}
+
+    def moment(b, half, r, l):
+        x = halves[half]
+        return 2.0 * math.pi * np.sum(w * b(t) * x ** (2 * r + l)
+                                      * Legendre.basis(l)(x))
+
+    out = {}
+    for l in range(N + 1):
+        for r in range((N - l) // 2 + 1):
+            Am, Ab = np.zeros((n, n)), np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    b, C = family.b[i][j], family.phi[i][j].C
+                    ell = moment(b, "c", 0, 0)
+                    loss = C * rho[j] * (moment(b, "c", r, l) - ell)
+                    gain = C * (moment(b, "s", r, l)
+                                - (ell if (r, l) == (0, 0) else 0.0))
+                    if j == i:
+                        Am[i, i] += loss + rho[i] * gain
+                    else:
+                        Ab[i, i] += loss
+                        Ab[i, j] += math.sqrt(rho[i] * rho[j]) * gain
+            out[r, l] = (Am + Ab, Am, Ab)
+    return out
+
+
+def maxwell_spectra(blocks: dict) -> tuple:
+    """The ascending spectra of -L, -L^m and -L^b from
+    :func:`maxwell_blocks`."""
+    return tuple(
+        np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(-mats[k]),
+                                          2 * l + 1)
+                                for (_, l), mats in blocks.items()]))
+        for k in range(3))
 
 
 # ---------------------------------------------------------------------------

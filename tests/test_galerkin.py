@@ -24,8 +24,8 @@ from conftest import (hard_sphere_family, maxwell_family, mixed_gamma_family,
                       power_family)
 from oracles import (collision_form_moment_state, collision_frequency,
                      degree_mask, embed_species_polynomials,
-                     full_monomial_pass, pairwise_sum, post_collision,
-                     radial_frequency, symmetry_defect)
+                     full_monomial_pass, maxwell_blocks, maxwell_spectra,
+                     post_collision, radial_frequency, symmetry_defect)
 
 
 class TestCollisionFrequency:
@@ -283,22 +283,26 @@ class TestCollisionAssembly:
             (AngularPolynomial(coeffs),),))
         L = assemble_collision(Mixture((1.0,)), fam, HermiteBasis(N, 1),
                                q=3)[0]
-        # q = 3: 3 kept v nodes per level, 6 level pairs, 9 v* per level
-        assert L.meta["quadrature_rows"] == 3 * 6 * 9 * ns
+        # q = 3: 3 kept v nodes per level, 6 level pairs, 9 v* per level,
+        # less the 3 x 2 pairs with v = v*
+        assert L.meta["quadrature_rows"] == (3 * 6 * 9 - 3 * 2) * ns
 
     def test_plan_counts_the_rules_it_does_not_build(self):
-        # assembly_plan counts the folded (v, v*) pairs and the half-sphere
-        # nodes without building the rules; the counts must be theirs
+        # assembly_plan counts the folded (v, v*) pairs with v != v* and
+        # the half-sphere nodes without building the rules; the counts
+        # must be theirs.  From q = 27 on, the pairs and the bin tables
+        # outgrow the default scratch cap, so the count runs uncapped
         fam = dataclasses.replace(maxwell_family(1), b=(
             (AngularPolynomial((1.0, 0.0, 0.5)),),))
         for q in range(1, 65):
-            _, degree, _, _, rows = galerkin.assembly_plan(
-                fam, HermiteBasis(2, 1), q=q)
+            _, degree, _, rows = galerkin.assembly_plan(
+                fam, HermiteBasis(2, 1), q=q, memory_cap=1 << 62)
             nodes = hermite_rule_3d.__wrapped__(q).nodes    # not cached
             keep, _, star = galerkin._mirror_fold(nodes)
             z_star = nodes[star, 2]                          # ascending
             pairs = (len(star) - np.searchsorted(z_star, -nodes[keep, 2],
                                                  side="left")).sum()
+            pairs -= (nodes[keep, 2] >= 0.0).sum()           # v* = v
             assert rows == pairs * len(half_sphere_rule(degree)), q
 
     def test_determinism_across_runs_and_threads(self):
@@ -320,20 +324,6 @@ class TestCollisionAssembly:
             assert np.array_equal(L1, cold(2, q))
             assert np.array_equal(L1, cold(3, q))
 
-    def test_block_fold_is_the_pairwise_sum(self):
-        # the streamed fold of the per-block partials adds in the tree of
-        # the level-by-level pairwise sum, for every block count
-        rng = np.random.default_rng(3)
-        for nblocks in range(1, 71):
-            partials = [[rng.standard_normal((3, 3))
-                         * 10.0 ** rng.integers(-6, 7, (3, 3))
-                         for _ in range(2)] for _ in range(nblocks)]
-            got = galerkin._fold(iter(partials))
-            assert len(got) == 2
-            for m in range(2):
-                ref = pairwise_sum([p[m] for p in partials])
-                assert got[m].tobytes() == ref.tobytes()
-
     def test_parity_mixed_term_vanishes(self, ops_small):
         # embedded u-type vs e-type kernel directions decouple in L^b
         ops = ops_small
@@ -350,14 +340,31 @@ class TestCollisionAssembly:
         assert abs(cross) <= 1e-9 * scale
 
 
-_FOLD_MONOMIALS = [(gamma, power) for gamma in (0.0, 0.5, 1.0)
-                   for power in (0, 2, 4)]
+_FOLD_GAMMAS = (0.0, 0.37, 1.0)
+_FOLD_POWERS = [0, 2, 4]
 
 
-def _default_slabs(q: int, N: int, degree: int) -> tuple:
+def _default_slabs(q: int, N: int, degree: int) -> int:
     return galerkin._slab_shape(q, len(half_sphere_rule(degree)),
-                                HermiteBasis(N, 1).per_species_size,
+                                HermiteBasis(N, 1), len(_FOLD_POWERS),
                                 galerkin.DEFAULT_MEMORY_CAP)
+
+
+def _cold_tables(q: int, N: int, degree: int, slab_pairs=None,
+                 threads: int = 1) -> list:
+    if slab_pairs is None:
+        slab_pairs = _default_slabs(q, N, degree)
+    return galerkin._monomial_pass(_FOLD_POWERS, HermiteBasis(N, 1), q,
+                                   half_sphere_rule(degree), slab_pairs,
+                                   threads)
+
+
+def _blocks_from_tables(tables: list, q: int, N: int) -> list:
+    """(T1, T12) of r^gamma cos^{2k} theta for every gamma of
+    _FOLD_GAMMAS and 2k of _FOLD_POWERS, gamma-major."""
+    radius = galerkin._bin_radius(q)
+    return [galerkin._unpack(np.power(radius, gamma) @ table, N)
+            for gamma in _FOLD_GAMMAS for table in tables]
 
 
 def _parity_differs(basis: HermiteBasis) -> np.ndarray:
@@ -367,7 +374,11 @@ def _parity_differs(basis: HermiteBasis) -> np.ndarray:
 
 class TestMirrorFold:
     """The collision pass sums v over the D4-folded nodes of each z level
-    and only the (v, v*) pairs with v_z + v*_z >= 0."""
+    and only the (v, v*) pairs with v_z + v*_z >= 0, bin by bin of
+    {|dx|, |dy|, |dz|}, into gamma-free tables."""
+
+    _ORACLE_MONOMIALS = [(gamma, power) for gamma in _FOLD_GAMMAS
+                         for power in _FOLD_POWERS]
 
     # odd q puts nodes on the mirror planes and at the origin of a level;
     # every q has nodes on the diagonal v_x = v_y and level pairs that sum
@@ -377,55 +388,89 @@ class TestMirrorFold:
         (5, 3, 11), (5, 2, 23), (6, 2, 11), (6, 3, 11), (7, 2, 11),
         (8, 2, 11)])
     def test_folded_blocks_match_the_full_grid(self, q, N, degree):
-        basis = HermiteBasis(N, 1)
-        rule3, half = hermite_rule_3d(q), half_sphere_rule(degree)
-        cv, cs = _default_slabs(q, N, degree)
-        got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
-                                      cv, cs, threads=1)
-        ref = full_monomial_pass(_FOLD_MONOMIALS, basis, q, degree)
-        for tb, tr in zip(got, ref):
+        got = _blocks_from_tables(_cold_tables(q, N, degree), q, N)
+        ref = full_monomial_pass(self._ORACLE_MONOMIALS, HermiteBasis(N, 1),
+                                 q, degree)
+        for tb, tr in zip(got, ref, strict=True):
+            assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
+
+    @pytest.mark.parametrize("q, N", [(4, 3), (5, 2)])
+    def test_tables_built_at_another_gamma_give_every_gamma(self, q, N):
+        # an assembly at gamma = 0.5 leaves the tables in the cache; the
+        # blocks of every other gamma come from them, and they are the
+        # tables a cold pass computes
+        galerkin._monomial_blocks.clear()
+        fam = dataclasses.replace(power_family(1, 0.5), b=(
+            (AngularPolynomial((1.0, 0.0, 0.3, 0.0, 0.2)),),))
+        try:
+            meta = assemble_collision(Mixture((1.0,)), fam, HermiteBasis(N, 1),
+                                      q=q)[0].meta
+            assert meta["monomials_computed"] == len(_FOLD_POWERS)
+            cached = [galerkin._monomial_blocks[(N, q, 11, power)]
+                      for power in _FOLD_POWERS]
+        finally:
+            galerkin._monomial_blocks.clear()
+        for warm, cold in zip(cached, _cold_tables(q, N, 11), strict=True):
+            assert np.array_equal(warm, cold)
+        ref = full_monomial_pass(self._ORACLE_MONOMIALS, HermiteBasis(N, 1),
+                                 q, 11)
+        for tb, tr in zip(_blocks_from_tables(cached, q, N), ref, strict=True):
             assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
 
     @pytest.mark.parametrize("q, N", [(3, 3), (4, 2), (5, 4)])
     def test_mismatched_parities_are_exact_zeros(self, q, N):
         basis = HermiteBasis(N, 1)
-        cv, cs = _default_slabs(q, N, 11)
-        got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis,
-                                      hermite_rule_3d(q), half_sphere_rule(11),
-                                      cv, cs, threads=1)
+        got = _blocks_from_tables(_cold_tables(q, N, 11), q, N)
         odd = _parity_differs(basis)
         assert odd.mean() > 0.75       # 7/8 of the entries as N grows
-        swap = galerkin._swap_xy(basis)
+        pos = {tuple(a): p for p, a in enumerate(basis.indices.tolist())}
+        swap = [pos[b, a, c] for a, b, c in basis.indices.tolist()]
         for tb in got:
             assert np.all(tb[:, odd] == 0.0)
             # the x <-> y swap maps each block onto itself, bit for bit
             assert np.array_equal(tb[:, swap][:, :, swap], tb)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    def test_bins_are_counted_from_the_1d_rule(self, q):
+        # the budget counts the bins, bounds the largest one and counts
+        # the pairs without enumerating them
+        bins, radius = galerkin._pair_bins(q), galerkin._bin_radius(q)
+        count, largest, pairs = galerkin._bin_counts(q)
+        sizes = np.diff(bins.bounds)
+        assert len(sizes) == len(radius) == count and len(bins.v) == pairs
+        assert sizes.max(initial=0) <= largest
+        assert (sizes > 0).all() and (radius > 0.0).all()
+        # every pair of a bin has the bin's gaps, so its radius
+        nodes = hermite_rule_3d(q).nodes
+        diff = nodes[bins.keep][bins.v] - nodes[bins.star][bins.star_of]
+        r = np.linalg.norm(diff, axis=1)
+        assert np.allclose(r, np.repeat(radius, sizes), rtol=1e-15,
+                           atol=0.0)
+
     @pytest.mark.parametrize("q, N, degree", [
         (3, 3, 23), (6, 4, 11), (8, 3, 11), (10, 4, 23), (10, 4, 47),
         (8, 6, 12)])
     def test_slabs_fit_the_row_target(self, q, N, degree):
-        h = (q + 1) // 2
         ns = len(half_sphere_rule(degree))
-        cv, cs = _default_slabs(q, N, degree)
-        assert (h * (h + 1) // 2) % cv == 0 and (q * q) % cs == 0
-        assert cv * cs * ns <= galerkin._ROWS_TARGET
+        bounds = galerkin._pair_bins(q).bounds
+        slabs = galerkin._slabs(bounds, _default_slabs(q, N, degree))
+        assert [b0 for b0, _ in slabs] == [0] + [b1 for _, b1 in slabs[:-1]]
+        assert slabs[-1][1] == len(bounds) - 1
+        for b0, b1 in slabs:
+            rows = (bounds[b1] - bounds[b0]) * ns
+            assert rows <= galerkin._ROWS_TARGET or b1 == b0 + 1
 
     def test_slab_size_does_not_move_the_blocks(self):
-        # the default slab at q = 6 is one whole level pair; the same pass
-        # in slabs of one v node and one row of v* nodes, and of 3 x 12
+        # the default slabs at q = 6 hold a few bins each; the same pass
+        # with one bin per slab, with slabs of 37 pairs, and on 2 and 3
+        # threads
         q, N = 6, 3
-        basis = HermiteBasis(N, 1)
-        rule3, half = hermite_rule_3d(q), half_sphere_rule(11)
-        cv, cs = _default_slabs(q, N, 11)
-        ref = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3, half,
-                                      cv, cs, threads=1)
-        for shape in ((1, q), (3, 12)):
-            assert shape != (cv, cs)
-            got = galerkin._monomial_pass(_FOLD_MONOMIALS, basis, rule3,
-                                          half, *shape, threads=1)
-            for tb, tr in zip(got, ref):
-                assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
+        ref = _cold_tables(q, N, 11)
+        assert _default_slabs(q, N, 11) > 37
+        for slab_pairs, threads in ((1, 1), (37, 1), (None, 2), (37, 3)):
+            got = _cold_tables(q, N, 11, slab_pairs, threads)
+            for tb, tr in zip(got, ref, strict=True):
+                assert np.array_equal(tb, tr)
 
     def test_plan_counts_the_rows_the_pass_evaluates(self, monkeypatch):
         # every row is one Hermite evaluation at v' and one at v'*, after
@@ -442,21 +487,22 @@ class TestMirrorFold:
 
         monkeypatch.setattr(galerkin, "hermite_table_3d", counting)
         for q in range(1, 9):
-            wanted, degree, cv, cs, rows = galerkin.assembly_plan(
+            wanted, degree, slab_pairs, rows = galerkin.assembly_plan(
                 fam, basis, q=q)
             points.clear()
-            galerkin._monomial_pass(wanted, basis, hermite_rule_3d(q),
-                                    half_sphere_rule(degree), cv, cs,
+            galerkin._monomial_pass(sorted({p for _, p in wanted}), basis, q,
+                                    half_sphere_rule(degree), slab_pairs,
                                     threads=1)
             h = (q + 1) // 2
             assert points[:2] == [q ** 3, q * h * (h + 1) // 2]
             assert sum(points[2:]) == 2 * rows, q
 
     def test_quadrature_rows_count_the_folded_pass(self):
-        # q = 5: 6 kept v nodes and 25 v* nodes per level, 15 level pairs
+        # q = 5: 6 kept v nodes and 25 v* nodes per level, 15 level pairs,
+        # less the 6 x 3 pairs with v = v*
         L = assemble_collision(Mixture((1.0,)), maxwell_family(1),
                                HermiteBasis(2, 1), q=5)[0]
-        assert L.meta["quadrature_rows"] == 6 * 15 * 25 * 36
+        assert L.meta["quadrature_rows"] == (6 * 15 * 25 - 6 * 3) * 36
 
 
 def polynomial_mixed_gamma_family() -> KernelFamily:
@@ -501,7 +547,8 @@ def brute_force_form(mx, fam, basis, f, q, degree):
 
 
 class TestMonomialCache:
-    """Collision blocks are cached per (gamma, cos^{2k} theta) monomial."""
+    """Collision tables are cached per (N, q, sphere degree, cos^{2k} theta)
+    and serve every gamma."""
     kw = dict(q=4)
 
     @pytest.fixture(autouse=True)
@@ -516,31 +563,72 @@ class TestMonomialCache:
         a, b = Mixture((1.0, 1.7)), Mixture((0.6, 2.2))
         assemble_collision(a, fam, basis, **self.kw)
         warm = assemble_collision(b, fam, basis, **self.kw)
-        assert warm[0].meta["monomials"] == 5      # (1, 0|2), (1/2, 0|2|4)
+        assert warm[0].meta["monomials"] == 3      # cos^0, cos^2, cos^4
         assert warm[0].meta["monomials_computed"] == 0
         galerkin._monomial_blocks.clear()
         cold = assemble_collision(b, fam, basis, **self.kw)
-        assert cold[0].meta["monomials_computed"] == 5
+        assert cold[0].meta["monomials_computed"] == 3
         for w_op, c_op in zip(warm, cold):
             assert np.array_equal(w_op.matrix, c_op.matrix)
 
+    def test_warm_result_equals_cold_across_gamma(self):
+        # gamma = 0.3 builds the tables; gamma = 0.8 at the same N, q and
+        # powers of cos theta runs no quadrature and gives the cold result
+        # of every thread count, bit for bit
+        mx, basis = Mixture((1.0, 1.7)), HermiteBasis(3, 2)
+
+        def family(gamma):
+            return dataclasses.replace(power_family(2, gamma), b=tuple(
+                tuple(AngularPolynomial((1.0, 0.0, 0.4)) for _ in range(2))
+                for _ in range(2)))
+
+        assemble_collision(mx, family(0.3), basis, **self.kw)
+        warm = assemble_collision(mx, family(0.8), basis, **self.kw)
+        assert warm[0].meta["monomials_computed"] == 0
+        for threads in (1, 2, 3):
+            galerkin._monomial_blocks.clear()
+            cold = assemble_collision(mx, family(0.8), basis, threads=threads,
+                                      **self.kw)
+            assert cold[0].meta["monomials_computed"] == 2
+            for w_op, c_op in zip(warm, cold):
+                assert np.array_equal(w_op.matrix, c_op.matrix)
+
+    def test_one_species_reuses_the_tables_of_two(self):
+        basis1, basis2 = HermiteBasis(3, 1), HermiteBasis(3, 2)
+        two = assemble_collision(Mixture((1.0, 1.5)), hard_sphere_family(2),
+                                 basis2, **self.kw)
+        one = assemble_collision(Mixture((2.0,)), power_family(1, 0.6),
+                                 basis1, **self.kw)
+        assert two[0].meta["monomials_computed"] == 1
+        assert one[0].meta["monomials_computed"] == 0
+        galerkin._monomial_blocks.clear()
+        cold = assemble_collision(Mixture((2.0,)), power_family(1, 0.6),
+                                  basis1, **self.kw)
+        assert np.array_equal(one[0].matrix, cold[0].matrix)
+
     def test_block_independent_of_pass_companions(self):
+        # each power's table is the same alone and with the powers that
+        # share its pass; |cos theta|^k chains up from k = 1 in every pass
         basis = HermiteBasis(2, 1)
         mx = Mixture((1.0,))
 
-        def blocks(coeffs):
+        def tables(coeffs):
             galerkin._monomial_blocks.clear()
             fam = dataclasses.replace(power_family(1, 0.5), b=(
                 (AngularPolynomial(coeffs),),))
             assemble_collision(mx, fam, basis, **self.kw)
-            return {key[:2]: tb for key, tb in
+            return {key[3]: tb for key, tb in
                     galerkin._monomial_blocks.items()}
 
-        alone = blocks((1.0,))
-        shared = blocks((1.0, 0.0, 0.4))
-        assert set(alone) == {(0.5, 0)}
-        assert set(shared) == {(0.5, 0), (0.5, 2)}
-        assert np.array_equal(alone[(0.5, 0)], shared[(0.5, 0)])
+        alone = tables((1.0,))
+        shared = tables((1.0, 0.0, 0.4))
+        skipped = tables((1.0, 0.0, 0.0, 0.0, 0.3))
+        every = tables((1.0, 0.0, 0.4, 0.0, 0.3))
+        assert set(alone) == {0} and set(shared) == {0, 2}
+        assert set(skipped) == {0, 4} and set(every) == {0, 2, 4}
+        for part in (alone, shared, skipped):
+            for power, table in part.items():
+                assert np.array_equal(table, every[power])
 
     def test_stored_blocks_are_read_only(self):
         assemble_collision(Mixture((1.0, 1.7)),
@@ -550,29 +638,49 @@ class TestMonomialCache:
         for tb in galerkin._monomial_blocks.values():
             assert not tb.flags.writeable
             with pytest.raises(ValueError):
-                tb[0, 0, 0] = 1.0
+                tb[0, 0] = 1.0
+
+    @pytest.mark.parametrize("q, N, shape", [(8, 3, (968, 88)),
+                                             (6, 4, (219, 232))],
+                             ids=["q8-N3", "q6-N4"])
+    def test_tables_keep_their_sizes(self, q, N, shape):
+        # one row per bin of nonzero radius, the upper triangles of the
+        # eight parity-class blocks of T1 and T12 across
+        assemble_collision(Mixture((1.0,)), hard_sphere_family(1),
+                           HermiteBasis(N, 1), q=q)
+        (key, table), = galerkin._monomial_blocks.items()
+        assert key == (N, q, 11, 0) and table.shape == shape
+        assert galerkin._packed_size(HermiteBasis(N, 1)) == shape[1]
 
     def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_ENTRIES", 2)
         fam = polynomial_mixed_gamma_family()
         basis = HermiteBasis(2, 2)
         mx = Mixture((1.0, 1.7))
         L = assemble_collision(mx, fam, basis, **self.kw)[0].matrix
-        assert len(galerkin._monomial_blocks) == 2
-        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_ENTRIES", 64)
+        size = next(iter(galerkin._monomial_blocks.values())).nbytes
         galerkin._monomial_blocks.clear()
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_BYTES", 2 * size)
         assert np.array_equal(
             L, assemble_collision(mx, fam, basis, **self.kw)[0].matrix)
+        assert len(galerkin._monomial_blocks) == 2
+        # a table larger than the bound is used but not kept
+        galerkin._monomial_blocks.clear()
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_BYTES", size - 1)
+        assert np.array_equal(
+            L, assemble_collision(mx, fam, basis, **self.kw)[0].matrix)
+        assert not galerkin._monomial_blocks
 
     def test_concurrent_callers_share_the_cache(self, monkeypatch):
         # more callers than cores, a short switch interval and a cache
-        # smaller than one call's monomials: every caller must still get
+        # smaller than one call's tables: every caller must still get
         # the cold result and the bound must hold
-        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_ENTRIES", 3)
         fam = polynomial_mixed_gamma_family()
         basis = HermiteBasis(2, 2)
         mx = Mixture((1.0, 1.7))
         cold = assemble_collision(mx, fam, basis, **self.kw)[0].matrix
+        size = next(iter(galerkin._monomial_blocks.values())).nbytes
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_BYTES", 2 * size)
+        galerkin._monomial_blocks.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -583,7 +691,8 @@ class TestMonomialCache:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(ops[0].matrix, cold) for ops in results)
-        assert len(galerkin._monomial_blocks) <= 3
+        assert sum(tb.nbytes for tb in
+                   galerkin._monomial_blocks.values()) <= 2 * size
 
     def test_budget_error_on_cached_key(self):
         mx = Mixture((1.0,))
@@ -594,6 +703,31 @@ class TestMonomialCache:
             assemble_collision(mx, maxwell_family(1), basis,
                                memory_cap=10_000, **self.kw)
 
+    def test_budget_counts_the_tables(self):
+        # the cap that just fits a pass of one table is short by the
+        # bytes of a second one
+        basis = HermiteBasis(3, 1)
+        q, ns = 6, len(half_sphere_rule(11))
+        table = 8 * galerkin._bin_counts(q)[0] * galerkin._packed_size(basis)
+        cap = 1 << 20
+        while True:
+            try:
+                galerkin._slab_shape(q, ns, basis, 1, cap)
+                break
+            except AssemblyBudgetError:
+                cap *= 2
+        low = cap // 2                   # the least cap that fits, bisected
+        while cap - low > 1:
+            mid = (low + cap) // 2
+            try:
+                galerkin._slab_shape(q, ns, basis, 1, mid)
+                cap = mid
+            except AssemblyBudgetError:
+                low = mid
+        with pytest.raises(AssemblyBudgetError):
+            galerkin._slab_shape(q, ns, basis, 2, cap)
+        galerkin._slab_shape(q, ns, basis, 2, cap + table)
+
     def test_form_matches_per_kernel_brute_force(self):
         mx = Mixture((1.0, 1.7))
         fam = polynomial_mixed_gamma_family()
@@ -603,6 +737,49 @@ class TestMonomialCache:
         # the rule the assembly sizes: degree max(2 N + 4, 11) = 11
         ref = brute_force_form(mx, fam, basis, f, degree=11, **self.kw)
         assert abs(-(f @ (L @ f)) - ref) <= 1e-12 * abs(ref)
+
+
+def maxwell_pair_family() -> KernelFamily:
+    """n = 2 Maxwell molecules: C = ((1, 0.7), (0.7, 2)), b_11 = 1,
+    b_22 = 0.8 and b_12 = 1 + t^2 / 2 (declared constants unused)."""
+    maxwell = lambda C: PowerLaw(C, 0.0)                   # noqa: E731
+    b12 = AngularPolynomial((1.0, 0.0, 0.5))
+    return KernelFamily(
+        n=2, phi=((maxwell(1.0), maxwell(0.7)), (maxwell(0.7), maxwell(2.0))),
+        b=((AngularPolynomial((1.0,)), b12), (b12, AngularPolynomial((0.8,)))),
+        gamma=0.0, C1=0.5, C2=3.0, delta=0.5, C3=2.0, C4=2.0, beta=10.0)
+
+
+class TestMaxwellSpectrum:
+    """At gamma = 0 with polynomial b, L splits into the (r, l) Burnett
+    blocks of :func:`oracles.maxwell_blocks`, so the spectra of -L, -L^m
+    and -L^b are known in closed form; q = N + 2 with the sized sphere
+    rule integrates the forms exactly."""
+
+    @pytest.mark.parametrize("mx, fam", [
+        (Mixture((1.3,)), maxwell_family(1)),
+        (Mixture((1.0, 1.5)), maxwell_pair_family())], ids=["n1", "n2"])
+    def test_spectra_match_the_burnett_blocks(self, mx, fam):
+        galerkin._monomial_blocks.clear()
+        try:
+            for N in range(2, 7):
+                basis = HermiteBasis(N, mx.n)
+                refs = maxwell_spectra(maxwell_blocks(mx, fam, N))
+                radius = refs[0][-1]
+                for threads in (1, 2):
+                    galerkin._monomial_blocks.clear()
+                    cold = assemble_collision(mx, fam, basis, q=N + 2,
+                                              threads=threads)
+                    warm = assemble_collision(mx, fam, basis, q=N + 2,
+                                              threads=threads)
+                    assert warm[0].meta["monomials_computed"] == 0
+                    for ops in (cold, warm):
+                        for op, ref in zip(ops, refs, strict=True):
+                            got = np.linalg.eigvalsh(-op.matrix)
+                            assert np.max(np.abs(got - ref)) \
+                                <= 1e-12 * radius, (N, threads)
+        finally:
+            galerkin._monomial_blocks.clear()
 
 
 class TestLambdaAndGram:

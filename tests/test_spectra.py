@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kinetic_gap import spectra as sp
+from kinetic_gap import galerkin, spectra as sp
 from kinetic_gap.eigen import jacobi_eigh
 from kinetic_gap.galerkin import build_operator_set
 from kinetic_gap.kernels import AngularPolynomial, KernelFamily, PowerLaw
@@ -64,6 +64,23 @@ class TestGeneralizedGap:
                                            ops.ker_L))
         assert abs(gaps[0] - gaps[1]) <= 0.02 * gaps[1]
         assert abs(gaps[2] - gaps[1]) <= 0.02 * gaps[1]
+
+    def test_equal_kernels_give_the_one_species_gap(self):
+        # one hard-sphere kernel for every pair: lambda_numeric does not
+        # depend on rho and is the one-species gap.  Every request needs
+        # the cos^0 table of N = 4, q = 6 alone, so the first builds it
+        # and the others, of one species or two, reuse it
+        galerkin._monomial_blocks.clear()
+        try:
+            for rho in ((1.0,), (3.7,), (1.0, 1.5), (0.6, 1.9)):
+                ops = build_operator_set(Mixture(rho),
+                                         hard_sphere_family(len(rho)),
+                                         N=4, q=6)
+                gap = sp.generalized_gap(ops.L, ops.hgram, ops.ker_L)
+                assert gap == pytest.approx(0.344918680387125, rel=1e-12)
+            assert len(galerkin._monomial_blocks) == 1
+        finally:
+            galerkin._monomial_blocks.clear()
 
     def test_metric_must_be_positive(self, ops_small):
         bad = -np.eye(ops_small.total_size)
