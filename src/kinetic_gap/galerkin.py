@@ -73,11 +73,16 @@ one bin alone has more, so that D and X (2 nb doubles per row each, about
 multiplied.  Each bin is summed in one product in one slab, so neither
 the slab size nor the thread count moves a bit.
 
-The tables are kept for the life of the process in ``_monomial_blocks``,
+A pass for kernels with an angular part computes the table of every
+even power that its sphere rule integrates exactly against the degree-2N
+Hermite factors (:func:`_pass_powers`), not only the powers of the
+call's kernels, so which powers one request uses does not decide whether
+a later request at the same (N, q, sphere degree) runs a pass.  The
+tables are kept for the life of the process in ``_monomial_blocks``,
 keyed by (N, q, sphere degree, 2k) and bounded by
 ``_MONOMIAL_CACHE_BYTES`` (a larger table is used but not kept); every
-request at a cos power seen before, whatever its gamma, rho, C or c,
-reuses the stored arrays bit for bit.
+later request at that key, whatever its gamma, rho, C or c, reuses the
+stored arrays bit for bit.
 """
 from __future__ import annotations
 
@@ -354,6 +359,26 @@ def _packed_size(basis: HermiteBasis) -> int:
     return int((counts * (counts + 1)).sum())
 
 
+def _pass_powers(powers, degree: int, N: int) -> list:
+    """The powers 2k of cos theta whose tables a pass computes for a call
+    whose kernels use ``powers``.
+
+    With an angular part (some 2k > 0), every even 2k <= degree - 2N, all
+    that the sphere rule of ``degree`` is exact for.  The degree is
+    max(2N + p, _MIN_SPHERE_DEGREE), p the top power, so the set holds
+    every power of the call and is the same for every angular call at
+    that degree: at N = 3 and degree 11 it is {0, 2, 4} whichever of 2
+    and 4 the kernels use, and
+    which angular call comes first does not decide whether a later one
+    runs a pass.  Isotropic kernels (b constant) use cos^0 alone and get
+    only its table, so a run of hard spheres or Maxwell molecules
+    computes no table it never reads.
+    """
+    if max(powers, default=0) == 0:
+        return sorted(powers)
+    return list(range(0, degree - 2 * N + 1, 2))
+
+
 def _slab_shape(q: int, ns: int, basis: HermiteBasis, tables: int,
                 memory_cap: int) -> int:
     """The (v, v*) pairs per slab, ns quadrature rows each; a bin larger
@@ -562,7 +587,9 @@ def assembly_plan(family: KernelFamily, basis: HermiteBasis, q: int = 10,
     # the sigma-integrand has degree 2N + the top power of cos theta in b
     degree = max(2 * basis.N + max(powers, default=0), _MIN_SPHERE_DEGREE)
     ns = math.prod(sphere_counts(degree)) // 2       # the half-sphere nodes
-    slab_pairs = _slab_shape(q, ns, basis, len(powers), memory_cap)
+    slab_pairs = _slab_shape(q, ns, basis,
+                             len(_pass_powers(powers, degree, basis.N)),
+                             memory_cap)
     return wanted, degree, slab_pairs, _bin_counts(q)[2] * ns
 
 
@@ -575,7 +602,8 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
     and with -L positive semidefinite up to roundoff.  The quadrature runs
     only for the cos^{2k} theta tables missing from the process cache (see
     the module docstring); every r^gamma, kernel and the rho weighting are
-    combined from them on each call.  ``meta`` counts the rows of a pass,
+    combined from them on each call; a pass computes the tables of every
+    power of :func:`_pass_powers`.  ``meta`` counts the rows of a pass,
     the tables the call uses (``monomials``) and those it computed
     (``monomials_computed``).  Deterministic: each bin is summed by one
     product in one slab, whatever the slab size and the thread count, and
@@ -596,14 +624,19 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
     wanted, degree, slab_pairs, rows = assembly_plan(family, basis, q,
                                                      memory_cap)
     powers = sorted({power for _, power in wanted})
+    every = _pass_powers(powers, degree, basis.N)
     key = (basis.N, q, degree)
     tables = {}
     with _monomial_lock:
-        for power in powers:
+        for power in every:
             hit = _monomial_blocks.pop(key + (power,), None)
             if hit is not None:
                 tables[power] = _monomial_blocks[key + (power,)] = hit
-    missing = [power for power in powers if power not in tables]
+    # a pass computes every power of the set that is not cached, so the
+    # next call with an angular part at the key runs none, whichever
+    # powers it uses
+    missing = [power for power in every if power not in tables] \
+        if any(power not in tables for power in powers) else []
     if missing:
         fresh = _monomial_pass(missing, basis, q, half_sphere_rule(degree),
                                slab_pairs, threads)

@@ -405,7 +405,10 @@ class TestMirrorFold:
         try:
             meta = assemble_collision(Mixture((1.0,)), fam, HermiteBasis(N, 1),
                                       q=q)[0].meta
-            assert meta["monomials_computed"] == len(_FOLD_POWERS)
+            # the pass computes every power the degree-11 rule is exact for:
+            # 0..4 at N = 3, 0..6 at N = 2
+            assert meta["monomials_computed"] == \
+                len(galerkin._pass_powers(_FOLD_POWERS, 11, N))
             cached = [galerkin._monomial_blocks[(N, q, 11, power)]
                       for power in _FOLD_POWERS]
         finally:
@@ -567,7 +570,8 @@ class TestMonomialCache:
         assert warm[0].meta["monomials_computed"] == 0
         galerkin._monomial_blocks.clear()
         cold = assemble_collision(b, fam, basis, **self.kw)
-        assert cold[0].meta["monomials_computed"] == 3
+        # and cos^6, which the degree-11 rule integrates exactly at N = 2
+        assert cold[0].meta["monomials_computed"] == 4
         for w_op, c_op in zip(warm, cold):
             assert np.array_equal(w_op.matrix, c_op.matrix)
 
@@ -589,7 +593,7 @@ class TestMonomialCache:
             galerkin._monomial_blocks.clear()
             cold = assemble_collision(mx, family(0.8), basis, threads=threads,
                                       **self.kw)
-            assert cold[0].meta["monomials_computed"] == 2
+            assert cold[0].meta["monomials_computed"] == 3  # 0, 2 and 4
             for w_op, c_op in zip(warm, cold):
                 assert np.array_equal(w_op.matrix, c_op.matrix)
 
@@ -609,26 +613,48 @@ class TestMonomialCache:
     def test_block_independent_of_pass_companions(self):
         # each power's table is the same alone and with the powers that
         # share its pass; |cos theta|^k chains up from k = 1 in every pass
-        basis = HermiteBasis(2, 1)
-        mx = Mixture((1.0,))
+        basis, q = HermiteBasis(2, 1), self.kw["q"]
+        slab_pairs = _default_slabs(q, 2, 11)
 
-        def tables(coeffs):
-            galerkin._monomial_blocks.clear()
-            fam = dataclasses.replace(power_family(1, 0.5), b=(
-                (AngularPolynomial(coeffs),),))
-            assemble_collision(mx, fam, basis, **self.kw)
-            return {key[3]: tb for key, tb in
-                    galerkin._monomial_blocks.items()}
+        def tables(powers):
+            return dict(zip(powers, galerkin._monomial_pass(
+                powers, basis, q, half_sphere_rule(11), slab_pairs,
+                threads=1)))
 
-        alone = tables((1.0,))
-        shared = tables((1.0, 0.0, 0.4))
-        skipped = tables((1.0, 0.0, 0.0, 0.0, 0.3))
-        every = tables((1.0, 0.0, 0.4, 0.0, 0.3))
-        assert set(alone) == {0} and set(shared) == {0, 2}
-        assert set(skipped) == {0, 4} and set(every) == {0, 2, 4}
+        alone = tables([0])
+        shared = tables([0, 2])
+        skipped = tables([0, 4])
+        every = tables([0, 2, 4])
         for part in (alone, shared, skipped):
             for power, table in part.items():
                 assert np.array_equal(table, every[power])
+
+    def test_an_angular_pass_leaves_every_power_of_its_key(self):
+        # a call with b = c0 + c2 t^2 computes the table of cos^4 too, so a
+        # later call that uses it runs no pass, and the cost of a run does
+        # not depend on which call first uses a power; a hard-sphere call
+        # computes cos^0 alone
+        mx, basis = Mixture((1.0, 1.7)), HermiteBasis(3, 2)
+        iso = assemble_collision(mx, hard_sphere_family(2), basis, **self.kw)
+        assert iso[0].meta["monomials_computed"] == 1
+        galerkin._monomial_blocks.clear()
+
+        def family(gamma, coeffs):
+            return dataclasses.replace(power_family(2, gamma), b=tuple(
+                tuple(AngularPolynomial(coeffs) for _ in range(2))
+                for _ in range(2)))
+
+        first = assemble_collision(mx, family(0.7, (1.0, 0.0, 0.4)), basis,
+                                   **self.kw)
+        assert first[0].meta["monomials"] == 2
+        assert first[0].meta["monomials_computed"] == 3
+        fam = family(0.4, (1.0, 0.0, 0.0, 0.0, 0.3))
+        warm = assemble_collision(mx, fam, basis, **self.kw)
+        assert warm[0].meta["monomials_computed"] == 0
+        galerkin._monomial_blocks.clear()
+        cold = assemble_collision(mx, fam, basis, **self.kw)
+        for w_op, c_op in zip(warm, cold):
+            assert np.array_equal(w_op.matrix, c_op.matrix)
 
     def test_stored_blocks_are_read_only(self):
         assemble_collision(Mixture((1.0, 1.7)),
