@@ -472,10 +472,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="compute threads: the collision assembly's "
-                             "workers, and for constants one thread that "
-                             "draws the D^b samples when >= 2 (default: "
-                             "the logical CPUs, os.cpu_count())")
+                        help="compute threads: the workers of an "
+                             "isotropic collision pass (every b constant; "
+                             "an angular pass runs on the request thread), "
+                             "and for constants one thread that draws the "
+                             "D^b samples when >= 2 (default: the logical "
+                             "CPUs, os.cpu_count())")
     args = parser.parse_args(argv)
     if args.threads < 1:
         print(f"error: --threads must be >= 1, got {args.threads}",

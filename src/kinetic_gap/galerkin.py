@@ -61,17 +61,34 @@ blocks of T1 and T12, 2K numbers, and a power's bins form one
 forms r_b^gamma @ table, adds it over the kernel's powers, unpacks the
 triangles and completes by the x <-> y swap, T + P_s T P_s^T.
 
-Each bin's (T1, T12) is the Gram product X X^T over the bin's rows, with
-X = D sqrt(w), D the stacked differences (d, d*) of the rows and w their
-quadrature weights.  The form is valid because every factor of w is
-nonnegative: Gauss-Hermite weights times image counts, the half-sphere
-weights and even powers of cos theta.  numpy computes A @ A.T by the BLAS
-symmetric rank-k update, which does half the multiplications of a general
-product.  A slab holds whole bins, at most ``_ROWS_TARGET`` rows unless
-one bin alone has more, so that D and X (2 nb doubles per row each, about
-1.8 MB at N = 3) stay within a core's cache while they are weighted and
-multiplied.  Each bin is summed in one product in one slab, so neither
-the slab size nor the thread count moves a bit.
+A pass of cos^0 alone (isotropic kernels) adds, for each bin, the Gram
+product X X^T over the bin's rows, with X = D sqrt(w), D the stacked
+differences (d, d*) of the rows and w their quadrature weights, all
+nonnegative: Gauss-Hermite weights times image counts and the
+half-sphere weights.  numpy computes A @ A.T by the BLAS symmetric
+rank-k update, which does half the multiplications of a general product,
+and the slabs are shared among the ``threads`` workers.
+
+A pass with an angular part computes the tables of P powers, and a Gram
+product per power would redo the same outer products P times.  With
+u = d + d* and z = d - d*, T1 + T12 = sum w u u^T and
+T1 - T12 = sum w z z^T, so a row's whole contribution is fixed by the K
+products u_i u_j and the K products z_i z_j, i <= j in one parity class
+(88 numbers in all at N = 3, 232 at N = 4).  Each slab forms these 2K
+products once, E, with the rows of D in parity-class order, so that one
+np.multiply serves every class of one size at one offset j - i.  Each
+bin then gives all P powers in one product W_b E_b^T, W_k = w
+cos^{2k} theta, and the pass writes T1 = (U + Z)/2 and T12 = (U - Z)/2
+in the packed layout.  This pass runs on the calling thread: between its
+short numpy calls the GIL would hand off, and a second worker bought no
+wall time for 1.6 times the CPU.  For a single power the products cost
+more than the rank-k update, so an isotropic pass does not use them.
+
+A slab holds whole bins, at most ``_ROWS_TARGET`` rows unless one bin
+alone has more, so that D (2 nb doubles per row, about 1.8 MB at N = 3)
+stays within a core's cache while it is weighted and multiplied.  Each
+bin is summed in one product in one slab, so neither the slab size nor
+the thread count moves a bit.
 
 A pass for kernels with an angular part computes the table of every
 even power that its sphere rule integrates exactly against the degree-2N
@@ -79,10 +96,13 @@ Hermite factors (:func:`_pass_powers`), not only the powers of the
 call's kernels, so which powers one request uses does not decide whether
 a later request at the same (N, q, sphere degree) runs a pass.  The
 tables are kept for the life of the process in ``_monomial_blocks``,
-keyed by (N, q, sphere degree, 2k) and bounded by
-``_MONOMIAL_CACHE_BYTES`` (a larger table is used but not kept); every
-later request at that key, whatever its gamma, rho, C or c, reuses the
-stored arrays bit for bit.
+one entry per pass keyed by (N, q, sphere degree, the pass's powers) and
+bounded by ``_MONOMIAL_CACHE_BYTES`` (a larger entry is used but not
+kept); every later request at that key, whatever its gamma, rho, C or c,
+reuses the stored arrays bit for bit.  The two passes sum cos^0 in
+different orders, so an isotropic and an angular request at the same
+(N, q, sphere degree) keep separate entries, and neither result depends
+on whether the other ran first.
 """
 from __future__ import annotations
 
@@ -95,7 +115,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import hyp1f1
 
-from .hermite import HermiteBasis, hermite_table_3d
+from .hermite import HermiteBasis, hermite_table_3d, multi_indices
 from .kernels import KernelFamily, compute_ell_b
 from .mixture import Mixture, ker_L_basis, ker_Lm_basis
 from .quadrature import (half_sphere_rule, hermite_rule_1d, hermite_rule_3d,
@@ -117,8 +137,8 @@ _MONOMIAL_CACHE_BYTES = 128 << 20   # bytes of cos^{2k} theta tables kept
 # exact too but would move those operators beyond rounding
 _MIN_SPHERE_DEGREE = 11
 
-# (N, q, sphere degree, 2k) -> read-only (bins, 2K) table of cos^{2k} theta;
-# least recently used first
+# (N, q, sphere degree, the pass's powers 2k) -> read-only (P, bins, 2K)
+# tables of cos^{2k} theta, one per power; least recently used first
 _monomial_blocks: dict = {}
 _monomial_lock = threading.Lock()
 
@@ -246,15 +266,22 @@ class _PairBins:
     """The folded (v, v*) pairs of the q-point tensor rule with v != v*,
     sorted by bin (see the module docstring).  ``keep`` and ``star`` are
     :func:`_mirror_fold`'s; pair p joins the nodes ``keep[v[p]]`` and
-    ``star[star_of[p]]`` with quadrature weight ``root_w[p]**2``, and bin
-    b holds the pairs ``bounds[b]:bounds[b + 1]``, all at radius
-    ``_bin_radius(q)[b]``."""
+    ``star[star_of[p]]`` with quadrature weight
+    ``w_v[p] * w_star[star_of[p]]``, and bin b holds the pairs
+    ``bounds[b]:bounds[b + 1]``, all at radius ``_bin_radius(q)[b]``."""
     keep: np.ndarray
     star: np.ndarray
     v: np.ndarray
     star_of: np.ndarray
-    root_w: np.ndarray
+    w_v: np.ndarray
+    w_star: np.ndarray
     bounds: np.ndarray
+
+    def weights(self) -> np.ndarray:
+        return self.w_v * self.w_star[self.star_of]
+
+    def root_weights(self) -> np.ndarray:
+        return np.sqrt(self.w_v) * np.sqrt(self.w_star)[self.star_of]
 
 
 @lru_cache(maxsize=None)
@@ -293,15 +320,14 @@ def _pair_bins(q: int) -> _PairBins:
     # for their J-images too; a pair with z + z* = 0 is its own J-class
     w_v = w3[keep] * images
     own = zv[v] + zs[star_of] == 0.0
-    root_w = (np.where(own, np.sqrt(0.5 * w_v)[v], np.sqrt(w_v)[v])
-              * np.sqrt(w3[star])[star_of])
+    w_v = np.where(own, 0.5 * w_v[v], w_v[v])
     # every multiset of gaps but {0, 0, 0} has pairs (see _bin_counts),
     # so the ascending keys are the bins of _bin_radius in order
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[order], np.concatenate(
         (_bin_keys(q), [m ** 3])))
-    return _PairBins(keep, star, v[order], star_of[order], root_w[order],
-                     bounds)
+    return _PairBins(keep, star, v[order], star_of[order], w_v[order],
+                     w3[star], bounds)
 
 
 def _bin_keys(q: int) -> np.ndarray:
@@ -379,21 +405,27 @@ def _pass_powers(powers, degree: int, N: int) -> list:
     return list(range(0, degree - 2 * N + 1, 2))
 
 
-def _slab_shape(q: int, ns: int, basis: HermiteBasis, tables: int,
+def _slab_shape(q: int, ns: int, basis: HermiteBasis, powers: list,
                 memory_cap: int) -> int:
-    """The (v, v*) pairs per slab, ns quadrature rows each; a bin larger
-    than that is one slab.  Raises :class:`AssemblyBudgetError` when the
-    Hermite tables at the kept and at all nodes, the folded pairs, the
-    ``tables`` tables of (bins, 2K) doubles and the rows of the largest
-    bin do not fit in ``memory_cap``."""
-    nb = basis.per_species_size
+    """The (v, v*) pairs per slab, ns quadrature rows each, of a pass that
+    computes the tables of ``powers``; a bin larger than that is one slab.
+    Raises :class:`AssemblyBudgetError` when the Hermite tables at the
+    kept and at all nodes, the folded pairs, the pass's (bins, 2K) tables
+    and the rows of the largest bin do not fit in ``memory_cap``."""
+    nb, packed = basis.per_species_size, _packed_size(basis)
     bins, largest, pairs = _bin_counts(q)
     h = (q + 1) // 2
     # geometry, weights and cos powers, two Hermite evaluations, D and X
+    # (or u and z); an angular pass adds the 2K products and P weights
+    # per row, and its per-bin sums and one table of scratch to its tables
     bytes_per_row = 8 * (14 + 6 * nb)
+    tables = len(powers)
+    if len(powers) > 1:
+        bytes_per_row += 8 * (packed + len(powers))
+        tables = 2 * len(powers) + 1
     # a pair takes 10 doubles while the pairs are sorted into bins, 3 after
     fixed = 8 * (nb * q * (q * q + h * (h + 1) // 2) + 10 * pairs
-                 + tables * bins * _packed_size(basis))
+                 + tables * bins * packed)
     need = fixed + largest * ns * bytes_per_row
     if need > memory_cap:
         raise AssemblyBudgetError(
@@ -443,6 +475,41 @@ def _unpack(packed: np.ndarray, N: int) -> np.ndarray:
             + np.take(halves, spread[1], axis=1))
 
 
+@lru_cache(maxsize=None)
+def _product_plan(N: int) -> tuple:
+    """(indices, calls, slots) of the product form of a pass at degree N.
+
+    ``indices`` are the multi-indices in parity-class order: class by
+    class, the classes of equal size adjacent, each class in the order of
+    :func:`multi_indices`.  A group of c classes of size s then holds
+    rows row0 .. row0 + c s, and for each offset o < s one np.multiply
+    of the rows i and i + o of every class gives the products of all
+    their (i, i + o) pairs; ``calls`` holds (row0, c, s, o, e0) for each,
+    e0 the first of its c (s - o) product rows.  ``slots`` gives the
+    packed slot (see :func:`_packing`) of each product row.
+    """
+    indices = multi_indices(N)
+    cls = (indices % 2) @ np.array([4, 2, 1])
+    sizes = np.bincount(cls, minlength=8)
+    classes = sorted((int(sizes[c]), c) for c in range(8) if sizes[c])
+    members = [np.nonzero(cls == c)[0] for _, c in classes]
+    order = np.concatenate(members)
+    slot = _packing(N)[2][0]
+    calls, slots, row0, e0 = [], [], 0, 0
+    for size in sorted({size for size, _ in classes}):
+        group = np.array([m for (s, _), m in zip(classes, members)
+                          if s == size])
+        for o in range(size):
+            calls.append((row0, len(group), size, o, e0))
+            slots.append(slot[group[:, :size - o], group[:, o:]].ravel())
+            e0 += len(group) * (size - o)
+        row0 += group.size
+    indices, slots = indices[order], np.concatenate(slots)
+    for arr in (indices, slots):
+        arr.setflags(write=False)
+    return indices, tuple(calls), slots
+
+
 def _slabs(bounds: np.ndarray, slab_pairs: int) -> list:
     """(first bin, end bin) of each slab: consecutive whole bins of at most
     ``slab_pairs`` pairs together, or one bin that alone has more."""
@@ -454,35 +521,82 @@ def _slabs(bounds: np.ndarray, slab_pairs: int) -> list:
     return slabs
 
 
-def _monomial_pass(powers: list, basis: HermiteBasis, q: int, half,
-                   slab_pairs: int, threads: int) -> list:
-    """The (bins, 2K) table of each cos^{2k} theta, 2k in ``powers``: row
-    b holds the packed (T1, T12) of the kernel cos^{2k} theta summed over
-    bin b of :func:`_pair_bins`, before the x <-> y swap.
+class _Differences:
+    """The rows (d, d*) of a pass, slab by slab, in the multi-index order
+    ``indices``: ``fill`` writes the differences D of the pairs p0:p1 at
+    every sigma of the half sphere into a (2 nb, m) buffer, m = (p1 - p0)
+    ns, rows (pair, sigma) in that order, and returns (diff, r) of the
+    pairs, diff = v - v*."""
 
-    One quadrature pass serves them all: the Hermite differences D of a slab
-    are evaluated once and weighted per power, and each bin of the slab
-    adds X X^T with X = D sqrt(w) over its own rows (see the module
-    docstring; every weight is nonnegative).  Each power's table does not
-    depend on which others share the pass, on the slab size or on
-    ``threads``.
+    def __init__(self, bins: _PairBins, q: int, N: int, sig: np.ndarray,
+                 indices: np.ndarray):
+        nodes3 = hermite_rule_3d(q).nodes
+        self.bins, self.N, self.sig, self.indices = bins, N, sig, indices
+        self.nodes_v, self.nodes_s = nodes3[bins.keep], nodes3[bins.star]
+        # (nb, Qn) at all nodes and (nb, Qv) at the kept v, C-contiguous
+        self.Hs_T = hermite_table_3d(self.nodes_s, N, indices=indices).T
+        self.Hv_T = hermite_table_3d(self.nodes_v, N, indices=indices).T
+
+    def fill(self, D: np.ndarray, coords: np.ndarray, p0: int,
+             p1: int) -> tuple:
+        n, ns, nb = p1 - p0, len(self.sig), len(self.indices)
+        iv, js = self.bins.v[p0:p1], self.bins.star_of[p0:p1]
+        vb, vs = self.nodes_v[iv], self.nodes_s[js]
+        diff = vb - vs
+        r = np.sqrt(np.einsum("pk,pk->p", diff, diff))
+        center = 0.5 * (vb + vs)
+        for ax in range(3):
+            buf = coords[ax].reshape(n, ns)
+            np.multiply((0.5 * r)[:, None], self.sig[None, :, ax], out=buf)
+            buf += center[:, ax, None]
+        Dp, Dps = D[:nb], D[nb:]
+        hermite_table_3d(coords.T, self.N, out=Dp.T, indices=self.indices)
+        for ax in range(3):
+            buf = coords[ax].reshape(n, ns)
+            np.subtract(2.0 * center[:, ax, None], buf, out=buf)
+        hermite_table_3d(coords.T, self.N, out=Dps.T, indices=self.indices)
+        # subtract H(v) and H(v*)
+        vp_view = Dp.reshape(nb, n, ns)
+        vp_view -= self.Hv_T[:, iv, None]
+        vps_view = Dps.reshape(nb, n, ns)
+        vps_view -= self.Hs_T[:, js, None]
+        return diff, r
+
+
+def _monomial_pass(powers: list, basis: HermiteBasis, q: int, half,
+                   slab_pairs: int, threads: int) -> np.ndarray:
+    """The (P, bins, 2K) tables of cos^{2k} theta, 2k in ``powers`` =
+    [0, 2, .., 2P - 2]: row b of table k holds the packed (T1, T12) of
+    the kernel cos^{2k} theta summed over bin b of :func:`_pair_bins`,
+    before the x <-> y swap.
+
+    One quadrature pass serves them all (see the module docstring): a
+    pass of cos^0 alone adds X X^T per bin, X = D sqrt(w), on ``threads``
+    workers; a pass with an angular part forms the products of u and z
+    once per row and reduces every power in one product per bin, on the
+    calling thread.  No bit depends on the slab size or on ``threads``.
     """
+    assert powers == list(range(0, 2 * len(powers), 2))
     bins = _pair_bins(q)
-    nodes3 = hermite_rule_3d(q).nodes
-    nodes_v, nodes_s = nodes3[bins.keep], nodes3[bins.star]
-    Hs_T = hermite_table_3d(nodes_s, basis.N).T   # (nb, Qn), C-contiguous
-    Hv_T = hermite_table_3d(nodes_v, basis.N).T   # (nb, Qv) at the kept v
-    sig, wsig = half.nodes, half.weights
-    # X = D sqrt(w) needs w >= 0: cos^{2k} theta is, and so must the
-    # rules' weights be
-    assert all(power % 2 == 0 for power in powers)
-    assert (bins.root_w >= 0.0).all() and (wsig >= 0.0).all()
-    root_wsig = np.sqrt(wsig)
+    if len(powers) == 1:
+        return _gram_pass(bins, basis, q, half, slab_pairs, threads)
+    return _product_pass(len(powers), bins, basis, q, half, slab_pairs)
+
+
+def _gram_pass(bins: _PairBins, basis: HermiteBasis, q: int, half,
+               slab_pairs: int, threads: int) -> np.ndarray:
+    """The (1, bins, 2K) table of cos^0 theta: each bin adds X X^T over
+    its rows, X = D sqrt(w), slabs shared among ``threads`` workers."""
+    rows_of = _Differences(bins, q, basis.N, half.nodes,
+                           multi_indices(basis.N))
+    # X = D sqrt(w) needs the rules' weights to be nonnegative
+    root_w = bins.root_weights()
+    assert (root_w >= 0.0).all() and (half.weights >= 0.0).all()
+    root_wsig = np.sqrt(half.weights)
     ns, nb = len(half), basis.per_species_size
     first, second, _ = _packing(basis.N)
-    half_powers = max(powers) // 2
     bounds = bins.bounds
-    tables = [np.empty((len(bins.bounds) - 1, len(first))) for _ in powers]
+    table = np.empty((1, len(bounds) - 1, len(first)))
 
     slabs = _slabs(bounds, slab_pairs)
     rows = ns * max((bounds[b1] - bounds[b0] for b0, b1 in slabs), default=0)
@@ -492,11 +606,8 @@ def _monomial_pass(powers: list, basis: HermiteBasis, q: int, half,
         # scratch for the largest slab, once per worker; each slab takes
         # C-contiguous views of its size
         coords_buf, D_buf = np.empty(3 * rows), np.empty(2 * nb * rows)
-        # the last power weights D in place, the others a copy X
-        X_buf = np.empty(2 * nb * rows if len(powers) > 1 else 0)
         G = np.empty((2 * nb, 2 * nb))
-        w_buf, wpow_buf = np.empty(rows), np.empty(rows)
-        ct_buf = np.empty(half_powers * rows)
+        w_buf = np.empty(rows)
         while True:
             with todo_lock:
                 slab = next(todo, None)
@@ -504,50 +615,16 @@ def _monomial_pass(powers: list, basis: HermiteBasis, q: int, half,
                 return
             b0, b1 = slab
             p0, p1 = bounds[b0], bounds[b1]
-            n, m = p1 - p0, (p1 - p0) * ns
-            iv, js = bins.v[p0:p1], bins.star_of[p0:p1]
-            vb, vs = nodes_v[iv], nodes_s[js]
-            diff = vb - vs
-            r = np.sqrt(np.einsum("pk,pk->p", diff, diff))
-            ct = np.einsum("pk,sk->ps", diff, sig)
-            ct /= r[:, None]
-            center = 0.5 * (vb + vs)
-            coords = coords_buf[:3 * m].reshape(3, m)
-            for ax in range(3):
-                buf = coords[ax].reshape(n, ns)
-                np.multiply((0.5 * r)[:, None], sig[None, :, ax], out=buf)
-                buf += center[:, ax, None]
-            D = D_buf[:2 * nb * m].reshape(2 * nb, m)
-            Dp, Dps = D[:nb], D[nb:]
-            hermite_table_3d(coords.T, basis.N, out=Dp.T)
-            for ax in range(3):
-                buf = coords[ax].reshape(n, ns)
-                np.subtract(2.0 * center[:, ax, None], buf, out=buf)
-            hermite_table_3d(coords.T, basis.N, out=Dps.T)
-            # subtract H(v) and H(v*)
-            vp_view = Dp.reshape(nb, n, ns)
-            vp_view -= Hv_T[:, iv, None]
-            vps_view = Dps.reshape(nb, n, ns)
-            vps_view -= Hs_T[:, js, None]
-            root_w = w_buf[:m].reshape(n, ns)
-            np.multiply(bins.root_w[p0:p1, None], root_wsig[None, :],
-                        out=root_w)
-            ct_pow = ct_buf[:half_powers * m].reshape(half_powers, n, ns)
-            if half_powers:                        # |cos theta|^(k+1)
-                np.abs(ct, out=ct_pow[0])
-                for k in range(1, half_powers):
-                    np.multiply(ct_pow[k - 1], ct_pow[0], out=ct_pow[k])
+            m = (p1 - p0) * ns
+            X = D_buf[:2 * nb * m].reshape(2 * nb, m)
+            rows_of.fill(X, coords_buf[:3 * m].reshape(3, m), p0, p1)
+            rw = w_buf[:m].reshape(p1 - p0, ns)
+            np.multiply(root_w[p0:p1, None], root_wsig[None, :], out=rw)
+            np.multiply(X, rw.reshape(1, m), out=X)
             cuts = (bounds[b0:b1 + 1] - p0) * ns
-            for power, table in zip(powers, tables):
-                rw = root_w if power == 0 else np.multiply(
-                    root_w, ct_pow[power // 2 - 1],
-                    out=wpow_buf[:m].reshape(n, ns))
-                X = D if power == powers[-1] else \
-                    X_buf[:2 * nb * m].reshape(2 * nb, m)
-                np.multiply(D, rw.reshape(1, m), out=X)
-                for b, s, e in zip(range(b0, b1), cuts[:-1], cuts[1:]):
-                    np.matmul(X[:, s:e], X[:, s:e].T, out=G)   # syrk
-                    np.add(G.take(first), G.take(second), out=table[b])
+            for b, s, e in zip(range(b0, b1), cuts[:-1], cuts[1:]):
+                np.matmul(X[:, s:e], X[:, s:e].T, out=G)   # syrk
+                np.add(G.take(first), G.take(second), out=table[0, b])
 
     if threads > 1 and len(slabs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -555,6 +632,58 @@ def _monomial_pass(powers: list, basis: HermiteBasis, q: int, half,
                 done.result()
     else:
         work()
+    return table
+
+
+def _product_pass(P: int, bins: _PairBins, basis: HermiteBasis, q: int,
+                  half, slab_pairs: int) -> np.ndarray:
+    """The (P, bins, 2K) tables of cos^{2k} theta, k < P: each slab forms
+    the products u_i u_j and z_i z_j of :func:`_product_plan` once, and
+    each bin gives the rows of all P powers in one product W_b E_b^T,
+    W_k = w cos^{2k} theta."""
+    indices, calls, slots = _product_plan(basis.N)
+    rows_of = _Differences(bins, q, basis.N, half.nodes, indices)
+    w, sig, wsig = bins.weights(), half.nodes, half.weights
+    ns, nb, K = len(half), basis.per_species_size, len(slots)
+    bounds = bins.bounds
+    sums = np.empty((len(bounds) - 1, P, 2 * K))      # (U, Z) per bin
+    slabs = _slabs(bounds, slab_pairs)
+    rows = ns * max((bounds[b1] - bounds[b0] for b0, b1 in slabs), default=0)
+    coords_buf, D_buf = np.empty(3 * rows), np.empty(2 * nb * rows)
+    uz_buf, E_buf = np.empty(2 * nb * rows), np.empty(2 * K * rows)
+    W_buf = np.empty(P * rows)
+    for b0, b1 in slabs:
+        p0, p1 = bounds[b0], bounds[b1]
+        n, m = p1 - p0, (p1 - p0) * ns
+        D = D_buf[:2 * nb * m].reshape(2 * nb, m)
+        diff, r = rows_of.fill(D, coords_buf[:3 * m].reshape(3, m), p0, p1)
+        cos2 = np.einsum("pk,sk->ps", diff, sig)
+        cos2 /= r[:, None]
+        cos2 *= cos2
+        W = W_buf[:P * m].reshape(P, n, ns)
+        np.multiply(w[p0:p1, None], wsig[None, :], out=W[0])
+        for k in range(1, P):
+            np.multiply(W[k - 1], cos2, out=W[k])
+        # u = d + d*, z = d - d*, rows in parity-class order
+        uz = uz_buf[:2 * nb * m].reshape(2, nb, m)
+        np.add(D[:nb], D[nb:], out=uz[0])
+        np.subtract(D[:nb], D[nb:], out=uz[1])
+        E = E_buf[:2 * K * m].reshape(2, K, m)
+        for row0, c, size, o, e0 in calls:
+            g = uz[:, row0:row0 + c * size].reshape(2, c, size, m)
+            np.multiply(g[:, :, :size - o], g[:, :, o:],
+                        out=E[:, e0:e0 + c * (size - o)].reshape(
+                            2, c, size - o, m))
+        E, W = E.reshape(2 * K, m), W.reshape(P, m)
+        cuts = (bounds[b0:b1 + 1] - p0) * ns
+        for b, s, e in zip(range(b0, b1), cuts[:-1], cuts[1:]):
+            np.matmul(W[:, s:e], E[:, s:e].T, out=sums[b])
+    # T1 = (U + Z) / 2 and T12 = (U - Z) / 2, in the packed layout
+    tables = np.empty((P, len(bounds) - 1, 2 * K))
+    for table, U, Z in zip(tables, sums[:, :, :K].transpose(1, 0, 2),
+                           sums[:, :, K:].transpose(1, 0, 2)):
+        table[:, slots] = 0.5 * (U + Z)
+        table[:, K + slots] = 0.5 * (U - Z)
     return tables
 
 
@@ -588,7 +717,7 @@ def assembly_plan(family: KernelFamily, basis: HermiteBasis, q: int = 10,
     degree = max(2 * basis.N + max(powers, default=0), _MIN_SPHERE_DEGREE)
     ns = math.prod(sphere_counts(degree)) // 2       # the half-sphere nodes
     slab_pairs = _slab_shape(q, ns, basis,
-                             len(_pass_powers(powers, degree, basis.N)),
+                             _pass_powers(powers, degree, basis.N),
                              memory_cap)
     return wanted, degree, slab_pairs, _bin_counts(q)[2] * ns
 
@@ -600,14 +729,14 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
 
     Returns three :class:`DiscreteOperator` with L = L^m + L^b, all symmetric
     and with -L positive semidefinite up to roundoff.  The quadrature runs
-    only for the cos^{2k} theta tables missing from the process cache (see
-    the module docstring); every r^gamma, kernel and the rho weighting are
-    combined from them on each call; a pass computes the tables of every
-    power of :func:`_pass_powers`.  ``meta`` counts the rows of a pass,
+    only when the process cache has no entry for the call's pass, which
+    computes the tables of every power of :func:`_pass_powers` (see the
+    module docstring); every r^gamma, kernel and the rho weighting are
+    combined from them on each call.  ``meta`` counts the rows of a pass,
     the tables the call uses (``monomials``) and those it computed
     (``monomials_computed``).  Deterministic: each bin is summed by one
     product in one slab, whatever the slab size and the thread count, and
-    cached tables are the arrays a cold pass would compute, so results do
+    a cached entry is the array a cold pass would compute, so results do
     not depend on which calls ran before.
     """
     if basis.N < 2:
@@ -625,28 +754,20 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
                                                      memory_cap)
     powers = sorted({power for _, power in wanted})
     every = _pass_powers(powers, degree, basis.N)
-    key = (basis.N, q, degree)
-    tables = {}
+    key = (basis.N, q, degree, tuple(every))
     with _monomial_lock:
-        for power in every:
-            hit = _monomial_blocks.pop(key + (power,), None)
-            if hit is not None:
-                tables[power] = _monomial_blocks[key + (power,)] = hit
-    # a pass computes every power of the set that is not cached, so the
-    # next call with an angular part at the key runs none, whichever
-    # powers it uses
-    missing = [power for power in every if power not in tables] \
-        if any(power not in tables for power in powers) else []
-    if missing:
-        fresh = _monomial_pass(missing, basis, q, half_sphere_rule(degree),
-                               slab_pairs, threads)
+        tables = _monomial_blocks.pop(key, None)
+        if tables is not None:
+            _monomial_blocks[key] = tables
+    computed = tables is None
+    if computed:
+        tables = _monomial_pass(every, basis, q, half_sphere_rule(degree),
+                                slab_pairs, threads)
+        tables.setflags(write=False)
         with _monomial_lock:
-            for power, table in zip(missing, fresh):
-                table.setflags(write=False)
-                tables[power] = table
-                if table.nbytes <= _MONOMIAL_CACHE_BYTES:
-                    _monomial_blocks.pop(key + (power,), None)
-                    _monomial_blocks[key + (power,)] = table
+            _monomial_blocks.pop(key, None)
+            if tables.nbytes <= _MONOMIAL_CACHE_BYTES:
+                _monomial_blocks[key] = tables
             kept = sum(t.nbytes for t in _monomial_blocks.values())
             while kept > _MONOMIAL_CACHE_BYTES:
                 kept -= _monomial_blocks.pop(
@@ -654,7 +775,7 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
 
     radius = _bin_radius(q)
     scale = {gamma: np.power(radius, gamma) for gamma, _ in wanted}
-    packed = {(gamma, power): scale[gamma] @ tables[power]
+    packed = {(gamma, power): scale[gamma] @ tables[power // 2]
               for gamma, power in wanted}
     T = {(i, j): _kernel_blocks(family.phi[i][j], family.b[i][j], packed,
                                 basis.N)
@@ -681,7 +802,7 @@ def assemble_collision(mixture: Mixture, family: KernelFamily,
                 Qb[sj, si] += w * T12.T
 
     meta = {"quadrature_rows": rows, "monomials": len(powers),
-            "monomials_computed": len(missing)}
+            "monomials_computed": len(every) if computed else 0}
     Lm, Lb = _sym(-Qm), _sym(-Qb)
     return (DiscreteOperator(Lm + Lb, meta), DiscreteOperator(Lm, meta),
             DiscreteOperator(Lb, meta))

@@ -48,22 +48,26 @@ def multi_indices(N: int) -> np.ndarray:
 
 
 def hermite_table_3d(points: np.ndarray, N: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     indices: np.ndarray | None = None) -> np.ndarray:
     """Tensor Hermite values H_alpha(points) for all |alpha| <= N.
 
     ``points`` has shape (m, 3); the result has shape (m, nb) with
-    nb = C(N+3, 3), ordered as :func:`multi_indices`, and is written into
+    nb = C(N+3, 3), ordered as ``indices`` (default :func:`multi_indices`,
+    any order of multi-indices of degree <= N), and is written into
     ``out`` when given.  A fresh result is the transpose of a C-contiguous
     (nb, m) array, so each H_alpha is one contiguous row; pass such a view
     as ``out`` to keep that.
 
     H_alpha = (h_a(x) h_b(y)) h_c(z), row by row: one scratch array holds
     the three 1-D tables and the (a, b) products, each product shared by
-    every alpha that uses it.
+    every alpha that uses it.  A factor h_0 = 1 is not multiplied: the
+    other factor is used as it is, which gives the same bits, x 1.0 = x.
     """
     points = np.asarray(points, dtype=float)
-    idx = multi_indices(N).tolist()
-    pairs = list(dict.fromkeys((a, b) for a, b, _ in idx))
+    idx = (multi_indices(N) if indices is None else indices).tolist()
+    # (0, b) and (a, 0) are rows of the 1-D tables
+    pairs = list(dict.fromkeys((a, b) for a, b, _ in idx if a and b))
     m = points.shape[0]
     if out is None:
         out = np.empty((len(idx), m)).T
@@ -74,7 +78,11 @@ def hermite_table_3d(points: np.ndarray, N: int,
     for (a, b), row in prod.items():
         np.multiply(tab[a, 0], tab[b, 1], out=row)
     for row, (a, b, c) in zip(out.T, idx):
-        np.multiply(prod[a, b], tab[c, 2], out=row)
+        ab = tab[b, 1] if a == 0 else tab[a, 0] if b == 0 else prod[a, b]
+        if c:
+            np.multiply(ab, tab[c, 2], out=row)
+        else:
+            row[...] = ab
     return out
 
 

@@ -227,6 +227,11 @@ def quadrature_Db(mixture, family, q: int = 12, degree: int = 47) -> dict:
     Serves as the independent cross-check for ``spectra.compute_Db``; the
     min{.,.} integrand is only piecewise smooth, so this is an oracle at
     moderate accuracy, not a replacement for the Monte-Carlo error bars.
+
+    The integrand is invariant under (v, v*, sigma) -> (v*, v, -sigma),
+    and so are the tensor rule and the antipodally symmetric sphere rule;
+    the pairs with v = v* add 0.  So the sum runs over the node pairs
+    with index(v) < index(v*) only and is doubled.
     """
     from kinetic_gap.quadrature import hermite_rule_3d, sphere_rule
     rule3 = hermite_rule_3d(q)
@@ -234,6 +239,7 @@ def quadrature_Db(mixture, family, q: int = 12, degree: int = 47) -> dict:
     nodes, w3 = rule3.nodes, rule3.weights
     Qn = nodes.shape[0]
     ns = sph.nodes.shape[0]
+    first, second = np.triu_indices(Qn, 1)
     keys, pair_key = family.distinct_pairs()
     acc = np.zeros(len(keys))
 
@@ -243,18 +249,17 @@ def quadrature_Db(mixture, family, q: int = 12, degree: int = 47) -> dict:
     e_term = np.empty((chunk, ns))
     base = np.empty((chunk, ns))
     gbuf = np.empty((chunk, ns))
-    for p0 in range(0, Qn * Qn, chunk):
-        idx = np.arange(p0, min(p0 + chunk, Qn * Qn))
-        m = idx.shape[0]
-        v = nodes[idx // Qn]
-        vs = nodes[idx % Qn]
-        wp = w3[idx // Qn] * w3[idx % Qn]
+    for p0 in range(0, len(first), chunk):
+        ia, ib = first[p0:p0 + chunk], second[p0:p0 + chunk]
+        m = ia.shape[0]
+        v = nodes[ia]
+        vs = nodes[ib]
+        wp = w3[ia] * w3[ib]
         diff = v - vs
-        r = np.linalg.norm(diff, axis=1)
-        rs = np.where(r > 0, r, 1.0)
+        r = np.linalg.norm(diff, axis=1)          # > 0: v != v*
         center = 0.5 * (v + vs)
         cw = np.einsum("ij,ij->i", center, diff)
-        np.divide(diff @ sph.nodes.T, rs[:, None], out=ct[:m])
+        np.divide(diff @ sph.nodes.T, r[:, None], out=ct[:m])
         np.multiply(center @ sph.nodes.T, r[:, None], out=e_term[:m])
         e_term[:m] -= cw[:, None]
         np.square(e_term[:m], out=e_term[:m])
@@ -263,20 +268,18 @@ def quadrature_Db(mixture, family, q: int = 12, degree: int = 47) -> dict:
         np.minimum(base[:m], e_term[:m], out=base[:m])
         base[:m] *= (wp[:, None] * sph.weights[None, :])
         for k, (phi_d, b_d) in enumerate(keys):
-            # base vanishes on the r = 0 diagonal, so phi(rs) with the
-            # guarded radius is safe for every gamma
             if len(b_d.coeffs) == 1:
-                np.multiply(base[:m], (b_d.coeffs[0] * phi_d(rs))[:, None],
+                np.multiply(base[:m], (b_d.coeffs[0] * phi_d(r))[:, None],
                             out=gbuf[:m])
             else:
                 np.multiply(base[:m], b_d(ct[:m]), out=gbuf[:m])
-                gbuf[:m] *= phi_d(rs)[:, None]
+                gbuf[:m] *= phi_d(r)[:, None]
             acc[k] += gbuf[:m].sum()
     out = {}
     for i in range(mixture.n):
         for j in range(mixture.n):
             out[(i, j)] = mixture.rho_inf[i] * mixture.rho_inf[j] \
-                * acc[pair_key[(i, j)]]
+                * 2.0 * acc[pair_key[(i, j)]]
     return out
 
 

@@ -344,17 +344,18 @@ _FOLD_GAMMAS = (0.0, 0.37, 1.0)
 _FOLD_POWERS = [0, 2, 4]
 
 
-def _default_slabs(q: int, N: int, degree: int) -> int:
+def _default_slabs(q: int, N: int, degree: int,
+                   powers=_FOLD_POWERS) -> int:
     return galerkin._slab_shape(q, len(half_sphere_rule(degree)),
-                                HermiteBasis(N, 1), len(_FOLD_POWERS),
+                                HermiteBasis(N, 1), powers,
                                 galerkin.DEFAULT_MEMORY_CAP)
 
 
 def _cold_tables(q: int, N: int, degree: int, slab_pairs=None,
-                 threads: int = 1) -> list:
+                 threads: int = 1, powers=_FOLD_POWERS) -> np.ndarray:
     if slab_pairs is None:
-        slab_pairs = _default_slabs(q, N, degree)
-    return galerkin._monomial_pass(_FOLD_POWERS, HermiteBasis(N, 1), q,
+        slab_pairs = _default_slabs(q, N, degree, powers)
+    return galerkin._monomial_pass(powers, HermiteBasis(N, 1), q,
                                    half_sphere_rule(degree), slab_pairs,
                                    threads)
 
@@ -407,17 +408,16 @@ class TestMirrorFold:
                                       q=q)[0].meta
             # the pass computes every power the degree-11 rule is exact for:
             # 0..4 at N = 3, 0..6 at N = 2
-            assert meta["monomials_computed"] == \
-                len(galerkin._pass_powers(_FOLD_POWERS, 11, N))
-            cached = [galerkin._monomial_blocks[(N, q, 11, power)]
-                      for power in _FOLD_POWERS]
+            every = galerkin._pass_powers(_FOLD_POWERS, 11, N)
+            assert meta["monomials_computed"] == len(every)
+            cached = galerkin._monomial_blocks[(N, q, 11, tuple(every))]
         finally:
             galerkin._monomial_blocks.clear()
-        for warm, cold in zip(cached, _cold_tables(q, N, 11), strict=True):
-            assert np.array_equal(warm, cold)
+        assert np.array_equal(cached, _cold_tables(q, N, 11, powers=every))
         ref = full_monomial_pass(self._ORACLE_MONOMIALS, HermiteBasis(N, 1),
                                  q, 11)
-        for tb, tr in zip(_blocks_from_tables(cached, q, N), ref, strict=True):
+        for tb, tr in zip(_blocks_from_tables(cached[:3], q, N), ref,
+                          strict=True):
             assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
 
     @pytest.mark.parametrize("q, N", [(3, 3), (4, 2), (5, 4)])
@@ -463,17 +463,35 @@ class TestMirrorFold:
             rows = (bounds[b1] - bounds[b0]) * ns
             assert rows <= galerkin._ROWS_TARGET or b1 == b0 + 1
 
-    def test_slab_size_does_not_move_the_blocks(self):
+    @pytest.mark.parametrize("powers", [[0], _FOLD_POWERS],
+                             ids=["isotropic", "angular"])
+    def test_slab_size_does_not_move_the_blocks(self, powers):
         # the default slabs at q = 6 hold a few bins each; the same pass
         # with one bin per slab, with slabs of 37 pairs, and on 2 and 3
-        # threads
+        # threads (which an angular pass does not use)
         q, N = 6, 3
-        ref = _cold_tables(q, N, 11)
-        assert _default_slabs(q, N, 11) > 37
+        ref = _cold_tables(q, N, 11, powers=powers)
+        assert _default_slabs(q, N, 11, powers) > 37
         for slab_pairs, threads in ((1, 1), (37, 1), (None, 2), (37, 3)):
-            got = _cold_tables(q, N, 11, slab_pairs, threads)
-            for tb, tr in zip(got, ref, strict=True):
-                assert np.array_equal(tb, tr)
+            got = _cold_tables(q, N, 11, slab_pairs, threads, powers)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_each_pass_set_matches_the_full_grid(self, q, N):
+        # the rank-k pass of cos^0 alone and the product pass of every
+        # power the degree-11 rule is exact for, at one gamma that
+        # weights the bins unequally
+        every = galerkin._pass_powers([2], 11, N)
+        gamma, radius = _FOLD_GAMMAS[1], galerkin._bin_radius(q)
+        ref = full_monomial_pass([(gamma, power) for power in every],
+                                 HermiteBasis(N, 1), q, 11)
+        for powers in ([0], every):
+            tables = _cold_tables(q, N, 11, powers=powers)
+            assert tables.shape[0] == len(powers)
+            for table, tr in zip(tables, ref):
+                tb = galerkin._unpack(np.power(radius, gamma) @ table, N)
+                assert np.max(np.abs(tb - tr)) <= 1e-14 * np.max(np.abs(tr))
 
     def test_plan_counts_the_rows_the_pass_evaluates(self, monkeypatch):
         # every row is one Hermite evaluation at v' and one at v'*, after
@@ -484,9 +502,9 @@ class TestMirrorFold:
         points = []
         table = galerkin.hermite_table_3d
 
-        def counting(pts, N, out=None):
+        def counting(pts, N, out=None, indices=None):
             points.append(len(pts))
-            return table(pts, N, out=out)
+            return table(pts, N, out=out, indices=indices)
 
         monkeypatch.setattr(galerkin, "hermite_table_3d", counting)
         for q in range(1, 9):
@@ -550,8 +568,8 @@ def brute_force_form(mx, fam, basis, f, q, degree):
 
 
 class TestMonomialCache:
-    """Collision tables are cached per (N, q, sphere degree, cos^{2k} theta)
-    and serve every gamma."""
+    """Collision tables are cached per pass, (N, q, sphere degree, the
+    pass's powers of cos theta), and serve every gamma."""
     kw = dict(q=4)
 
     @pytest.fixture(autouse=True)
@@ -611,23 +629,42 @@ class TestMonomialCache:
         assert np.array_equal(one[0].matrix, cold[0].matrix)
 
     def test_block_independent_of_pass_companions(self):
-        # each power's table is the same alone and with the powers that
-        # share its pass; |cos theta|^k chains up from k = 1 in every pass
-        basis, q = HermiteBasis(2, 1), self.kw["q"]
-        slab_pairs = _default_slabs(q, 2, 11)
+        # every angular call at (N, q, degree) leaves the one entry of the
+        # pass {0, 2, 4}, whichever of those powers its kernels use, and
+        # it is the pass's tables bit for bit; hard spheres leave the
+        # entry of {0}
+        mx, basis, q = Mixture((1.0,)), HermiteBasis(3, 1), self.kw["q"]
+        passes = {(0,): _cold_tables(q, 3, 11, powers=[0]),
+                  (0, 2, 4): _cold_tables(q, 3, 11, powers=[0, 2, 4])}
+        for coeffs in ((1.0,), (1.0, 0.0, 0.4), (1.0, 0.0, 0.0, 0.0, 0.3),
+                       (1.0, 0.0, 0.4, 0.0, 0.3)):
+            galerkin._monomial_blocks.clear()
+            fam = dataclasses.replace(power_family(1, 0.6), b=(
+                (AngularPolynomial(coeffs),),))
+            assemble_collision(mx, fam, basis, **self.kw)
+            (key, tables), = galerkin._monomial_blocks.items()
+            every = (0,) if len(coeffs) == 1 else (0, 2, 4)
+            assert key == (3, q, 11, every)
+            assert np.array_equal(tables, passes[every])
 
-        def tables(powers):
-            return dict(zip(powers, galerkin._monomial_pass(
-                powers, basis, q, half_sphere_rule(11), slab_pairs,
-                threads=1)))
-
-        alone = tables([0])
-        shared = tables([0, 2])
-        skipped = tables([0, 4])
-        every = tables([0, 2, 4])
-        for part in (alone, shared, skipped):
-            for power, table in part.items():
-                assert np.array_equal(table, every[power])
+    def test_isotropic_result_independent_of_an_angular_pass(self):
+        # the two passes compute cos^0 by different sums, so they keep
+        # separate entries: a hard-sphere call gives the same bits whether
+        # or not an angular call at its (N, q, degree) ran first
+        mx, basis = Mixture((1.0, 1.7)), HermiteBasis(3, 2)
+        fam = dataclasses.replace(power_family(2, 0.7), b=tuple(
+            tuple(AngularPolynomial((1.0, 0.0, 0.4)) for _ in range(2))
+            for _ in range(2)))
+        cold = assemble_collision(mx, hard_sphere_family(2), basis,
+                                  **self.kw)
+        galerkin._monomial_blocks.clear()
+        assemble_collision(mx, fam, basis, **self.kw)
+        after = assemble_collision(mx, hard_sphere_family(2), basis,
+                                   **self.kw)
+        assert after[0].meta["monomials_computed"] == 1
+        assert len(galerkin._monomial_blocks) == 2
+        for a_op, c_op in zip(after, cold, strict=True):
+            assert np.array_equal(a_op.matrix, c_op.matrix)
 
     def test_an_angular_pass_leaves_every_power_of_its_key(self):
         # a call with b = c0 + c2 t^2 computes the table of cos^4 too, so a
@@ -666,34 +703,51 @@ class TestMonomialCache:
             with pytest.raises(ValueError):
                 tb[0, 0] = 1.0
 
-    @pytest.mark.parametrize("q, N, shape", [(8, 3, (968, 88)),
-                                             (6, 4, (219, 232))],
-                             ids=["q8-N3", "q6-N4"])
-    def test_tables_keep_their_sizes(self, q, N, shape):
-        # one row per bin of nonzero radius, the upper triangles of the
-        # eight parity-class blocks of T1 and T12 across
-        assemble_collision(Mixture((1.0,)), hard_sphere_family(1),
-                           HermiteBasis(N, 1), q=q)
-        (key, table), = galerkin._monomial_blocks.items()
-        assert key == (N, q, 11, 0) and table.shape == shape
-        assert galerkin._packed_size(HermiteBasis(N, 1)) == shape[1]
+    @pytest.mark.parametrize("q, N, coeffs, powers, shape", [
+        (8, 3, (1.0,), (0,), (1, 968, 88)),
+        (6, 4, (1.0,), (0,), (1, 219, 232)),
+        (8, 3, (1.0, 0.0, 0.4), (0, 2, 4), (3, 968, 88))],
+        ids=["q8-N3", "q6-N4", "q8-N3-angular"])
+    def test_tables_keep_their_sizes(self, q, N, coeffs, powers, shape):
+        # one entry per pass, a table per power of it: one row per bin of
+        # nonzero radius, the upper triangles of the eight parity-class
+        # blocks of T1 and T12 across
+        fam = dataclasses.replace(hard_sphere_family(1), b=(
+            (AngularPolynomial(coeffs),),))
+        assemble_collision(Mixture((1.0,)), fam, HermiteBasis(N, 1), q=q)
+        (key, tables), = galerkin._monomial_blocks.items()
+        assert key == (N, q, 11, powers) and tables.shape == shape
+        assert galerkin._packed_size(HermiteBasis(N, 1)) == shape[2]
 
     def test_cache_is_bounded(self, monkeypatch):
-        fam = polynomial_mixed_gamma_family()
+        # the angular pass of polynomial_mixed_gamma_family and the
+        # isotropic one of hard spheres at q = 4 and at q = 5
         basis = HermiteBasis(2, 2)
         mx = Mixture((1.0, 1.7))
-        L = assemble_collision(mx, fam, basis, **self.kw)[0].matrix
-        size = next(iter(galerkin._monomial_blocks.values())).nbytes
+        calls = [(polynomial_mixed_gamma_family(), 4),
+                 (hard_sphere_family(2), 4), (hard_sphere_family(2), 5)]
+        Ls, sizes = [], []
+        for fam, q in calls:
+            galerkin._monomial_blocks.clear()
+            Ls.append(assemble_collision(mx, fam, basis, q=q)[0].matrix)
+            (tables,) = galerkin._monomial_blocks.values()
+            sizes.append(tables.nbytes)
+        assert sizes[0] == 4 * sizes[1]           # powers 0, 2, 4 and 6
         galerkin._monomial_blocks.clear()
-        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_BYTES", 2 * size)
-        assert np.array_equal(
-            L, assemble_collision(mx, fam, basis, **self.kw)[0].matrix)
-        assert len(galerkin._monomial_blocks) == 2
-        # a table larger than the bound is used but not kept
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_BYTES",
+                            sizes[0] + max(sizes[1:]))
+        for (fam, q), L in zip(calls, Ls):
+            assert np.array_equal(
+                L, assemble_collision(mx, fam, basis, q=q)[0].matrix)
+        # the third entry pushed out the least recently used, the first
+        assert list(galerkin._monomial_blocks) == [
+            (2, 4, 11, (0,)), (2, 5, 11, (0,))]
+        # an entry larger than the bound is used but not kept
         galerkin._monomial_blocks.clear()
-        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_BYTES", size - 1)
+        monkeypatch.setattr(galerkin, "_MONOMIAL_CACHE_BYTES", sizes[0] - 1)
+        fam, q = calls[0]
         assert np.array_equal(
-            L, assemble_collision(mx, fam, basis, **self.kw)[0].matrix)
+            Ls[0], assemble_collision(mx, fam, basis, q=q)[0].matrix)
         assert not galerkin._monomial_blocks
 
     def test_concurrent_callers_share_the_cache(self, monkeypatch):
@@ -730,29 +784,33 @@ class TestMonomialCache:
                                memory_cap=10_000, **self.kw)
 
     def test_budget_counts_the_tables(self):
-        # the cap that just fits a pass of one table is short by the
-        # bytes of a second one
+        # the least cap that fits the pass of cos^0 alone, bisected; the
+        # pass of cos^0, cos^2 and cos^4 needs 7 tables in place of 1 (its
+        # 3, their per-bin sums and one of scratch) and, for each row of
+        # the largest bin, the 2K products and 3 weights
         basis = HermiteBasis(3, 1)
         q, ns = 6, len(half_sphere_rule(11))
-        table = 8 * galerkin._bin_counts(q)[0] * galerkin._packed_size(basis)
+        bins, largest, _ = galerkin._bin_counts(q)
+        packed = galerkin._packed_size(basis)
         cap = 1 << 20
         while True:
             try:
-                galerkin._slab_shape(q, ns, basis, 1, cap)
+                galerkin._slab_shape(q, ns, basis, [0], cap)
                 break
             except AssemblyBudgetError:
                 cap *= 2
-        low = cap // 2                   # the least cap that fits, bisected
+        low = cap // 2
         while cap - low > 1:
             mid = (low + cap) // 2
             try:
-                galerkin._slab_shape(q, ns, basis, 1, mid)
+                galerkin._slab_shape(q, ns, basis, [0], mid)
                 cap = mid
             except AssemblyBudgetError:
                 low = mid
-        with pytest.raises(AssemblyBudgetError):
-            galerkin._slab_shape(q, ns, basis, 2, cap)
-        galerkin._slab_shape(q, ns, basis, 2, cap + table)
+        need = cap + 8 * (6 * bins * packed + largest * ns * (packed + 3))
+        with pytest.raises(AssemblyBudgetError, match=f"least {need} bytes"):
+            galerkin._slab_shape(q, ns, basis, [0, 2, 4], need - 1)
+        galerkin._slab_shape(q, ns, basis, [0, 2, 4], need)
 
     def test_form_matches_per_kernel_brute_force(self):
         mx = Mixture((1.0, 1.7))

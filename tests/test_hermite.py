@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermevander
 
-from kinetic_gap.hermite import hermite_table_3d, multi_indices
+from kinetic_gap.hermite import _fill_1d, hermite_table_3d, multi_indices
 
 from oracles import hermite_table_1d, hermite_table_gather
 
@@ -35,6 +35,27 @@ def test_out_buffer_equals_gather_evaluator(N):
     plain = np.full((pts.shape[0], len(multi_indices(N))), np.nan)
     hermite_table_3d(pts, N, out=plain)
     assert np.array_equal(plain, hermite_table_gather(pts, N))
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_skipped_unit_factors_keep_every_bit(N):
+    # the plain tensor product (h_a(x) h_b(y)) h_c(z) of the same 1-D
+    # tables, every factor h_0 = 1 multiplied in
+    pts = random_points()
+    tab = np.empty((N + 1, 3, pts.shape[0]))
+    _fill_1d(pts.T, N, tab)
+    idx = multi_indices(N)
+    plain = (tab[idx[:, 0], 0] * tab[idx[:, 1], 1]) * tab[idx[:, 2], 2]
+    assert np.array_equal(hermite_table_3d(pts, N), plain.T)
+
+
+@pytest.mark.parametrize("N", [0, 3, 4])
+def test_indices_order_the_columns(N):
+    # any order of the multi-indices gives the same columns, permuted
+    pts = random_points()
+    order = np.random.default_rng(N).permutation(len(multi_indices(N)))
+    got = hermite_table_3d(pts, N, indices=multi_indices(N)[order])
+    assert np.array_equal(got, hermite_table_3d(pts, N)[:, order])
 
 
 @pytest.mark.parametrize("N", DEGREES)
